@@ -15,8 +15,8 @@
 //!
 //! The result is a serde-serialisable [`CampaignResult`]: the raw per-shard
 //! outcomes (the provenance record) plus the aggregated
-//! [`SweepResult`] the figure renderers consume. The `campaign` binary in
-//! `xgft-bench` wraps this in a command line and emits the JSON.
+//! [`SweepResult`] the figure renderers consume. `xgft campaign` wraps this
+//! in a command line and emits the JSON.
 
 use crate::sweep::{
     assemble_points, enumerate_shards, run_shards, AlgorithmSpec, SweepResult, SweepShard,
@@ -118,14 +118,15 @@ impl CampaignConfig {
     /// the usual sweep points.
     pub fn run_trace(&self, pattern: &Pattern, trace: &Trace) -> CampaignResult {
         xgft_obs::span!("analysis.campaign");
-        let crossbar_ps = crate::slowdown::run_on_crossbar(trace, &self.network)
-            .expect("crossbar replay cannot deadlock")
-            .completion_ps;
         let shards = self.shards();
-        let samples = run_shards(&shards, self.k, &self.network, pattern, trace, crossbar_ps);
+        let pairs = trace.communication_pairs();
+        let (crossbar_ps, samples) =
+            run_shards(&shards, self.k, &self.network, trace, |xgft, shard| {
+                crate::shards::compile(xgft, pattern, &pairs, shard.algorithm, shard.seed)
+            });
         let outcomes: Vec<ShardOutcome> = shards
             .iter()
-            .zip(&samples)
+            .zip(samples.iter().flatten())
             .map(|(shard, &slowdown)| ShardOutcome {
                 w2: shard.w2,
                 algorithm: shard.algorithm.name().to_string(),
@@ -145,7 +146,7 @@ impl CampaignConfig {
                 trace: trace.name().to_string(),
                 k: self.k,
                 crossbar_ps,
-                points: assemble_points(&shards, &samples),
+                points: assemble_points(&shards, samples),
             },
         }
     }

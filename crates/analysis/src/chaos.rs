@@ -25,8 +25,8 @@
 //! count.
 
 use crate::campaign::{name_tag, splitmix64};
+use crate::shards::{run_grouped, PristineTables};
 use crate::sweep::AlgorithmSpec;
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use xgft_core::{CompiledRouteTable, UndoableTable};
 use xgft_netsim::{FailurePolicy, InjectionBatch, NetworkConfig, NetworkSim};
@@ -264,34 +264,23 @@ impl ChaosConfig {
         xgft_obs::global()
             .counter("analysis.chaos.incidents")
             .add(timeline.len() as u64);
-        let pristine: Vec<(AlgorithmSpec, Option<CompiledRouteTable>)> = self
-            .algorithms
-            .iter()
-            .map(|&algorithm| {
-                let table = if algorithm.is_seeded() {
-                    None
-                } else {
-                    let algo = algorithm.instantiate(&xgft, pattern, 0);
-                    Some(CompiledRouteTable::compile(
-                        &xgft,
-                        algo.as_ref(),
-                        flows.iter().map(|f| (f.src, f.dst)),
-                    ))
-                };
-                (algorithm, table)
-            })
-            .collect();
-        let shards = self.shards();
-        let outcomes: Vec<ChaosShardOutcome> = shards
-            .par_iter()
-            .map(|shard| {
-                let cached = pristine
-                    .iter()
-                    .find(|(a, _)| *a == shard.algorithm)
-                    .and_then(|(_, t)| t.as_ref());
-                self.run_shard(&xgft, cached, shard, pattern, &flows, &timeline)
-            })
-            .collect();
+        let pairs: Vec<(usize, usize)> = flows.iter().map(|f| (f.src, f.dst)).collect();
+        let tables = PristineTables::new(&xgft, pattern, &pairs, &self.algorithms);
+        // One work item per shard. Per-scheme groups would be uneven (a
+        // deterministic scheme has one shard, a seeded one a shard per
+        // seed), and the shim's contiguous chunking never rebalances them.
+        let outcomes: Vec<ChaosShardOutcome> = run_grouped(
+            &self.shards(),
+            |_, _| false,
+            |_| InjectionBatch::new(),
+            |batch, shard| {
+                let pristine = tables.get(shard.algorithm, shard.algo_seed);
+                self.run_shard(&xgft, pristine, shard, &flows, &timeline, batch)
+            },
+        )
+        .into_iter()
+        .flatten()
+        .collect();
         ChaosResult {
             schema_version: CHAOS_SCHEMA_VERSION,
             name: self.name.clone(),
@@ -331,29 +320,17 @@ impl ChaosConfig {
     fn run_shard(
         &self,
         xgft: &Xgft,
-        pristine: Option<&CompiledRouteTable>,
+        pristine: CompiledRouteTable,
         shard: &ChaosShard,
-        pattern: &Pattern,
         flows: &[Flow],
         timeline: &[ChaosIncident],
+        batch: &mut InjectionBatch,
     ) -> ChaosShardOutcome {
-        let pristine = match pristine {
-            Some(table) => table.clone(),
-            None => {
-                let algo = shard.algorithm.instantiate(xgft, pattern, shard.algo_seed);
-                CompiledRouteTable::compile(
-                    xgft,
-                    algo.as_ref(),
-                    flows.iter().map(|f| (f.src, f.dst)),
-                )
-            }
-        };
         let mut working = UndoableTable::new(pristine);
         let mut active: Vec<usize> = Vec::new();
         let mut rerouted = 0usize;
         let mut unroutable_pairs = 0usize;
         let mut sim = NetworkSim::new(xgft, self.network.clone());
-        let mut batch = InjectionBatch::new();
         let mut epochs = Vec::with_capacity(self.epochs);
         for epoch in 0..self.epochs {
             // The incidents the routing layer knows about at this epoch's
@@ -408,7 +385,7 @@ impl ChaosConfig {
                     None => unroutable_msgs += 1,
                 }
             }
-            sim.schedule_batch(&batch);
+            sim.schedule_batch(batch);
             let report = sim.run_to_completion();
             let offered = flows.len();
             let ppm = |part: usize| {

@@ -2,9 +2,9 @@
 //!
 //! Every submodule exposes a `run(...)` entry point returning a serialisable
 //! result struct with a `render()` method that prints the same rows/series
-//! the paper reports. The `xgft-bench` binaries are thin wrappers around
-//! these drivers; each driver's module docs note how its output compares to
-//! the paper's reported numbers.
+//! the paper reports. The `xgft` command line runs each of them by name;
+//! each module's docs note how its output compares to the paper's reported
+//! numbers.
 
 pub mod ablation;
 pub mod equivalence;

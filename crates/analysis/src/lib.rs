@@ -20,10 +20,12 @@
 //! replay in parallel on compiled route tables; the [`campaign`] module
 //! adds deterministic per-shard seed streams and serde-JSON campaign output
 //! on top (the paper's 40–60-seed figure runs as one schedulable unit).
+//! Sweeps, campaigns, [`resilience`] and [`chaos`] runs all execute their
+//! shards through one grouped executor, one parallel work item per point.
 //!
-//! The `xgft-bench` crate wraps each driver in a binary so every figure can
-//! be regenerated from the command line; see the repository `README.md` for
-//! the reproduction workflow.
+//! The `xgft` command line (the `xgft-scenario` crate) runs each experiment
+//! by name so every figure can be regenerated; see the repository
+//! `README.md` for the reproduction workflow.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -32,6 +34,7 @@ pub mod campaign;
 pub mod chaos;
 pub mod experiments;
 pub mod resilience;
+mod shards;
 pub mod slowdown;
 pub mod stats;
 pub mod sweep;

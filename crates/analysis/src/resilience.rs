@@ -21,10 +21,10 @@
 //! streams never depend on float formatting.
 
 use crate::campaign::{name_tag, splitmix64};
+use crate::shards::{run_grouped, PristineTables};
 use crate::slowdown::{run_on_crossbar, run_reusing_sim};
 use crate::stats::BoxplotStats;
 use crate::sweep::AlgorithmSpec;
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use xgft_core::CompiledRouteTable;
 use xgft_netsim::{NetworkConfig, NetworkSim};
@@ -192,70 +192,25 @@ impl ResilienceConfig {
             .completion_ps;
         let spec = XgftSpec::slimmed_two_level(self.k, self.w2).expect("valid slimmed spec");
         let xgft = Xgft::new(spec).expect("valid topology");
-        let pristine: Vec<(AlgorithmSpec, Option<CompiledRouteTable>)> = self
-            .algorithms
-            .iter()
-            .map(|&algorithm| {
-                let table = if algorithm.is_seeded() {
-                    None
-                } else {
-                    let algo = algorithm.instantiate(&xgft, pattern, 0);
-                    Some(CompiledRouteTable::compile(
-                        &xgft,
-                        algo.as_ref(),
-                        trace.communication_pairs(),
-                    ))
-                };
-                (algorithm, table)
-            })
-            .collect();
-        let shards = self.shards();
-        // Group consecutive shards by their (permille, algorithm) point so
-        // one rayon work item builds its replay engine and simulator once
-        // and recycles them across the point's fault draws (the simulator
-        // through `NetworkSim::reset`, pinned byte-identical to a fresh
-        // build). Flattening in group order keeps shard order, so results
-        // stay deterministic for any worker count.
-        let mut groups: Vec<&[ResilienceShard]> = Vec::new();
-        let mut rest = shards.as_slice();
-        while let Some(first) = rest.first() {
-            let len = rest
-                .iter()
-                .take_while(|s| s.permille == first.permille && s.algorithm == first.algorithm)
-                .count();
-            let (group, tail) = rest.split_at(len);
-            groups.push(group);
-            rest = tail;
-        }
-        let outcomes: Vec<ResilienceOutcome> = groups
-            .par_iter()
-            .map(|group| {
-                let cached = pristine
-                    .iter()
-                    .find(|(a, _)| *a == group[0].algorithm)
-                    .and_then(|(_, t)| t.as_ref());
-                let mut engine = ReplayEngine::new(trace);
-                let mut sim = NetworkSim::new(&xgft, self.network.clone());
-                group
-                    .iter()
-                    .map(|shard| {
-                        self.run_shard(
-                            &xgft,
-                            cached,
-                            shard,
-                            pattern,
-                            &mut engine,
-                            &mut sim,
-                            crossbar_ps,
-                        )
-                    })
-                    .collect::<Vec<_>>()
-            })
-            .collect::<Vec<_>>()
-            .into_iter()
-            .flatten()
-            .collect();
-        let points = assemble_points(&shards, &outcomes);
+        let pairs = trace.communication_pairs();
+        let tables = PristineTables::new(&xgft, pattern, &pairs, &self.algorithms);
+        // One work item per (permille, algorithm) point: its replay engine
+        // and simulator are built once and recycled across the point's
+        // fault draws (the simulator through `NetworkSim::reset`, pinned
+        // byte-identical to a fresh build).
+        let groups = run_grouped(
+            &self.shards(),
+            |a, b| a.permille == b.permille && a.algorithm == b.algorithm,
+            |_| {
+                let sim = NetworkSim::new(&xgft, self.network.clone());
+                (ReplayEngine::new(trace), sim)
+            },
+            |(engine, sim), shard| {
+                let pristine = tables.get(shard.algorithm, shard.algo_seed);
+                run_shard(&xgft, pristine, shard, engine, sim, crossbar_ps)
+            },
+        );
+        let points = groups.iter().map(|group| point_of(group)).collect();
         ResilienceResult {
             name: self.name.clone(),
             k: self.k,
@@ -263,97 +218,61 @@ impl ResilienceConfig {
             base_seed: self.base_seed,
             trace: trace.name().to_string(),
             crossbar_ps,
-            shards: outcomes,
+            shards: groups.into_iter().flatten().collect(),
             points,
-        }
-    }
-
-    /// Replay one shard: clone (or compile, for seeded schemes) the
-    /// pristine routes of the trace's pairs, draw the shard's fault set,
-    /// patch, and replay when fully routable — through the group's recycled
-    /// replay engine and simulator.
-    #[allow(clippy::too_many_arguments)]
-    fn run_shard(
-        &self,
-        xgft: &Xgft,
-        pristine: Option<&CompiledRouteTable>,
-        shard: &ResilienceShard,
-        pattern: &Pattern,
-        engine: &mut ReplayEngine<'_>,
-        sim: &mut NetworkSim,
-        crossbar_ps: u64,
-    ) -> ResilienceOutcome {
-        let mut table = match pristine {
-            Some(table) => table.clone(),
-            None => {
-                let algo = shard.algorithm.instantiate(xgft, pattern, shard.algo_seed);
-                CompiledRouteTable::compile(
-                    xgft,
-                    algo.as_ref(),
-                    engine.trace().communication_pairs(),
-                )
-            }
-        };
-        let faults =
-            FaultSet::uniform_links(xgft, shard.permille as f64 / 1000.0, shard.fault_seed);
-        let stats = table.patch(xgft, &faults);
-        let slowdown = if stats.unroutable == 0 {
-            let result =
-                run_reusing_sim(engine, sim, &table).expect("fully-routed replay cannot deadlock");
-            Some(result.completion_ps as f64 / crossbar_ps as f64)
-        } else {
-            None
-        };
-        ResilienceOutcome {
-            algorithm: shard.algorithm.name().to_string(),
-            permille: shard.permille,
-            fault_seed: shard.fault_seed,
-            algo_seed: shard.algo_seed,
-            failed_channels: faults.num_failed_channels(),
-            rerouted: stats.rerouted,
-            unroutable_pairs: stats.unroutable,
-            slowdown,
         }
     }
 }
 
-/// Group shard outcomes into [`ResiliencePoint`]s in configuration order.
-fn assemble_points(
-    shards: &[ResilienceShard],
-    outcomes: &[ResilienceOutcome],
-) -> Vec<ResiliencePoint> {
-    let mut order: Vec<(u32, AlgorithmSpec)> = Vec::new();
-    for shard in shards {
-        if !order.contains(&(shard.permille, shard.algorithm)) {
-            order.push((shard.permille, shard.algorithm));
-        }
+/// Replay one shard: draw its fault set, patch its copy of the pristine
+/// routes, and replay when fully routable — through the group's recycled
+/// replay engine and simulator.
+fn run_shard(
+    xgft: &Xgft,
+    mut table: CompiledRouteTable,
+    shard: &ResilienceShard,
+    engine: &mut ReplayEngine<'_>,
+    sim: &mut NetworkSim,
+    crossbar_ps: u64,
+) -> ResilienceOutcome {
+    let faults = FaultSet::uniform_links(xgft, shard.permille as f64 / 1000.0, shard.fault_seed);
+    let stats = table.patch(xgft, &faults);
+    let slowdown = if stats.unroutable == 0 {
+        let result =
+            run_reusing_sim(engine, sim, &table).expect("fully-routed replay cannot deadlock");
+        Some(result.completion_ps as f64 / crossbar_ps as f64)
+    } else {
+        None
+    };
+    ResilienceOutcome {
+        algorithm: shard.algorithm.name().to_string(),
+        permille: shard.permille,
+        fault_seed: shard.fault_seed,
+        algo_seed: shard.algo_seed,
+        failed_channels: faults.num_failed_channels(),
+        rerouted: stats.rerouted,
+        unroutable_pairs: stats.unroutable,
+        slowdown,
     }
-    order
-        .into_iter()
-        .map(|(permille, algo)| {
-            let point: Vec<&ResilienceOutcome> = shards
-                .iter()
-                .zip(outcomes)
-                .filter(|(s, _)| s.permille == permille && s.algorithm == algo)
-                .map(|(_, o)| o)
-                .collect();
-            let samples: Vec<f64> = point.iter().filter_map(|o| o.slowdown).collect();
-            let delivered = samples.len();
-            ResiliencePoint {
-                algorithm: algo.name().to_string(),
-                permille,
-                shards: point.len(),
-                delivered,
-                delivery_rate: delivered as f64 / point.len() as f64,
-                stats: if samples.is_empty() {
-                    None
-                } else {
-                    Some(BoxplotStats::from_samples(&samples))
-                },
-                samples,
-            }
-        })
-        .collect()
+}
+
+/// Aggregate one `(rate, algorithm)` point from its shard outcomes.
+fn point_of(outcomes: &[ResilienceOutcome]) -> ResiliencePoint {
+    let samples: Vec<f64> = outcomes.iter().filter_map(|o| o.slowdown).collect();
+    let delivered = samples.len();
+    ResiliencePoint {
+        algorithm: outcomes[0].algorithm.clone(),
+        permille: outcomes[0].permille,
+        shards: outcomes.len(),
+        delivered,
+        delivery_rate: delivered as f64 / outcomes.len() as f64,
+        stats: if samples.is_empty() {
+            None
+        } else {
+            Some(BoxplotStats::from_samples(&samples))
+        },
+        samples,
+    }
 }
 
 /// The recorded outcome of one resilience shard.

@@ -9,20 +9,20 @@
 //!
 //! Independent (topology, algorithm, seed) runs are embarrassingly parallel;
 //! a sweep is decomposed into [`SweepShard`]s — one per (topology,
-//! algorithm, seed) triple — which Rayon spreads over cores, as the
-//! HPC-parallel guidance recommends parallelising at the outermost loop.
+//! algorithm, seed) triple — which the shared shard executor groups per
+//! `(w2, algorithm)` point and spreads over cores with Rayon, parallelising
+//! at the outermost loop.
 //! Shard order (and therefore every aggregate) is a pure function of the
 //! configuration: results are identical whatever the worker count. The
 //! [`crate::campaign`] module layers deterministic per-shard seed streams
 //! and serde-JSON campaign output on top of the same machinery.
 
-use crate::slowdown::{run_on_crossbar, run_on_xgft_with_source, run_reusing_sim};
+use crate::slowdown::{run_on_crossbar, run_reusing_sim};
 use crate::stats::BoxplotStats;
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use xgft_core::{
-    ColoredRouting, CompactRoutes, CompactScheme, CompiledRouteTable, DModK, RandomNcaDown,
-    RandomNcaUp, RandomRouting, RoutingAlgorithm, SModK,
+    ColoredRouting, CompactRoutes, CompactScheme, DModK, RandomNcaDown, RandomNcaUp, RandomRouting,
+    RouteSource, RoutingAlgorithm, SModK,
 };
 use xgft_netsim::{NetworkConfig, NetworkSim};
 use xgft_patterns::Pattern;
@@ -135,6 +135,13 @@ pub struct SweepShard {
     pub seed: u64,
 }
 
+impl SweepShard {
+    /// True when both shards belong to the same `(w2, algorithm)` point.
+    pub(crate) fn same_point(&self, other: &SweepShard) -> bool {
+        self.w2 == other.w2 && self.algorithm == other.algorithm
+    }
+}
+
 /// Enumerate the shards of a (w2 × algorithm) grid: seeded algorithms get
 /// one shard per seed from `seeds_for_point`, deterministic ones a single
 /// placeholder-seeded shard. Shared by [`SweepConfig::shards`] and
@@ -189,112 +196,58 @@ pub(crate) fn record_shard(shard: &SweepShard, crossbar_ps: u64, completion_ps: 
     }
 }
 
-/// Replay one shard through the closed-form [`CompactRoutes`] engine
-/// instead of a compiled table. Paths are byte-identical to the compiled
-/// form (pinned by the core crate's property tests), so the sample is too.
-pub(crate) fn run_shard_compact(
-    shard: &SweepShard,
-    k: usize,
-    network: &NetworkConfig,
-    trace: &Trace,
-    crossbar_ps: u64,
-) -> f64 {
-    let spec = XgftSpec::slimmed_two_level(k, shard.w2).expect("valid slimmed spec");
-    let xgft = Xgft::new(spec).expect("valid topology");
-    let scheme = shard
-        .algorithm
-        .compact_scheme(&xgft, shard.seed)
-        .expect("colored has no compact closed form; rejected upstream");
-    let routes = CompactRoutes::for_pairs(&xgft, scheme, trace.communication_pairs());
-    let result = run_on_xgft_with_source(trace, &xgft, routes, network)
-        .expect("replay cannot deadlock on a valid trace");
-    record_shard(shard, crossbar_ps, result.completion_ps);
-    result.completion_ps as f64 / crossbar_ps as f64
-}
-
-/// Run every shard in parallel (rayon) and return one slowdown sample per
-/// shard, in shard order — deterministic for any worker count because the
-/// parallel map preserves input order (the flattening below keeps group
-/// order, and groups partition the shard list in order).
+/// Replay every shard (rayon, one work item per `(w2, algorithm)` point)
+/// and return the crossbar reference plus one slowdown sample per shard,
+/// grouped per point in shard order: deterministic for any worker count
+/// (see [`crate::shards::run_grouped`]).
 ///
-/// Shards are grouped by their `(w2, algorithm)` point — consecutive in the
-/// enumeration order of [`enumerate_shards`] — so one rayon work item
-/// builds its topology, simulator and replay plan once and recycles them
-/// across the point's seeds: the simulator through [`NetworkSim::reset`]
-/// (pinned byte-identical to a fresh build) and the replay engine's
-/// compiled plan and match-queue arenas through its internal scratch reset
-/// (pinned by the tracesim slab suite). Only the route table is rebuilt
-/// per seed, because it is the only per-seed state.
-pub(crate) fn run_shards(
+/// A point's group builds its topology, simulator and replay plan once and
+/// recycles them across the point's seeds: the simulator through
+/// [`NetworkSim::reset`] (pinned byte-identical to a fresh build) and the
+/// replay engine's compiled plan and match-queue arenas through its
+/// internal scratch reset (pinned by the tracesim slab suite). `routes`
+/// builds each shard's route source — a compiled table or closed-form
+/// [`CompactRoutes`] — because it is the only per-seed state.
+pub(crate) fn run_shards<R: RouteSource>(
     shards: &[SweepShard],
     k: usize,
     network: &NetworkConfig,
-    pattern: &Pattern,
     trace: &Trace,
-    crossbar_ps: u64,
-) -> Vec<f64> {
-    let mut groups: Vec<&[SweepShard]> = Vec::new();
-    let mut rest = shards;
-    while let Some(first) = rest.first() {
-        let len = rest
-            .iter()
-            .take_while(|s| s.w2 == first.w2 && s.algorithm == first.algorithm)
-            .count();
-        let (group, tail) = rest.split_at(len);
-        groups.push(group);
-        rest = tail;
-    }
-    let samples: Vec<Vec<f64>> = groups
-        .par_iter()
-        .map(|group| {
-            let spec = XgftSpec::slimmed_two_level(k, group[0].w2).expect("valid slimmed spec");
+    routes: impl Fn(&Xgft, &SweepShard) -> R + Sync,
+) -> (u64, Vec<Vec<f64>>) {
+    let crossbar_ps = run_on_crossbar(trace, network)
+        .expect("crossbar replay cannot deadlock")
+        .completion_ps;
+    let samples = crate::shards::run_grouped(
+        shards,
+        SweepShard::same_point,
+        |point| {
+            let spec = XgftSpec::slimmed_two_level(k, point.w2).expect("valid slimmed spec");
             let xgft = Xgft::new(spec).expect("valid topology");
-            let mut engine = ReplayEngine::new(trace);
-            let mut sim = NetworkSim::new(&xgft, network.clone());
-            group
-                .iter()
-                .map(|shard| {
-                    let instance = shard.algorithm.instantiate(&xgft, pattern, shard.seed);
-                    let table = CompiledRouteTable::compile(
-                        &xgft,
-                        instance.as_ref(),
-                        trace.communication_pairs(),
-                    );
-                    let result = run_reusing_sim(&mut engine, &mut sim, &table)
-                        .expect("replay cannot deadlock on a valid trace");
-                    record_shard(shard, crossbar_ps, result.completion_ps);
-                    result.completion_ps as f64 / crossbar_ps as f64
-                })
-                .collect()
-        })
-        .collect();
-    samples.into_iter().flatten().collect()
+            let sim = NetworkSim::new(&xgft, network.clone());
+            (xgft, ReplayEngine::new(trace), sim)
+        },
+        |(xgft, engine, sim), shard| {
+            let result = run_reusing_sim(engine, sim, routes(xgft, shard))
+                .expect("replay cannot deadlock on a valid trace");
+            record_shard(shard, crossbar_ps, result.completion_ps);
+            result.completion_ps as f64 / crossbar_ps as f64
+        },
+    );
+    (crossbar_ps, samples)
 }
 
-/// Group per-shard samples into [`SweepPoint`]s, one per (w2, algorithm) in
-/// the given configuration order.
-pub(crate) fn assemble_points(shards: &[SweepShard], samples: &[f64]) -> Vec<SweepPoint> {
-    let mut order: Vec<(usize, AlgorithmSpec)> = Vec::new();
-    for shard in shards {
-        if !order.contains(&(shard.w2, shard.algorithm)) {
-            order.push((shard.w2, shard.algorithm));
-        }
-    }
-    order
-        .into_iter()
-        .map(|(w2, algo)| {
-            let values: Vec<f64> = shards
-                .iter()
-                .zip(samples)
-                .filter(|(s, _)| s.w2 == w2 && s.algorithm == algo)
-                .map(|(_, &v)| v)
-                .collect();
-            SweepPoint {
-                w2,
-                algorithm: algo.name().to_string(),
-                stats: BoxplotStats::from_samples(&values),
-                samples: values,
-            }
+/// Turn [`run_shards`]' per-point sample groups into [`SweepPoint`]s, in
+/// configuration order.
+pub(crate) fn assemble_points(shards: &[SweepShard], samples: Vec<Vec<f64>>) -> Vec<SweepPoint> {
+    shards
+        .chunk_by(SweepShard::same_point)
+        .zip(samples)
+        .map(|(group, samples)| SweepPoint {
+            w2: group[0].w2,
+            algorithm: group[0].algorithm.name().to_string(),
+            stats: BoxplotStats::from_samples(&samples),
+            samples,
         })
         .collect()
 }
@@ -413,22 +366,15 @@ impl SweepConfig {
     /// compiled ones), near-zero route state per shard. Panics if the
     /// configuration lists the colored scheme, which has no closed form.
     pub fn run_compact(&self, pattern: &Pattern) -> SweepResult {
-        xgft_obs::span!("analysis.sweep");
         let trace = workloads::trace_from_pattern(pattern, 0);
-        let crossbar_ps = run_on_crossbar(&trace, &self.network)
-            .expect("crossbar replay cannot deadlock")
-            .completion_ps;
-        let shards = self.shards();
-        let samples: Vec<f64> = shards
-            .par_iter()
-            .map(|shard| run_shard_compact(shard, self.k, &self.network, &trace, crossbar_ps))
-            .collect();
-        SweepResult {
-            trace: trace.name().to_string(),
-            k: self.k,
-            crossbar_ps,
-            points: assemble_points(&shards, &samples),
-        }
+        let pairs = trace.communication_pairs();
+        self.run_with(&trace, |xgft, shard| {
+            let scheme = shard
+                .algorithm
+                .compact_scheme(xgft, shard.seed)
+                .expect("colored has no compact closed form; rejected upstream");
+            CompactRoutes::for_pairs(xgft, scheme, pairs.iter().copied())
+        })
     }
 
     /// Run the sweep for an explicit trace (must communicate over the
@@ -436,17 +382,27 @@ impl SweepConfig {
     /// schemes): one parallel replay per shard, aggregated into per-point
     /// boxplots.
     pub fn run_trace(&self, pattern: &Pattern, trace: &Trace) -> SweepResult {
+        // Each machine of a sweep runs a deterministic scheme once, so
+        // there is no pristine table to share: every shard compiles its own.
+        let pairs = trace.communication_pairs();
+        self.run_with(trace, |xgft, shard| {
+            crate::shards::compile(xgft, pattern, &pairs, shard.algorithm, shard.seed)
+        })
+    }
+
+    fn run_with<R: RouteSource>(
+        &self,
+        trace: &Trace,
+        routes: impl Fn(&Xgft, &SweepShard) -> R + Sync,
+    ) -> SweepResult {
         xgft_obs::span!("analysis.sweep");
-        let crossbar_ps = run_on_crossbar(trace, &self.network)
-            .expect("crossbar replay cannot deadlock")
-            .completion_ps;
         let shards = self.shards();
-        let samples = run_shards(&shards, self.k, &self.network, pattern, trace, crossbar_ps);
+        let (crossbar_ps, samples) = run_shards(&shards, self.k, &self.network, trace, routes);
         SweepResult {
             trace: trace.name().to_string(),
             k: self.k,
             crossbar_ps,
-            points: assemble_points(&shards, &samples),
+            points: assemble_points(&shards, samples),
         }
     }
 }

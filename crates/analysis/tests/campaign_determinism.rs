@@ -69,17 +69,28 @@ fn sweep_result_is_identical_for_any_worker_count() {
         seeds: vec![1, 2, 3],
         network: NetworkConfig::default(),
     };
-    let single = ThreadPoolBuilder::new()
-        .num_threads(1)
-        .build()
-        .unwrap()
-        .install(|| config.run(&pattern));
-    let parallel = config.run(&pattern);
-    assert_eq!(
-        serde_json::to_string(&single).unwrap(),
-        serde_json::to_string(&parallel).unwrap(),
-        "SweepConfig::run must not depend on the rayon thread count"
-    );
+    // Both route representations: compiled tables and closed-form
+    // compact routes run through the same grouped executor.
+    for run in [SweepConfig::run, SweepConfig::run_compact] {
+        let single = ThreadPoolBuilder::new()
+            .num_threads(1)
+            .build()
+            .unwrap()
+            .install(|| run(&config, &pattern));
+        let parallel = run(&config, &pattern);
+        let wide = ThreadPoolBuilder::new()
+            .num_threads(7)
+            .build()
+            .unwrap()
+            .install(|| run(&config, &pattern));
+        let single_json = serde_json::to_string(&single).unwrap();
+        assert_eq!(
+            single_json,
+            serde_json::to_string(&parallel).unwrap(),
+            "the sweep must not depend on the rayon thread count"
+        );
+        assert_eq!(single_json, serde_json::to_string(&wide).unwrap());
+    }
 }
 
 #[test]

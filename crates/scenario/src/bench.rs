@@ -21,7 +21,7 @@ use crate::spec::ScenarioError;
 use serde::{Deserialize, Serialize, Value};
 use std::time::Instant;
 use xgft_analysis::{AlgorithmSpec, CampaignConfig, ChaosConfig};
-use xgft_core::{CompactRoutes, CompactScheme, CompiledRouteTable, DModK};
+use xgft_core::{CompactRoutes, CompactScheme, CompiledRouteTable, DModK, RouteTable};
 use xgft_flow::{FlowScheme, FlowSweepConfig, TrafficSpec};
 use xgft_netsim::{CrossbarSim, InjectionBatch, NetworkConfig, NetworkSim};
 use xgft_patterns::generators;
@@ -101,14 +101,17 @@ where
     }
     walls.sort_unstable();
     let median = walls[walls.len() / 2];
-    let checks = checks
+    (median, walls[0], bench_checks(checks))
+}
+
+fn bench_checks(checks: Vec<(&'static str, u64)>) -> Vec<BenchCheck> {
+    checks
         .into_iter()
         .map(|(name, value)| BenchCheck {
             name: name.to_string(),
             value,
         })
-        .collect();
-    (median, walls[0], checks)
+        .collect()
 }
 
 fn probe(name: &str, params: String, reps: u32, timed: (u64, u64, Vec<BenchCheck>)) -> BenchProbe {
@@ -150,9 +153,16 @@ pub fn bench_area(area: &str, quick: bool) -> Result<BenchFile, String> {
 }
 
 /// All-pairs d-mod-k compile on a k-ary 2-tree: the table-build hot path.
+/// Then the lookup the simulators pay per message, for every pair, through
+/// both stored representations: the HashMap [`RouteTable`] (hash lookup
+/// plus label-arithmetic expansion into channels) and the flat
+/// [`CompiledRouteTable`] (two array reads returning a borrowed slice). The
+/// pair must report identical check counters, since both hold the same
+/// routes; the wall-clock ratio is the compiled form's lookup advantage.
 fn bench_compile(quick: bool, reps: u32) -> Vec<BenchProbe> {
     let k = if quick { 16 } else { 32 };
     let xgft = Xgft::k_ary_n_tree(k, 2);
+    let n = xgft.num_leaves();
     let timed = time_reps(reps, || {
         let table = CompiledRouteTable::compile_all_pairs(&xgft, &DModK::new());
         vec![
@@ -160,18 +170,68 @@ fn bench_compile(quick: bool, reps: u32) -> Vec<BenchProbe> {
             ("storage_bytes", table.storage_bytes() as u64),
         ]
     });
-    vec![probe(
-        "compile_all_pairs",
-        format!("k={k} scheme=d-mod-k"),
-        reps,
-        timed,
-    )]
+
+    let hash = RouteTable::build_all_pairs(&xgft, &DModK::new());
+    let compiled = CompiledRouteTable::from_table(&xgft, &hash);
+    let all_pairs =
+        || (0..n).flat_map(move |s| (0..n).filter(move |&d| d != s).map(move |d| (s, d)));
+    let lookup_checks = |lookups: u64, hops: u64, channel_sum: u64| {
+        vec![
+            ("lookups", lookups),
+            ("hops", hops),
+            ("channel_sum", channel_sum),
+        ]
+    };
+    let hashmap = time_reps(reps, || {
+        let (mut lookups, mut hops, mut channel_sum) = (0u64, 0u64, 0u64);
+        for (s, d) in all_pairs() {
+            let route = hash.route(s, d).expect("all pairs present");
+            let path = xgft.route_channels(s, d, route).expect("valid route");
+            lookups += 1;
+            hops += path.len() as u64;
+            channel_sum += path.iter().map(|&c| c as u64).sum::<u64>();
+        }
+        lookup_checks(lookups, hops, channel_sum)
+    });
+    let flat = time_reps(reps, || {
+        let (mut lookups, mut hops, mut channel_sum) = (0u64, 0u64, 0u64);
+        for (s, d) in all_pairs() {
+            let path = compiled.path(s, d).expect("all pairs present");
+            lookups += 1;
+            hops += path.len() as u64;
+            channel_sum += path.iter().map(|&c| c as u64).sum::<u64>();
+        }
+        lookup_checks(lookups, hops, channel_sum)
+    });
+
+    let lookup_params = format!("k={k} leaves={n} scheme=d-mod-k pairs=all");
+    vec![
+        probe(
+            "compile_all_pairs",
+            format!("k={k} scheme=d-mod-k"),
+            reps,
+            timed,
+        ),
+        probe(
+            "hashmap_lookup_all_pairs",
+            lookup_params.clone(),
+            reps,
+            hashmap,
+        ),
+        probe("compiled_lookup_all_pairs", lookup_params, reps, flat),
+    ]
 }
 
-/// Incremental patch against 1% uniform link faults (seed-pinned draw).
+/// Incremental patch against 1% uniform link faults (seed-pinned draw),
+/// against the same degraded table compiled from scratch. The recompile
+/// probe's checks are the patch statistics derived by diffing its table
+/// against the pristine one, so the two probes must report identical check
+/// counters (the `degraded_patch` proptests pin the tables byte-identical);
+/// the wall-clock ratio is what incremental patching saves.
 fn bench_patch(quick: bool, reps: u32) -> Vec<BenchProbe> {
     let k = if quick { 16 } else { 32 };
     let xgft = Xgft::k_ary_n_tree(k, 2);
+    let n = xgft.num_leaves();
     let pristine = CompiledRouteTable::compile_all_pairs(&xgft, &DModK::new());
     let faults = FaultSet::uniform_links(&xgft, 0.01, 7);
     let timed = time_reps(reps, || {
@@ -183,12 +243,42 @@ fn bench_patch(quick: bool, reps: u32) -> Vec<BenchProbe> {
             ("unroutable", stats.unroutable as u64),
         ]
     });
-    vec![probe(
-        "patch_uniform_1pct",
-        format!("k={k} scheme=d-mod-k rate=1% seed=7"),
-        reps,
-        timed,
-    )]
+    let mut recompiled = None;
+    let (median, min, _) = time_reps(reps, || {
+        recompiled = Some(CompiledRouteTable::compile_degraded(
+            &xgft,
+            &faults,
+            &DModK::new(),
+            (0..n).flat_map(|s| (0..n).map(move |d| (s, d))),
+        ));
+        Vec::new()
+    });
+    // The diff runs outside the timed work, so the probe prices the
+    // recompile alone.
+    let table = recompiled.expect("time_reps runs the work");
+    let (mut untouched, mut rerouted, mut unroutable) = (0u64, 0u64, 0u64);
+    for ((s, d), before) in pristine.iter_paths() {
+        match table.path(s, d) {
+            None => unroutable += 1,
+            Some(after) if after == before => untouched += 1,
+            Some(_) => rerouted += 1,
+        }
+    }
+    let checks = bench_checks(vec![
+        ("untouched", untouched),
+        ("rerouted", rerouted),
+        ("unroutable", unroutable),
+    ]);
+    let params = format!("k={k} scheme=d-mod-k rate=1% seed=7");
+    vec![
+        probe("patch_uniform_1pct", params.clone(), reps, timed),
+        probe(
+            "recompile_uniform_1pct",
+            params,
+            reps,
+            (median, min, checks),
+        ),
+    ]
 }
 
 /// The analytical MCL sweep over the slimming family under uniform traffic.
@@ -748,6 +838,32 @@ mod tests {
             indexed.checks, reference.checks,
             "indexed and reference replay diverged"
         );
+    }
+
+    #[test]
+    fn lookup_and_patch_pairs_report_identical_checks() {
+        // Each new probe pair prices two ways to the same result: the
+        // checks must agree exactly, or one side is doing different work.
+        for (area, left, right) in [
+            (
+                "compile",
+                "hashmap_lookup_all_pairs",
+                "compiled_lookup_all_pairs",
+            ),
+            ("patch", "patch_uniform_1pct", "recompile_uniform_1pct"),
+        ] {
+            let file = bench_area(area, true).unwrap();
+            let checks = |name: &str| {
+                &file
+                    .probes
+                    .iter()
+                    .find(|p| p.name == name)
+                    .unwrap_or_else(|| panic!("{area}/{name} missing"))
+                    .checks
+            };
+            assert_eq!(checks(left), checks(right), "{area}: {left} vs {right}");
+            assert!(checks(left).iter().any(|c| c.value > 0));
+        }
     }
 
     #[test]

@@ -96,9 +96,8 @@ pub fn main() -> i32 {
     main_with_args(std::env::args().skip(1).collect())
 }
 
-/// Run a registry entry by name with the shared flag set. The legacy
-/// binaries forward here with their historical name.
-pub fn run_named<I: IntoIterator<Item = String>>(name: &str, args: I) -> i32 {
+/// Run a registry entry by name with the shared flag set.
+fn run_named(name: &str, args: Vec<String>) -> i32 {
     let Some(entry) = registry::find(name) else {
         eprintln!("unknown scenario `{name}` — try `xgft list`");
         eprint!("{USAGE}");

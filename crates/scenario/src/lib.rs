@@ -16,11 +16,9 @@
 //! * [`cli`] — the single `xgft` command line (`xgft run <spec>`,
 //!   `xgft list`, `xgft fig2_wrf --quick`, …) with consistent exit codes:
 //!   0 on success, 2 on usage/spec errors, 1 on runtime failure.
-//! * [`args`] — the one flag parser every experiment shares (formerly
-//!   duplicated per binary in `xgft-bench`).
+//! * [`args`] — the one flag parser every experiment shares.
 //!
-//! The old per-figure binaries in `crates/bench/src/bin/` still exist but
-//! are argv-forwarding shims over [`mod@registry`]; new experiments are new
+//! The crate builds the `xgft` binary itself; new experiments are new
 //! *specs* (or registry entries), not new binaries.
 
 #![warn(missing_docs)]

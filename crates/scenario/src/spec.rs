@@ -51,6 +51,15 @@ fn invalid(msg: impl Into<String>) -> ScenarioError {
     ScenarioError::Invalid(msg.into())
 }
 
+/// The first item of `items` that repeats an earlier one.
+fn first_duplicate<T: PartialEq>(items: &[T]) -> Option<&T> {
+    items
+        .iter()
+        .enumerate()
+        .find(|(i, item)| items[..*i].contains(item))
+        .map(|(_, item)| item)
+}
+
 /// The machine under test.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub enum TopologySpec {
@@ -728,6 +737,14 @@ impl ScenarioSpec {
         if self.schemes.is_empty() && self.engine != EngineSpec::Nca {
             return Err(invalid("schemes must be non-empty"));
         }
+        // Each scheme and w2 value is one point of the result; a repeat
+        // would run the point twice under the same seeds.
+        if let Some(scheme) = first_duplicate(&self.schemes) {
+            return Err(invalid(format!("schemes lists `{}` twice", scheme.name())));
+        }
+        if let Some(w2) = first_duplicate(&self.sweep.w2_values) {
+            return Err(invalid(format!("sweep.w2_values lists {w2} twice")));
+        }
         let topologies = self.topologies()?;
         let pattern = self.workload.pattern()?;
         for spec in &topologies {
@@ -756,6 +773,9 @@ impl ScenarioSpec {
                 }
                 if permille.iter().any(|&p| p > 1000) {
                     return Err(invalid("faults.permille rates must be <= 1000"));
+                }
+                if let Some(rate) = first_duplicate(permille) {
+                    return Err(invalid(format!("faults.permille lists {rate} twice")));
                 }
                 if *draws_per_point == 0 {
                     return Err(invalid("faults.draws_per_point must be at least 1"));
@@ -1217,6 +1237,52 @@ mod tests {
         assert_eq!(quick.seeds.as_list().unwrap().len(), 3);
         assert_eq!(quick.sweep.w2_values, vec![16, 15, 14]);
         assert!(quick.validate().is_ok());
+    }
+
+    /// A repeated entry would be merged into one point with every sample
+    /// counted twice; validation rejects it with a typed error instead.
+    fn assert_rejects_duplicate(spec: &ScenarioSpec, field: &str) {
+        match spec.validate() {
+            Err(ScenarioError::Invalid(msg)) => {
+                assert!(msg.contains(field) && msg.contains("twice"), "{msg}")
+            }
+            other => panic!("expected Invalid for a duplicate {field}, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn duplicate_schemes_are_rejected() {
+        let mut dup = spec();
+        dup.schemes.push(SchemeSpec(AlgorithmSpec::Random));
+        assert_rejects_duplicate(&dup, "schemes");
+    }
+
+    #[test]
+    fn duplicate_w2_values_are_rejected() {
+        let mut dup = spec();
+        dup.sweep = SweepSpec::over(vec![4, 2, 4]);
+        assert_rejects_duplicate(&dup, "sweep.w2_values");
+        dup.sweep = SweepSpec::over(vec![4, 2]);
+        assert!(dup.validate().is_ok());
+    }
+
+    #[test]
+    fn duplicate_fault_rates_are_rejected() {
+        let mut dup = spec();
+        dup.seeds = SeedSpec::Stream {
+            base_seed: 1,
+            seeds_per_point: 2,
+        };
+        dup.faults = FaultSpec::UniformLinks {
+            permille: vec![0, 10, 0],
+            draws_per_point: 2,
+        };
+        assert_rejects_duplicate(&dup, "faults.permille");
+        dup.faults = FaultSpec::UniformLinks {
+            permille: vec![0, 10],
+            draws_per_point: 2,
+        };
+        assert!(dup.validate().is_ok());
     }
 
     #[test]

@@ -6,9 +6,9 @@ use xgft::flow::{ExpectedLoads, TrafficMatrix};
 use xgft::prelude::*;
 
 /// The scale criterion: exact expected MCL for the randomised closed forms
-/// on a >= 16 384-leaf XGFT in (well) under a second. The committed
-/// Criterion bench (`crates/bench/benches/flow_mcl.rs`) measures ~1 ms; the
-/// bound here is generous so the check never flakes on slow CI runners.
+/// on a >= 16 384-leaf XGFT in (well) under a second. The `flow_mcl` area
+/// of `xgft bench` times the closed forms; the bound here is generous so
+/// the check never flakes on slow CI runners.
 #[test]
 fn closed_form_mcl_on_16384_leaves_is_subsecond() {
     let xgft = Xgft::new(XgftSpec::new(vec![128, 128], vec![1, 64]).unwrap()).unwrap();

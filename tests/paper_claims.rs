@@ -1,6 +1,6 @@
 //! Integration tests that pin the paper's headline qualitative claims at a
 //! reduced scale, so `cargo test` certifies the reproduction's shape without
-//! the cost of the full sweeps (those live in the `xgft-bench` binaries).
+//! the cost of the full sweeps (those run through `xgft <name> --full`).
 
 use xgft::analysis::experiments::{equivalence, fig4};
 use xgft::analysis::sweep::{AlgorithmSpec, SweepConfig};
