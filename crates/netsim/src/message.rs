@@ -1,6 +1,6 @@
 //! Messages and their lifecycle inside the simulator.
 //!
-//! Per-message bookkeeping lives in [`MessageSlab`], a struct-of-arrays
+//! Per-message bookkeeping lives in `MessageSlab`, a struct-of-arrays
 //! store: one parallel vector per field instead of one struct per message.
 //! The event loop touches only a few fields per event (e.g. a segment
 //! arrival reads `segments_delivered` + `total_segments`, a hop advance

@@ -21,7 +21,7 @@
 //! on, the channel serves traffic normally again. Credits need no explicit
 //! restoration — a failed channel never takes credits for dropped traffic
 //! (segments drop *before* queueing) and every credit taken by draining
-//! in-flight traffic returns through the ordinary [`Event::CreditReturn`]
+//! in-flight traffic returns through the ordinary `Event::CreditReturn`
 //! flow — so a repaired channel starts with its full buffer once the
 //! pre-failure traffic has drained. Messages dropped while the channel was
 //! dead stay dropped; a fail → repair → inject cycle delivers the fresh

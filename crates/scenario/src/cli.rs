@@ -21,7 +21,7 @@
 
 use crate::args::ExperimentArgs;
 use crate::registry::{self, EntryOutput};
-use crate::runner::{run_scenario, RunOptions};
+use crate::runner::{run_announced, RunOptions};
 use crate::spec::ScenarioSpec;
 use serde::Value;
 
@@ -212,17 +212,8 @@ fn run_spec_file(rest: &[String]) -> i32 {
             return 2;
         }
     };
-    // Announce long campaigns before they run (they can take minutes);
-    // compute the header from the spec that will actually run.
-    let effective = if options.quick {
-        spec.quickened()
-    } else {
-        spec.clone()
-    };
-    if let Some(header) = crate::runner::shard_summary(&effective) {
-        eprintln!("{header}");
-    }
-    match run_scenario(&spec, &options) {
+    // Announce long campaigns before they run (they can take minutes).
+    match run_announced(&spec, &options, true) {
         Ok(result) => {
             if let Some(telemetry) = &result.telemetry {
                 eprint!("{}", telemetry.render_summary());

@@ -11,7 +11,7 @@
 //! logic lives here, not in any binary.
 
 use crate::args::{scale_bytes, ExperimentArgs};
-use crate::runner::{run_scenario, shard_summary, ResultPayload, RunOptions, ScenarioResult};
+use crate::runner::{run_announced, ResultPayload, RunOptions, ScenarioResult};
 use crate::spec::{
     ChaosSpec, EngineSpec, FaultSpec, RepresentationSpec, ScenarioSpec, SchemeSpec, SeedSpec,
     SweepSpec, TopologySpec, WorkloadSpec, SPEC_SCHEMA_VERSION,
@@ -24,7 +24,7 @@ use xgft_topo::XgftSpec;
 
 /// What an entry produced, ready for the CLI to print. (Pre-run progress
 /// headers of long campaigns go straight to stderr as the run starts, not
-/// through this struct — see [`shard_summary`].)
+/// through this struct.)
 #[derive(Debug, Clone, Default)]
 pub struct EntryOutput {
     /// The human-readable report.
@@ -85,13 +85,13 @@ pub fn registry() -> &'static [RegistryEntry] {
             name: "fig2_wrf",
             aliases: &[],
             about: "Fig. 2(a): WRF-256 under classic oblivious routings",
-            run: |args| run_fig_sweep("fig2_wrf", args),
+            run: |args| run_scenario_entry("fig2_wrf", args),
         },
         RegistryEntry {
             name: "fig2_cg",
             aliases: &[],
             about: "Fig. 2(b): CG.D-128 under classic oblivious routings",
-            run: |args| run_fig_sweep("fig2_cg", args),
+            run: |args| run_scenario_entry("fig2_cg", args),
         },
         RegistryEntry {
             name: "fig3",
@@ -109,13 +109,13 @@ pub fn registry() -> &'static [RegistryEntry] {
             name: "fig5_wrf",
             aliases: &[],
             about: "Fig. 5(a): WRF-256 under the proposed r-NCA schemes",
-            run: |args| run_fig_sweep("fig5_wrf", args),
+            run: |args| run_scenario_entry("fig5_wrf", args),
         },
         RegistryEntry {
             name: "fig5_cg",
             aliases: &[],
             about: "Fig. 5(b): CG.D-128 under the proposed r-NCA schemes",
-            run: |args| run_fig_sweep("fig5_cg", args),
+            run: |args| run_scenario_entry("fig5_cg", args),
         },
         RegistryEntry {
             name: "equivalence",
@@ -393,25 +393,13 @@ pub fn spec_for(name: &str, args: &ExperimentArgs) -> Option<Result<ScenarioSpec
 
 /// Run a scenario-backed entry: build the spec, announce long campaigns
 /// on stderr *before* running (so a multi-minute campaign is never
-/// silent), run, shape the output.
+/// silent), run, shape the output. Fig. 5 sweeps print their claims after
+/// the table.
 fn run_scenario_entry(name: &str, args: &ExperimentArgs) -> Result<EntryOutput, EntryError> {
     let spec = spec_for(name, args)
         .expect("scenario-backed entry")
         .map_err(EntryError::Usage)?;
-    if let Some(header) = shard_summary(&spec) {
-        eprintln!("{header}");
-    }
-    let result = run_scenario(&spec, &RunOptions::default())
-        .map_err(|e| EntryError::Usage(e.to_string()))?;
-    Ok(shape_scenario_output(&result))
-}
-
-/// Figure sweeps print claims (fig5) after the table.
-fn run_fig_sweep(name: &str, args: &ExperimentArgs) -> Result<EntryOutput, EntryError> {
-    let spec = spec_for(name, args)
-        .expect("scenario-backed entry")
-        .map_err(EntryError::Usage)?;
-    let result = run_scenario(&spec, &RunOptions::default())
+    let result = run_announced(&spec, &RunOptions::default(), true)
         .map_err(|e| EntryError::Usage(e.to_string()))?;
     let mut output = shape_scenario_output(&result);
     if name.starts_with("fig5") {

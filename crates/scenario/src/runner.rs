@@ -1,17 +1,20 @@
-//! Lowering [`ScenarioSpec`]s onto the evaluation machinery.
+//! Running [`ScenarioSpec`]s on the evaluation machinery.
 //!
-//! [`run_scenario`] validates a spec, dispatches on its engine/fault/seed
-//! combination and drives the existing compiled-table infrastructure:
+//! [`run_scenario`] lowers a spec, once, into a crate-private `Plan` (the
+//! validation rules all live in that lowering) and runs it with one
+//! exhaustive match. Each plan variant holds exactly what its engine needs:
 //!
-//! | spec shape | lowered onto | payload |
-//! |---|---|---|
-//! | `Tracesim` + `SeedSpec::List` | [`SweepConfig`] (figure sweeps) | [`ResultPayload::Sweep`] |
-//! | `Tracesim` + `SeedSpec::Stream` | [`CampaignConfig`] (seed campaigns) | [`ResultPayload::Campaign`] |
-//! | `Tracesim` + `FaultSpec::UniformLinks` | [`ResilienceConfig`] | [`ResultPayload::Resilience`] |
-//! | `Flow` | [`FlowSweepConfig`] (closed forms) | [`ResultPayload::Flow`] |
-//! | `Nca` | `experiments::fig4` | [`ResultPayload::Nca`] |
-//! | `Netsim` | direct injection (this module) | [`ResultPayload::Direct`] |
-//! | `AllWithAgreement` | all three engines, channel-by-channel | [`ResultPayload::Agreement`] |
+//! | `Plan` variant | lowered from | runs on | payload |
+//! |---|---|---|---|
+//! | `Sweep` | `Tracesim` + `SeedSpec::List` | [`SweepConfig`] (figure sweeps) | [`ResultPayload::Sweep`] |
+//! | `Campaign` | `Tracesim` + `SeedSpec::Stream` | [`CampaignConfig`] (seed campaigns) | [`ResultPayload::Campaign`] |
+//! | `Resilience` | `Tracesim` + `FaultSpec::UniformLinks` | [`ResilienceConfig`] | [`ResultPayload::Resilience`] |
+//! | `Flow` | `Flow`, compiled | [`FlowSweepConfig`] (closed forms) | [`ResultPayload::Flow`] |
+//! | `CompactFlow` | `Flow`, compact | exact closed-form loads (this module) | [`ResultPayload::CompactFlow`] |
+//! | `Nca` | `Nca` | `experiments::fig4` | [`ResultPayload::Nca`] |
+//! | `Direct` | `Netsim` | direct injection (this module) | [`ResultPayload::Direct`] |
+//! | `Chaos` | `Netsim` + `chaos` | [`ChaosConfig`] (fault/repair timelines) | [`ResultPayload::Chaos`] |
+//! | `Agreement` | `AllWithAgreement` | all three engines, channel-by-channel | [`ResultPayload::Agreement`] |
 //!
 //! Every run returns one versioned [`ScenarioResult`] envelope:
 //! `schema_version` + the spec (provenance) + the payload. The payload
@@ -20,10 +23,7 @@
 //! binaries emitted (pinned by `tests/scenario_registry.rs` against the
 //! golden fixtures).
 
-use crate::spec::{
-    EngineSpec, FaultSpec, RepresentationSpec, ScenarioError, ScenarioSpec, SchemeSpec, SeedSpec,
-    TopologySpec,
-};
+use crate::spec::{RepresentationSpec, ScenarioError, ScenarioSpec, SchemeSpec};
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use xgft_analysis::experiments::fig4::{self, Fig4Result};
@@ -31,14 +31,14 @@ use xgft_analysis::{
     CampaignConfig, CampaignResult, ChaosConfig, ChaosResult, ChaosShardOutcome, ResilienceConfig,
     ResilienceResult, SweepConfig, SweepResult,
 };
-use xgft_core::{CompactRoutes, CompiledRouteTable, RouteSource};
+use xgft_core::{CompactRoutes, CompactScheme, CompiledRouteTable, RouteSource};
 use xgft_flow::{
-    tree_cut_lower_bound, DegradedLoads, FlowSweepConfig, FlowSweepResult, TrafficMatrix,
-    TrafficSpec,
+    tree_cut_lower_bound, DegradedLoads, FlowScheme, FlowSweepConfig, FlowSweepResult,
+    TrafficMatrix, TrafficSpec,
 };
 use xgft_netsim::{InjectionBatch, NetworkConfig, NetworkSim, SimReport};
 use xgft_patterns::Pattern;
-use xgft_topo::Xgft;
+use xgft_topo::{Xgft, XgftSpec};
 use xgft_tracesim::{RankEvent, ReplayEngine, RoutedNetwork, Trace};
 
 /// The result schema version this crate emits.
@@ -409,94 +409,155 @@ impl ScenarioResult {
     }
 }
 
-/// The pre-run progress header of campaign/resilience scenarios (`None`
-/// for the other shapes). Long campaigns run for minutes; the CLI prints
-/// this to stderr *before* [`run_scenario`] so they are never silent —
-/// the same contract the historical `campaign`/`faults` binaries had.
-/// Shard counts are computed arithmetically, mirroring
-/// `CampaignConfig::shards` / `ResilienceConfig::shards`.
-pub fn shard_summary(spec: &ScenarioSpec) -> Option<String> {
-    let TopologySpec::SlimmedTwoLevel { k, .. } = spec.topology else {
-        return None;
-    };
-    match (&spec.faults, &spec.seeds) {
-        (
-            FaultSpec::UniformLinks {
-                permille,
-                draws_per_point,
-            },
-            SeedSpec::Stream { base_seed, .. },
-        ) => {
-            let algos = spec.schemes.len();
-            let draws: usize = permille
-                .iter()
-                .map(|&p| if p == 0 { 1 } else { *draws_per_point })
-                .sum();
-            Some(format!(
-                "# resilience {}: {} leaves, {} shards ({} rates x {} algorithms, {} fault draws/point, base seed {})",
-                spec.name,
-                k * k,
-                draws * algos,
-                permille.len(),
-                algos,
-                draws_per_point,
-                base_seed
-            ))
-        }
-        (
-            FaultSpec::None,
-            SeedSpec::Stream {
-                base_seed,
-                seeds_per_point,
-            },
-        ) if spec.chaos.is_some() => {
-            let chaos = spec.chaos.as_ref().expect("guarded by the arm");
-            let seeded = spec.schemes.iter().filter(|s| s.0.is_seeded()).count();
-            let deterministic = spec.schemes.len() - seeded;
-            Some(format!(
-                "# chaos {}: {} leaves, {} shards x {} epochs ({} algorithms, {} seeds/point, base seed {})",
-                spec.name,
-                k * k,
-                seeded * seeds_per_point + deterministic,
-                chaos.epochs,
-                spec.schemes.len(),
-                seeds_per_point,
-                base_seed
-            ))
-        }
-        (
-            FaultSpec::None,
-            SeedSpec::Stream {
-                base_seed,
-                seeds_per_point,
-            },
-        ) if spec.engine == EngineSpec::Tracesim => {
-            let w2s = if spec.sweep.w2_values.is_empty() {
-                1
-            } else {
-                spec.sweep.w2_values.len()
-            };
-            let seeded = spec.schemes.iter().filter(|s| s.0.is_seeded()).count();
-            let deterministic = spec.schemes.len() - seeded;
-            Some(format!(
+/// A validated scenario, lowered onto exactly what its engine needs.
+/// `ScenarioSpec::lower` is the only constructor, so every value is a
+/// runnable combination and [`run_scenario`] matches on it exhaustively.
+pub(crate) enum Plan {
+    /// A figure sweep in either route representation.
+    Sweep {
+        config: SweepConfig,
+        representation: RepresentationSpec,
+    },
+    /// A seed campaign over point-local seed streams.
+    Campaign(CampaignConfig),
+    /// A fault campaign on one machine.
+    Resilience(ResilienceConfig),
+    /// The analytical sweep; the workload pattern becomes its traffic.
+    Flow {
+        specs: Vec<XgftSpec>,
+        schemes: Vec<FlowScheme>,
+    },
+    /// Exact closed-form loads, one point per job.
+    CompactFlow(Grid<ClosedForm>),
+    /// Routes-per-NCA distributions; `seeds` is non-empty.
+    Nca {
+        topologies: Vec<XgftSpec>,
+        seeds: Vec<u64>,
+    },
+    /// Direct injection, one simulator run per job.
+    Direct(Grid<Routes>),
+    /// A fault/repair timeline with per-epoch SLA metrics.
+    Chaos(ChaosConfig),
+    /// The three engines on the same routes, one check per job.
+    Agreement(Grid<Routes>),
+}
+
+/// The closed form of a scheme on a machine for a seed, which the compact
+/// representation routes by.
+pub(crate) type ClosedForm = fn(&Xgft, u64) -> CompactScheme;
+
+/// How a job of the direct-injection and agreement engines routes.
+#[derive(Clone, Copy)]
+pub(crate) enum Routes {
+    /// A [`CompiledRouteTable`] of the workload's pairs.
+    Compiled,
+    /// [`CompactRoutes`] over the workload's pairs, from the closed form.
+    Compact(ClosedForm),
+}
+
+/// The (topology × scheme × seed) jobs of the grid engines.
+pub(crate) struct Grid<R> {
+    pub(crate) name: String,
+    /// Every topology of the run, built once.
+    pub(crate) machines: Vec<(XgftSpec, Xgft)>,
+    /// `(scheme, seed, routes)`, run on every machine in this order.
+    pub(crate) jobs: Vec<(SchemeSpec, u64, R)>,
+    pub(crate) network: NetworkConfig,
+}
+
+impl Plan {
+    /// The pre-run progress header of campaign, resilience and chaos runs
+    /// (`None` for the other plans). Long campaigns run for minutes; the
+    /// CLI prints this to stderr before the engine starts so they are
+    /// never silent.
+    pub(crate) fn header(&self) -> Option<String> {
+        match self {
+            Plan::Campaign(c) => Some(format!(
                 "# campaign {}: {} leaves, {} shards ({} w2 points x {} algorithms, {} seeds/point, base seed {})",
-                spec.name,
-                k * k,
-                w2s * (seeded * seeds_per_point + deterministic),
-                w2s,
-                spec.schemes.len(),
-                seeds_per_point,
-                base_seed
-            ))
+                c.name,
+                c.k * c.k,
+                c.shards().len(),
+                c.w2_values.len(),
+                c.algorithms.len(),
+                c.seeds_per_point,
+                c.base_seed
+            )),
+            Plan::Resilience(c) => Some(format!(
+                "# resilience {}: {} leaves, {} shards ({} rates x {} algorithms, {} fault draws/point, base seed {})",
+                c.name,
+                c.k * c.k,
+                c.shards().len(),
+                c.failure_permille.len(),
+                c.algorithms.len(),
+                c.faults_per_point,
+                c.base_seed
+            )),
+            Plan::Chaos(c) => Some(format!(
+                "# chaos {}: {} leaves, {} shards x {} epochs ({} algorithms, {} seeds/point, base seed {})",
+                c.name,
+                c.k * c.k,
+                c.shards().len(),
+                c.epochs,
+                c.algorithms.len(),
+                c.seeds_per_point,
+                c.base_seed
+            )),
+            _ => None,
         }
-        _ => None,
+    }
+
+    /// Run the plan's engine on the workload pattern.
+    fn run(self, pattern: Pattern) -> ResultPayload {
+        match self {
+            Plan::Sweep {
+                config,
+                representation: RepresentationSpec::Compiled,
+            } => ResultPayload::Sweep(config.run(&pattern)),
+            // Byte-identical samples from the closed-form engine (compact
+            // paths equal compiled paths).
+            Plan::Sweep {
+                config,
+                representation: RepresentationSpec::Compact,
+            } => ResultPayload::Sweep(config.run_compact(&pattern)),
+            Plan::Campaign(config) => ResultPayload::Campaign(config.run(&pattern)),
+            Plan::Resilience(config) => ResultPayload::Resilience(config.run(&pattern)),
+            Plan::Flow { specs, schemes } => ResultPayload::Flow(
+                FlowSweepConfig {
+                    specs,
+                    schemes,
+                    traffic: TrafficSpec::Pattern(pattern),
+                }
+                .run(),
+            ),
+            Plan::CompactFlow(grid) => ResultPayload::CompactFlow(run_compact_flow(grid, &pattern)),
+            Plan::Nca { topologies, seeds } => ResultPayload::Nca(
+                topologies
+                    .iter()
+                    .map(|t| fig4::run_for(t, &seeds))
+                    .collect(),
+            ),
+            Plan::Direct(grid) => ResultPayload::Direct(run_direct(grid, &pattern)),
+            Plan::Chaos(config) => ResultPayload::Chaos(config.run(&pattern)),
+            Plan::Agreement(grid) => ResultPayload::Agreement(run_agreement(grid, &pattern)),
+        }
     }
 }
 
-/// Run one scenario end to end. See the module docs for the dispatch.
+/// Run one scenario end to end: lower the spec into its plan, then run
+/// the plan. See the module docs for the plans.
 pub fn run_scenario(
     spec: &ScenarioSpec,
     options: &RunOptions,
+) -> Result<ScenarioResult, ScenarioError> {
+    run_announced(spec, options, false)
+}
+
+/// [`run_scenario`]; with `announce`, the plan's pre-run header (campaign,
+/// resilience and chaos runs) goes to stderr before the engine starts.
+pub(crate) fn run_announced(
+    spec: &ScenarioSpec,
+    options: &RunOptions,
+    announce: bool,
 ) -> Result<ScenarioResult, ScenarioError> {
     let spec = if options.quick {
         spec.quickened()
@@ -508,130 +569,11 @@ pub fn run_scenario(
     let window_start = options.telemetry.then(|| xgft_obs::global().snapshot());
     let wall_start = std::time::Instant::now();
     let run_span = xgft_obs::span("scenario.run");
-    // Validation instantiates the workload while checking it; reuse that
-    // pattern instead of materialising a second copy.
-    let pattern = spec.validated_pattern()?;
-    let payload = match (&spec.faults, spec.engine) {
-        (
-            FaultSpec::UniformLinks {
-                permille,
-                draws_per_point,
-            },
-            EngineSpec::Tracesim,
-        ) => {
-            let SeedSpec::Stream { base_seed, .. } = spec.seeds else {
-                unreachable!("validate() requires Stream seeds with faults");
-            };
-            let (k, w2) = slimmed_family(&spec)?;
-            let mut config = ResilienceConfig::full_tree(
-                spec.name.clone(),
-                k,
-                permille.clone(),
-                *draws_per_point,
-                base_seed,
-            );
-            config.w2 = w2.first().copied().unwrap_or(k);
-            config.algorithms = spec.schemes.iter().map(|s| s.0).collect();
-            config.network = spec.network.clone();
-            ResultPayload::Resilience(config.run(&pattern))
-        }
-        (FaultSpec::UniformLinks { .. }, _) => {
-            unreachable!("validate() restricts faults to the Tracesim engine")
-        }
-        (FaultSpec::None, EngineSpec::Tracesim) => {
-            let (k, w2_values) = slimmed_family(&spec)?;
-            match &spec.seeds {
-                SeedSpec::List { seeds } => {
-                    let config = SweepConfig {
-                        k,
-                        w2_values,
-                        algorithms: spec.schemes.iter().map(|s| s.0).collect(),
-                        seeds: seeds.clone(),
-                        network: spec.network.clone(),
-                    };
-                    ResultPayload::Sweep(match spec.representation {
-                        RepresentationSpec::Compiled => config.run(&pattern),
-                        // Byte-identical samples from the closed-form
-                        // engine (compact paths equal compiled paths).
-                        RepresentationSpec::Compact => config.run_compact(&pattern),
-                    })
-                }
-                SeedSpec::Stream {
-                    base_seed,
-                    seeds_per_point,
-                } => {
-                    let config = CampaignConfig {
-                        name: spec.name.clone(),
-                        k,
-                        w2_values,
-                        algorithms: spec.schemes.iter().map(|s| s.0).collect(),
-                        seeds_per_point: *seeds_per_point,
-                        base_seed: *base_seed,
-                        network: spec.network.clone(),
-                    };
-                    ResultPayload::Campaign(config.run(&pattern))
-                }
-            }
-        }
-        (FaultSpec::None, EngineSpec::Flow) => match spec.representation {
-            RepresentationSpec::Compiled => {
-                let config = FlowSweepConfig {
-                    specs: spec.topologies()?,
-                    schemes: spec.schemes.iter().map(SchemeSpec::flow_scheme).collect(),
-                    traffic: TrafficSpec::Pattern(pattern),
-                };
-                ResultPayload::Flow(config.run())
-            }
-            RepresentationSpec::Compact => {
-                ResultPayload::CompactFlow(run_compact_flow(&spec, &pattern)?)
-            }
-        },
-        (FaultSpec::None, EngineSpec::Nca) => {
-            let seeds = spec
-                .seeds
-                .as_list()
-                .expect("validate() requires a seed list for Nca")
-                .to_vec();
-            let results: Vec<Fig4Result> = spec
-                .topologies()?
-                .iter()
-                .map(|t| fig4::run_for(t, &seeds))
-                .collect();
-            ResultPayload::Nca(results)
-        }
-        (FaultSpec::None, EngineSpec::Netsim) => match &spec.chaos {
-            Some(chaos) => {
-                let SeedSpec::Stream {
-                    base_seed,
-                    seeds_per_point,
-                } = spec.seeds
-                else {
-                    unreachable!("validate() requires Stream seeds with chaos");
-                };
-                let (k, w2) = slimmed_family(&spec)?;
-                let config = ChaosConfig {
-                    name: spec.name.clone(),
-                    k,
-                    w2: w2.first().copied().unwrap_or(k),
-                    algorithms: spec.schemes.iter().map(|s| s.0).collect(),
-                    epochs: chaos.epochs,
-                    epoch_ps: chaos.epoch_ps,
-                    link_fail_permille: chaos.link_fail_permille,
-                    switch_kill_permille: chaos.switch_kill_permille,
-                    cable_cut_permille: chaos.cable_cut_permille,
-                    repair_epochs: chaos.repair_epochs,
-                    seeds_per_point,
-                    base_seed,
-                    network: spec.network.clone(),
-                };
-                ResultPayload::Chaos(config.run(&pattern))
-            }
-            None => ResultPayload::Direct(run_direct(&spec, &pattern)?),
-        },
-        (FaultSpec::None, EngineSpec::AllWithAgreement) => {
-            ResultPayload::Agreement(run_agreement(&spec, &pattern)?)
-        }
-    };
+    let (plan, pattern) = spec.lower()?;
+    if let Some(header) = plan.header().filter(|_| announce) {
+        eprintln!("{header}");
+    }
+    let payload = plan.run(pattern);
     // Close the run span before diffing so scenario.run itself lands in
     // the window.
     drop(run_span);
@@ -649,82 +591,6 @@ pub fn run_scenario(
     })
 }
 
-/// Extract `(k, swept w2 list)` for the tracesim machinery, which is
-/// specialised to the slimming family.
-fn slimmed_family(spec: &ScenarioSpec) -> Result<(usize, Vec<usize>), ScenarioError> {
-    match spec.topology {
-        crate::spec::TopologySpec::SlimmedTwoLevel { k, w2 } => {
-            let w2_values = if spec.sweep.w2_values.is_empty() {
-                vec![w2]
-            } else {
-                spec.sweep.w2_values.clone()
-            };
-            Ok((k, w2_values))
-        }
-        _ => Err(ScenarioError::Invalid(
-            "this engine requires a SlimmedTwoLevel topology".to_string(),
-        )),
-    }
-}
-
-/// The (scheme, seed) jobs of a non-campaign engine: deterministic schemes
-/// once with seed 0, seeded schemes once per listed seed.
-fn scheme_jobs(spec: &ScenarioSpec) -> Vec<(SchemeSpec, u64)> {
-    let seeds: Vec<u64> = spec
-        .seeds
-        .as_list()
-        .map(<[u64]>::to_vec)
-        .unwrap_or_default();
-    let mut jobs = Vec::new();
-    for &scheme in &spec.schemes {
-        if scheme.0.is_seeded() {
-            for &seed in &seeds {
-                jobs.push((scheme, seed));
-            }
-        } else {
-            jobs.push((scheme, 0));
-        }
-    }
-    jobs
-}
-
-/// Total channel occupancy (busy time) one message of `bytes` bytes causes
-/// on every channel it crosses: the sum of its segments' serialization
-/// times. This is the exact unit in which the event-driven simulator
-/// accounts `channel_busy_ps`, so flow loads expressed in it are directly
-/// comparable to simulator busy vectors — even for mixed message sizes.
-fn occupancy_ps(config: &NetworkConfig, bytes: u64) -> u64 {
-    (0..config.num_segments(bytes))
-        .map(|i| config.serialization_ps(config.segment_size(bytes, i)))
-        .sum()
-}
-
-fn compile_for(
-    xgft: &Xgft,
-    scheme: SchemeSpec,
-    seed: u64,
-    pattern: &Pattern,
-    flows: &[(usize, usize, u64)],
-) -> CompiledRouteTable {
-    let algo = scheme.0.instantiate(xgft, pattern, seed);
-    let pairs: Vec<(usize, usize)> = flows.iter().map(|&(s, d, _)| (s, d)).collect();
-    CompiledRouteTable::compile(xgft, algo.as_ref(), pairs)
-}
-
-/// The closed-form engine for one (scheme, seed) over the workload's pairs.
-fn compact_for(
-    xgft: &Xgft,
-    scheme: SchemeSpec,
-    seed: u64,
-    flows: &[(usize, usize, u64)],
-) -> CompactRoutes {
-    let closed_form = scheme
-        .0
-        .compact_scheme(xgft, seed)
-        .expect("validate() rejects colored under the compact representation");
-    CompactRoutes::for_pairs(xgft, closed_form, flows.iter().map(|&(s, d, _)| (s, d)))
-}
-
 /// The flow list of a pattern's combined matrix: `(src, dst, bytes)`.
 fn flow_list(pattern: &Pattern) -> Vec<(usize, usize, u64)> {
     pattern
@@ -734,34 +600,72 @@ fn flow_list(pattern: &Pattern) -> Vec<(usize, usize, u64)> {
         .collect()
 }
 
-/// Lower a whole traffic matrix through `source` into one pre-sorted
-/// [`InjectionBatch`] (every flow at t = 0).
-fn lower_batch<R: RouteSource>(flows: &[(usize, usize, u64)], source: &R) -> InjectionBatch {
+/// Inject every flow at t = 0 through `source` and run the event-driven
+/// simulator to completion. Shared by both route representations. The
+/// matrix is lowered into one [`InjectionBatch`] and admitted in a single
+/// `schedule_batch` call — bit-identical to a per-message
+/// `schedule_message_on_path` loop (pinned by netsim's fuzz differential).
+/// On this pristine machine every offered message is delivered.
+fn inject_and_run(
+    xgft: &Xgft,
+    network: &NetworkConfig,
+    flows: &[(usize, usize, u64)],
+    source: &dyn RouteSource,
+) -> (SimReport, Vec<u64>) {
     let mut batch = InjectionBatch::with_capacity(flows.len(), 0);
     let mut scratch = Vec::new();
     for &(s, d, bytes) in flows {
         let path = source.path_in(s, d, &mut scratch).expect("routed pair");
         batch.push(0, s, d, bytes, path);
     }
-    batch
-}
-
-/// Inject every flow at t = 0 through `source` and run the event-driven
-/// simulator to completion. Shared by both route representations. The
-/// matrix is lowered into one [`InjectionBatch`] and admitted in a single
-/// `schedule_batch` call — bit-identical to the historical per-message
-/// `schedule_message_on_path` loop (pinned by a runner test).
-fn inject_and_run<R: RouteSource>(
-    xgft: &Xgft,
-    network: &NetworkConfig,
-    flows: &[(usize, usize, u64)],
-    source: &R,
-) -> (SimReport, Vec<u64>) {
     let mut sim = NetworkSim::new(xgft, network.clone());
-    sim.schedule_batch(&lower_batch(flows, source));
+    sim.schedule_batch(&batch);
     let report = sim.run_to_completion();
+    assert_eq!(
+        report.completed_messages + report.dropped_messages,
+        flows.len(),
+        "offered messages must be delivered or dropped"
+    );
+    assert_eq!(report.dropped_messages, 0, "a pristine run drops nothing");
     let busy = sim.channel_busy_ps();
     (report, busy)
+}
+
+impl Grid<Routes> {
+    /// Build every job's routes and hand them to `point`, one rayon item
+    /// per (machine, job). Each item is self-contained and the points are
+    /// collected in job order, so they are identical at any worker count.
+    fn map_jobs<P: Send>(
+        &self,
+        pattern: &Pattern,
+        flows: &[(usize, usize, u64)],
+        point: impl Fn(&XgftSpec, &Xgft, SchemeSpec, u64, &dyn RouteSource) -> P + Sync,
+    ) -> Vec<P> {
+        let pairs: Vec<(usize, usize)> = flows.iter().map(|&(s, d, _)| (s, d)).collect();
+        let jobs: Vec<_> = self
+            .machines
+            .iter()
+            .flat_map(|machine| self.jobs.iter().map(move |job| (machine, job)))
+            .collect();
+        jobs.par_iter()
+            .map(|&((spec, xgft), &(scheme, seed, routes))| match routes {
+                Routes::Compiled => {
+                    let algo = scheme.0.instantiate(xgft, pattern, seed);
+                    let table =
+                        CompiledRouteTable::compile(xgft, algo.as_ref(), pairs.iter().copied());
+                    point(spec, xgft, scheme, seed, &table)
+                }
+                Routes::Compact(closed_form) => {
+                    let routes = CompactRoutes::for_pairs(
+                        xgft,
+                        closed_form(xgft, seed),
+                        pairs.iter().copied(),
+                    );
+                    point(spec, xgft, scheme, seed, &routes)
+                }
+            })
+            .collect()
+    }
 }
 
 /// Exact per-instance loads from the closed-form engine, one point per
@@ -769,23 +673,14 @@ fn inject_and_run<R: RouteSource>(
 /// `representation = "compact"`. The traffic matrix is sparse and the
 /// compact engine holds near-zero route state, so this path scales to
 /// million-leaf machines the compiled table cannot represent.
-fn run_compact_flow(
-    spec: &ScenarioSpec,
-    pattern: &Pattern,
-) -> Result<CompactFlowResult, ScenarioError> {
+fn run_compact_flow(grid: Grid<ClosedForm>, pattern: &Pattern) -> CompactFlowResult {
     let mut points = Vec::new();
-    for topo_spec in spec.topologies()? {
-        let xgft = Xgft::new(topo_spec.clone())
-            .map_err(|e| ScenarioError::Invalid(format!("topology: {e}")))?;
+    for (topo_spec, xgft) in &grid.machines {
         let traffic = TrafficMatrix::from_pattern(pattern, xgft.num_leaves());
-        let bound = tree_cut_lower_bound(&xgft, &traffic).bound;
-        for (scheme, seed) in scheme_jobs(spec) {
-            let closed_form = scheme
-                .0
-                .compact_scheme(&xgft, seed)
-                .expect("validate() rejects colored under the compact representation");
-            let routes = CompactRoutes::all_pairs(&xgft, closed_form);
-            let loads = DegradedLoads::from_source(&xgft, &routes, &traffic);
+        let bound = tree_cut_lower_bound(xgft, &traffic).bound;
+        for &(scheme, seed, closed_form) in &grid.jobs {
+            let routes = CompactRoutes::all_pairs(xgft, closed_form(xgft, seed));
+            let loads = DegradedLoads::from_source(xgft, &routes, &traffic);
             let mcl = loads.mcl();
             points.push(CompactFlowPoint {
                 topology: topo_spec.to_string(),
@@ -794,7 +689,7 @@ fn run_compact_flow(
                 scheme: scheme.name().to_string(),
                 seed,
                 mcl,
-                network_mcl: loads.network_mcl(&xgft),
+                network_mcl: loads.network_mcl(xgft),
                 lower_bound: bound,
                 ratio: if bound > 0.0 {
                     mcl / bound
@@ -807,80 +702,47 @@ fn run_compact_flow(
             });
         }
     }
-    Ok(CompactFlowResult {
-        name: spec.name.clone(),
+    CompactFlowResult {
+        name: grid.name,
         workload: pattern.name().to_string(),
         points,
-    })
+    }
 }
 
-fn run_direct(spec: &ScenarioSpec, pattern: &Pattern) -> Result<DirectResult, ScenarioError> {
+fn run_direct(grid: Grid<Routes>, pattern: &Pattern) -> DirectResult {
     let flows = flow_list(pattern);
-    // Hoist topology builds out of the shards, then fan the full
-    // (topology × scheme × seed) cross product over rayon. Each shard is
-    // self-contained (its own simulator) and the shards are collected in
-    // job order, so the points are byte-identical at any thread count.
-    let mut topologies = Vec::new();
-    for topo_spec in spec.topologies()? {
-        let xgft = Xgft::new(topo_spec.clone())
-            .map_err(|e| ScenarioError::Invalid(format!("topology: {e}")))?;
-        topologies.push((topo_spec, xgft));
-    }
-    let jobs: Vec<(usize, SchemeSpec, u64)> = topologies
-        .iter()
-        .enumerate()
-        .flat_map(|(t, _)| {
-            scheme_jobs(spec)
-                .into_iter()
-                .map(move |(s, seed)| (t, s, seed))
-        })
-        .collect();
-    let points: Vec<DirectPoint> = jobs
-        .par_iter()
-        .map(|&(t, scheme, seed)| {
-            let (topo_spec, xgft) = &topologies[t];
-            let (report, busy) = match spec.representation {
-                RepresentationSpec::Compiled => {
-                    let table = compile_for(xgft, scheme, seed, pattern, &flows);
-                    inject_and_run(xgft, &spec.network, &flows, &table)
-                }
-                RepresentationSpec::Compact => {
-                    let routes = compact_for(xgft, scheme, seed, &flows);
-                    inject_and_run(xgft, &spec.network, &flows, &routes)
-                }
-            };
-            let max_busy = busy.into_iter().max().unwrap_or(0);
-            DirectPoint {
-                topology: topo_spec.to_string(),
-                w_top: topo_spec.w(topo_spec.height()),
-                scheme: scheme.name().to_string(),
-                seed,
-                delivered: report.completed_messages,
-                makespan_ps: report.makespan_ps,
-                max_busy_ps: max_busy,
-                max_utilization: report.max_channel_utilization,
-                p50_latency_ps: report.p50_latency_ps(),
-                p99_latency_ps: report.p99_latency_ps(),
-                max_latency_ps: report.max_latency_ps(),
-            }
-        })
-        .collect();
-    Ok(DirectResult {
-        name: spec.name.clone(),
+    let points = grid.map_jobs(pattern, &flows, |topo_spec, xgft, scheme, seed, routes| {
+        let (report, busy) = inject_and_run(xgft, &grid.network, &flows, routes);
+        DirectPoint {
+            topology: topo_spec.to_string(),
+            w_top: topo_spec.w(topo_spec.height()),
+            scheme: scheme.name().to_string(),
+            seed,
+            delivered: report.completed_messages,
+            makespan_ps: report.makespan_ps,
+            max_busy_ps: busy.into_iter().max().unwrap_or(0),
+            max_utilization: report.max_channel_utilization,
+            p50_latency_ps: report.p50_latency_ps(),
+            p99_latency_ps: report.p99_latency_ps(),
+            max_latency_ps: report.max_latency_ps(),
+        }
+    });
+    DirectResult {
+        name: grid.name,
         workload: pattern.name().to_string(),
         points,
-    })
+    }
 }
 
 const AGREEMENT_TOLERANCE: f64 = 1e-9;
 
 /// Run the three engines on one route source and compare them
 /// channel-by-channel: `(sims_identical, flow_max_rel_dev, model_mcl_ps)`.
-fn agreement_check<R: RouteSource>(
+fn agreement_check(
     xgft: &Xgft,
     network: &NetworkConfig,
     flows: &[(usize, usize, u64)],
-    source: &R,
+    source: &dyn RouteSource,
 ) -> (bool, f64, f64) {
     // Engine 2: direct injection.
     let (_, netsim_busy) = inject_and_run(xgft, network, flows, source);
@@ -909,14 +771,16 @@ fn agreement_check<R: RouteSource>(
     let tracesim_busy = net.sim().channel_busy_ps();
 
     // Engine 1: the flow model on the same routes, with demands in
-    // channel-occupancy units so loads == busy exactly.
+    // channel-occupancy units (the serialization times of a message's
+    // segments, which is how the simulator accounts busy time) so
+    // loads == busy exactly, even for mixed message sizes.
     let traffic = TrafficMatrix::from_flows(
         n,
         flows
             .iter()
-            .map(|&(s, d, bytes)| (s, d, occupancy_ps(network, bytes) as f64)),
+            .map(|&(s, d, bytes)| (s, d, network.ideal_transfer_ps(bytes) as f64)),
     );
-    let model = DegradedLoads::from_source(xgft, source, &traffic);
+    let model = DegradedLoads::from_source(xgft, &source, &traffic);
 
     let sims_identical = netsim_busy == tracesim_busy;
     let max_busy = netsim_busy.iter().copied().max().unwrap_or(0) as f64;
@@ -933,56 +797,20 @@ fn agreement_check<R: RouteSource>(
     (sims_identical, flow_max_rel_dev, model.mcl())
 }
 
-fn run_agreement(spec: &ScenarioSpec, pattern: &Pattern) -> Result<AgreementResult, ScenarioError> {
+fn run_agreement(grid: Grid<Routes>, pattern: &Pattern) -> AgreementResult {
     let flows = flow_list(pattern);
-    // Same sharding shape as `run_direct`: topologies built once up front,
-    // one rayon shard per (topology, scheme), points collected in job order
-    // so the payload is identical at any thread count.
-    let mut topologies = Vec::new();
-    for topo_spec in spec.topologies()? {
-        let xgft = Xgft::new(topo_spec.clone())
-            .map_err(|e| ScenarioError::Invalid(format!("topology: {e}")))?;
-        topologies.push((topo_spec, xgft));
-    }
-    let jobs: Vec<(usize, SchemeSpec)> = topologies
-        .iter()
-        .enumerate()
-        .flat_map(|(t, _)| spec.schemes.iter().map(move |&s| (t, s)))
-        .collect();
-    let points: Vec<AgreementPoint> = jobs
-        .par_iter()
-        .map(|&(t, scheme)| {
-            let (topo_spec, xgft) = &topologies[t];
-            // One representative instance per scheme: the agreement claim
-            // is per-instance (exact), so one seed suffices.
-            let seed = if scheme.0.is_seeded() {
-                spec.seeds
-                    .as_list()
-                    .and_then(|s| s.first().copied())
-                    .unwrap_or(1)
-            } else {
-                0
-            };
-            let (sims_identical, flow_max_rel_dev, model_mcl_ps) = match spec.representation {
-                RepresentationSpec::Compiled => {
-                    let table = compile_for(xgft, scheme, seed, pattern, &flows);
-                    agreement_check(xgft, &spec.network, &flows, &table)
-                }
-                RepresentationSpec::Compact => {
-                    let routes = compact_for(xgft, scheme, seed, &flows);
-                    agreement_check(xgft, &spec.network, &flows, &routes)
-                }
-            };
-            AgreementPoint {
-                topology: topo_spec.to_string(),
-                scheme: scheme.name().to_string(),
-                seed,
-                sims_identical,
-                flow_max_rel_dev,
-                model_mcl_ps,
-            }
-        })
-        .collect();
+    let points = grid.map_jobs(pattern, &flows, |topo_spec, xgft, scheme, seed, routes| {
+        let (sims_identical, flow_max_rel_dev, model_mcl_ps) =
+            agreement_check(xgft, &grid.network, &flows, routes);
+        AgreementPoint {
+            topology: topo_spec.to_string(),
+            scheme: scheme.name().to_string(),
+            seed,
+            sims_identical,
+            flow_max_rel_dev,
+            model_mcl_ps,
+        }
+    });
     let all_agree = points
         .iter()
         .all(|p| p.sims_identical && p.flow_max_rel_dev <= AGREEMENT_TOLERANCE);
@@ -995,19 +823,21 @@ fn run_agreement(spec: &ScenarioSpec, pattern: &Pattern) -> Result<AgreementResu
             ],
         );
     }
-    Ok(AgreementResult {
-        name: spec.name.clone(),
+    AgreementResult {
+        name: grid.name,
         workload: pattern.name().to_string(),
         tolerance: AGREEMENT_TOLERANCE,
         all_agree,
         points,
-    })
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spec::{SweepSpec, TopologySpec, WorkloadSpec};
+    use crate::spec::{
+        ChaosSpec, EngineSpec, FaultSpec, SeedSpec, SweepSpec, TopologySpec, WorkloadSpec,
+    };
     use xgft_analysis::AlgorithmSpec;
 
     fn base_spec() -> ScenarioSpec {
@@ -1319,9 +1149,10 @@ mod tests {
     }
 
     #[test]
-    fn shard_summary_announces_campaigns_and_resilience_only() {
+    fn header_announces_campaigns_resilience_and_chaos_only() {
+        let header = |spec: &ScenarioSpec| spec.lower().unwrap().0.header();
         // Plain figure sweeps have no pre-run header.
-        assert!(shard_summary(&base_spec()).is_none());
+        assert!(header(&base_spec()).is_none());
 
         let mut campaign = base_spec();
         campaign.sweep = SweepSpec::over(vec![4, 2]);
@@ -1329,11 +1160,12 @@ mod tests {
             base_seed: 7,
             seeds_per_point: 3,
         };
-        let header = shard_summary(&campaign).unwrap();
-        // 2 w2 × (1 random × 3 seeds + 1 d-mod-k) = 8 shards, like
-        // CampaignConfig::shards would enumerate.
-        assert!(header.contains("8 shards"), "{header}");
-        assert!(header.contains("base seed 7"), "{header}");
+        // 2 w2 × (1 random × 3 seeds + 1 d-mod-k) = 8 shards.
+        assert_eq!(
+            header(&campaign).unwrap(),
+            "# campaign unit: 16 leaves, 8 shards (2 w2 points x 2 algorithms, 3 seeds/point, \
+             base seed 7)"
+        );
 
         let mut faults = base_spec();
         faults.faults = FaultSpec::UniformLinks {
@@ -1344,10 +1176,31 @@ mod tests {
             base_seed: 9,
             seeds_per_point: 2,
         };
-        let header = shard_summary(&faults).unwrap();
-        // (1 draw at rate 0 + 2 at rate 100) × 2 schemes = 6 shards, like
-        // ResilienceConfig::shards would enumerate.
-        assert!(header.contains("6 shards"), "{header}");
-        assert!(header.contains("2 rates"), "{header}");
+        // (1 draw at rate 0 + 2 at rate 100) × 2 schemes = 6 shards.
+        assert_eq!(
+            header(&faults).unwrap(),
+            "# resilience unit: 16 leaves, 6 shards (2 rates x 2 algorithms, 2 fault draws/point, \
+             base seed 9)"
+        );
+
+        let mut chaos = base_spec();
+        chaos.engine = EngineSpec::Netsim;
+        chaos.seeds = SeedSpec::Stream {
+            base_seed: 11,
+            seeds_per_point: 2,
+        };
+        chaos.chaos = Some(ChaosSpec {
+            epochs: 3,
+            epoch_ps: 40_000_000,
+            link_fail_permille: 100,
+            switch_kill_permille: 0,
+            cable_cut_permille: 0,
+            repair_epochs: 1,
+        });
+        // 2 random seeds + 1 d-mod-k shard.
+        assert_eq!(
+            header(&chaos).unwrap(),
+            "# chaos unit: 16 leaves, 3 shards x 3 epochs (2 algorithms, 2 seeds/point, base seed 11)"
+        );
     }
 }

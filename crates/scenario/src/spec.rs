@@ -13,13 +13,15 @@
 //! route-table / campaign / resilience machinery. `schema_version` is
 //! checked on load so old tooling fails loudly on specs from the future.
 
+use crate::runner::{ClosedForm, Grid, Plan, Routes};
 use serde::{Deserialize, Serialize, Value};
 use std::fmt;
-use xgft_analysis::AlgorithmSpec;
+use xgft_analysis::{AlgorithmSpec, CampaignConfig, ChaosConfig, ResilienceConfig, SweepConfig};
+use xgft_core::CompactScheme;
 use xgft_flow::FlowScheme;
 use xgft_netsim::NetworkConfig;
 use xgft_patterns::{generators, Pattern};
-use xgft_topo::XgftSpec;
+use xgft_topo::{Xgft, XgftSpec};
 
 /// The spec schema version this crate reads and writes.
 pub const SPEC_SCHEMA_VERSION: u32 = 1;
@@ -50,6 +52,11 @@ impl std::error::Error for ScenarioError {}
 fn invalid(msg: impl Into<String>) -> ScenarioError {
     ScenarioError::Invalid(msg.into())
 }
+
+/// Why the Tracesim machinery rejects every topology but the slimming family.
+const TRACESIM_TOPOLOGY: &str = "the Tracesim engine currently requires a SlimmedTwoLevel \
+                                 topology (its crossbar-relative sweep is defined on the \
+                                 slimming family)";
 
 /// The first item of `items` that repeats an earlier one.
 fn first_duplicate<T: PartialEq>(items: &[T]) -> Option<&T> {
@@ -104,19 +111,6 @@ impl TopologySpec {
             }
         }
     }
-
-    /// The same family at a different top-level width (the sweep axis).
-    /// Only the slimming family has a w2 axis.
-    pub fn with_w2(&self, w2: usize) -> Result<TopologySpec, ScenarioError> {
-        match self {
-            TopologySpec::SlimmedTwoLevel { k, .. } => {
-                Ok(TopologySpec::SlimmedTwoLevel { k: *k, w2 })
-            }
-            other => Err(invalid(format!(
-                "sweep.w2_values requires a SlimmedTwoLevel topology, got {other:?}"
-            ))),
-        }
-    }
 }
 
 /// A routing scheme, serialized by its paper name (`"d-mod-k"`,
@@ -163,6 +157,35 @@ impl SchemeSpec {
             AlgorithmSpec::RandomNcaUp => FlowScheme::RNcaUp,
             AlgorithmSpec::RandomNcaDown => FlowScheme::RNcaDown,
             AlgorithmSpec::Colored => FlowScheme::Colored,
+        }
+    }
+
+    /// The label-arithmetic closed form of this scheme, which the compact
+    /// representation routes by. The pattern-aware colored scheme has none.
+    pub(crate) fn closed_form(self) -> Result<ClosedForm, ScenarioError> {
+        Ok(match self.0 {
+            AlgorithmSpec::Random => |_, seed| CompactScheme::Random { seed },
+            AlgorithmSpec::SModK => |_, _| CompactScheme::SModK,
+            AlgorithmSpec::DModK => |_, _| CompactScheme::DModK,
+            AlgorithmSpec::RandomNcaUp => CompactScheme::random_nca_up,
+            AlgorithmSpec::RandomNcaDown => CompactScheme::random_nca_down,
+            AlgorithmSpec::Colored => {
+                return Err(invalid(
+                    "representation = compact has no closed form for the pattern-aware \
+                     colored scheme",
+                ))
+            }
+        })
+    }
+
+    /// How this scheme's jobs route under `representation`.
+    pub(crate) fn routes(
+        self,
+        representation: RepresentationSpec,
+    ) -> Result<Routes, ScenarioError> {
+        match representation {
+            RepresentationSpec::Compiled => Ok(Routes::Compiled),
+            RepresentationSpec::Compact => self.closed_form().map(Routes::Compact),
         }
     }
 }
@@ -299,6 +322,9 @@ impl WorkloadSpec {
             return Err(invalid("workload needs at least two ranks"));
         }
         let bytes = self.bytes;
+        if bytes == 0 {
+            return Err(invalid("workload.bytes must be at least 1"));
+        }
         let square_side = || -> Result<usize, ScenarioError> {
             let side = (n as f64).sqrt().round() as usize;
             if side * side != n {
@@ -711,23 +737,36 @@ impl ScenarioSpec {
         if self.sweep.w2_values.is_empty() {
             return Ok(vec![self.topology.to_xgft()?]);
         }
+        // Only the slimming family has a w2 axis.
+        let TopologySpec::SlimmedTwoLevel { k, .. } = self.topology else {
+            return Err(invalid(format!(
+                "sweep.w2_values requires a SlimmedTwoLevel topology, got {:?}",
+                self.topology
+            )));
+        };
         self.sweep
             .w2_values
             .iter()
-            .map(|&w2| self.topology.with_w2(w2)?.to_xgft())
+            .map(|&w2| TopologySpec::SlimmedTwoLevel { k, w2 }.to_xgft())
             .collect()
     }
 
     /// Structural validation: every error the runner would otherwise hit
-    /// mid-flight, reported up front with a message naming the field.
+    /// mid-flight, reported up front with a message naming the field. This
+    /// is the lowering [`run_scenario`](crate::run_scenario) performs, with
+    /// the plan dropped.
     pub fn validate(&self) -> Result<(), ScenarioError> {
-        self.validated_pattern().map(|_| ())
+        self.lower().map(|_| ())
     }
 
-    /// [`Self::validate`], returning the instantiated workload pattern so
-    /// the runner does not build it a second time (an `all_to_all` on a
-    /// 4096-leaf machine is ~16.7M flows — worth materialising once).
-    pub fn validated_pattern(&self) -> Result<Pattern, ScenarioError> {
+    /// Lower the spec, once, into the [`Plan`] its engine runs, together
+    /// with the workload pattern (materialised here and nowhere else: an
+    /// `all_to_all` on a 4096-leaf machine is ~16.7M flows). Every
+    /// validation rule lives here. An invalid `(engine, faults, chaos,
+    /// seeds, representation)` combination is an arm of the one match
+    /// below that returns a typed error, so the runner's match over the
+    /// plan has no unreachable arms.
+    pub(crate) fn lower(&self) -> Result<(Plan, Pattern), ScenarioError> {
         if self.schema_version != SPEC_SCHEMA_VERSION {
             return Err(ScenarioError::UnsupportedSchema(self.schema_version));
         }
@@ -745,6 +784,30 @@ impl ScenarioSpec {
         if let Some(w2) = first_duplicate(&self.sweep.w2_values) {
             return Err(invalid(format!("sweep.w2_values lists {w2} twice")));
         }
+        // Segment and flit sizes divide message sizes, and the link rate
+        // divides serialization times.
+        let network = &self.network;
+        if network.segment_bytes == 0 {
+            return Err(invalid("network.segment_bytes must be at least 1"));
+        }
+        if network.flit_bytes == 0 {
+            return Err(invalid("network.flit_bytes must be at least 1"));
+        }
+        let gbps = network.link_bandwidth_gbps;
+        if !(gbps.is_finite() && gbps > 0.0) {
+            return Err(invalid(format!(
+                "network.link_bandwidth_gbps must be finite and positive, got {gbps}"
+            )));
+        }
+        if matches!(
+            self.seeds,
+            SeedSpec::Stream {
+                seeds_per_point: 0,
+                ..
+            }
+        ) {
+            return Err(invalid("seeds.Stream.seeds_per_point must be at least 1"));
+        }
         let topologies = self.topologies()?;
         let pattern = self.workload.pattern()?;
         for spec in &topologies {
@@ -757,17 +820,84 @@ impl ScenarioSpec {
                 )));
             }
         }
-        match &self.faults {
-            FaultSpec::None => {}
-            FaultSpec::UniformLinks {
-                permille,
-                draws_per_point,
-            } => {
-                if self.engine != EngineSpec::Tracesim {
-                    return Err(invalid(
-                        "faults currently require the Tracesim engine (the resilience campaign)",
-                    ));
+        let algorithms = || self.schemes.iter().map(|s| s.0).collect();
+        use EngineSpec::{AllWithAgreement, Flow, Nca, Netsim, Tracesim};
+        use FaultSpec::UniformLinks;
+        use RepresentationSpec::{Compact, Compiled};
+        use SeedSpec::{List, Stream};
+        let plan = match (
+            self.engine,
+            &self.faults,
+            &self.chaos,
+            &self.seeds,
+            self.representation,
+        ) {
+            (
+                Netsim,
+                FaultSpec::None,
+                Some(chaos),
+                &Stream {
+                    base_seed,
+                    seeds_per_point,
+                },
+                Compiled,
+            ) => {
+                let (k, w2) =
+                    self.one_machine("chaos", "chaos requires a SlimmedTwoLevel topology")?;
+                if chaos.epochs == 0 {
+                    return Err(invalid("chaos.epochs must be at least 1"));
                 }
+                if chaos.epoch_ps == 0 {
+                    return Err(invalid("chaos.epoch_ps must be positive"));
+                }
+                for (name, permille) in [
+                    ("link_fail_permille", chaos.link_fail_permille),
+                    ("switch_kill_permille", chaos.switch_kill_permille),
+                    ("cable_cut_permille", chaos.cable_cut_permille),
+                ] {
+                    if permille > 1000 {
+                        return Err(invalid(format!("chaos.{name} must be <= 1000")));
+                    }
+                }
+                Ok(Plan::Chaos(ChaosConfig {
+                    name: self.name.clone(),
+                    k,
+                    w2,
+                    algorithms: algorithms(),
+                    epochs: chaos.epochs,
+                    epoch_ps: chaos.epoch_ps,
+                    link_fail_permille: chaos.link_fail_permille,
+                    switch_kill_permille: chaos.switch_kill_permille,
+                    cable_cut_permille: chaos.cable_cut_permille,
+                    repair_epochs: chaos.repair_epochs,
+                    seeds_per_point,
+                    base_seed,
+                    network: self.network.clone(),
+                }))
+            }
+            (Tracesim | Flow | Nca | AllWithAgreement, _, Some(_), _, _) => Err(invalid(
+                "chaos campaigns drive the event simulator directly; set engine = \"Netsim\"",
+            )),
+            (_, UniformLinks { .. }, Some(_), _, _) => Err(invalid(
+                "chaos generates its own fault timeline; set faults = \"None\"",
+            )),
+            (_, _, Some(_), _, Compact) => Err(invalid(
+                "chaos repatches compiled route tables; set representation = \"compiled\"",
+            )),
+            (_, _, Some(_), List { .. }, _) => Err(invalid(
+                "chaos requires SeedSpec::Stream (the timeline and shard seeds are derived \
+                 from base_seed)",
+            )),
+            (
+                Tracesim,
+                UniformLinks {
+                    permille,
+                    draws_per_point,
+                },
+                None,
+                &Stream { base_seed, .. },
+                Compiled,
+            ) => {
                 if permille.is_empty() {
                     return Err(invalid("faults.permille must be non-empty"));
                 }
@@ -780,141 +910,183 @@ impl ScenarioSpec {
                 if *draws_per_point == 0 {
                     return Err(invalid("faults.draws_per_point must be at least 1"));
                 }
-                if topologies.len() != 1 {
-                    return Err(invalid(
-                        "a fault campaign runs one machine; leave sweep.w2_values empty or \
-                         give a single value",
-                    ));
+                let (k, w2) = self.one_machine("fault", TRACESIM_TOPOLOGY)?;
+                Ok(Plan::Resilience(ResilienceConfig {
+                    name: self.name.clone(),
+                    k,
+                    w2,
+                    algorithms: algorithms(),
+                    failure_permille: permille.clone(),
+                    faults_per_point: *draws_per_point,
+                    base_seed,
+                    network: self.network.clone(),
+                }))
+            }
+            (_, UniformLinks { .. }, None, _, Compact) => Err(invalid(
+                "representation = compact does not drive fault campaigns; the compact \
+                 fault-patch overlay is exercised at the engine level (CompactRoutes::patch)",
+            )),
+            (Tracesim, UniformLinks { .. }, None, List { .. }, Compiled) => Err(invalid(
+                "faults require SeedSpec::Stream (point-local fault seed streams)",
+            )),
+            (_, UniformLinks { .. }, None, _, Compiled) => Err(invalid(
+                "faults currently require the Tracesim engine (the resilience campaign)",
+            )),
+            (Tracesim, FaultSpec::None, None, List { seeds }, representation) => {
+                let (k, w2_values) = self.slimmed_sweep(TRACESIM_TOPOLOGY)?;
+                self.require_seeds(seeds)?;
+                if representation == Compact {
+                    for scheme in &self.schemes {
+                        scheme.closed_form()?;
+                    }
                 }
-                if !matches!(self.seeds, SeedSpec::Stream { .. }) {
-                    return Err(invalid(
-                        "faults require SeedSpec::Stream (point-local fault seed streams)",
-                    ));
-                }
+                let config = SweepConfig {
+                    k,
+                    w2_values,
+                    algorithms: algorithms(),
+                    seeds: seeds.clone(),
+                    network: self.network.clone(),
+                };
+                Ok(Plan::Sweep {
+                    config,
+                    representation,
+                })
+            }
+            (
+                Tracesim,
+                FaultSpec::None,
+                None,
+                &Stream {
+                    base_seed,
+                    seeds_per_point,
+                },
+                Compiled,
+            ) => {
+                let (k, w2_values) = self.slimmed_sweep(TRACESIM_TOPOLOGY)?;
+                Ok(Plan::Campaign(CampaignConfig {
+                    name: self.name.clone(),
+                    k,
+                    w2_values,
+                    algorithms: algorithms(),
+                    seeds_per_point,
+                    base_seed,
+                    network: self.network.clone(),
+                }))
+            }
+            (_, FaultSpec::None, None, Stream { .. }, Compact) => Err(invalid(
+                "representation = compact requires an explicit SeedSpec::List",
+            )),
+            // Only the Tracesim machinery (campaigns / resilience) and the
+            // chaos lab implement point-local seed streams; every other
+            // engine would silently ignore them.
+            (_, FaultSpec::None, None, Stream { .. }, Compiled) => Err(invalid(
+                "SeedSpec::Stream requires the Tracesim engine or a chaos campaign; other \
+                 engines take an explicit SeedSpec::List",
+            )),
+            (Flow, FaultSpec::None, None, List { .. }, Compiled) => Ok(Plan::Flow {
+                specs: topologies,
+                schemes: self.schemes.iter().map(SchemeSpec::flow_scheme).collect(),
+            }),
+            // The Flow engine evaluates randomised schemes by their
+            // closed-form expectation, so an empty seed list is allowed.
+            (Flow, FaultSpec::None, None, List { seeds }, Compact) => self
+                .grid(topologies, seeds, SchemeSpec::closed_form)
+                .map(Plan::CompactFlow),
+            (Nca, FaultSpec::None, None, List { seeds }, Compiled) if seeds.is_empty() => {
+                Err(invalid(
+                    "the Nca engine needs a non-empty seeds.List (the randomised schemes' \
+                     distributions are sampled per seed)",
+                ))
+            }
+            (Nca, FaultSpec::None, None, List { seeds }, Compiled) => Ok(Plan::Nca {
+                topologies,
+                seeds: seeds.clone(),
+            }),
+            (Nca, FaultSpec::None, None, List { .. }, Compact) => Err(invalid(
+                "the Nca engine reports route distributions and has no representation axis",
+            )),
+            (Netsim, FaultSpec::None, None, List { seeds }, representation) => {
+                self.require_seeds(seeds)?;
+                self.grid(topologies, seeds, |s| s.routes(representation))
+                    .map(Plan::Direct)
+            }
+            (AllWithAgreement, FaultSpec::None, None, List { seeds }, representation) => {
+                self.require_seeds(seeds)?;
+                // One representative instance per scheme: the agreement
+                // claim is per-instance (exact), so one seed suffices.
+                let first = &seeds[..seeds.len().min(1)];
+                self.grid(topologies, first, |s| s.routes(representation))
+                    .map(Plan::Agreement)
+            }
+        }?;
+        Ok((plan, pattern))
+    }
+
+    /// A seeded scheme needs at least one seed to run.
+    fn require_seeds(&self, seeds: &[u64]) -> Result<(), ScenarioError> {
+        if seeds.is_empty() && self.schemes.iter().any(|s| s.0.is_seeded()) {
+            return Err(invalid("seeds.List is empty but a seeded scheme is listed"));
+        }
+        Ok(())
+    }
+
+    /// `(k, swept w2 values)` of the slimming family: the sweep, or the
+    /// base machine's `w2` alone when the sweep is empty.
+    fn slimmed_sweep(&self, not_slimmed: &str) -> Result<(usize, Vec<usize>), ScenarioError> {
+        let TopologySpec::SlimmedTwoLevel { k, w2 } = self.topology else {
+            return Err(invalid(not_slimmed));
+        };
+        let w2_values = if self.sweep.w2_values.is_empty() {
+            vec![w2]
+        } else {
+            self.sweep.w2_values.clone()
+        };
+        Ok((k, w2_values))
+    }
+
+    /// `(k, w2)` of the one slimmed machine a fault or chaos campaign runs.
+    fn one_machine(&self, what: &str, not_slimmed: &str) -> Result<(usize, usize), ScenarioError> {
+        match self.slimmed_sweep(not_slimmed)? {
+            (k, w2_values) if w2_values.len() == 1 => Ok((k, w2_values[0])),
+            _ => Err(invalid(format!(
+                "a {what} campaign runs one machine; leave sweep.w2_values empty or give a \
+                 single value"
+            ))),
+        }
+    }
+
+    /// The jobs of the grid engines over `topologies`, each built once:
+    /// per scheme one job (seed 0) if it is deterministic, or one per seed
+    /// of `seeds` if it is seeded. `routes` says how a scheme's jobs route.
+    fn grid<R: Copy>(
+        &self,
+        topologies: Vec<XgftSpec>,
+        seeds: &[u64],
+        routes: impl Fn(SchemeSpec) -> Result<R, ScenarioError>,
+    ) -> Result<Grid<R>, ScenarioError> {
+        let mut jobs = Vec::new();
+        for &scheme in &self.schemes {
+            let routes = routes(scheme)?;
+            if scheme.0.is_seeded() {
+                jobs.extend(seeds.iter().map(|&seed| (scheme, seed, routes)));
+            } else {
+                jobs.push((scheme, 0, routes));
             }
         }
-        if let Some(chaos) = &self.chaos {
-            if self.engine != EngineSpec::Netsim {
-                return Err(invalid(
-                    "chaos campaigns drive the event simulator directly; set engine = \"Netsim\"",
-                ));
-            }
-            if self.faults != FaultSpec::None {
-                return Err(invalid(
-                    "chaos generates its own fault timeline; set faults = \"None\"",
-                ));
-            }
-            if self.representation != RepresentationSpec::Compiled {
-                return Err(invalid(
-                    "chaos repatches compiled route tables; set representation = \"compiled\"",
-                ));
-            }
-            if !matches!(self.topology, TopologySpec::SlimmedTwoLevel { .. }) {
-                return Err(invalid("chaos requires a SlimmedTwoLevel topology"));
-            }
-            if !self.sweep.w2_values.is_empty() && self.sweep.w2_values.len() != 1 {
-                return Err(invalid(
-                    "a chaos campaign runs one machine; leave sweep.w2_values empty or give \
-                     a single value",
-                ));
-            }
-            if !matches!(self.seeds, SeedSpec::Stream { .. }) {
-                return Err(invalid(
-                    "chaos requires SeedSpec::Stream (the timeline and shard seeds are \
-                     derived from base_seed)",
-                ));
-            }
-            if chaos.epochs == 0 {
-                return Err(invalid("chaos.epochs must be at least 1"));
-            }
-            if chaos.epoch_ps == 0 {
-                return Err(invalid("chaos.epoch_ps must be positive"));
-            }
-            for (name, permille) in [
-                ("link_fail_permille", chaos.link_fail_permille),
-                ("switch_kill_permille", chaos.switch_kill_permille),
-                ("cable_cut_permille", chaos.cable_cut_permille),
-            ] {
-                if permille > 1000 {
-                    return Err(invalid(format!("chaos.{name} must be <= 1000")));
-                }
-            }
-        }
-        match &self.seeds {
-            SeedSpec::List { seeds } => {
-                // The Flow engine evaluates randomised schemes by their
-                // closed-form expectation — no seed axis to populate.
-                if seeds.is_empty()
-                    && self.engine != EngineSpec::Flow
-                    && self.schemes.iter().any(|s| s.0.is_seeded())
-                {
-                    return Err(invalid("seeds.List is empty but a seeded scheme is listed"));
-                }
-            }
-            SeedSpec::Stream {
-                seeds_per_point, ..
-            } => {
-                if *seeds_per_point == 0 {
-                    return Err(invalid("seeds.Stream.seeds_per_point must be at least 1"));
-                }
-                // Only the Tracesim machinery (campaigns / resilience) and
-                // the chaos lab implement point-local seed streams; every
-                // other engine would silently ignore them.
-                if self.engine != EngineSpec::Tracesim && self.chaos.is_none() {
-                    return Err(invalid(
-                        "SeedSpec::Stream requires the Tracesim engine or a chaos \
-                         campaign; other engines take an explicit SeedSpec::List",
-                    ));
-                }
-            }
-        }
-        match self.engine {
-            EngineSpec::Tracesim | EngineSpec::Netsim | EngineSpec::AllWithAgreement => {
-                // The replay sweep machinery is specialised to the slimming
-                // family; a single custom machine is fine too.
-                if !self.sweep.w2_values.is_empty()
-                    && !matches!(self.topology, TopologySpec::SlimmedTwoLevel { .. })
-                {
-                    return Err(invalid(
-                        "simulation sweeps require a SlimmedTwoLevel topology",
-                    ));
-                }
-                if self.engine == EngineSpec::Tracesim
-                    && !matches!(self.topology, TopologySpec::SlimmedTwoLevel { .. })
-                {
-                    return Err(invalid(
-                        "the Tracesim engine currently requires a SlimmedTwoLevel topology \
-                         (its crossbar-relative sweep is defined on the slimming family)",
-                    ));
-                }
-            }
-            EngineSpec::Flow | EngineSpec::Nca => {}
-        }
-        if self.representation == RepresentationSpec::Compact {
-            if self.schemes.iter().any(|s| s.0 == AlgorithmSpec::Colored) {
-                return Err(invalid(
-                    "representation = compact has no closed form for the pattern-aware \
-                     colored scheme",
-                ));
-            }
-            if self.faults != FaultSpec::None {
-                return Err(invalid(
-                    "representation = compact does not drive fault campaigns; the compact \
-                     fault-patch overlay is exercised at the engine level (CompactRoutes::patch)",
-                ));
-            }
-            if !matches!(self.seeds, SeedSpec::List { .. }) {
-                return Err(invalid(
-                    "representation = compact requires an explicit SeedSpec::List",
-                ));
-            }
-            if self.engine == EngineSpec::Nca {
-                return Err(invalid(
-                    "the Nca engine reports route distributions and has no representation axis",
-                ));
-            }
-        }
-        Ok(pattern)
+        let machines = topologies
+            .into_iter()
+            .map(|spec| {
+                let xgft =
+                    Xgft::new(spec.clone()).map_err(|e| invalid(format!("topology: {e}")))?;
+                Ok((spec, xgft))
+            })
+            .collect::<Result<_, ScenarioError>>()?;
+        Ok(Grid {
+            name: self.name.clone(),
+            machines,
+            jobs,
+            network: self.network.clone(),
+        })
     }
 
     /// The CI preset: truncate seed lists to 3, per-point streams to 2,
@@ -1283,6 +1455,50 @@ mod tests {
             draws_per_point: 2,
         };
         assert!(dup.validate().is_ok());
+    }
+
+    /// Lowering rejects the spec with an `Invalid` message naming `field`.
+    fn assert_rejects(spec: &ScenarioSpec, field: &str) {
+        match spec.validate() {
+            Err(ScenarioError::Invalid(msg)) => assert!(msg.contains(field), "{msg}"),
+            other => panic!("expected Invalid naming {field}, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn zero_segment_bytes_is_rejected() {
+        let mut bad = spec();
+        bad.network.segment_bytes = 0;
+        assert_rejects(&bad, "network.segment_bytes");
+    }
+
+    #[test]
+    fn zero_flit_bytes_is_rejected() {
+        let mut bad = spec();
+        bad.network.flit_bytes = 0;
+        assert_rejects(&bad, "network.flit_bytes");
+    }
+
+    #[test]
+    fn link_bandwidth_must_be_finite_and_positive() {
+        for gbps in [0.0, -2.0, f64::NAN, f64::INFINITY] {
+            let mut bad = spec();
+            bad.network.link_bandwidth_gbps = gbps;
+            assert_rejects(&bad, "network.link_bandwidth_gbps");
+        }
+    }
+
+    #[test]
+    fn nca_needs_a_seed() {
+        for schemes in [vec![], vec![SchemeSpec(AlgorithmSpec::DModK)]] {
+            let mut bad = spec();
+            bad.engine = EngineSpec::Nca;
+            bad.schemes = schemes;
+            bad.seeds = SeedSpec::List { seeds: vec![] };
+            assert_rejects(&bad, "seeds.List");
+            bad.seeds = SeedSpec::List { seeds: vec![1] };
+            assert!(bad.validate().is_ok());
+        }
     }
 
     #[test]

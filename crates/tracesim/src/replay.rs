@@ -35,7 +35,7 @@
 //! The scratch state is owned by the engine and recycled across [`run`]
 //! calls, so a campaign shard that replays one trace against many networks
 //! allocates its buffers once. The pre-overhaul HashMap core is retained in
-//! [`reference`] and pinned byte-identical by an equivalence proptest.
+//! [`reference`](mod@reference) and pinned byte-identical by an equivalence proptest.
 //!
 //! [`run`]: ReplayEngine::run
 
