@@ -28,7 +28,7 @@
 //!   clean pair keeps costing zero bytes.
 
 use crate::compiled::{CompiledRouteTable, PatchStats};
-use crate::degraded::{node_index, reroute};
+use crate::degraded::reroute;
 use crate::random::pair_stream;
 use crate::relabel::RelabelMaps;
 use crate::table::RouteTable;
@@ -247,7 +247,6 @@ impl CompactRoutes {
                 .iter()
                 .map(|&c| c as u32)
                 .collect();
-            scratch.clear();
             this.closed_form_into(s, d, &mut scratch);
             if scratch[..] != stored[..] {
                 this.overlay
@@ -277,12 +276,16 @@ impl CompactRoutes {
         self.assert_same_machine(xgft);
         let n = self.num_leaves;
         let mut picked: Vec<(usize, Route)> = Vec::with_capacity(self.len());
+        let mut scratch = Vec::new();
         self.for_each_pair(|s, d, code| match self.overlay.get(&code) {
             Some(PatchEntry::Unroutable) => {}
             Some(PatchEntry::Rerouted(path)) => {
                 picked.push((s * n + d, self.decode_route(path)));
             }
-            None => picked.push((s * n + d, Route::new(self.closed_form_ports(s, d)))),
+            None => {
+                self.closed_form_into(s, d, &mut scratch);
+                picked.push((s * n + d, self.decode_route(&scratch)));
+            }
         });
         CompiledRouteTable::from_sorted_routes(
             xgft,
@@ -327,7 +330,6 @@ impl CompactRoutes {
                 Some(PatchEntry::Unroutable) => return, // a miss stays a miss
                 Some(PatchEntry::Rerouted(path)) => path,
                 None => {
-                    scratch.clear();
                     self.closed_form_into(s, d, &mut scratch);
                     &scratch
                 }
@@ -559,146 +561,81 @@ impl CompactRoutes {
         )
     }
 
-    /// The digits (least-significant first) of a leaf label, computed on the
-    /// fly — the same mixed-radix decomposition `NodeLabel::from_index`
-    /// performs for level 0.
-    fn leaf_digits_into(&self, leaf: usize, out: &mut Vec<usize>) {
-        let spec = self.channels.spec();
-        out.clear();
-        let mut rem = leaf;
-        for pos in 1..=spec.height() {
-            let radix = spec.m(pos);
-            out.push(rem % radix);
-            rem /= radix;
-        }
-    }
-
-    /// The closed-form up-port sequence of the pair (no domain or overlay
-    /// checks).
-    fn closed_form_ports(&self, s: usize, d: usize) -> Vec<usize> {
-        let mut s_digits = Vec::new();
-        let mut d_digits = Vec::new();
-        self.leaf_digits_into(s, &mut s_digits);
-        self.leaf_digits_into(d, &mut d_digits);
-        let level = nca_level(&s_digits, &d_digits);
-        self.ports_for(s, d, &s_digits, &d_digits, level)
-    }
-
-    fn ports_for(
-        &self,
-        s: usize,
-        d: usize,
-        s_digits: &[usize],
-        d_digits: &[usize],
-        level: usize,
-    ) -> Vec<usize> {
-        let spec = self.channels.spec();
-        match &self.scheme {
-            CompactScheme::SModK => mod_ports(spec, s_digits, level),
-            CompactScheme::DModK => mod_ports(spec, d_digits, level),
-            CompactScheme::Random { seed } => {
-                let mut rng = pair_stream(*seed, s, d);
-                (0..level)
-                    .map(|l| rng.gen_range(0..spec.w(l + 1)))
-                    .collect()
-            }
-            CompactScheme::RandomNcaUp { maps } => relabel_ports(spec, maps, s_digits, level),
-            CompactScheme::RandomNcaDown { maps } => relabel_ports(spec, maps, d_digits, level),
-        }
-    }
-
     /// Compute the closed-form dense channel path of a distinct in-range
-    /// pair into `out` — the digit walk of `Xgft::route_path`, done with
-    /// index arithmetic instead of label objects.
+    /// pair into `out` — the digit walk of `Xgft::route_path`, done on the
+    /// leaf indices themselves, so no digit, port or label buffer is built.
+    ///
+    /// A level-`l` node on the path is numbered by its label digits: the
+    /// ports chosen below `l` (a `w`-radix number, `w_low`) and the
+    /// endpoint's digits above `l` (`hi` = the leaf index divided by
+    /// `m_1⋯m_l`), so its index is `hi · (w_1⋯w_l) + w_low`. On the way up
+    /// `hi` is the source's, on the way down the destination's; the up and
+    /// down channels of one level share the port and `w_low`, so both are
+    /// written in the same step.
     fn closed_form_into(&self, s: usize, d: usize, out: &mut Vec<u32>) {
         let spec = self.channels.spec();
-        let mut cur_digits = Vec::new();
-        let mut d_digits = Vec::new();
-        self.leaf_digits_into(s, &mut cur_digits);
-        self.leaf_digits_into(d, &mut d_digits);
-        let level = nca_level(&cur_digits, &d_digits);
-        let ports = self.ports_for(s, d, &cur_digits, &d_digits, level);
-
-        // Ascent: at each level l the low end is the current node; taking
-        // the port replaces digit l+1 (0-based l) with the chosen W digit.
-        let mut cur_index = s;
-        for (l, &port) in ports.iter().enumerate() {
-            out.push(self.channels.index(&ChannelId {
-                level: l,
-                low_index: cur_index,
-                up_port: port,
-                dir: Direction::Up,
-            }) as u32);
-            cur_digits[l] = port;
-            cur_index = node_index(spec, l + 1, &cur_digits);
-        }
-
-        // Descent: the cable is identified by its low end and the W digit of
-        // the node being left.
-        for l in (1..=level).rev() {
-            let upper_w = cur_digits[l - 1];
-            cur_digits[l - 1] = d_digits[l - 1];
-            let low_index = node_index(spec, l - 1, &cur_digits);
-            out.push(self.channels.index(&ChannelId {
-                level: l - 1,
-                low_index,
-                up_port: upper_w,
-                dir: Direction::Down,
-            }) as u32);
+        let level = nca_level(spec, s, d);
+        out.clear();
+        out.resize(2 * level, 0);
+        let mut rng = match self.scheme {
+            CompactScheme::Random { seed } => Some(pair_stream(seed, s, d)),
+            _ => None,
+        };
+        let guide_is_source = matches!(
+            self.scheme,
+            CompactScheme::SModK | CompactScheme::RandomNcaUp { .. }
+        );
+        let (mut s_hi, mut d_hi) = (s, d);
+        let (mut w_low, mut w_place) = (0, 1);
+        // The guiding leaf's digit at position `l` (1-based), read one step
+        // before it is needed.
+        let mut digit_below = 0;
+        for l in 0..level {
+            let (m, w) = (spec.m(l + 1), spec.w(l + 1));
+            let guide_hi = if guide_is_source { s_hi } else { d_hi };
+            let digit = guide_hi % m;
+            // Position max(l, 1): the adapter hop reads digit 1 too.
+            let guide_digit = if l == 0 { digit } else { digit_below };
+            let port = match &self.scheme {
+                CompactScheme::SModK | CompactScheme::DModK => guide_digit % w,
+                CompactScheme::Random { .. } => rng.as_mut().expect("seeded above").gen_range(0..w),
+                CompactScheme::RandomNcaUp { maps } | CompactScheme::RandomNcaDown { maps } => {
+                    if l == 0 {
+                        guide_digit % w
+                    } else {
+                        maps.port_in_context(l, guide_hi, guide_digit)
+                    }
+                }
+            };
+            let channel = |hi: usize, dir| {
+                self.channels.index(&ChannelId {
+                    level: l,
+                    low_index: hi * w_place + w_low,
+                    up_port: port,
+                    dir,
+                }) as u32
+            };
+            out[l] = channel(s_hi, Direction::Up);
+            out[2 * level - 1 - l] = channel(d_hi, Direction::Down);
+            w_low += port * w_place;
+            w_place *= w;
+            s_hi /= m;
+            d_hi /= m;
+            digit_below = digit;
         }
     }
 }
 
-/// The NCA level of two digit vectors: the highest 1-based position where
-/// they differ, 0 when equal.
-fn nca_level(s_digits: &[usize], d_digits: &[usize]) -> usize {
-    for pos in (1..=s_digits.len()).rev() {
-        if s_digits[pos - 1] != d_digits[pos - 1] {
-            return pos;
-        }
+/// The NCA level of two leaves: the lowest level whose subtrees (leaves
+/// agreeing on every digit above it) hold both, 0 when equal.
+fn nca_level(spec: &xgft_topo::XgftSpec, mut s: usize, mut d: usize) -> usize {
+    let mut level = 0;
+    while s != d {
+        level += 1;
+        s /= spec.m(level);
+        d /= spec.m(level);
     }
-    0
-}
-
-/// The mod-k up-port sequence guided by the given digits (the digit-vector
-/// form of `modk::mod_route`).
-fn mod_ports(spec: &xgft_topo::XgftSpec, digits: &[usize], level: usize) -> Vec<usize> {
-    (0..level)
-        .map(|l| {
-            if l == 0 {
-                if spec.w(1) == 1 {
-                    0
-                } else {
-                    digits[0] % spec.w(1)
-                }
-            } else {
-                digits[l - 1] % spec.w(l + 1)
-            }
-        })
-        .collect()
-}
-
-/// The r-NCA up-port sequence guided by the given digits (the digit-vector
-/// form of `RelabelMaps::ports_to_level`).
-fn relabel_ports(
-    spec: &xgft_topo::XgftSpec,
-    maps: &RelabelMaps,
-    digits: &[usize],
-    level: usize,
-) -> Vec<usize> {
-    (0..level)
-        .map(|l| {
-            if l == 0 {
-                if spec.w(1) == 1 {
-                    0
-                } else {
-                    digits[0] % spec.w(1)
-                }
-            } else {
-                maps.port_for_digits(digits, l)
-            }
-        })
-        .collect()
+    level
 }
 
 #[cfg(test)]

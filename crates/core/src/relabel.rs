@@ -133,12 +133,19 @@ impl RelabelMaps {
 
     /// The up-port chosen at a level-`l` switch (hop into level `l+1`,
     /// `1 ≤ l < h`) when guided by a leaf with the given label digits
-    /// (least-significant first). This is the label-arithmetic entry point
-    /// the closed-form [`crate::CompactRoutes`] engine uses: no topology
-    /// object needed, just the digits.
+    /// (least-significant first): no topology object needed, just the
+    /// digits.
     pub fn port_for_digits(&self, digits: &[usize], l: usize) -> usize {
-        let ctx = self.context_index(digits, l);
-        self.maps[l - 1][ctx][digits[l - 1]]
+        self.port_in_context(l, self.context_index(digits, l), digits[l - 1])
+    }
+
+    /// The up-port chosen at a level-`l` switch (`1 ≤ l < h`) for a guiding
+    /// leaf whose digits above position `l` form the context index
+    /// `context` and whose digit at position `l` is `digit` — the form the
+    /// closed-form [`crate::CompactRoutes`] walk reads straight off the
+    /// leaf index (`context` is the leaf index divided by `m_1⋯m_l`).
+    pub(crate) fn port_in_context(&self, l: usize, context: usize, digit: usize) -> usize {
+        self.maps[l - 1][context][digit]
     }
 
     /// The up-port chosen at a level-`l` switch (hop into level `l+1`,

@@ -12,8 +12,11 @@ use xgft_core::{
 };
 use xgft_topo::{FaultSet, Xgft, XgftSpec};
 
-/// Small two- and three-level specs with optional slimming (mirrors the
-/// strategy of the degraded-patch property tests).
+/// Small specs of heights 1 to 4: the two- and three-level slimmed shapes
+/// of the degraded-patch property tests, plus single-level trees (possibly
+/// with multi-ported leaves, `w_1 > 1`) and four-level trees whose levels
+/// may be degenerate (`m_i = 1` or `w_i = 1`), which the closed form's
+/// per-level walk must handle exactly like the tabled algorithms.
 fn small_spec() -> impl Strategy<Value = XgftSpec> {
     prop_oneof![
         (2usize..=6, 1usize..=6)
@@ -23,6 +26,13 @@ fn small_spec() -> impl Strategy<Value = XgftSpec> {
                 XgftSpec::new(vec![m1, m2, m3], vec![1, w2, w3]).expect("valid")
             }
         ),
+        (1usize..=8, 1usize..=3)
+            .prop_map(|(m1, w1)| XgftSpec::new(vec![m1], vec![w1]).expect("valid")),
+        (
+            prop::collection::vec(1usize..=3, 4..=4),
+            prop::collection::vec(1usize..=2, 4..=4),
+        )
+            .prop_map(|(m, w)| XgftSpec::new(m, w).expect("valid")),
     ]
 }
 

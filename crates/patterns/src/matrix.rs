@@ -38,16 +38,35 @@ impl ConnectivityMatrix {
         }
     }
 
-    /// Build a matrix from an iterator of flows.
+    /// Build a matrix from an iterator of flows, in bulk: the flows are
+    /// collected, sorted and merged (duplicate `(src, dst)` pairs sum their
+    /// bytes, as repeated [`ConnectivityMatrix::add_flow`] calls would), and
+    /// the map is built from the sorted entries in one pass instead of one
+    /// tree insertion per flow.
     ///
     /// # Panics
-    /// Panics if any flow references a node `>= num_nodes`.
+    /// Panics if any flow references a node `>= num_nodes` or carries zero
+    /// bytes.
     pub fn from_flows(num_nodes: usize, flows: impl IntoIterator<Item = Flow>) -> Self {
-        let mut m = ConnectivityMatrix::new(num_nodes);
-        for f in flows {
-            m.add_flow(f.src, f.dst, f.bytes);
+        let mut entries: Vec<((usize, usize), u64)> = flows
+            .into_iter()
+            .map(|f| {
+                check_flow(num_nodes, f.src, f.dst, f.bytes);
+                ((f.src, f.dst), f.bytes)
+            })
+            .collect();
+        entries.sort_unstable_by_key(|&(key, _)| key);
+        entries.dedup_by(|later, kept| {
+            let same = later.0 == kept.0;
+            if same {
+                kept.1 += later.1;
+            }
+            same
+        });
+        ConnectivityMatrix {
+            num_nodes,
+            entries: entries.into_iter().collect(),
         }
-        m
     }
 
     /// Number of nodes (tasks) the pattern is defined over.
@@ -63,9 +82,7 @@ impl ConnectivityMatrix {
     /// # Panics
     /// Panics if `src` or `dst` is out of range or `bytes == 0`.
     pub fn add_flow(&mut self, src: usize, dst: usize, bytes: u64) {
-        assert!(src < self.num_nodes, "source {src} out of range");
-        assert!(dst < self.num_nodes, "destination {dst} out of range");
-        assert!(bytes > 0, "flows must carry a positive number of bytes");
+        check_flow(self.num_nodes, src, dst, bytes);
         *self.entries.entry((src, dst)).or_insert(0) += bytes;
     }
 
@@ -193,6 +210,14 @@ impl ConnectivityMatrix {
         }
         dense
     }
+}
+
+/// The flow contract shared by [`ConnectivityMatrix::add_flow`] and
+/// [`ConnectivityMatrix::from_flows`].
+fn check_flow(num_nodes: usize, src: usize, dst: usize, bytes: u64) {
+    assert!(src < num_nodes, "source {src} out of range");
+    assert!(dst < num_nodes, "destination {dst} out of range");
+    assert!(bytes > 0, "flows must carry a positive number of bytes");
 }
 
 impl fmt::Display for ConnectivityMatrix {

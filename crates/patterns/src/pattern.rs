@@ -65,8 +65,11 @@ impl Pattern {
     /// The union of all phases: the full connectivity matrix of the
     /// application, which is what oblivious route construction sees.
     pub fn combined(&self) -> ConnectivityMatrix {
-        let mut all = ConnectivityMatrix::new(self.num_nodes);
-        for phase in &self.phases {
+        let Some((first, rest)) = self.phases.split_first() else {
+            return ConnectivityMatrix::new(self.num_nodes);
+        };
+        let mut all = first.clone();
+        for phase in rest {
             all = all.union(phase);
         }
         all

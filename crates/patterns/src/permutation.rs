@@ -1,6 +1,6 @@
 //! Permutation patterns: every source sends to a distinct destination.
 
-use crate::matrix::ConnectivityMatrix;
+use crate::matrix::{ConnectivityMatrix, Flow};
 use rand::seq::SliceRandom;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -92,13 +92,10 @@ impl Permutation {
     /// Convert to a connectivity matrix where every non-self flow carries
     /// `bytes` bytes.
     pub fn to_matrix(&self, bytes: u64) -> ConnectivityMatrix {
-        let mut m = ConnectivityMatrix::new(self.len());
-        for (s, &d) in self.mapping.iter().enumerate() {
-            if s != d {
-                m.add_flow(s, d, bytes);
-            }
-        }
-        m
+        ConnectivityMatrix::from_flows(
+            self.len(),
+            self.pairs().map(|(src, dst)| Flow { src, dst, bytes }),
+        )
     }
 
     /// Iterate over the (source, destination) pairs, excluding fixed points.

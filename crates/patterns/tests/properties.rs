@@ -3,7 +3,7 @@
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use xgft_patterns::{decompose, generators, ConnectivityMatrix, Permutation};
+use xgft_patterns::{decompose, generators, ConnectivityMatrix, Flow, Pattern, Permutation};
 
 fn arbitrary_matrix() -> impl Strategy<Value = ConnectivityMatrix> {
     (2usize..=24)
@@ -20,8 +20,111 @@ fn arbitrary_matrix() -> impl Strategy<Value = ConnectivityMatrix> {
         })
 }
 
+/// Flow lists over a few nodes, so `(src, dst)` pairs repeat often.
+fn flow_list() -> impl Strategy<Value = (usize, Vec<Flow>)> {
+    (1usize..=6)
+        .prop_flat_map(|n| {
+            let flows = prop::collection::vec((0..n, 0..n, 1u64..=4096), 0..80);
+            (Just(n), flows)
+        })
+        .prop_map(|(n, flows)| {
+            let flows = flows
+                .into_iter()
+                .map(|(src, dst, bytes)| Flow { src, dst, bytes })
+                .collect();
+            (n, flows)
+        })
+}
+
+/// The one-insertion-per-flow build that `from_flows` must reproduce.
+fn add_flow_loop(n: usize, flows: &[Flow]) -> ConnectivityMatrix {
+    let mut m = ConnectivityMatrix::new(n);
+    for f in flows {
+        m.add_flow(f.src, f.dst, f.bytes);
+    }
+    m
+}
+
+/// The fold of every phase into an empty matrix that `combined` must
+/// reproduce.
+fn fold_from_empty(pattern: &Pattern) -> ConnectivityMatrix {
+    pattern.phases().iter().fold(
+        ConnectivityMatrix::new(pattern.num_nodes()),
+        |all, phase| all.union(phase),
+    )
+}
+
+/// The message of the panic `f` raises.
+fn panic_message(f: impl FnOnce() + std::panic::UnwindSafe) -> String {
+    let payload = std::panic::catch_unwind(f).expect_err("the call must panic");
+    payload
+        .downcast_ref::<String>()
+        .cloned()
+        .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
+        .expect("a string panic payload")
+}
+
+/// The bulk and the incremental build reject the same flows with the same
+/// message, wherever the bad flow sits in the list.
+#[test]
+fn bulk_and_incremental_builds_reject_the_same_flows() {
+    let good = Flow {
+        src: 0,
+        dst: 1,
+        bytes: 8,
+    };
+    for (bad, expected) in [
+        ((4, 0, 1), "source 4 out of range"),
+        ((0, 4, 1), "destination 4 out of range"),
+        ((2, 3, 0), "flows must carry a positive number of bytes"),
+    ] {
+        let (src, dst, bytes) = bad;
+        let bad = Flow { src, dst, bytes };
+        let incremental = panic_message(|| ConnectivityMatrix::new(4).add_flow(src, dst, bytes));
+        assert_eq!(incremental, expected);
+        for flows in [vec![bad], vec![good, bad], vec![bad, good, good]] {
+            let bulk = panic_message(|| {
+                ConnectivityMatrix::from_flows(4, flows);
+            });
+            assert_eq!(bulk, expected);
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// The bulk build equals one `add_flow` per flow: duplicate pairs sum
+    /// their bytes, and iteration order is the same `(src, dst)` order.
+    #[test]
+    fn bulk_from_flows_matches_the_add_flow_loop((n, flows) in flow_list()) {
+        let bulk = ConnectivityMatrix::from_flows(n, flows.iter().copied());
+        let incremental = add_flow_loop(n, &flows);
+        prop_assert_eq!(bulk.flows().collect::<Vec<_>>(), incremental.flows().collect::<Vec<_>>());
+        prop_assert_eq!(bulk, incremental);
+    }
+
+    /// `combined` equals the fold from an empty matrix on single-phase
+    /// (WRF, shift) and five-phase (CG) generators, and on arbitrary
+    /// three-phase patterns with overlapping flows.
+    #[test]
+    fn combined_matches_the_fold_from_empty(
+        log_n in 5u32..=8,
+        offset in 1usize..100,
+        bytes in 1u64..=1_000_000,
+        m1 in arbitrary_matrix(),
+    ) {
+        let n = 1usize << log_n;
+        for pattern in [
+            generators::wrf_mesh_exchange(n / 16, 16, bytes),
+            generators::shift(n, offset % n, bytes),
+            generators::cg_d(n, bytes),
+        ] {
+            prop_assert_eq!(pattern.combined(), fold_from_empty(&pattern));
+        }
+        let overlapping = Pattern::new("overlap", vec![m1.clone(), m1.inverse(), m1]);
+        prop_assert_eq!(overlapping.combined(), fold_from_empty(&overlapping));
+    }
 
     /// The inverse of the inverse is the original pattern, and inversion
     /// preserves totals and symmetry.

@@ -799,6 +799,15 @@ impl ScenarioSpec {
                 "network.link_bandwidth_gbps must be finite and positive, got {gbps}"
             )));
         }
+        // The simulators work in picoseconds: `switch_latency_ps` multiplies
+        // by 1000, which must not overflow.
+        if network.switch_latency_ns > u64::MAX / 1000 {
+            return Err(invalid(format!(
+                "network.switch_latency_ns must be at most {}, got {}",
+                u64::MAX / 1000,
+                network.switch_latency_ns
+            )));
+        }
         if matches!(
             self.seeds,
             SeedSpec::Stream {
@@ -1477,6 +1486,19 @@ mod tests {
         let mut bad = spec();
         bad.network.flit_bytes = 0;
         assert_rejects(&bad, "network.flit_bytes");
+    }
+
+    #[test]
+    fn switch_latency_that_overflows_picoseconds_is_rejected() {
+        let mut bad = spec();
+        bad.network.switch_latency_ns = u64::MAX / 1000 + 1;
+        assert_rejects(&bad, "network.switch_latency_ns");
+        bad.network.switch_latency_ns = u64::MAX;
+        assert_rejects(&bad, "network.switch_latency_ns");
+        let mut edge = spec();
+        edge.network.switch_latency_ns = u64::MAX / 1000;
+        assert!(edge.validate().is_ok());
+        assert_eq!(edge.network.switch_latency_ps(), u64::MAX / 1000 * 1000);
     }
 
     #[test]

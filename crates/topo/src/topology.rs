@@ -29,23 +29,30 @@ impl fmt::Display for NodeRef {
 /// An instantiated XGFT topology.
 ///
 /// Construction precomputes the digit decomposition of every leaf, so route
-/// and NCA queries are O(height) with no divisions in the hot path.
+/// and NCA queries are O(height) with no divisions in the hot path. The
+/// digits live in one flat array, `height` per leaf, so a million-leaf
+/// machine costs one allocation rather than one per leaf.
 #[derive(Debug, Clone)]
 pub struct Xgft {
     spec: XgftSpec,
     channels: ChannelTable,
-    /// Digits (least significant first) of every leaf label.
-    leaf_digits: Vec<Vec<usize>>,
+    /// Digits (least significant first) of every leaf label, leaf after
+    /// leaf: leaf `i` owns `leaf_digits[i·h .. (i+1)·h]`.
+    leaf_digits: Vec<usize>,
 }
 
 impl Xgft {
     /// Build a topology from its specification.
     pub fn new(spec: XgftSpec) -> Result<Self, TopologyError> {
-        let n = spec.num_leaves();
-        let mut leaf_digits = Vec::with_capacity(n);
-        for leaf in 0..n {
-            let label = NodeLabel::from_index(&spec, 0, leaf)?;
-            leaf_digits.push(label.digits().to_vec());
+        let h = spec.height();
+        let mut leaf_digits = Vec::with_capacity(spec.num_leaves() * h);
+        // The level-0 mixed-radix decomposition of `NodeLabel::from_index`.
+        for leaf in 0..spec.num_leaves() {
+            let mut rem = leaf;
+            for pos in 1..=h {
+                leaf_digits.push(rem % spec.m(pos));
+                rem /= spec.m(pos);
+            }
         }
         let channels = ChannelTable::new(&spec);
         Ok(Xgft {
@@ -77,7 +84,7 @@ impl Xgft {
 
     /// Number of leaf (processing) nodes.
     pub fn num_leaves(&self) -> usize {
-        self.leaf_digits.len()
+        self.leaf_digits.len() / self.height()
     }
 
     /// Number of nodes at a level.
@@ -105,12 +112,13 @@ impl Xgft {
 
     /// The digit at `pos` (1-based) of a leaf's label, without allocating.
     pub fn leaf_digit(&self, leaf: usize, pos: usize) -> usize {
-        self.leaf_digits[leaf][pos - 1]
+        self.leaf_digits(leaf)[pos - 1]
     }
 
     /// All digits of a leaf's label (least significant first).
     pub fn leaf_digits(&self, leaf: usize) -> &[usize] {
-        &self.leaf_digits[leaf]
+        let h = self.height();
+        &self.leaf_digits[leaf * h..(leaf + 1) * h]
     }
 
     /// The label of a leaf.
@@ -144,8 +152,8 @@ impl Xgft {
         if s == d {
             return 0;
         }
-        let sd = &self.leaf_digits[s];
-        let dd = &self.leaf_digits[d];
+        let sd = self.leaf_digits(s);
+        let dd = self.leaf_digits(d);
         for pos in (1..=self.height()).rev() {
             if sd[pos - 1] != dd[pos - 1] {
                 return pos;
@@ -169,7 +177,7 @@ impl Xgft {
             });
         }
         let level = self.nca_level(s, d);
-        Ok(NcaSet::new(&self.spec, &self.leaf_digits[s], level))
+        Ok(NcaSet::new(&self.spec, self.leaf_digits(s), level))
     }
 
     /// Number of distinct up-port sequences (routes) available to reach an
@@ -212,7 +220,7 @@ impl Xgft {
                 reason: format!("route level {level} exceeds height {}", self.height()),
             });
         }
-        let mut digits = self.leaf_digits[s].clone();
+        let mut digits = self.leaf_digits(s).to_vec();
         for (l, digit) in digits.iter_mut().enumerate().take(level) {
             if route.up_port(l) >= self.spec.w(l + 1) {
                 return Err(TopologyError::PortOutOfRange {
@@ -242,7 +250,7 @@ impl Xgft {
 
         // Ascent: at each level l (0-based), digits 1..=l have been replaced
         // by the route's ports, the rest still come from s.
-        let mut cur_digits = self.leaf_digits[s].clone();
+        let mut cur_digits = self.leaf_digits(s).to_vec();
         let mut cur = NodeRef { level: 0, index: s };
         for l in 0..level {
             let port = route.up_port(l);
@@ -265,7 +273,7 @@ impl Xgft {
 
         // Descent: at each level l (from `level` down to 1) take the child
         // whose position-l digit equals d's digit.
-        let d_digits = &self.leaf_digits[d];
+        let d_digits = self.leaf_digits(d);
         for l in (1..=level).rev() {
             // The cable used on this descent is identified by its low end
             // (the level l-1 node) and the W_l digit of the node being left.

@@ -19,8 +19,35 @@ fn small_spec() -> impl Strategy<Value = XgftSpec> {
         })
 }
 
+/// Like [`small_spec`], but any level may be degenerate: `m_i = 1` (a
+/// single child) and multi-ported leaves (`w_1 > 1`) are allowed.
+fn degenerate_spec() -> impl Strategy<Value = XgftSpec> {
+    (1usize..=4)
+        .prop_flat_map(|h| {
+            let ms = prop::collection::vec(1usize..=4, h..=h);
+            let ws = prop::collection::vec(1usize..=3, h..=h);
+            (ms, ws)
+        })
+        .prop_map(|(ms, ws)| XgftSpec::new(ms, ws).expect("generated specs are valid"))
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The flat per-leaf digit store reads back exactly the level-0 labels,
+    /// and the leaf count it implies is the spec's.
+    #[test]
+    fn leaf_digits_match_leaf_labels(spec in degenerate_spec()) {
+        let x = Xgft::new(spec.clone()).unwrap();
+        prop_assert_eq!(x.num_leaves(), spec.num_leaves());
+        for leaf in 0..x.num_leaves() {
+            let label = NodeLabel::from_index(&spec, 0, leaf).unwrap();
+            prop_assert_eq!(x.leaf_digits(leaf), label.digits());
+            for pos in 1..=spec.height() {
+                prop_assert_eq!(x.leaf_digit(leaf, pos), label.digits()[pos - 1]);
+            }
+        }
+    }
 
     /// Eq. (1): the per-level node counts sum to the inner-switch count, and
     /// up/down link counts agree across level boundaries.
