@@ -24,7 +24,7 @@ use crate::sweep::{
 use serde::{Deserialize, Serialize};
 use xgft_netsim::NetworkConfig;
 use xgft_patterns::Pattern;
-use xgft_tracesim::{workloads, Trace};
+use xgft_tracesim::workloads;
 
 /// SplitMix64: the finaliser used to derive per-shard seeds (the
 /// workspace's canonical implementation, shared with the fault samplers
@@ -107,16 +107,10 @@ impl CampaignConfig {
     }
 
     /// Run the campaign for a workload pattern (the trace is derived from
-    /// it).
+    /// it): every shard replays in parallel; outcomes are recorded shard by
+    /// shard and aggregated into the usual sweep points.
     pub fn run(&self, pattern: &Pattern) -> CampaignResult {
-        let trace = workloads::trace_from_pattern(pattern, 0);
-        self.run_trace(pattern, &trace)
-    }
-
-    /// Run the campaign for an explicit trace: every shard replays in
-    /// parallel; outcomes are recorded shard by shard and aggregated into
-    /// the usual sweep points.
-    pub fn run_trace(&self, pattern: &Pattern, trace: &Trace) -> CampaignResult {
+        let trace = &workloads::trace_from_pattern(pattern, 0);
         xgft_obs::span!("analysis.campaign");
         let shards = self.shards();
         let pairs = trace.communication_pairs();

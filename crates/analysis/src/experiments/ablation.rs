@@ -16,7 +16,7 @@ use crate::stats::BoxplotStats;
 use serde::{Deserialize, Serialize};
 use xgft_core::{
     distribution::top_level_distribution_all_pairs, DModK, RandomNcaDown, RandomRouting,
-    RelabelMaps, RouteTable,
+    RelabelMaps, RoutingAlgorithm,
 };
 use xgft_topo::{Xgft, XgftSpec};
 
@@ -60,39 +60,25 @@ pub fn run(k: usize, w2: usize, seeds: &[u64]) -> AblationResult {
     let xgft = Xgft::new(spec.clone()).expect("valid topology");
     let mut rows = Vec::new();
 
+    let per_nca = |algo: &dyn RoutingAlgorithm| {
+        top_level_distribution_all_pairs(&xgft, algo)
+            .into_iter()
+            .map(|c| c as f64)
+    };
+
     // Reference extremes.
-    let dmodk: Vec<f64> =
-        top_level_distribution_all_pairs(&xgft, &RouteTable::build_all_pairs(&xgft, &DModK::new()))
-            .iter()
-            .map(|&c| c as f64)
-            .collect();
+    let dmodk: Vec<f64> = per_nca(&DModK::new()).collect();
     rows.push(summarise("d-mod-k", &dmodk));
 
     let mut random_samples = Vec::new();
     let mut balanced_samples = Vec::new();
     let mut unbalanced_samples = Vec::new();
     for &seed in seeds {
-        let random = RouteTable::build_all_pairs(&xgft, &RandomRouting::new(seed));
-        random_samples.extend(
-            top_level_distribution_all_pairs(&xgft, &random)
-                .iter()
-                .map(|&c| c as f64),
-        );
-        let balanced = RouteTable::build_all_pairs(&xgft, &RandomNcaDown::new(&xgft, seed));
-        balanced_samples.extend(
-            top_level_distribution_all_pairs(&xgft, &balanced)
-                .iter()
-                .map(|&c| c as f64),
-        );
-        let unbalanced = RouteTable::build_all_pairs(
-            &xgft,
-            &RandomNcaDown::with_maps(RelabelMaps::unbalanced_random(&xgft, seed)),
-        );
-        unbalanced_samples.extend(
-            top_level_distribution_all_pairs(&xgft, &unbalanced)
-                .iter()
-                .map(|&c| c as f64),
-        );
+        random_samples.extend(per_nca(&RandomRouting::new(seed)));
+        balanced_samples.extend(per_nca(&RandomNcaDown::new(&xgft, seed)));
+        unbalanced_samples.extend(per_nca(&RandomNcaDown::with_maps(
+            RelabelMaps::unbalanced_random(&xgft, seed),
+        )));
     }
     rows.push(summarise("random", &random_samples));
     rows.push(summarise("r-NCA-d (balanced)", &balanced_samples));

@@ -12,7 +12,7 @@ use crate::stats::BoxplotStats;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
-use xgft_core::{ContentionReport, DModK, RouteTable, SModK};
+use xgft_core::{ContentionReport, DModK, SModK};
 use xgft_patterns::Permutation;
 use xgft_topo::{Xgft, XgftSpec};
 
@@ -41,9 +41,7 @@ fn contention_of<A: xgft_core::RoutingAlgorithm>(
     algo: &A,
     perm: &Permutation,
 ) -> usize {
-    let flows: Vec<(usize, usize)> = perm.pairs().collect();
-    let table = RouteTable::build(xgft, algo, flows.iter().copied());
-    ContentionReport::compute(xgft, &table, flows.iter().copied()).network_contention
+    ContentionReport::compute(xgft, algo, perm.pairs()).network_contention
 }
 
 /// Run the experiment on `XGFT(2;k,k;1,w2)` with `samples` random

@@ -6,7 +6,7 @@ use crate::stats::BoxplotStats;
 use serde::{Deserialize, Serialize};
 use xgft_core::{
     distribution::top_level_distribution_all_pairs, DModK, RandomNcaDown, RandomNcaUp,
-    RandomRouting, RouteTable, SModK,
+    RandomRouting, RoutingAlgorithm, SModK,
 };
 use xgft_topo::{Xgft, XgftSpec};
 
@@ -46,51 +46,39 @@ pub fn run_for(spec: &XgftSpec, seeds: &[u64]) -> Fig4Result {
     let mut distributions = Vec::new();
 
     // Deterministic schemes: a single distribution.
-    for (name, dist) in [
-        (
-            "s-mod-k",
-            top_level_distribution_all_pairs(
-                &xgft,
-                &RouteTable::build_all_pairs(&xgft, &SModK::new()),
-            ),
-        ),
-        (
-            "d-mod-k",
-            top_level_distribution_all_pairs(
-                &xgft,
-                &RouteTable::build_all_pairs(&xgft, &DModK::new()),
-            ),
-        ),
-    ] {
-        let per_nca: Vec<f64> = dist.iter().map(|&c| c as f64).collect();
+    for algo in [&SModK::new() as &dyn RoutingAlgorithm, &DModK::new()] {
+        let per_nca: Vec<f64> = top_level_distribution_all_pairs(&xgft, algo)
+            .iter()
+            .map(|&c| c as f64)
+            .collect();
         distributions.push(AlgorithmDistribution {
-            algorithm: name.to_string(),
+            algorithm: algo.name(),
             spread: BoxplotStats::from_samples(&per_nca),
             per_nca,
         });
     }
 
     // Seeded schemes: aggregate over seeds.
-    type SeededBuilders<'a> = Vec<(&'a str, Box<dyn Fn(u64) -> RouteTable + 'a>)>;
+    type SeededBuilders<'a> = Vec<(&'a str, Box<dyn Fn(u64) -> Box<dyn RoutingAlgorithm> + 'a>)>;
     let seeded: SeededBuilders = vec![
         (
             "random",
-            Box::new(|seed| RouteTable::build_all_pairs(&xgft, &RandomRouting::new(seed))),
+            Box::new(|seed| Box::new(RandomRouting::new(seed))),
         ),
         (
             "r-NCA-u",
-            Box::new(|seed| RouteTable::build_all_pairs(&xgft, &RandomNcaUp::new(&xgft, seed))),
+            Box::new(|seed| Box::new(RandomNcaUp::new(&xgft, seed))),
         ),
         (
             "r-NCA-d",
-            Box::new(|seed| RouteTable::build_all_pairs(&xgft, &RandomNcaDown::new(&xgft, seed))),
+            Box::new(|seed| Box::new(RandomNcaDown::new(&xgft, seed))),
         ),
     ];
     for (name, build) in seeded {
         let mut all_samples: Vec<f64> = Vec::new();
         let mut sums = vec![0.0f64; num_ncas];
         for &seed in seeds {
-            let dist = top_level_distribution_all_pairs(&xgft, &build(seed));
+            let dist = top_level_distribution_all_pairs(&xgft, build(seed).as_ref());
             for (i, &c) in dist.iter().enumerate() {
                 sums[i] += c as f64;
                 all_samples.push(c as f64);

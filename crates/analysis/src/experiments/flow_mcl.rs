@@ -16,7 +16,7 @@
 //! large-scale analytical numbers can be trusted.
 
 use serde::{Deserialize, Serialize};
-use xgft_core::{RouteDistribution, RouteTable};
+use xgft_core::RouteDistribution;
 use xgft_flow::{ExpectedLoads, FlowScheme, FlowSweepConfig, FlowSweepResult, TrafficSpec};
 use xgft_netsim::{NetworkConfig, NetworkSim};
 use xgft_topo::{Xgft, XgftSpec};
@@ -106,14 +106,12 @@ where
     let mut avg = vec![0.0f64; xgft.channels().len()];
     for &seed in seeds {
         let algo = make(seed);
-        let table = RouteTable::build(xgft, &algo, flows.iter().copied());
         let mut sim = NetworkSim::new(xgft, NetworkConfig::default());
         for &(s, d) in flows {
             if s == d {
                 continue;
             }
-            let route = table.route(s, d).expect("table covers the flows").clone();
-            sim.schedule_message(0, s, d, bytes, route);
+            sim.schedule_message(0, s, d, bytes, algo.route(xgft, s, d));
         }
         sim.run_to_completion();
         for (a, b) in avg.iter_mut().zip(sim.channel_busy_ps()) {

@@ -13,8 +13,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 use xgft_core::{
-    ContentionReport, DModK, RandomNcaDown, RandomNcaUp, RandomRouting, RouteTable,
-    RoutingAlgorithm, SModK,
+    ContentionReport, DModK, RandomNcaDown, RandomNcaUp, RandomRouting, RoutingAlgorithm, SModK,
 };
 use xgft_patterns::{generators, Pattern};
 use xgft_topo::{Xgft, XgftSpec};
@@ -41,12 +40,8 @@ pub struct SyntheticResult {
 }
 
 fn contention_of(xgft: &Xgft, algo: &dyn RoutingAlgorithm, pattern: &Pattern) -> f64 {
-    let flows: Vec<(usize, usize)> = pattern.phases()[0]
-        .network_flows()
-        .map(|f| (f.src, f.dst))
-        .collect();
-    let table = RouteTable::build(xgft, &algo, flows.iter().copied());
-    ContentionReport::compute(xgft, &table, flows.iter().copied()).network_contention as f64
+    let flows = pattern.phases()[0].network_flows().map(|f| (f.src, f.dst));
+    ContentionReport::compute(xgft, algo, flows).network_contention as f64
 }
 
 /// Run the comparison on `XGFT(2;k,k;1,w2)` with the given seeds for the

@@ -30,7 +30,7 @@ use xgft_core::CompiledRouteTable;
 use xgft_netsim::{NetworkConfig, NetworkSim};
 use xgft_patterns::Pattern;
 use xgft_topo::{FaultSet, Xgft, XgftSpec};
-use xgft_tracesim::{workloads, ReplayEngine, Trace};
+use xgft_tracesim::{workloads, ReplayEngine};
 
 /// Stream selector for [`resilience_seed`]: the fault-sampler seeds of a
 /// point. Public so external tooling can reproduce a shard's exact draws.
@@ -169,15 +169,9 @@ impl ResilienceConfig {
     }
 
     /// Run the campaign for a workload pattern (the trace is derived from
-    /// it).
-    pub fn run(&self, pattern: &Pattern) -> ResilienceResult {
-        let trace = workloads::trace_from_pattern(pattern, 0);
-        self.run_trace(pattern, &trace)
-    }
-
-    /// Run the campaign for an explicit trace: every shard patches and
-    /// replays in parallel; outcomes are recorded in deterministic shard
-    /// order and aggregated per `(rate, algorithm)` point.
+    /// it): every shard patches and replays in parallel; outcomes are
+    /// recorded in deterministic shard order and aggregated per
+    /// `(rate, algorithm)` point.
     ///
     /// The topology is built once, and the pristine compiled table of every
     /// *deterministic* scheme once per scheme — each of its shards clones
@@ -185,8 +179,12 @@ impl ResilienceConfig {
     /// `patch` worth having: shard cost is fault handling, not recompiles).
     /// Seeded schemes route differently per `algo_seed`, so their shards
     /// still compile their own tables.
-    pub fn run_trace(&self, pattern: &Pattern, trace: &Trace) -> ResilienceResult {
+    pub fn run(&self, pattern: &Pattern) -> ResilienceResult {
+        let trace = &workloads::trace_from_pattern(pattern, 0);
         xgft_obs::span!("analysis.resilience");
+        // A `trace_from_pattern` trace cannot deadlock: in every phase each
+        // rank posts all its sends, which never block, before its first
+        // receive, and every receive matches a send of the same phase.
         let crossbar_ps = run_on_crossbar(trace, &self.network)
             .expect("crossbar replay cannot deadlock")
             .completion_ps;
@@ -238,6 +236,9 @@ fn run_shard(
     let faults = FaultSet::uniform_links(xgft, shard.permille as f64 / 1000.0, shard.fault_seed);
     let stats = table.patch(xgft, &faults);
     let slowdown = if stats.unroutable == 0 {
+        // The engine replays a `trace_from_pattern` trace, which cannot
+        // deadlock (see `ResilienceConfig::run`), and with no unroutable
+        // pair every message finds its route.
         let result =
             run_reusing_sim(engine, sim, &table).expect("fully-routed replay cannot deadlock");
         Some(result.completion_ps as f64 / crossbar_ps as f64)

@@ -6,10 +6,10 @@
 //! ratio isolates exactly what the routing scheme can influence.
 
 use serde::{Deserialize, Serialize};
-use xgft_core::{CompiledRouteTable, RouteSource, RouteTable, RoutingAlgorithm};
+use xgft_core::{CompiledRouteTable, RouteSource, RoutingAlgorithm};
 use xgft_netsim::{CrossbarSim, NetworkConfig, NetworkSim};
 use xgft_topo::Xgft;
-use xgft_tracesim::{Network, ReplayEngine, ReplayError, ReplayResult, RoutedNetwork, Trace};
+use xgft_tracesim::{ReplayEngine, ReplayError, ReplayResult, RoutedNetwork, Trace};
 
 /// The result of replaying one trace on one routed topology, normalised by
 /// the Full-Crossbar reference.
@@ -29,9 +29,9 @@ pub struct SlowdownReport {
     pub slowdown: f64,
 }
 
-/// Replay `trace` on `xgft` with routes from `algo`. The routes for the
-/// trace's communication pairs are compiled straight into the flat indexed
-/// form, so the replay's injections never touch a hash map.
+/// Replay `trace` on `xgft` with routes from `algo`. A replay reads a pair
+/// again for every message it carries, so the routes for the trace's
+/// communication pairs are compiled into the flat indexed form first.
 pub fn run_on_xgft<A: RoutingAlgorithm + ?Sized>(
     trace: &Trace,
     xgft: &Xgft,
@@ -39,41 +39,12 @@ pub fn run_on_xgft<A: RoutingAlgorithm + ?Sized>(
     config: &NetworkConfig,
 ) -> Result<ReplayResult, ReplayError> {
     let table = CompiledRouteTable::compile(xgft, algo, trace.communication_pairs());
-    run_on_xgft_with_compiled(trace, xgft, &table, config)
+    run_on_xgft_with_source(trace, xgft, &table, config)
 }
 
-/// Replay `trace` on a prebuilt hash-map route table (compiled on entry;
-/// used when the same table is reused across experiments).
-pub fn run_on_xgft_with_table(
-    trace: &Trace,
-    xgft: &Xgft,
-    table: RouteTable,
-    config: &NetworkConfig,
-) -> Result<ReplayResult, ReplayError> {
-    run_on_xgft_with_compiled(
-        trace,
-        xgft,
-        &CompiledRouteTable::from_table(xgft, &table),
-        config,
-    )
-}
-
-/// Replay `trace` on an already-compiled route table (the hot campaign
-/// path: table compilation and replay are separately accountable). The
-/// table is borrowed, so campaign shards can keep and reuse it.
-pub fn run_on_xgft_with_compiled(
-    trace: &Trace,
-    xgft: &Xgft,
-    table: &CompiledRouteTable,
-    config: &NetworkConfig,
-) -> Result<ReplayResult, ReplayError> {
-    run_on_xgft_with_source(trace, xgft, table, config)
-}
-
-/// Replay `trace` on any route representation ([`CompiledRouteTable`],
-/// `CompactRoutes`, …): the generic counterpart of
-/// [`run_on_xgft_with_compiled`], used when route state is computed rather
-/// than stored.
+/// Replay `trace` on any route representation: a borrowed or owned
+/// [`CompiledRouteTable`], or `CompactRoutes` when route state is computed
+/// rather than stored.
 pub fn run_on_xgft_with_source<R: RouteSource>(
     trace: &Trace,
     xgft: &Xgft,
@@ -128,12 +99,6 @@ pub fn slowdown_of<A: RoutingAlgorithm + ?Sized>(
         crossbar_ps: reference_ps,
         slowdown: result.completion_ps as f64 / reference_ps as f64,
     })
-}
-
-/// Convenience used by tests and examples: run a trace on a network that
-/// implements [`Network`] directly.
-pub fn run_on_network<N: Network>(trace: &Trace, network: N) -> Result<ReplayResult, ReplayError> {
-    ReplayEngine::new(trace).run(network)
 }
 
 #[cfg(test)]
@@ -219,8 +184,8 @@ mod tests {
         let xgft = Xgft::new(XgftSpec::k_ary_n_tree(4, 2)).unwrap();
         let cfg = small_cfg();
         let direct = run_on_xgft(&trace, &xgft, &DModK::new(), &cfg).unwrap();
-        let table = xgft_core::RouteTable::build(&xgft, &DModK::new(), trace.communication_pairs());
-        let via_table = run_on_xgft_with_table(&trace, &xgft, table, &cfg).unwrap();
+        let table = CompiledRouteTable::compile(&xgft, &DModK::new(), trace.communication_pairs());
+        let via_table = run_on_xgft_with_source(&trace, &xgft, &table, &cfg).unwrap();
         assert_eq!(direct.completion_ps, via_table.completion_ps);
     }
 }

@@ -208,6 +208,9 @@ pub(crate) fn record_shard(shard: &SweepShard, crossbar_ps: u64, completion_ps: 
 /// internal scratch reset (pinned by the tracesim slab suite). `routes`
 /// builds each shard's route source — a compiled table or closed-form
 /// [`CompactRoutes`] — because it is the only per-seed state.
+///
+/// `trace` is always built by [`workloads::trace_from_pattern`], and
+/// `routes` covers every pair it communicates over.
 pub(crate) fn run_shards<R: RouteSource>(
     shards: &[SweepShard],
     k: usize,
@@ -215,6 +218,10 @@ pub(crate) fn run_shards<R: RouteSource>(
     trace: &Trace,
     routes: impl Fn(&Xgft, &SweepShard) -> R + Sync,
 ) -> (u64, Vec<Vec<f64>>) {
+    // A `trace_from_pattern` trace cannot deadlock: in every phase each
+    // rank posts all its sends, which never block, before its first
+    // receive, and every receive matches a send of the same phase. So once
+    // all ranks reach a phase, every receive of that phase is satisfied.
     let crossbar_ps = run_on_crossbar(trace, network)
         .expect("crossbar replay cannot deadlock")
         .completion_ps;
@@ -228,6 +235,9 @@ pub(crate) fn run_shards<R: RouteSource>(
             (xgft, ReplayEngine::new(trace), sim)
         },
         |(xgft, engine, sim), shard| {
+            // The same phase argument holds on the routed network, and the
+            // shard's routes cover every pair the trace communicates over,
+            // so no message misses its route either.
             let result = run_reusing_sim(engine, sim, routes(xgft, shard))
                 .expect("replay cannot deadlock on a valid trace");
             record_shard(shard, crossbar_ps, result.completion_ps);
@@ -355,10 +365,17 @@ impl SweepConfig {
         enumerate_shards(&self.w2_values, &self.algorithms, |_, _| self.seeds.clone())
     }
 
-    /// Run the sweep for a workload pattern (the trace is derived from it).
+    /// Run the sweep for a workload pattern: the trace is derived from it,
+    /// then one parallel replay per shard, aggregated into per-point
+    /// boxplots.
     pub fn run(&self, pattern: &Pattern) -> SweepResult {
         let trace = workloads::trace_from_pattern(pattern, 0);
-        self.run_trace(pattern, &trace)
+        // Each machine of a sweep runs a deterministic scheme once, so
+        // there is no pristine table to share: every shard compiles its own.
+        let pairs = trace.communication_pairs();
+        self.run_with(&trace, |xgft, shard| {
+            crate::shards::compile(xgft, pattern, &pairs, shard.algorithm, shard.seed)
+        })
     }
 
     /// [`Self::run`] through the closed-form [`CompactRoutes`] engine:
@@ -374,19 +391,6 @@ impl SweepConfig {
                 .compact_scheme(xgft, shard.seed)
                 .expect("colored has no compact closed form; rejected upstream");
             CompactRoutes::for_pairs(xgft, scheme, pairs.iter().copied())
-        })
-    }
-
-    /// Run the sweep for an explicit trace (must communicate over the
-    /// pattern's pairs; the pattern is still needed by pattern-aware
-    /// schemes): one parallel replay per shard, aggregated into per-point
-    /// boxplots.
-    pub fn run_trace(&self, pattern: &Pattern, trace: &Trace) -> SweepResult {
-        // Each machine of a sweep runs a deterministic scheme once, so
-        // there is no pristine table to share: every shard compiles its own.
-        let pairs = trace.communication_pairs();
-        self.run_with(trace, |xgft, shard| {
-            crate::shards::compile(xgft, pattern, &pairs, shard.algorithm, shard.seed)
         })
     }
 

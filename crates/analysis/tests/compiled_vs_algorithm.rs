@@ -1,12 +1,13 @@
 //! Property tests of the compiled route-table representation: on randomized
-//! XGFT specs, [`CompiledRouteTable`] must agree with the HashMap
-//! [`RouteTable`] route-for-route for **every** algorithm spec evaluated by
-//! Figures 2 and 5 — including the miss path of partially-built tables and
-//! the lossless bridge in both directions.
+//! XGFT specs, [`CompiledRouteTable`] must agree route-for-route with the
+//! reference it is compiled from — the algorithm's own `route` expanded by
+//! `Xgft::route_channels` — for **every** algorithm spec evaluated by
+//! Figures 2 and 5, including the miss path of partially-built tables and
+//! the decode of a stored path back into its route.
 
 use proptest::prelude::*;
 use xgft_analysis::AlgorithmSpec;
-use xgft_core::{CompiledRouteTable, RouteTable};
+use xgft_core::{CompiledRouteTable, RoutingAlgorithm};
 use xgft_patterns::{generators, Pattern};
 use xgft_topo::{Xgft, XgftSpec};
 
@@ -43,13 +44,24 @@ fn sparse_pairs(n: usize, salt: u64) -> Vec<(usize, usize)> {
         .collect()
 }
 
+/// The reference channel path of `(s, d)`: the algorithm's route expanded
+/// by the topology, in the compiled table's `u32` channel indices.
+fn reference_path(xgft: &Xgft, algo: &dyn RoutingAlgorithm, s: usize, d: usize) -> Vec<u32> {
+    let route = algo.route(xgft, s, d);
+    xgft.route_channels(s, d, &route)
+        .unwrap()
+        .iter()
+        .map(|&c| c as u32)
+        .collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// All-pairs agreement: same routes, same expanded channel paths, for
     /// every figure algorithm on every sampled topology.
     #[test]
-    fn compiled_agrees_with_hash_for_every_figure_algorithm(
+    fn compiled_agrees_with_the_algorithm_for_every_figure_algorithm(
         spec in small_spec(),
         seed in 0u64..1000,
     ) {
@@ -60,46 +72,35 @@ proptest! {
         let pattern: Pattern = generators::shift(n, 1, 4 * 1024);
         for algo_spec in figure_algorithms() {
             let algo = algo_spec.instantiate(&xgft, &pattern, seed);
-            let table = RouteTable::build_all_pairs(&xgft, algo.as_ref());
-            let compiled = CompiledRouteTable::from_table(&xgft, &table);
-            prop_assert_eq!(compiled.len(), table.len());
-            prop_assert_eq!(compiled.algorithm(), table.algorithm());
-            prop_assert_eq!(compiled.is_pattern_aware(), table.is_pattern_aware());
+            let compiled = CompiledRouteTable::compile_all_pairs(&xgft, algo.as_ref());
+            prop_assert_eq!(compiled.len(), n * (n - 1));
+            prop_assert_eq!(compiled.algorithm(), algo.name());
+            prop_assert_eq!(compiled.is_pattern_aware(), algo.is_pattern_aware());
             for s in 0..n {
                 for d in 0..n {
+                    if s == d {
+                        prop_assert!(compiled.path(s, d).is_none());
+                        continue;
+                    }
                     prop_assert_eq!(
                         compiled.route(s, d),
-                        table.route(s, d).cloned(),
+                        Some(algo.route(&xgft, s, d)),
                         "{} on {} pair ({s},{d})",
                         algo_spec.name(),
                         xgft.spec()
                     );
-                    if let Some(route) = table.route(s, d) {
-                        let expanded = xgft.route_channels(s, d, route).unwrap();
-                        let path: Vec<usize> = compiled
-                            .path(s, d)
-                            .unwrap()
-                            .iter()
-                            .map(|&c| c as usize)
-                            .collect();
-                        prop_assert_eq!(path, expanded);
-                    }
-                }
-            }
-            // Compiling straight from the algorithm matches compiling the
-            // hash table (algorithms are deterministic once constructed).
-            let direct = CompiledRouteTable::compile_all_pairs(&xgft, algo.as_ref());
-            for s in 0..n {
-                for d in 0..n {
-                    prop_assert_eq!(direct.path(s, d), compiled.path(s, d));
+                    prop_assert_eq!(
+                        compiled.path(s, d),
+                        Some(reference_path(&xgft, algo.as_ref(), s, d).as_slice())
+                    );
                 }
             }
         }
     }
 
-    /// Miss path and lossless bridge on partially-built tables: absent
-    /// pairs miss in both representations, and hash → compiled → hash is
-    /// the identity.
+    /// Miss path and decode on partially-built tables: pairs outside the
+    /// compiled set miss, and every stored path decodes back into the
+    /// algorithm's route.
     #[test]
     fn partial_tables_agree_on_misses_and_round_trip(
         spec in small_spec(),
@@ -110,32 +111,30 @@ proptest! {
         let n = xgft.num_leaves();
         let pattern: Pattern = generators::shift(n, 1, 4 * 1024);
         let pairs = sparse_pairs(n, salt);
+        let mut stored: Vec<(usize, usize)> =
+            pairs.iter().copied().filter(|&(s, d)| s != d).collect();
+        stored.sort_unstable();
+        stored.dedup();
         for algo_spec in figure_algorithms() {
             let algo = algo_spec.instantiate(&xgft, &pattern, seed);
-            let table = RouteTable::build(&xgft, algo.as_ref(), pairs.iter().copied());
             let compiled = CompiledRouteTable::compile(&xgft, algo.as_ref(), pairs.iter().copied());
-            prop_assert_eq!(compiled.len(), table.len());
+            prop_assert_eq!(compiled.len(), stored.len());
             for s in 0..n {
                 for d in 0..n {
-                    match table.route(s, d) {
-                        Some(route) => {
-                            prop_assert_eq!(compiled.route(s, d).as_ref(), Some(route));
-                        }
-                        None => {
-                            prop_assert!(
-                                compiled.path(s, d).is_none(),
-                                "pair ({s},{d}) must miss in the compiled table too"
-                            );
-                            prop_assert!(compiled.route(s, d).is_none());
-                        }
+                    if stored.binary_search(&(s, d)).is_ok() {
+                        prop_assert_eq!(compiled.route(s, d), Some(algo.route(&xgft, s, d)));
+                        prop_assert_eq!(
+                            compiled.path(s, d),
+                            Some(reference_path(&xgft, algo.as_ref(), s, d).as_slice())
+                        );
+                    } else {
+                        prop_assert!(
+                            compiled.path(s, d).is_none(),
+                            "pair ({s},{d}) outside the compiled set must miss"
+                        );
+                        prop_assert!(compiled.route(s, d).is_none());
                     }
                 }
-            }
-            // Lossless bridge back to hash form.
-            let back = compiled.to_table();
-            prop_assert_eq!(back.len(), table.len());
-            for (&(s, d), route) in table.iter() {
-                prop_assert_eq!(back.route(s, d), Some(route));
             }
             prop_assert!(compiled.validate(&xgft).is_ok());
         }

@@ -227,7 +227,6 @@ mod tests {
     use super::*;
     use crate::contention::ContentionReport;
     use crate::modk::DModK;
-    use crate::table::RouteTable;
     use xgft_patterns::generators;
     use xgft_topo::XgftSpec;
 
@@ -242,12 +241,10 @@ mod tests {
         let colored = ColoredRouting::new(&xgft, &pattern);
         assert_eq!(colored.num_routes(), pattern.network_flows().count());
         assert!(colored.is_pattern_aware());
-        let table = RouteTable::build(
-            &xgft,
-            &colored,
-            pattern.network_flows().map(|f| (f.src, f.dst)),
-        );
-        assert!(table.validate(&xgft).is_ok());
+        for f in pattern.network_flows() {
+            let route = colored.route(&xgft, f.src, f.dst);
+            assert!(xgft.validate_route(f.src, f.dst, &route).is_ok());
+        }
     }
 
     #[test]
@@ -260,13 +257,10 @@ mod tests {
         let fifth = &cg.phases()[4];
         let colored = ColoredRouting::new(&xgft, fifth);
         let flows: Vec<(usize, usize)> = fifth.network_flows().map(|f| (f.src, f.dst)).collect();
-        let colored_table = RouteTable::build(&xgft, &colored, flows.iter().copied());
-        let colored_report =
-            ContentionReport::compute(&xgft, &colored_table, flows.iter().copied());
+        let colored_report = ContentionReport::compute(&xgft, &colored, flows.iter().copied());
         assert_eq!(colored_report.network_contention, 1);
 
-        let dmodk_table = RouteTable::build(&xgft, &DModK::new(), flows.iter().copied());
-        let dmodk_report = ContentionReport::compute(&xgft, &dmodk_table, flows.iter().copied());
+        let dmodk_report = ContentionReport::compute(&xgft, &DModK::new(), flows.iter().copied());
         assert!(dmodk_report.network_contention >= 7);
     }
 
@@ -282,8 +276,7 @@ mod tests {
                 .map(|f| (f.src, f.dst))
                 .collect();
             let colored = ColoredRouting::new(&xgft, &shift.phases()[0]);
-            let table = RouteTable::build(&xgft, &colored, flows.iter().copied());
-            let report = ContentionReport::compute(&xgft, &table, flows.iter().copied());
+            let report = ContentionReport::compute(&xgft, &colored, flows.iter().copied());
             let bound = 16usize.div_ceil(w2);
             assert!(
                 report.network_contention >= bound,

@@ -20,9 +20,6 @@
 //! * the same typed miss semantics — self-pairs, out-of-range leaves and
 //!   pairs outside the built domain return `None`, which the network layer
 //!   surfaces as `MissingRoute`;
-//! * the same lossless [`CompactRoutes::from_table`] /
-//!   [`CompactRoutes::to_table`] bridge (tabled routes that disagree with
-//!   the closed form are kept verbatim in the overlay);
 //! * a degraded mode that mirrors [`crate::CompiledRouteTable::patch`]
 //!   *sparsely*: only fault-crossing pairs are stored in an overlay, every
 //!   clean pair keeps costing zero bytes.
@@ -31,7 +28,6 @@ use crate::compiled::{CompiledRouteTable, PatchStats};
 use crate::degraded::reroute;
 use crate::random::pair_stream;
 use crate::relabel::RelabelMaps;
-use crate::table::RouteTable;
 use rand::Rng;
 use std::collections::HashMap;
 use xgft_topo::{ChannelId, ChannelTable, DegradedXgft, Direction, FaultSet, Route, Xgft};
@@ -123,23 +119,22 @@ enum PairDomain {
 /// closed form.
 #[derive(Debug, Clone, PartialEq)]
 enum PatchEntry {
-    /// The pair's route was diverted (by a fault patch or adopted verbatim
-    /// from a bridged table); the stored dense channel path wins.
+    /// A fault patch diverted the pair's route; the stored dense channel
+    /// path wins.
     Rerouted(Vec<u32>),
     /// No minimal route of the pair survives: a typed miss.
     Unroutable,
 }
 
-/// Closed-form routes for one scheme on one topology: the fourth route
-/// representation, after the hash-map [`RouteTable`], the flat
-/// [`CompiledRouteTable`] and the per-pair [`crate::RouteDist`]
-/// distributions.
+/// Closed-form routes for one scheme on one topology: the route
+/// representation for machines too large to table, next to the flat
+/// [`CompiledRouteTable`] and the algorithm computing each route per call.
 ///
 /// Lookups compute the dense channel path on the fly from the pair's labels;
-/// nothing per-pair is stored unless a fault patch or a table bridge forces
-/// a divergence into the sparse overlay. Memory is O(height) for the mod-k
-/// and Random schemes and O(topology) for the r-NCA relabeling maps —
-/// compare [`CompactRoutes::storage_bytes`] against
+/// nothing per-pair is stored unless a fault patch forces a divergence into
+/// the sparse overlay. Memory is O(height) for the mod-k and Random schemes
+/// and O(topology) for the r-NCA relabeling maps — compare
+/// [`CompactRoutes::storage_bytes`] against
 /// [`CompiledRouteTable::storage_bytes`] for the numbers the docs table
 /// reports.
 ///
@@ -164,15 +159,13 @@ enum PatchEntry {
 /// ```
 #[derive(Debug, Clone)]
 pub struct CompactRoutes {
-    algorithm: String,
-    pattern_aware: bool,
     num_leaves: usize,
     /// Channel numbering (embeds the spec: all label arithmetic reads it).
     channels: ChannelTable,
     scheme: CompactScheme,
     domain: PairDomain,
-    /// Only pairs diverging from the closed form: fault detours, typed
-    /// misses, and bridged table entries that disagree with the scheme.
+    /// Only pairs diverging from the closed form: fault detours and typed
+    /// misses.
     overlay: HashMap<u64, PatchEntry>,
     /// Number of overlay entries that are typed misses.
     unroutable: usize,
@@ -215,8 +208,6 @@ impl CompactRoutes {
         xgft_obs::span!("core.compact");
         xgft_obs::global().counter("core.compact.engines").incr();
         CompactRoutes {
-            algorithm: scheme.name().to_string(),
-            pattern_aware: false,
             num_leaves: xgft.num_leaves(),
             channels: xgft.channels().clone(),
             scheme,
@@ -224,48 +215,6 @@ impl CompactRoutes {
             overlay: HashMap::new(),
             unroutable: 0,
         }
-    }
-
-    /// Adopt an existing hash-map table (the forward half of the lossless
-    /// bridge): the table's pairs become the domain, and every tabled route
-    /// that differs from `scheme`'s closed form is kept verbatim in the
-    /// overlay — so the bridge is lossless for *any* table, while a table
-    /// actually built by the same scheme costs zero overlay entries.
-    pub fn from_table(xgft: &Xgft, table: &RouteTable, scheme: CompactScheme) -> Self {
-        let n = xgft.num_leaves();
-        let mut this = Self::for_pairs(xgft, scheme, table.iter().map(|(&pair, _)| pair));
-        this.algorithm = table.algorithm().to_string();
-        this.pattern_aware = table.is_pattern_aware();
-        let mut scratch = Vec::new();
-        for (&(s, d), route) in table.iter() {
-            if s == d {
-                continue;
-            }
-            let stored: Vec<u32> = xgft
-                .route_channels(s, d, route)
-                .expect("tables hold valid routes")
-                .iter()
-                .map(|&c| c as u32)
-                .collect();
-            this.closed_form_into(s, d, &mut scratch);
-            if scratch[..] != stored[..] {
-                this.overlay
-                    .insert((s * n + d) as u64, PatchEntry::Rerouted(stored));
-            }
-        }
-        this
-    }
-
-    /// Decode into a hash-map [`RouteTable`] (the reverse half of the
-    /// bridge), matching [`CompiledRouteTable::to_table`].
-    pub fn to_table(&self) -> RouteTable {
-        let mut routes = Vec::with_capacity(self.len());
-        self.for_each_pair(|s, d, _| {
-            if let Some(route) = self.route(s, d) {
-                routes.push(((s, d), route));
-            }
-        });
-        RouteTable::from_parts(self.algorithm.clone(), self.pattern_aware, routes)
     }
 
     /// Materialise into the flat compiled form. The result is byte-identical
@@ -287,12 +236,7 @@ impl CompactRoutes {
                 picked.push((s * n + d, self.decode_route(&scratch)));
             }
         });
-        CompiledRouteTable::from_sorted_routes(
-            xgft,
-            self.algorithm.clone(),
-            self.pattern_aware,
-            picked,
-        )
+        CompiledRouteTable::from_sorted_routes(xgft, self.algorithm(), false, picked)
     }
 
     /// Layer a fault set over the closed form, in place: only pairs whose
@@ -424,15 +368,14 @@ impl CompactRoutes {
         self.path(s, d).map(|path| self.decode_route(&path))
     }
 
-    /// The name of the scheme (or of the bridged table's algorithm).
+    /// The name of the scheme.
     pub fn algorithm(&self) -> &str {
-        &self.algorithm
+        self.scheme.name()
     }
 
-    /// True if a bridged table was pattern-aware (never for the closed
-    /// forms themselves).
+    /// Always false: every closed form is oblivious.
     pub fn is_pattern_aware(&self) -> bool {
-        self.pattern_aware
+        false
     }
 
     /// Number of leaves of the machine the engine answers for.
@@ -642,7 +585,6 @@ fn nca_level(spec: &xgft_topo::XgftSpec, mut s: usize, mut d: usize) -> usize {
 mod tests {
     use super::*;
     use crate::algorithm::RoutingAlgorithm;
-    use crate::colored::ColoredRouting;
     use crate::modk::{DModK, SModK};
     use crate::random::RandomRouting;
     use crate::rnca::{RandomNcaDown, RandomNcaUp};
@@ -712,40 +654,6 @@ mod tests {
         assert!(compact.path(16, 0).is_none());
         assert!(compact.route(0, 16).is_none());
         assert!(!compact.is_empty());
-    }
-
-    #[test]
-    fn table_bridge_round_trips_and_is_lossless_for_foreign_tables() {
-        let xgft = Xgft::k_ary_n_tree(4, 2);
-        // Same-scheme bridge: no overlay entries, perfect round trip.
-        let table = RouteTable::build_all_pairs(&xgft, &DModK::new());
-        let compact = CompactRoutes::from_table(&xgft, &table, CompactScheme::DModK);
-        assert!(compact.overlay.is_empty());
-        let back = compact.to_table();
-        assert_eq!(back.len(), table.len());
-        for (&(s, d), route) in table.iter() {
-            assert_eq!(back.route(s, d), Some(route));
-        }
-
-        // Foreign-table bridge: a d-mod-k table adopted under an s-mod-k
-        // template must still reproduce the tabled routes verbatim.
-        let foreign = CompactRoutes::from_table(&xgft, &table, CompactScheme::SModK);
-        assert!(!foreign.overlay.is_empty());
-        assert_eq!(foreign.algorithm(), "d-mod-k");
-        for (&(s, d), route) in table.iter() {
-            assert_eq!(foreign.route(s, d).as_ref(), Some(route));
-        }
-        // Even a pattern-aware table survives the bridge.
-        let mut pattern = xgft_patterns::ConnectivityMatrix::new(16);
-        for s in 0..16 {
-            pattern.add_flow(s, (s + 1) % 16, 4096);
-        }
-        let colored = RouteTable::build_all_pairs(&xgft, &ColoredRouting::new(&xgft, &pattern));
-        let bridged = CompactRoutes::from_table(&xgft, &colored, CompactScheme::DModK);
-        assert!(bridged.is_pattern_aware());
-        for (&(s, d), route) in colored.iter() {
-            assert_eq!(bridged.route(s, d).as_ref(), Some(route), "({s}, {d})");
-        }
     }
 
     #[test]

@@ -1,29 +1,26 @@
 //! Compiled route tables: flat indexed storage for the simulation hot path.
 //!
-//! [`crate::RouteTable`] keeps every route in a `HashMap<(usize, usize),
-//! Route>`; each simulated message then pays a hash lookup, a `Route` clone,
-//! a validation pass and a label-arithmetic expansion into channel indices.
-//! That is fine for a few hundred leaves but dominates the cost of the
-//! paper's 40–60-seed campaigns long before the event queue does.
+//! A trace replay or a seed campaign asks for the same pairs' routes over
+//! and over. Recomputing each one per message means a route computation, a
+//! validation pass and a label-arithmetic expansion into channel indices
+//! every time — fine for a few hundred leaves, but it dominates the cost of
+//! the paper's 40–60-seed campaigns long before the event queue does.
 //!
-//! [`CompiledRouteTable`] is the dense form the hot consumers use instead: a
-//! one-off build step flattens all routes into per-source arrays of
-//! *channel-index sequences* (indices into [`xgft_topo::ChannelTable`]'s
+//! [`CompiledRouteTable`] is the dense form the repeated readers use
+//! instead: a one-off build step flattens all routes into per-source arrays
+//! of *channel-index sequences* (indices into [`xgft_topo::ChannelTable`]'s
 //! dense numbering). A lookup is two array reads and returns a borrowed
 //! slice — no hashing, no allocation, no validation, no expansion — which is
 //! exactly what compact-routing work argues for: the routing-state
 //! representation is itself a first-class cost.
 //!
-//! The bridge is lossless in both directions: [`CompiledRouteTable::from_table`]
-//! compiles a hash table, [`CompiledRouteTable::to_table`] decodes the
-//! channel sequences back into up-port [`Route`]s (the ascent half of a path
-//! *is* the route's up-port sequence), and misses stay typed — an absent
-//! pair yields `None`, which the network layer surfaces as
-//! `NetworkError::MissingRoute`.
+//! [`CompiledRouteTable::route`] decodes a stored path back into its
+//! up-port [`Route`] (the ascent half of a path *is* the route's up-port
+//! sequence), and misses stay typed — an absent pair yields `None`, which
+//! the network layer surfaces as `NetworkError::MissingRoute`.
 
 use crate::algorithm::RoutingAlgorithm;
 use crate::degraded::{degraded_route, reroute};
-use crate::table::RouteTable;
 use xgft_topo::{ChannelTable, DegradedXgft, FaultSet, Route, Xgft};
 
 /// What an incremental [`CompiledRouteTable::patch`] did to the table.
@@ -124,7 +121,7 @@ impl PartialEq for CompiledRouteTable {
 
 impl CompiledRouteTable {
     /// Compile routes for an explicit set of pairs. Self-pairs are skipped
-    /// and duplicates keep the first route, matching [`RouteTable::build`].
+    /// and duplicates keep the first route.
     pub fn compile<A: RoutingAlgorithm + ?Sized>(
         xgft: &Xgft,
         algo: &A,
@@ -320,18 +317,6 @@ impl CompiledRouteTable {
         self.patch(xgft, faults)
     }
 
-    /// Compile an existing hash-map table (the forward half of the lossless
-    /// bridge). The table must have been built for `xgft`.
-    pub fn from_table(xgft: &Xgft, table: &RouteTable) -> Self {
-        let n = xgft.num_leaves();
-        let mut picked: Vec<(usize, Route)> = table
-            .iter()
-            .map(|(&(s, d), route)| (s * n + d, route.clone()))
-            .collect();
-        picked.sort_unstable_by_key(|(idx, _)| *idx);
-        Self::from_sorted_routes(xgft, table.algorithm(), table.is_pattern_aware(), picked)
-    }
-
     /// Shared build step: expand each route into its dense channel path and
     /// lay the paths out contiguously. `picked` must be sorted by pair index
     /// and free of duplicates and self-pairs. Also used by
@@ -401,17 +386,6 @@ impl CompiledRouteTable {
         table
     }
 
-    /// Decode back into a hash-map [`RouteTable`] (the reverse half of the
-    /// lossless bridge): the ascent half of each stored path carries the
-    /// route's up-port sequence.
-    pub fn to_table(&self) -> RouteTable {
-        let n = self.num_leaves;
-        let routes = (0..n).flat_map(move |s| {
-            (0..n).filter_map(move |d| self.route(s, d).map(|route| ((s, d), route)))
-        });
-        RouteTable::from_parts(self.algorithm.clone(), self.pattern_aware, routes)
-    }
-
     /// The name of the algorithm that produced the table.
     pub fn algorithm(&self) -> &str {
         &self.algorithm
@@ -439,7 +413,7 @@ impl CompiledRouteTable {
 
     /// The dense channel path stored for `(s, d)` — the hot lookup. Returns
     /// `None` on a miss (self-pairs, which are never stored, and
-    /// out-of-range leaves, matching the hash table's behaviour); the
+    /// out-of-range leaves); the
     /// network layer turns that into its typed `MissingRoute` error.
     #[inline]
     pub fn path(&self, s: usize, d: usize) -> Option<&[u32]> {
@@ -748,15 +722,16 @@ mod tests {
     use xgft_topo::XgftSpec;
 
     #[test]
-    fn compile_matches_hash_table_route_for_route() {
+    fn compile_matches_the_algorithm_route_for_route() {
         let xgft = Xgft::k_ary_n_tree(4, 2);
-        let table = RouteTable::build_all_pairs(&xgft, &DModK::new());
-        let compiled = CompiledRouteTable::compile_all_pairs(&xgft, &DModK::new());
-        assert_eq!(compiled.len(), table.len());
+        let algo = DModK::new();
+        let compiled = CompiledRouteTable::compile_all_pairs(&xgft, &algo);
+        assert_eq!(compiled.len(), 16 * 15);
         assert_eq!(compiled.num_leaves(), 16);
         for s in 0..16 {
             for d in 0..16 {
-                assert_eq!(compiled.route(s, d), table.route(s, d).cloned());
+                let expected = (s != d).then(|| algo.route(&xgft, s, d));
+                assert_eq!(compiled.route(s, d), expected);
             }
         }
         assert!(compiled.validate(&xgft).is_ok());
@@ -790,35 +765,17 @@ mod tests {
         assert!(compiled.path(3, 3).is_none(), "self-pairs are never stored");
         assert!(compiled.path(1, 0).is_none(), "unrequested pair is a miss");
         // Out-of-range leaves miss instead of aliasing into another pair's
-        // flat run (the hash table returns None here too).
+        // flat run.
         assert!(compiled.path(0, 16).is_none());
         assert!(compiled.path(16, 0).is_none());
         assert!(compiled.path(15, 16).is_none());
         assert!(compiled.route(0, 16).is_none());
         assert!(!compiled.is_empty());
 
-        // Round trip through the hash form and back.
-        let table = compiled.to_table();
-        assert_eq!(table.len(), compiled.len());
-        assert_eq!(table.algorithm(), "s-mod-k");
-        let recompiled = CompiledRouteTable::from_table(&xgft, &table);
-        for s in 0..16 {
-            for d in 0..16 {
-                assert_eq!(recompiled.path(s, d), compiled.path(s, d));
-            }
-        }
-    }
-
-    #[test]
-    fn from_table_preserves_metadata() {
-        let xgft = Xgft::k_ary_n_tree(2, 3);
-        let table = RouteTable::build_all_pairs(&xgft, &RandomRouting::new(3));
-        let compiled = CompiledRouteTable::from_table(&xgft, &table);
-        assert_eq!(compiled.algorithm(), table.algorithm());
-        assert_eq!(compiled.is_pattern_aware(), table.is_pattern_aware());
-        assert_eq!(compiled.len(), table.len());
-        for (&(s, d), route) in table.iter() {
-            assert_eq!(compiled.route(s, d).as_ref(), Some(route));
+        // Round trip: every stored path decodes back into the scheme's own
+        // route.
+        for (s, d) in [(0, 1), (5, 9), (9, 5)] {
+            assert_eq!(compiled.route(s, d), Some(SModK::new().route(&xgft, s, d)));
         }
     }
 

@@ -20,7 +20,7 @@
 //! "network contention not accounting for endpoint contention", and the
 //! contention level `C` of a routed pattern (Sec. VII-B) is that maximum.
 
-use crate::table::RouteTable;
+use crate::algorithm::RoutingAlgorithm;
 use std::collections::HashSet;
 use xgft_topo::{Direction, Xgft};
 
@@ -36,11 +36,11 @@ pub struct ChannelLoads {
 }
 
 impl ChannelLoads {
-    /// Compute loads for the given flows using the routes of `table`.
-    /// Flows without a stored route are ignored.
-    pub fn compute(
+    /// Compute loads for the given flows, routing each one with `algo` as
+    /// it is read. Self-pairs are skipped.
+    pub fn compute<A: RoutingAlgorithm + ?Sized>(
         xgft: &Xgft,
-        table: &RouteTable,
+        algo: &A,
         flows: impl IntoIterator<Item = (usize, usize)>,
     ) -> Self {
         let channels = xgft.channels();
@@ -50,12 +50,10 @@ impl ChannelLoads {
             if s == d {
                 continue;
             }
-            let Some(route) = table.route(s, d) else {
-                continue;
-            };
+            let route = algo.route(xgft, s, d);
             let path = xgft
-                .route_path(s, d, route)
-                .expect("routes stored in a table are valid");
+                .route_path(s, d, &route)
+                .expect("algorithms must produce valid routes");
             for hop in path {
                 let idx = channels.index(&hop.channel);
                 raw[idx] += 1;
@@ -106,13 +104,13 @@ pub struct ContentionReport {
 }
 
 impl ContentionReport {
-    /// Build a report for a routed set of flows.
-    pub fn compute(
+    /// Build a report for a set of flows routed by `algo`.
+    pub fn compute<A: RoutingAlgorithm + ?Sized>(
         xgft: &Xgft,
-        table: &RouteTable,
-        flows: impl IntoIterator<Item = (usize, usize)> + Clone,
+        algo: &A,
+        flows: impl IntoIterator<Item = (usize, usize)>,
     ) -> Self {
-        let loads = ChannelLoads::compute(xgft, table, flows);
+        let loads = ChannelLoads::compute(xgft, algo, flows);
         let channels = xgft.channels();
         let mut max_up = 0usize;
         let mut max_down = 0usize;
@@ -123,7 +121,7 @@ impl ContentionReport {
             }
         }
         ContentionReport {
-            algorithm: table.algorithm().to_string(),
+            algorithm: algo.name(),
             max_raw_load: loads.max_raw(),
             network_contention: loads.max_effective(),
             max_up_contention: max_up,
@@ -139,7 +137,6 @@ mod tests {
     use super::*;
     use crate::modk::{DModK, SModK};
     use crate::random::RandomRouting;
-    use crate::table::RouteTable;
     use xgft_topo::XgftSpec;
 
     fn full_16() -> Xgft {
@@ -153,8 +150,7 @@ mod tests {
         // roots, so no channel carries more than one flow.
         let xgft = full_16();
         let flows: Vec<(usize, usize)> = (0..256).map(|s| (s, (s + 16) % 256)).collect();
-        let table = RouteTable::build(&xgft, &DModK::new(), flows.clone());
-        let report = ContentionReport::compute(&xgft, &table, flows);
+        let report = ContentionReport::compute(&xgft, &DModK::new(), flows);
         assert_eq!(report.max_raw_load, 1);
         assert_eq!(report.network_contention, 1);
     }
@@ -168,8 +164,7 @@ mod tests {
             .map(|s| (s, xgft_patterns::generators::cg_transpose_partner(s, 128)))
             .filter(|&(s, d)| s != d)
             .collect();
-        let table = RouteTable::build(&xgft, &DModK::new(), flows.iter().copied());
-        let report = ContentionReport::compute(&xgft, &table, flows.iter().copied());
+        let report = ContentionReport::compute(&xgft, &DModK::new(), flows.iter().copied());
         // Eight sources per switch share a root; one of them may be a fixed
         // point of the permutation, so at least seven flows pile up on one
         // up channel.
@@ -187,11 +182,11 @@ mod tests {
         // contention stays 1 because they share the source.
         let xgft = full_16();
         let flows: Vec<(usize, usize)> = (0..8).map(|i| (0usize, 16 * (i + 1))).collect();
-        let table = RouteTable::build(&xgft, &SModK::new(), flows.iter().copied());
-        let loads = ChannelLoads::compute(&xgft, &table, flows.iter().copied());
+        let algo = &SModK::new();
+        let loads = ChannelLoads::compute(&xgft, algo, flows.iter().copied());
         assert_eq!(loads.max_raw(), 8);
         assert_eq!(loads.max_effective(), 1);
-        let report = ContentionReport::compute(&xgft, &table, flows.iter().copied());
+        let report = ContentionReport::compute(&xgft, algo, flows.iter().copied());
         assert_eq!(report.network_contention, 1);
         assert_eq!(report.max_raw_load, 8);
     }
@@ -200,21 +195,12 @@ mod tests {
     fn report_channel_counts_are_consistent() {
         let xgft = Xgft::new(XgftSpec::slimmed_two_level(8, 4).unwrap()).unwrap();
         let flows: Vec<(usize, usize)> = (0..64).map(|s| (s, (s + 8) % 64)).collect();
-        let table = RouteTable::build(&xgft, &RandomRouting::new(5), flows.iter().copied());
-        let report = ContentionReport::compute(&xgft, &table, flows.iter().copied());
+        let report = ContentionReport::compute(&xgft, &RandomRouting::new(5), flows);
         assert_eq!(report.total_channels, xgft.channels().len());
         assert!(report.used_channels <= report.total_channels);
         assert!(report.used_channels > 0);
         assert!(report.network_contention <= report.max_raw_load);
         assert!(report.max_up_contention <= report.network_contention);
         assert!(report.max_down_contention <= report.network_contention);
-    }
-
-    #[test]
-    fn flows_without_routes_are_ignored() {
-        let xgft = full_16();
-        let table = RouteTable::build(&xgft, &DModK::new(), vec![(0, 20)]);
-        let loads = ChannelLoads::compute(&xgft, &table, vec![(0, 20), (1, 30)]);
-        assert_eq!(loads.max_raw(), 1);
     }
 }

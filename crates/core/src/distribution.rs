@@ -5,18 +5,18 @@
 //! pairs. An even distribution is necessary — but, as the paper shows, not
 //! sufficient — for good performance.
 
-use crate::table::RouteTable;
+use crate::algorithm::RoutingAlgorithm;
 use xgft_topo::Xgft;
 
-/// Count how many routes of `table` have their apex (NCA) at each node of
-/// `level`, restricted to the pairs in `flows` whose NCA level equals
-/// `level`.
+/// Count how many of the routes `algo` assigns to the pairs in `flows`
+/// have their apex (NCA) at each node of `level`, restricted to the pairs
+/// whose NCA level equals `level`. Each pair is routed as it is read.
 ///
 /// The returned vector has one entry per node of `level`, indexed by the
 /// node's index within the level (the "NCA number" of Fig. 4).
-pub fn nca_route_distribution(
+pub fn nca_route_distribution<A: RoutingAlgorithm + ?Sized>(
     xgft: &Xgft,
-    table: &RouteTable,
+    algo: &A,
     flows: impl IntoIterator<Item = (usize, usize)>,
     level: usize,
 ) -> Vec<usize> {
@@ -25,12 +25,9 @@ pub fn nca_route_distribution(
         if s == d || xgft.nca_level(s, d) != level {
             continue;
         }
-        let Some(route) = table.route(s, d) else {
-            continue;
-        };
         let nca = xgft
-            .nca_of_route(s, route)
-            .expect("routes stored in a table are valid");
+            .nca_of_route(s, &algo.route(xgft, s, d))
+            .expect("algorithms must produce valid routes");
         counts[nca.index] += 1;
     }
     counts
@@ -38,10 +35,13 @@ pub fn nca_route_distribution(
 
 /// Convenience: the Fig. 4 distribution over *all* ordered pairs whose NCAs
 /// are at the top level.
-pub fn top_level_distribution_all_pairs(xgft: &Xgft, table: &RouteTable) -> Vec<usize> {
+pub fn top_level_distribution_all_pairs<A: RoutingAlgorithm + ?Sized>(
+    xgft: &Xgft,
+    algo: &A,
+) -> Vec<usize> {
     let n = xgft.num_leaves();
     let pairs = (0..n).flat_map(move |s| (0..n).map(move |d| (s, d)));
-    nca_route_distribution(xgft, table, pairs, xgft.height())
+    nca_route_distribution(xgft, algo, pairs, xgft.height())
 }
 
 /// Simple imbalance measure of a distribution: `(max − min)` over the mean.
@@ -77,9 +77,8 @@ mod tests {
         // Fig. 4(a): on XGFT(2;16,16;1,16) S-mod-k and D-mod-k assign exactly
         // the same number of routes to every root: 256*240/16 = 3840.
         let xgft = tree(16);
-        for algo in [&SModK::new() as &dyn crate::RoutingAlgorithm, &DModK::new()] {
-            let table = RouteTable::build_all_pairs(&xgft, algo);
-            let dist = top_level_distribution_all_pairs(&xgft, &table);
+        for algo in [&SModK::new() as &dyn RoutingAlgorithm, &DModK::new()] {
+            let dist = top_level_distribution_all_pairs(&xgft, algo);
             assert_eq!(dist.len(), 16);
             assert!(dist.iter().all(|&c| c == 3840), "{dist:?}");
             assert_eq!(imbalance(&dist), 0.0);
@@ -92,8 +91,7 @@ mod tests {
         // with the routes of digit values 10-15 as well, so they carry ~1.67x
         // the routes of roots 6-9.
         let xgft = tree(10);
-        let table = RouteTable::build_all_pairs(&xgft, &DModK::new());
-        let dist = top_level_distribution_all_pairs(&xgft, &table);
+        let dist = top_level_distribution_all_pairs(&xgft, &DModK::new());
         assert_eq!(dist.len(), 10);
         let low: Vec<usize> = dist[..6].to_vec();
         let high: Vec<usize> = dist[6..].to_vec();
@@ -105,18 +103,17 @@ mod tests {
     #[test]
     fn random_and_rnca_distributions_are_more_even_than_mod_k_on_slimmed_tree() {
         let xgft = tree(10);
-        let dmodk = RouteTable::build_all_pairs(&xgft, &DModK::new());
-        let dmodk_imb = imbalance(&top_level_distribution_all_pairs(&xgft, &dmodk));
-        let random = RouteTable::build_all_pairs(&xgft, &RandomRouting::new(2));
-        let rnca = RouteTable::build_all_pairs(&xgft, &RandomNcaDown::new(&xgft, 2));
-        for table in [&random, &rnca] {
-            let dist = top_level_distribution_all_pairs(&xgft, table);
+        let dmodk_imb = imbalance(&top_level_distribution_all_pairs(&xgft, &DModK::new()));
+        let random = RandomRouting::new(2);
+        let rnca = RandomNcaDown::new(&xgft, 2);
+        for algo in [&random as &dyn RoutingAlgorithm, &rnca] {
+            let dist = top_level_distribution_all_pairs(&xgft, algo);
             assert_eq!(dist.iter().sum::<usize>(), 256 * 240);
             let imb = imbalance(&dist);
             assert!(
                 imb < dmodk_imb,
                 "{} imbalance {:.3} should beat d-mod-k's {:.3}",
-                table.algorithm(),
+                algo.name(),
                 imb,
                 dmodk_imb
             );
@@ -128,14 +125,14 @@ mod tests {
     #[test]
     fn distribution_only_counts_requested_level() {
         let xgft = tree(16);
-        let table = RouteTable::build_all_pairs(&xgft, &DModK::new());
+        let algo = DModK::new();
         // Intra-switch pairs have their NCA at level 1.
         let intra_pairs: Vec<(usize, usize)> =
             (0..16).flat_map(|s| (0..16).map(move |d| (s, d))).collect();
-        let level1 = nca_route_distribution(&xgft, &table, intra_pairs.iter().copied(), 1);
+        let level1 = nca_route_distribution(&xgft, &algo, intra_pairs.iter().copied(), 1);
         assert_eq!(level1.iter().sum::<usize>(), 16 * 15);
         assert_eq!(level1[0], 16 * 15);
-        let level2 = nca_route_distribution(&xgft, &table, intra_pairs.iter().copied(), 2);
+        let level2 = nca_route_distribution(&xgft, &algo, intra_pairs.iter().copied(), 2);
         assert_eq!(level2.iter().sum::<usize>(), 0);
     }
 

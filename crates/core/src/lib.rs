@@ -22,21 +22,27 @@
 //!   from ICS'09; here a greedy + refinement heuristic over an
 //!   endpoint-contention-aware cost plays that role).
 //!
-//! Supporting machinery: [`RouteTable`] (materialised routes for a pattern
-//! or for all pairs), [`CompiledRouteTable`] (the same routes flattened into
-//! dense per-source channel-index arrays — the zero-allocation form the
-//! simulators inject from), [`CompactRoutes`] (the closed-form
-//! label-arithmetic engine: any hop computed in O(height) from the pair's
-//! labels with near-zero route state, plus a sparse fault-patch overlay),
-//! [`RouteSource`] (the path-lookup abstraction the simulators and the flow
-//! model are generic over), [`contention`] (the network-contention metrics of
-//! Sec. IV and VII), [`distribution`] (routes-per-NCA histograms of
-//! Fig. 4), [`route_dist`] (exact per-pair route *distributions* — the
-//! closed forms the `xgft-flow` analytical channel-load model consumes in
-//! place of seed sweeps), and [`degraded`] (fault-aware routing: each
-//! scheme's deterministic fallback around dead channels, the typed
-//! `Unroutable` miss, and the incremental
+//! Supporting machinery: [`CompiledRouteTable`] (a scheme's routes for a
+//! pattern or for all pairs, flattened into dense per-source channel-index
+//! arrays — the zero-allocation form the simulators inject from),
+//! [`CompactRoutes`] (the closed-form label-arithmetic engine: any hop
+//! computed in O(height) from the pair's labels with near-zero route state,
+//! plus a sparse fault-patch overlay), [`RouteSource`] (the path-lookup
+//! abstraction the simulators and the flow model are generic over),
+//! [`contention`] (the network-contention metrics of Sec. IV and VII),
+//! [`distribution`] (routes-per-NCA histograms of Fig. 4), [`route_dist`]
+//! (exact per-pair route *distributions* — the closed forms the `xgft-flow`
+//! analytical channel-load model consumes in place of seed sweeps), and
+//! [`degraded`] (fault-aware routing: each scheme's deterministic fallback
+//! around dead channels, the typed `Unroutable` miss, and the incremental
 //! [`CompiledRouteTable::patch`](compiled::CompiledRouteTable::patch)).
+//!
+//! One rule picks the representation. A pass that reads each pair once —
+//! the contention report, the Fig. 4 histograms — routes on the fly from
+//! the [`RoutingAlgorithm`], which is a pure function of the pair. Anything
+//! that reads pairs repeatedly takes a [`RouteSource`]: a
+//! [`CompiledRouteTable`], or [`CompactRoutes`] when the machine is too
+//! large to table.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -54,7 +60,6 @@ pub mod relabel;
 pub mod rnca;
 pub mod route_dist;
 pub mod source;
-pub mod table;
 
 pub use algorithm::RoutingAlgorithm;
 pub use colored::ColoredRouting;
@@ -69,4 +74,3 @@ pub use relabel::RelabelMaps;
 pub use rnca::{RandomNcaDown, RandomNcaUp};
 pub use route_dist::{RouteDist, RouteDistribution};
 pub use source::RouteSource;
-pub use table::RouteTable;

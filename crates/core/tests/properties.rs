@@ -3,7 +3,7 @@
 use proptest::prelude::*;
 use xgft_core::{
     ColoredRouting, ContentionReport, DModK, RandomNcaDown, RandomNcaUp, RandomRouting,
-    RelabelMaps, RouteTable, RoutingAlgorithm, SModK,
+    RelabelMaps, RoutingAlgorithm, SModK,
 };
 use xgft_patterns::{ConnectivityMatrix, Permutation};
 use xgft_topo::{Xgft, XgftSpec};
@@ -128,8 +128,7 @@ proptest! {
 
         let contention = |algo: &dyn RoutingAlgorithm, p: &Permutation| {
             let flows: Vec<(usize, usize)> = p.pairs().collect();
-            let table = RouteTable::build(&xgft, &algo, flows.iter().copied());
-            ContentionReport::compute(&xgft, &table, flows.iter().copied()).network_contention
+            ContentionReport::compute(&xgft, algo, flows.iter().copied()).network_contention
         };
         let c_s = contention(&SModK::new(), &perm);
         let c_d_inv = contention(&DModK::new(), &inverse);
@@ -155,15 +154,12 @@ proptest! {
             pattern.add_flow(s, d, 1);
         }
         let colored = ColoredRouting::new(&xgft, &pattern);
-        let colored_c = {
-            let table = RouteTable::build(&xgft, &colored, flows.iter().copied());
-            ContentionReport::compute(&xgft, &table, flows.iter().copied()).network_contention
-        };
+        let colored_c =
+            ContentionReport::compute(&xgft, &colored, flows.iter().copied()).network_contention;
         let oblivious: Vec<usize> = algorithms(&xgft, seed)
             .iter()
             .map(|algo| {
-                let table = RouteTable::build(&xgft, algo.as_ref(), flows.iter().copied());
-                ContentionReport::compute(&xgft, &table, flows.iter().copied())
+                ContentionReport::compute(&xgft, algo.as_ref(), flows.iter().copied())
                     .network_contention
             })
             .collect();

@@ -293,9 +293,7 @@ pub fn expected_nca_distribution<A: RouteDistribution + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use xgft_core::{
-        nca_route_distribution, DModK, RandomNcaDown, RandomRouting, RouteTable, SModK,
-    };
+    use xgft_core::{nca_route_distribution, DModK, RandomNcaDown, RandomRouting, SModK};
     use xgft_topo::XgftSpec;
 
     fn two_level(w2: usize) -> Xgft {
@@ -421,10 +419,9 @@ mod tests {
     fn expected_nca_distribution_matches_fig4() {
         let xgft = two_level(10);
         // Deterministic: must equal the integer Fig. 4 histogram.
-        let table = RouteTable::build_all_pairs(&xgft, &DModK::new());
         let n = xgft.num_leaves();
         let pairs: Vec<(usize, usize)> = (0..n).flat_map(|s| (0..n).map(move |d| (s, d))).collect();
-        let exact = nca_route_distribution(&xgft, &table, pairs.iter().copied(), 2);
+        let exact = nca_route_distribution(&xgft, &DModK::new(), pairs.iter().copied(), 2);
         let expected = expected_nca_distribution(
             &xgft,
             &DModK::new(),

@@ -17,17 +17,17 @@
 //!    simulation involved.
 
 use proptest::prelude::*;
-use xgft_core::{DModK, RandomNcaDown, RandomRouting, RouteDistribution, RouteTable, SModK};
+use xgft_core::{DModK, RandomNcaDown, RandomRouting, RouteDistribution, RoutingAlgorithm, SModK};
 use xgft_flow::{ExpectedLoads, TrafficMatrix};
 use xgft_netsim::{NetworkConfig, NetworkSim};
 use xgft_topo::{ChannelId, Direction, Xgft, XgftSpec};
 
 /// Replay `flows` (each `bytes` bytes, all injected at t = 0) through the
-/// event-driven simulator using `table`'s routes, and return the per-channel
-/// busy times.
-fn measured_busy_ps(
+/// event-driven simulator, routing each one with `algo`, and return the
+/// per-channel busy times.
+fn measured_busy_ps<A: RoutingAlgorithm + ?Sized>(
     xgft: &Xgft,
-    table: &RouteTable,
+    algo: &A,
     flows: &[(usize, usize)],
     bytes: u64,
 ) -> Vec<u64> {
@@ -36,8 +36,7 @@ fn measured_busy_ps(
         if s == d {
             continue;
         }
-        let route = table.route(s, d).expect("table covers the flows").clone();
-        sim.schedule_message(0, s, d, bytes, route);
+        sim.schedule_message(0, s, d, bytes, algo.route(xgft, s, d));
     }
     sim.run_to_completion();
     sim.channel_busy_ps()
@@ -74,8 +73,7 @@ proptest! {
     fn model_loads_match_netsim_busy_for_d_mod_k(spec in small_spec(), salt in 0usize..1000) {
         let xgft = Xgft::new(spec).unwrap();
         let flows = flow_set(xgft.num_leaves(), salt);
-        let table = RouteTable::build(&xgft, &DModK::new(), flows.iter().copied());
-        let busy = measured_busy_ps(&xgft, &table, &flows, 4096);
+        let busy = measured_busy_ps(&xgft, &DModK::new(), &flows, 4096);
 
         let traffic = TrafficMatrix::from_flows(
             xgft.num_leaves(),
@@ -179,10 +177,9 @@ fn seed_averaged_netsim_mcl_matches_closed_form_for_random_and_rnca() {
         let mut avg = vec![0.0f64; xgft.channels().len()];
         for &seed in &seeds {
             let algo = seeded(seed);
-            let table = RouteTable::build(&xgft, &algo, flows.iter().copied());
             for (a, b) in avg
                 .iter_mut()
-                .zip(measured_busy_ps(&xgft, &table, &flows, 2048))
+                .zip(measured_busy_ps(&xgft, algo.as_ref(), &flows, 2048))
             {
                 *a += b as f64 / seeds.len() as f64;
             }

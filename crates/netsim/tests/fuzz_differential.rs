@@ -237,7 +237,7 @@ fn run_tracesim(
     for &(at_ps, ch) in schedule {
         sim.fail_channel(at_ps, ch, FailurePolicy::CompleteInFlight);
     }
-    let mut net = RoutedNetwork::with_compiled(sim, table.clone());
+    let mut net = RoutedNetwork::with_source(sim, table.clone());
     ReplayEngine::new(&trace)
         .run(&mut net)
         .expect("fully-routed replay cannot deadlock");

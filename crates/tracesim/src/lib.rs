@@ -16,14 +16,14 @@
 //! ```
 //! use xgft_tracesim::{workloads, ReplayEngine, RoutedNetwork};
 //! use xgft_netsim::{NetworkConfig, NetworkSim, CrossbarSim};
-//! use xgft_core::{DModK, RouteTable};
+//! use xgft_core::{CompiledRouteTable, DModK};
 //! use xgft_topo::{Xgft, XgftSpec};
 //!
 //! // A small WRF-like exchange on a 4-ary 2-tree.
 //! let trace = workloads::wrf_trace(4, 4, 8 * 1024);
 //! let xgft = Xgft::new(XgftSpec::k_ary_n_tree(4, 2)).unwrap();
-//! let table = RouteTable::build(&xgft, &DModK::new(), trace.communication_pairs());
-//! let net = RoutedNetwork::new(NetworkSim::new(&xgft, NetworkConfig::default()), table);
+//! let table = CompiledRouteTable::compile(&xgft, &DModK::new(), trace.communication_pairs());
+//! let net = RoutedNetwork::with_source(NetworkSim::new(&xgft, NetworkConfig::default()), table);
 //! let result = ReplayEngine::new(&trace).run(net).unwrap();
 //!
 //! // The ideal single-stage crossbar reference.

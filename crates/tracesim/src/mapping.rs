@@ -171,7 +171,7 @@ mod tests {
     use crate::network::RoutedNetwork;
     use crate::replay::ReplayEngine;
     use crate::workloads;
-    use xgft_core::{DModK, RouteTable};
+    use xgft_core::{CompiledRouteTable, DModK};
     use xgft_netsim::{NetworkConfig, NetworkSim};
     use xgft_topo::{Xgft, XgftSpec};
 
@@ -220,9 +220,9 @@ mod tests {
 
         let run_with = |mapping: Mapping| {
             let pairs = mapping.map_pairs(&trace.communication_pairs());
-            let table = RouteTable::build(&xgft, &DModK::new(), pairs);
+            let table = CompiledRouteTable::compile(&xgft, &DModK::new(), pairs);
             let net = MappedNetwork::new(
-                RoutedNetwork::new(NetworkSim::new(&xgft, config.clone()), table),
+                RoutedNetwork::with_source(NetworkSim::new(&xgft, config.clone()), table),
                 mapping,
             );
             ReplayEngine::new(&trace).run(net).unwrap().completion_ps
@@ -239,8 +239,9 @@ mod tests {
     #[test]
     fn sequential_mapping_is_transparent() {
         let xgft = Xgft::new(XgftSpec::k_ary_n_tree(4, 2)).unwrap();
-        let table = RouteTable::build_all_pairs(&xgft, &DModK::new());
-        let inner = RoutedNetwork::new(NetworkSim::new(&xgft, NetworkConfig::default()), table);
+        let table = CompiledRouteTable::compile_all_pairs(&xgft, &DModK::new());
+        let inner =
+            RoutedNetwork::with_source(NetworkSim::new(&xgft, NetworkConfig::default()), table);
         let mut mapped = MappedNetwork::new(inner, Mapping::sequential(16));
         assert!(!mapped.label().contains("remapped"));
         Network::schedule_message(&mut mapped, 0, 0, 9, 2048).unwrap();

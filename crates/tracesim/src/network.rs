@@ -8,7 +8,7 @@
 
 use std::borrow::BorrowMut;
 use std::fmt;
-use xgft_core::{CompiledRouteTable, RouteSource, RouteTable};
+use xgft_core::{CompiledRouteTable, RouteSource};
 use xgft_netsim::sim::Completion;
 use xgft_netsim::{CrossbarSim, MessageId, NetworkSim, SimReport};
 
@@ -120,24 +120,6 @@ pub struct RoutedNetwork<R: RouteSource = CompiledRouteTable, S: BorrowMut<Netwo
     scratch: Vec<u32>,
 }
 
-impl RoutedNetwork<CompiledRouteTable> {
-    /// Pair a simulator with a hash-map route table; the table is compiled
-    /// to the flat indexed form on construction (the one-off cost the
-    /// replay then amortises over every message).
-    pub fn new(sim: NetworkSim, table: RouteTable) -> Self {
-        let compiled = CompiledRouteTable::from_table(sim.xgft(), &table);
-        Self::with_compiled(sim, compiled)
-    }
-
-    /// Pair a simulator with an already-compiled route table.
-    ///
-    /// # Panics
-    /// Panics if the table was compiled for a different machine size.
-    pub fn with_compiled(sim: NetworkSim, table: CompiledRouteTable) -> Self {
-        Self::with_source(sim, table)
-    }
-}
-
 impl<R: RouteSource, S: BorrowMut<NetworkSim>> RoutedNetwork<R, S> {
     /// Pair a simulator — owned, or borrowed for reuse across runs — with
     /// any route representation.
@@ -246,15 +228,16 @@ impl Network for CrossbarSim {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use xgft_core::{DModK, RouteTable};
+    use xgft_core::{CompiledRouteTable, DModK};
     use xgft_netsim::NetworkConfig;
     use xgft_topo::{Xgft, XgftSpec};
 
     #[test]
     fn routed_network_uses_table_routes() {
         let xgft = Xgft::new(XgftSpec::k_ary_n_tree(4, 2)).unwrap();
-        let table = RouteTable::build_all_pairs(&xgft, &DModK::new());
-        let mut net = RoutedNetwork::new(NetworkSim::new(&xgft, NetworkConfig::default()), table);
+        let table = CompiledRouteTable::compile_all_pairs(&xgft, &DModK::new());
+        let mut net =
+            RoutedNetwork::with_source(NetworkSim::new(&xgft, NetworkConfig::default()), table);
         net.schedule_message(0, 0, 9, 4096).unwrap();
         net.schedule_message(0, 3, 3, 4096).unwrap(); // self message needs no route
         let mut count = 0;
@@ -271,8 +254,9 @@ mod tests {
     #[test]
     fn missing_route_is_a_typed_error() {
         let xgft = Xgft::new(XgftSpec::k_ary_n_tree(4, 2)).unwrap();
-        let table = RouteTable::build(&xgft, &DModK::new(), vec![(0, 1)]);
-        let mut net = RoutedNetwork::new(NetworkSim::new(&xgft, NetworkConfig::default()), table);
+        let table = CompiledRouteTable::compile(&xgft, &DModK::new(), [(0, 1)]);
+        let mut net =
+            RoutedNetwork::with_source(NetworkSim::new(&xgft, NetworkConfig::default()), table);
         let err = net.schedule_message(0, 2, 9, 4096).unwrap_err();
         assert_eq!(err, NetworkError::MissingRoute { src: 2, dst: 9 });
         assert!(err.to_string().contains("(2, 9)"));
@@ -289,14 +273,12 @@ mod tests {
 
     #[test]
     fn compact_source_replays_identically_to_compiled() {
-        use xgft_core::{CompactRoutes, CompactScheme, CompiledRouteTable, RandomRouting};
+        use xgft_core::{CompactRoutes, CompactScheme, RandomRouting};
         let xgft = Xgft::new(XgftSpec::slimmed_two_level(4, 3).unwrap()).unwrap();
         let compiled = CompiledRouteTable::compile_all_pairs(&xgft, &RandomRouting::new(7));
         let compact = CompactRoutes::all_pairs(&xgft, CompactScheme::Random { seed: 7 });
-        let mut a = RoutedNetwork::with_compiled(
-            NetworkSim::new(&xgft, NetworkConfig::default()),
-            compiled,
-        );
+        let mut a =
+            RoutedNetwork::with_source(NetworkSim::new(&xgft, NetworkConfig::default()), compiled);
         let mut b =
             RoutedNetwork::with_source(NetworkSim::new(&xgft, NetworkConfig::default()), compact);
         for (i, (s, d)) in [(0usize, 5usize), (3, 9), (9, 3), (1, 15), (2, 2)]

@@ -616,13 +616,13 @@ pub mod reference {
 mod tests {
     use super::*;
     use crate::network::RoutedNetwork;
-    use xgft_core::{DModK, RouteTable};
+    use xgft_core::{CompiledRouteTable, DModK};
     use xgft_netsim::{CrossbarSim, NetworkConfig, NetworkSim};
     use xgft_topo::{Xgft, XgftSpec};
 
     fn routed(xgft: &Xgft) -> RoutedNetwork {
-        let table = RouteTable::build_all_pairs(xgft, &DModK::new());
-        RoutedNetwork::new(NetworkSim::new(xgft, NetworkConfig::default()), table)
+        let table = CompiledRouteTable::compile_all_pairs(xgft, &DModK::new());
+        RoutedNetwork::with_source(NetworkSim::new(xgft, NetworkConfig::default()), table)
     }
 
     #[test]
@@ -774,8 +774,9 @@ mod tests {
             ],
         );
         let xgft = Xgft::new(XgftSpec::k_ary_n_tree(4, 2)).unwrap();
-        let table = RouteTable::build(&xgft, &DModK::new(), vec![(0, 1)]);
-        let net = RoutedNetwork::new(NetworkSim::new(&xgft, NetworkConfig::default()), table);
+        let table = CompiledRouteTable::compile(&xgft, &DModK::new(), vec![(0, 1)]);
+        let net =
+            RoutedNetwork::with_source(NetworkSim::new(&xgft, NetworkConfig::default()), table);
         let err = ReplayEngine::new(&trace).run(net).unwrap_err();
         assert_eq!(
             err,

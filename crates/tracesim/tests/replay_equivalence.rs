@@ -97,7 +97,7 @@ proptest! {
         let xgft = Xgft::new(XgftSpec::k_ary_n_tree(4, 2)).unwrap();
         let table = CompiledRouteTable::compile_all_pairs(&xgft, &DModK::new());
         let routed = || {
-            RoutedNetwork::with_compiled(
+            RoutedNetwork::with_source(
                 NetworkSim::new(&xgft, NetworkConfig::default()),
                 table.clone(),
             )

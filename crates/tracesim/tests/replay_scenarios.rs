@@ -2,7 +2,7 @@
 //! mappings, and agreement between the phase structure of a trace and the
 //! timing the co-simulation produces.
 
-use xgft_core::{DModK, RouteTable};
+use xgft_core::{CompiledRouteTable, DModK};
 use xgft_netsim::{CrossbarSim, NetworkConfig, NetworkSim};
 use xgft_topo::{Xgft, XgftSpec};
 use xgft_tracesim::{
@@ -10,8 +10,8 @@ use xgft_tracesim::{
 };
 
 fn routed(xgft: &Xgft, trace: &Trace) -> RoutedNetwork {
-    let table = RouteTable::build(xgft, &DModK::new(), trace.communication_pairs());
-    RoutedNetwork::new(NetworkSim::new(xgft, NetworkConfig::default()), table)
+    let table = CompiledRouteTable::compile(xgft, &DModK::new(), trace.communication_pairs());
+    RoutedNetwork::with_source(NetworkSim::new(xgft, NetworkConfig::default()), table)
 }
 
 /// The five CG phases are serialised by their receive dependencies, so the
@@ -78,9 +78,9 @@ fn placement_never_helps_wrf_on_a_slimmed_tree() {
 
     let run_with = |mapping: Mapping| {
         let pairs = mapping.map_pairs(&trace.communication_pairs());
-        let table = RouteTable::build(&xgft, &DModK::new(), pairs);
+        let table = CompiledRouteTable::compile(&xgft, &DModK::new(), pairs);
         let net = MappedNetwork::new(
-            RoutedNetwork::new(NetworkSim::new(&xgft, cfg.clone()), table),
+            RoutedNetwork::with_source(NetworkSim::new(&xgft, cfg.clone()), table),
             mapping,
         );
         ReplayEngine::new(&trace).run(net).unwrap().completion_ps

@@ -4,10 +4,10 @@
 //!
 //! The job is the cross-switch shift permutation (leaf `s` → `s + k`) on
 //! the slimmed two-level family `XGFT(2; k,k; 1,4)`: one route per leaf,
-//! every route climbing to the top level. Three representations route it:
+//! every route climbing to the top level. Two representations hold its
+//! routes (the third, the algorithm computing each route per call, holds
+//! none):
 //!
-//! * `RouteTable` — `HashMap<(usize, usize), Route>` (bytes estimated from
-//!   entry layout plus heap, since a hash map has no exact byte count);
 //! * `CompiledRouteTable` — flat indexed channel paths (exact, via
 //!   `storage_bytes`); its `(n² + 1)`-entry offsets array is the scaling
 //!   wall, so the million-leaf cell is computed arithmetically rather than
@@ -22,19 +22,8 @@
 //! feed the `BENCH_*.json` trajectory instead of being print-only.
 
 use serde::Value;
-use xgft::routing::{CompactRoutes, CompactScheme, CompiledRouteTable, DModK, RouteTable};
-use xgft::topo::{Route, Xgft, XgftSpec};
-
-/// Estimated heap footprint of a hash-map route table: per-entry key +
-/// `Route` header + the route's port vector, over the map's capacity.
-fn hashmap_bytes(table: &RouteTable) -> usize {
-    let per_entry = std::mem::size_of::<(usize, usize)>() + std::mem::size_of::<Route>();
-    let heap: usize = table
-        .iter()
-        .map(|(_, route)| std::mem::size_of_val(route.up_ports()))
-        .sum();
-    table.len() * per_entry + heap
-}
+use xgft::routing::{CompactRoutes, CompactScheme, CompiledRouteTable, DModK};
+use xgft::topo::{Xgft, XgftSpec};
 
 /// What `CompiledRouteTable::storage_bytes` would report for `pairs` stored
 /// routes of `hops` channels each on an `n`-leaf machine, without paying
@@ -60,7 +49,6 @@ fn human(bytes: usize) -> String {
 /// One measured machine size, ready for either rendering.
 struct SizeRow {
     leaves: usize,
-    hashmap_bytes: usize,
     compiled_bytes: usize,
     compiled_arithmetic: bool,
     compact_domain_bytes: usize,
@@ -73,7 +61,6 @@ impl SizeRow {
         let field = |v: usize| Value::UInt(v as u64);
         Value::Object(vec![
             ("leaves".to_string(), field(self.leaves)),
-            ("hashmap_bytes".to_string(), field(self.hashmap_bytes)),
             ("compiled_bytes".to_string(), field(self.compiled_bytes)),
             (
                 "compiled_arithmetic".to_string(),
@@ -99,17 +86,14 @@ fn main() {
     let json = std::env::args().any(|a| a == "--json");
     if !json {
         println!(
-            "| leaves | hash map (d-mod-k) | compiled (d-mod-k) | compact, pair domain (d-mod-k) | compact, all pairs (d-mod-k) | compact, all pairs (r-NCA-u) |"
+            "| leaves | compiled (d-mod-k) | compact, pair domain (d-mod-k) | compact, all pairs (d-mod-k) | compact, all pairs (r-NCA-u) |"
         );
-        println!("|---|---|---|---|---|---|");
+        println!("|---|---|---|---|---|");
     }
     for k in [32usize, 128, 1024] {
         let xgft = Xgft::new(XgftSpec::slimmed_two_level(k, 4).unwrap()).unwrap();
         let n = xgft.num_leaves();
         let pairs: Vec<(usize, usize)> = (0..n).map(|s| (s, (s + k) % n)).collect();
-
-        let hashed = RouteTable::build(&xgft, &DModK::new(), pairs.iter().copied());
-        let hashed_bytes = hashmap_bytes(&hashed);
 
         // The compiled offsets array is quadratic in the leaf count: build
         // it for real while that is sane, switch to arithmetic above 16k
@@ -130,7 +114,6 @@ fn main() {
 
         let row = SizeRow {
             leaves: n,
-            hashmap_bytes: hashed_bytes,
             compiled_bytes,
             compiled_arithmetic: !compiled_note.is_empty(),
             compact_domain_bytes: domain.storage_bytes(),
@@ -150,9 +133,8 @@ fn main() {
             );
         } else {
             println!(
-                "| {} | {} | {}{} | {} | {} | {} |",
+                "| {} | {}{} | {} | {} | {} |",
                 row.leaves,
-                human(row.hashmap_bytes),
                 human(row.compiled_bytes),
                 compiled_note,
                 human(row.compact_domain_bytes),

@@ -35,8 +35,7 @@ fn main() {
         "routing", "max flows", "net contention", "used channels"
     );
     for algo in &algorithms {
-        let table = RouteTable::build(&xgft, algo.as_ref(), flows.iter().copied());
-        let report = ContentionReport::compute(&xgft, &table, flows.iter().copied());
+        let report = ContentionReport::compute(&xgft, algo.as_ref(), flows.iter().copied());
         println!(
             "{:>10} {:>12} {:>14} {:>14}",
             report.algorithm, report.max_raw_load, report.network_contention, report.used_channels

@@ -40,7 +40,7 @@ pub mod prelude {
     pub use xgft_analysis::{AlgorithmSpec, CampaignConfig, CampaignResult, SweepConfig};
     pub use xgft_core::{
         ColoredRouting, CompiledRouteTable, DModK, RandomNcaDown, RandomNcaUp, RandomRouting,
-        RouteDistribution, RouteTable, RoutingAlgorithm, SModK,
+        RouteDistribution, RoutingAlgorithm, SModK,
     };
     pub use xgft_flow::{ExpectedLoads, FlowSweepConfig, TrafficMatrix, TrafficSpec};
     pub use xgft_netsim::{NetworkConfig, SwitchingMode};

@@ -96,7 +96,7 @@ fn busy_via_tracesim(
         });
     }
     let trace = Trace::new("agreement", programs);
-    let mut net = RoutedNetwork::with_compiled(NetworkSim::new(xgft, cfg()), table.clone());
+    let mut net = RoutedNetwork::with_source(NetworkSim::new(xgft, cfg()), table.clone());
     ReplayEngine::new(&trace)
         .run(&mut net)
         .expect("routable flows cannot deadlock");
@@ -286,7 +286,7 @@ fn unroutable_pairs_fail_loudly_and_identically_in_every_engine() {
     assert_eq!(loads.unroutable(), &[(0, 5, 1.0)]);
 
     // Layer 3: the network refuses the message with the typed error.
-    let mut net = RoutedNetwork::with_compiled(NetworkSim::new(&xgft, cfg()), table.clone());
+    let mut net = RoutedNetwork::with_source(NetworkSim::new(&xgft, cfg()), table.clone());
     assert_eq!(
         net.schedule_message(0, 0, 5, BYTES).unwrap_err(),
         NetworkError::MissingRoute { src: 0, dst: 5 }
@@ -294,7 +294,7 @@ fn unroutable_pairs_fail_loudly_and_identically_in_every_engine() {
 
     // Layer 4: a replay over the dead pair aborts with the same typed miss
     // instead of deadlocking or mis-delivering.
-    let net = RoutedNetwork::with_compiled(NetworkSim::new(&xgft, cfg()), table);
+    let net = RoutedNetwork::with_source(NetworkSim::new(&xgft, cfg()), table);
     let err = ReplayEngine::new(&pattern).run(net).unwrap_err();
     assert_eq!(
         err,

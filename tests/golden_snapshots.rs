@@ -15,16 +15,17 @@
 
 use xgft::analysis::campaign::CampaignConfig;
 use xgft::analysis::chaos::ChaosConfig;
-use xgft::analysis::experiments::fig4;
+use xgft::analysis::experiments::{ablation, equivalence, fig4, flow_mcl, synthetic};
 use xgft::analysis::resilience::ResilienceConfig;
 use xgft::analysis::sweep::{AlgorithmSpec, SweepConfig};
 use xgft::netsim::NetworkConfig;
 use xgft::patterns::generators;
+use xgft::routing::{RandomNcaDown, RandomRouting};
 use xgft::scenario::{
     run_scenario, EngineSpec, FaultSpec, RepresentationSpec, RunOptions, ScenarioSpec, SchemeSpec,
     SeedSpec, SweepSpec, TopologySpec, WorkloadSpec, SPEC_SCHEMA_VERSION,
 };
-use xgft::topo::XgftSpec;
+use xgft::topo::{Xgft, XgftSpec};
 
 /// Compare `rendered` against the committed fixture, or rewrite the fixture
 /// when `UPDATE_GOLDEN` is set.
@@ -92,6 +93,64 @@ fn fig5_small_sweep_is_byte_stable() {
 fn fig4_small_distribution_is_byte_stable() {
     let result = fig4::run_for(&XgftSpec::slimmed_two_level(4, 3).unwrap(), &[1, 2]);
     assert_golden("fig4_small.json", &to_json(&result));
+}
+
+/// Sec. VII-B/C: the S-mod-k / D-mod-k contention levels and duality count
+/// over a few random permutations of a slimmed tree.
+#[test]
+fn equivalence_small_is_byte_stable() {
+    assert_golden(
+        "equivalence_small.json",
+        &to_json(&equivalence::run(8, 5, 6, 42)),
+    );
+}
+
+/// The relabeling ablation: per-NCA route spreads of every variant over
+/// all pairs of a slimmed tree.
+#[test]
+fn ablation_small_is_byte_stable() {
+    assert_golden(
+        "ablation_small.json",
+        &to_json(&ablation::run(8, 5, &[1, 2])),
+    );
+}
+
+/// The synthetic-pattern comparison: contention levels of every scheme on
+/// each classic permutation.
+#[test]
+fn synthetic_small_is_byte_stable() {
+    assert_golden(
+        "synthetic_small.json",
+        &to_json(&synthetic::run(8, 5, &[1, 2])),
+    );
+}
+
+/// One flow-model cross-validation: the model MCL against netsim busy
+/// times for seeded schemes on a shift-plus-transpose flow set.
+#[test]
+fn flow_mcl_cross_validation_is_byte_stable() {
+    let xgft = Xgft::new(XgftSpec::slimmed_two_level(8, 5).unwrap()).unwrap();
+    let n = xgft.num_leaves();
+    let flows: Vec<(usize, usize)> = (0..n)
+        .flat_map(|s| [(s, (s + 9) % n), (s, (s * 8) % n + s / 8)])
+        .collect();
+    let results = vec![
+        flow_mcl::cross_validate_mcl(
+            &xgft,
+            |seed| Box::new(RandomRouting::new(seed)),
+            &flows,
+            &[1, 2, 3],
+            1024,
+        ),
+        flow_mcl::cross_validate_mcl(
+            &xgft,
+            |seed| Box::new(RandomNcaDown::new(&xgft, seed)),
+            &flows,
+            &[4, 5],
+            2048,
+        ),
+    ];
+    assert_golden("flow_mcl_small.json", &to_json(&results));
 }
 
 /// A mini seed campaign: pins the deterministic per-shard seed streams as

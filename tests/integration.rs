@@ -94,11 +94,11 @@ fn all_schemes_produce_valid_tables_across_the_family() {
             Box::new(ColoredRouting::new(&xgft, &pattern)),
         ];
         for algo in &algorithms {
-            let table = RouteTable::build(&xgft, algo.as_ref(), flows.iter().copied());
+            let table = CompiledRouteTable::compile(&xgft, algo.as_ref(), flows.iter().copied());
             table
                 .validate(&xgft)
                 .unwrap_or_else(|e| panic!("{} invalid on w2={w2}: {e}", algo.name()));
-            let report = ContentionReport::compute(&xgft, &table, flows.iter().copied());
+            let report = ContentionReport::compute(&xgft, algo.as_ref(), flows.iter().copied());
             assert!(report.network_contention >= 1);
         }
     }
@@ -135,20 +135,11 @@ fn full_stack_determinism() {
     assert_eq!(run(3), run(3));
     // Different seeds draw different relabelings (routes differ even if the
     // aggregate completion time happens to coincide).
-    let a = RouteTable::build(
-        &xgft,
-        &RandomNcaUp::new(&xgft, 3),
-        trace.communication_pairs(),
-    );
-    let b = RouteTable::build(
-        &xgft,
-        &RandomNcaUp::new(&xgft, 4),
-        trace.communication_pairs(),
-    );
+    let (a, b) = (RandomNcaUp::new(&xgft, 3), RandomNcaUp::new(&xgft, 4));
     assert!(trace
         .communication_pairs()
         .iter()
-        .any(|&(s, d)| a.route(s, d) != b.route(s, d)));
+        .any(|&(s, d)| a.route(&xgft, s, d) != b.route(&xgft, s, d)));
 }
 
 /// The prelude re-exports everything a typical user touches.

@@ -4,7 +4,6 @@
 //! agree on route validity.
 
 use xgft::prelude::*;
-use xgft::routing::RouteTable;
 
 #[test]
 fn prelude_builds_topology_and_route_tables_that_agree() {
@@ -14,9 +13,9 @@ fn prelude_builds_topology_and_route_tables_that_agree() {
     let xgft = Xgft::new(spec).expect("valid topology");
     assert_eq!(xgft.num_leaves(), 16);
 
-    let smodk = RouteTable::build_all_pairs(&xgft, &SModK::new());
-    let dmodk = RouteTable::build_all_pairs(&xgft, &DModK::new());
-    let rnca_up = RouteTable::build_all_pairs(&xgft, &RandomNcaUp::new(&xgft, 2009));
+    let smodk = CompiledRouteTable::compile_all_pairs(&xgft, &SModK::new());
+    let dmodk = CompiledRouteTable::compile_all_pairs(&xgft, &DModK::new());
+    let rnca_up = CompiledRouteTable::compile_all_pairs(&xgft, &RandomNcaUp::new(&xgft, 2009));
 
     for table in [&smodk, &dmodk, &rnca_up] {
         for s in 0..xgft.num_leaves() {
@@ -26,7 +25,7 @@ fn prelude_builds_topology_and_route_tables_that_agree() {
                 }
                 let route = table.route(s, d).expect("all-pairs table covers the pair");
                 assert!(
-                    xgft.validate_route(s, d, route).is_ok(),
+                    xgft.validate_route(s, d, &route).is_ok(),
                     "invalid route for ({s},{d}): {route:?}"
                 );
             }
