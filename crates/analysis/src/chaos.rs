@@ -11,9 +11,10 @@
 //! inside `e` drop in-flight traffic (the SLA cost of detection latency),
 //! and from `e + 1` the table is rebuilt as pristine plus the epoch's
 //! cumulative fault set, never a chain of one-way patches, so repairs
-//! genuinely heal. The rebuild is an [`UndoableTable`] revert-and-patch —
-//! O(patched pairs) per epoch instead of a full pristine clone — pinned
-//! pair-identical to [`CompiledRouteTable::repatch`] by the
+//! genuinely heal. The rebuild is an [`UndoableTable`] revert-and-patch
+//! over the borrowed pristine table — O(patched pairs) of new state per
+//! epoch, no copy of the pristine routes — pinned pair-identical to a
+//! from-scratch [`CompiledRouteTable::compile_degraded`] by the
 //! `fault_timeline` property tests.
 //!
 //! Every epoch reports SLA outcomes as integers: delivered / dropped /
@@ -28,10 +29,11 @@ use crate::campaign::{name_tag, splitmix64};
 use crate::shards::{run_grouped, PristineTables};
 use crate::sweep::AlgorithmSpec;
 use serde::{Deserialize, Serialize};
+use std::fmt;
 use xgft_core::{CompiledRouteTable, UndoableTable};
 use xgft_netsim::{FailurePolicy, InjectionBatch, NetworkConfig, NetworkSim};
 use xgft_patterns::{Flow, Pattern};
-use xgft_topo::{FaultSet, Xgft, XgftSpec};
+use xgft_topo::{FaultSet, TopologyError, Xgft, XgftSpec};
 
 /// Schema version of [`ChaosResult`] — bump on any breaking change to the
 /// timeline payload.
@@ -130,6 +132,29 @@ pub struct ChaosShard {
     /// Seed of the routing scheme (0 for deterministic schemes).
     pub algo_seed: u64,
 }
+
+/// Why [`ChaosConfig::run`] rejected its configuration.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum ChaosError {
+    /// `epochs` is zero: a campaign needs at least one epoch.
+    NoEpochs,
+    /// `epoch_ps` is zero: epochs need a positive duration.
+    ZeroEpochLength,
+    /// `k` and `w2` do not describe a machine (e.g. one of them is zero).
+    Topology(TopologyError),
+}
+
+impl fmt::Display for ChaosError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            ChaosError::NoEpochs => write!(f, "a chaos campaign needs at least one epoch"),
+            ChaosError::ZeroEpochLength => write!(f, "chaos epochs must have positive duration"),
+            ChaosError::Topology(e) => write!(f, "chaos machine: {e}"),
+        }
+    }
+}
+
+impl std::error::Error for ChaosError {}
 
 /// Configuration of a chaos campaign on one `XGFT(2; k, k; 1, w2)`
 /// machine. All knobs are integers so the seed streams and the serialised
@@ -249,16 +274,25 @@ impl ChaosConfig {
     /// parallel; outcomes are recorded in deterministic shard order.
     ///
     /// The pristine compiled table of every *deterministic* scheme is
-    /// built once and cloned per shard; epoch transitions pay only an
-    /// [`UndoableTable`] revert-and-patch — pristine plus the cumulative
-    /// fault set, at O(patched pairs) — never a full recompile and never a
-    /// chain of one-way patches.
-    pub fn run(&self, pattern: &Pattern) -> ChaosResult {
+    /// built once and lent to its shard; epoch transitions pay only an
+    /// [`UndoableTable`] revert-and-patch over it — pristine plus the
+    /// cumulative fault set, at O(patched pairs) — never a copy, a full
+    /// recompile or a chain of one-way patches.
+    ///
+    /// # Errors
+    /// A typed [`ChaosError`] when `epochs` or `epoch_ps` is zero, or `k`
+    /// and `w2` do not describe a machine.
+    pub fn run(&self, pattern: &Pattern) -> Result<ChaosResult, ChaosError> {
         xgft_obs::span!("analysis.chaos");
-        assert!(self.epochs > 0, "a chaos campaign needs at least one epoch");
-        assert!(self.epoch_ps > 0, "epochs must have positive duration");
-        let spec = XgftSpec::slimmed_two_level(self.k, self.w2).expect("valid slimmed spec");
-        let xgft = Xgft::new(spec).expect("valid topology");
+        if self.epochs == 0 {
+            return Err(ChaosError::NoEpochs);
+        }
+        if self.epoch_ps == 0 {
+            return Err(ChaosError::ZeroEpochLength);
+        }
+        let xgft = XgftSpec::slimmed_two_level(self.k, self.w2)
+            .and_then(Xgft::new)
+            .map_err(ChaosError::Topology)?;
         let flows: Vec<Flow> = pattern.combined().network_flows().collect();
         let timeline = self.timeline(&xgft);
         xgft_obs::global()
@@ -275,13 +309,13 @@ impl ChaosConfig {
             |_| InjectionBatch::new(),
             |batch, shard| {
                 let pristine = tables.get(shard.algorithm, shard.algo_seed);
-                self.run_shard(&xgft, pristine, shard, &flows, &timeline, batch)
+                self.run_shard(&xgft, &pristine, shard, &flows, &timeline, batch)
             },
         )
         .into_iter()
         .flatten()
         .collect();
-        ChaosResult {
+        Ok(ChaosResult {
             schema_version: CHAOS_SCHEMA_VERSION,
             name: self.name.clone(),
             k: self.k,
@@ -302,7 +336,7 @@ impl ChaosConfig {
                 })
                 .collect(),
             shards: outcomes,
-        }
+        })
     }
 
     /// Drive one shard through the timeline: per epoch, rebuild the table
@@ -310,17 +344,17 @@ impl ChaosConfig {
     /// strike the epoch's new incidents mid-run.
     ///
     /// The shard's scratch state is built once and recycled across epochs:
-    /// the working table is an [`UndoableTable`] whose epoch transition
-    /// reverts the previous overlay and patches the new cumulative set in
-    /// O(patched pairs) (pinned pair-identical to clone-and-repatch by the
-    /// `fault_timeline` properties), the simulator is reclaimed with
+    /// the working table is an [`UndoableTable`] over the borrowed pristine
+    /// table whose epoch transition reverts the previous overlay and patches
+    /// the new cumulative set (pinned pair-identical to a degraded recompile
+    /// by the `fault_timeline` properties), the simulator is reclaimed with
     /// [`NetworkSim::reset`] (pinned byte-identical to a fresh build), and
     /// the workload is lowered into one reused [`InjectionBatch`] (pinned
     /// bit-identical to per-message scheduling).
     fn run_shard(
         &self,
         xgft: &Xgft,
-        pristine: CompiledRouteTable,
+        pristine: &CompiledRouteTable,
         shard: &ChaosShard,
         flows: &[Flow],
         timeline: &[ChaosIncident],
@@ -657,7 +691,7 @@ mod tests {
     fn campaign_reports_sla_and_recovers_after_repairs() {
         let pattern = generators::wrf_mesh_exchange(4, 4, 16 * 1024);
         let config = mini();
-        let result = config.run(&pattern);
+        let result = config.run(&pattern).unwrap();
         assert_eq!(result.schema_version, CHAOS_SCHEMA_VERSION);
         assert_eq!(result.shards.len(), 3);
         assert!(!result.incidents.is_empty());
@@ -692,7 +726,7 @@ mod tests {
             .collect();
         assert!(strikes.windows(2).all(|w| w[0] == w[1]));
         // Reruns are byte-identical.
-        assert_eq!(result, config.run(&pattern));
+        assert_eq!(result, config.run(&pattern).unwrap());
 
         let table = result.render_table();
         assert!(table.contains("epoch"));
@@ -712,7 +746,7 @@ mod tests {
         config.switch_kill_permille = 1000;
         config.epochs = 3;
         config.repair_epochs = 1;
-        let result = config.run(&pattern);
+        let result = config.run(&pattern).unwrap();
         let shard = &result.shards[0];
         // Every epoch strikes (probability 1000‰), so epoch 0 drops
         // in-flight messages at its mid-epoch kill.
@@ -725,6 +759,46 @@ mod tests {
         assert_eq!(
             shard.epochs[1].delivered,
             shard.epochs[1].offered - shard.epochs[1].dropped - shard.epochs[1].unroutable
+        );
+    }
+
+    #[test]
+    fn zero_epochs_is_a_typed_error() {
+        let pattern = generators::wrf_mesh_exchange(4, 4, 1024);
+        let mut config = mini();
+        config.epochs = 0;
+        assert_eq!(config.run(&pattern), Err(ChaosError::NoEpochs));
+    }
+
+    #[test]
+    fn zero_epoch_length_is_a_typed_error() {
+        let pattern = generators::wrf_mesh_exchange(4, 4, 1024);
+        let mut config = mini();
+        config.epoch_ps = 0;
+        assert_eq!(config.run(&pattern), Err(ChaosError::ZeroEpochLength));
+    }
+
+    #[test]
+    fn zero_k_is_a_typed_error() {
+        let pattern = generators::wrf_mesh_exchange(4, 4, 1024);
+        let mut config = mini();
+        config.k = 0;
+        assert!(matches!(
+            config.run(&pattern),
+            Err(ChaosError::Topology(TopologyError::ZeroParameter { .. }))
+        ));
+    }
+
+    #[test]
+    fn zero_w2_is_a_typed_error() {
+        let pattern = generators::wrf_mesh_exchange(4, 4, 1024);
+        let mut config = mini();
+        config.w2 = 0;
+        assert_eq!(
+            config.run(&pattern),
+            Err(ChaosError::Topology(TopologyError::ZeroParameter {
+                level: 2
+            }))
         );
     }
 }

@@ -41,7 +41,7 @@ pub mod sweep;
 
 pub use campaign::{shard_seed, CampaignConfig, CampaignResult, ShardOutcome};
 pub use chaos::{
-    chaos_algo_seed, chaos_seed, ChaosConfig, ChaosIncident, ChaosResult, ChaosShard,
+    chaos_algo_seed, chaos_seed, ChaosConfig, ChaosError, ChaosIncident, ChaosResult, ChaosShard,
     ChaosShardOutcome, IncidentKind, IncidentSummary, SlaEpoch, CHAOS_SCHEMA_VERSION,
 };
 pub use resilience::{

@@ -4,11 +4,11 @@
 //! A resilience campaign measures what the paper never did: how each
 //! oblivious scheme's *fixed* route choices survive link failures without
 //! reconfiguration. Every shard of the sweep (one `(algorithm, failure
-//! rate, seed index)` triple) builds the pristine compiled route table,
-//! draws a [`FaultSet`] with [`FaultSet::uniform_links`], applies the
-//! incremental [`CompiledRouteTable::patch`] — rerouting only the affected
+//! rate, seed index)` triple) takes the pristine compiled route table,
+//! draws a [`FaultSet`] with [`FaultSet::uniform_links`], patches an
+//! [`UndoableTable`] overlay over the table — rerouting only the affected
 //! pairs under each scheme's own label arithmetic — and replays the
-//! workload trace on the patched table. Shards whose patch reports
+//! workload trace on the overlay. Shards whose patch reports
 //! unroutable pairs are recorded as undelivered (the typed-miss path)
 //! instead of being replayed into a guaranteed deadlock.
 //!
@@ -26,7 +26,7 @@ use crate::slowdown::{run_on_crossbar, run_reusing_sim};
 use crate::stats::BoxplotStats;
 use crate::sweep::AlgorithmSpec;
 use serde::{Deserialize, Serialize};
-use xgft_core::CompiledRouteTable;
+use xgft_core::{CompiledRouteTable, UndoableTable};
 use xgft_netsim::{NetworkConfig, NetworkSim};
 use xgft_patterns::Pattern;
 use xgft_topo::{FaultSet, Xgft, XgftSpec};
@@ -174,11 +174,11 @@ impl ResilienceConfig {
     /// `(rate, algorithm)` point.
     ///
     /// The topology is built once, and the pristine compiled table of every
-    /// *deterministic* scheme once per scheme — each of its shards clones
-    /// the table and pays only the incremental patch (this is what makes
-    /// `patch` worth having: shard cost is fault handling, not recompiles).
-    /// Seeded schemes route differently per `algo_seed`, so their shards
-    /// still compile their own tables.
+    /// *deterministic* scheme once per scheme — each of its shards borrows
+    /// the table and pays only the patch of its overlay (shard cost is
+    /// fault handling, not recompiles or copies). Seeded schemes route
+    /// differently per `algo_seed`, so their shards still compile their own
+    /// tables.
     pub fn run(&self, pattern: &Pattern) -> ResilienceResult {
         let trace = &workloads::trace_from_pattern(pattern, 0);
         xgft_obs::span!("analysis.resilience");
@@ -205,7 +205,7 @@ impl ResilienceConfig {
             },
             |(engine, sim), shard| {
                 let pristine = tables.get(shard.algorithm, shard.algo_seed);
-                run_shard(&xgft, pristine, shard, engine, sim, crossbar_ps)
+                run_shard(&xgft, &pristine, shard, engine, sim, crossbar_ps)
             },
         );
         let points = groups.iter().map(|group| point_of(group)).collect();
@@ -222,18 +222,19 @@ impl ResilienceConfig {
     }
 }
 
-/// Replay one shard: draw its fault set, patch its copy of the pristine
+/// Replay one shard: draw its fault set, patch an overlay over the pristine
 /// routes, and replay when fully routable — through the group's recycled
 /// replay engine and simulator.
 fn run_shard(
     xgft: &Xgft,
-    mut table: CompiledRouteTable,
+    pristine: &CompiledRouteTable,
     shard: &ResilienceShard,
     engine: &mut ReplayEngine<'_>,
     sim: &mut NetworkSim,
     crossbar_ps: u64,
 ) -> ResilienceOutcome {
     let faults = FaultSet::uniform_links(xgft, shard.permille as f64 / 1000.0, shard.fault_seed);
+    let mut table = UndoableTable::new(pristine);
     let stats = table.patch(xgft, &faults);
     let slowdown = if stats.unroutable == 0 {
         // The engine replays a `trace_from_pattern` trace, which cannot

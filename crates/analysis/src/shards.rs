@@ -12,12 +12,14 @@
 //! from the groups. Chaos keys every shard as its own group.
 //!
 //! [`PristineTables`] is the matching route-table cache: it compiles each
-//! deterministic scheme once per machine and hands each shard a clone to
-//! patch, while each seeded shard compiles its own table because it routes
-//! differently per seed.
+//! deterministic scheme once per machine and lends it to every shard, which
+//! patches a fault overlay over the borrowed table
+//! ([`xgft_core::UndoableTable`]) instead of cloning it; each seeded shard
+//! compiles its own table because it routes differently per seed.
 
 use crate::sweep::AlgorithmSpec;
 use rayon::prelude::*;
+use std::borrow::Cow;
 use xgft_core::CompiledRouteTable;
 use xgft_patterns::Pattern;
 use xgft_topo::Xgft;
@@ -93,12 +95,18 @@ impl<'a> PristineTables<'a> {
         }
     }
 
-    /// The pristine table of `algorithm`: a clone of the cached one for a
-    /// deterministic scheme, a fresh compile at `seed` for a seeded one.
-    pub(crate) fn get(&self, algorithm: AlgorithmSpec, seed: u64) -> CompiledRouteTable {
+    /// The pristine table of `algorithm`: the cached one, borrowed, for a
+    /// deterministic scheme; a fresh compile at `seed` for a seeded one.
+    pub(crate) fn get(&self, algorithm: AlgorithmSpec, seed: u64) -> Cow<'_, CompiledRouteTable> {
         match self.deterministic.iter().find(|(a, _)| *a == algorithm) {
-            Some((_, table)) => table.clone(),
-            None => compile(self.xgft, self.pattern, self.pairs, algorithm, seed),
+            Some((_, table)) => Cow::Borrowed(table),
+            None => Cow::Owned(compile(
+                self.xgft,
+                self.pattern,
+                self.pairs,
+                algorithm,
+                seed,
+            )),
         }
     }
 }
@@ -216,6 +224,10 @@ mod tests {
         );
         assert_eq!(tables.deterministic.len(), 1, "only d-mod-k is cached");
         let cached = tables.get(AlgorithmSpec::DModK, 0);
+        assert!(
+            matches!(cached, Cow::Borrowed(_)),
+            "cached tables are lent, not cloned"
+        );
         let cached_direct = compile(&xgft, &pattern, &pairs, AlgorithmSpec::DModK, 0);
         let seeded = tables.get(AlgorithmSpec::Random, 5);
         let seeded_direct = compile(&xgft, &pattern, &pairs, AlgorithmSpec::Random, 5);

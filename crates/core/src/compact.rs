@@ -20,17 +20,16 @@
 //! * the same typed miss semantics — self-pairs, out-of-range leaves and
 //!   pairs outside the built domain return `None`, which the network layer
 //!   surfaces as `MissingRoute`;
-//! * a degraded mode that mirrors [`crate::CompiledRouteTable::patch`]
-//!   *sparsely*: only fault-crossing pairs are stored in an overlay, every
-//!   clean pair keeps costing zero bytes.
+//! * the same fault patching: a [`crate::UndoableTable`] over a compact base
+//!   stores only the fault-crossing pairs, so every clean pair keeps
+//!   costing zero bytes.
 
-use crate::compiled::{CompiledRouteTable, PatchStats};
-use crate::degraded::reroute;
+use crate::compiled::CompiledRouteTable;
+use crate::overlay::{decode_route, PatchBase};
 use crate::random::pair_stream;
 use crate::relabel::RelabelMaps;
 use rand::Rng;
-use std::collections::HashMap;
-use xgft_topo::{ChannelId, ChannelTable, DegradedXgft, Direction, FaultSet, Route, Xgft};
+use xgft_topo::{ChannelId, ChannelTable, Direction, Route, Xgft};
 
 /// The closed-form port arithmetic of one oblivious scheme.
 ///
@@ -115,24 +114,14 @@ enum PairDomain {
     Pairs(Vec<u64>),
 }
 
-/// A sparse overlay entry for one pair whose effective route is *not* the
-/// closed form.
-#[derive(Debug, Clone, PartialEq)]
-enum PatchEntry {
-    /// A fault patch diverted the pair's route; the stored dense channel
-    /// path wins.
-    Rerouted(Vec<u32>),
-    /// No minimal route of the pair survives: a typed miss.
-    Unroutable,
-}
-
 /// Closed-form routes for one scheme on one topology: the route
 /// representation for machines too large to table, next to the flat
 /// [`CompiledRouteTable`] and the algorithm computing each route per call.
 ///
 /// Lookups compute the dense channel path on the fly from the pair's labels;
-/// nothing per-pair is stored unless a fault patch forces a divergence into
-/// the sparse overlay. Memory is O(height) for the mod-k and Random schemes
+/// nothing per-pair is stored (fault patches go into a
+/// [`crate::UndoableTable`] over the engine). Memory is O(height) for the
+/// mod-k and Random schemes
 /// and O(topology) for the r-NCA relabeling maps — compare
 /// [`CompactRoutes::storage_bytes`] against
 /// [`CompiledRouteTable::storage_bytes`] for the numbers the docs table
@@ -164,11 +153,6 @@ pub struct CompactRoutes {
     channels: ChannelTable,
     scheme: CompactScheme,
     domain: PairDomain,
-    /// Only pairs diverging from the closed form: fault detours and typed
-    /// misses.
-    overlay: HashMap<u64, PatchEntry>,
-    /// Number of overlay entries that are typed misses.
-    unroutable: usize,
 }
 
 impl CompactRoutes {
@@ -212,146 +196,37 @@ impl CompactRoutes {
             channels: xgft.channels().clone(),
             scheme,
             domain,
-            overlay: HashMap::new(),
-            unroutable: 0,
         }
     }
 
-    /// Materialise into the flat compiled form. The result is byte-identical
-    /// to compiling the same pairs directly (pristine) or to patching /
-    /// degraded-compiling them (after [`CompactRoutes::patch`]) — the
-    /// property the differential tests pin.
+    /// Materialise into the flat compiled form, byte-identical to compiling
+    /// the same pairs directly — the property the differential tests pin.
     pub fn to_compiled(&self, xgft: &Xgft) -> CompiledRouteTable {
         self.assert_same_machine(xgft);
         let n = self.num_leaves;
         let mut picked: Vec<(usize, Route)> = Vec::with_capacity(self.len());
         let mut scratch = Vec::new();
-        self.for_each_pair(|s, d, code| match self.overlay.get(&code) {
-            Some(PatchEntry::Unroutable) => {}
-            Some(PatchEntry::Rerouted(path)) => {
-                picked.push((s * n + d, self.decode_route(path)));
-            }
-            None => {
-                self.closed_form_into(s, d, &mut scratch);
-                picked.push((s * n + d, self.decode_route(&scratch)));
-            }
+        self.for_each_pair(|s, d| {
+            self.closed_form_into(s, d, &mut scratch);
+            picked.push((s * n + d, decode_route(&self.channels, &scratch)));
         });
         CompiledRouteTable::from_sorted_routes(xgft, self.algorithm(), false, picked)
     }
 
-    /// Layer a fault set over the closed form, in place: only pairs whose
-    /// effective path crosses a failed channel gain an overlay entry (a
-    /// detour chosen exactly like [`CompiledRouteTable::patch`] — the stored
-    /// ports as preference, `(preferred + δ) mod w` depth-first — or a typed
-    /// miss when nothing minimal survives). Clean pairs keep costing zero
-    /// bytes, so sparse fault sets stay sparse in memory no matter the
-    /// machine size — where the compiled patch rewrites its dense arrays.
-    ///
-    /// Same one-way contract as the compiled form: faults accumulate, misses
-    /// never heal, and repair/churn restarts from the pristine closed form
-    /// via [`CompactRoutes::repatch`]. Patching a pristine engine is
-    /// byte-identical (via
-    /// [`CompactRoutes::to_compiled`]) to
-    /// [`CompiledRouteTable::compile_degraded`] on the same pairs.
-    ///
-    /// # Panics
-    /// Panics if the engine, topology and fault set disagree on machine size
-    /// or channel numbering.
-    pub fn patch(&mut self, xgft: &Xgft, faults: &FaultSet) -> PatchStats {
-        xgft_obs::span!("core.patch");
-        self.assert_same_machine(xgft);
-        let degraded = DegradedXgft::new(xgft, faults).expect("fault set matches the topology");
-        let mut stats = PatchStats::default();
-        if faults.is_empty() {
-            stats.untouched = self.len();
-            crate::compiled::record_patch(&stats, 0);
-            return stats;
-        }
-        let mut updates: Vec<(u64, PatchEntry)> = Vec::new();
-        let mut scratch: Vec<u32> = Vec::new();
-        self.for_each_pair(|s, d, code| {
-            let current: &[u32] = match self.overlay.get(&code) {
-                Some(PatchEntry::Unroutable) => return, // a miss stays a miss
-                Some(PatchEntry::Rerouted(path)) => path,
-                None => {
-                    self.closed_form_into(s, d, &mut scratch);
-                    &scratch
-                }
-            };
-            if current.iter().all(|&c| !faults.is_failed(c as usize)) {
-                stats.untouched += 1;
-                return;
-            }
-            let preferred = self.decode_route(current);
-            match reroute(&degraded, s, d, &preferred) {
-                Ok(route) => {
-                    let path = xgft
-                        .route_channels(s, d, &route)
-                        .expect("fault-aware fallback produces valid routes");
-                    updates.push((
-                        code,
-                        PatchEntry::Rerouted(path.iter().map(|&c| c as u32).collect()),
-                    ));
-                    stats.rerouted += 1;
-                }
-                Err(_) => {
-                    updates.push((code, PatchEntry::Unroutable));
-                    stats.unroutable += 1;
-                }
-            }
-        });
-        for (code, entry) in updates {
-            if entry == PatchEntry::Unroutable {
-                self.unroutable += 1;
-            }
-            self.overlay.insert(code, entry);
-        }
-        crate::compiled::record_patch(&stats, faults.num_failed_channels());
-        stats
-    }
-
-    /// The repair direction of overlay patching: discard every overlay
-    /// entry (the engine reverts to its pristine closed form for free — no
-    /// pristine copy is needed, unlike [`CompiledRouteTable::repatch`]) and
-    /// patch against `faults` in one step. Because [`CompactRoutes::patch`]
-    /// is one-way, fault *churn* must restart from the pristine closed
-    /// form; `repatch` is that restart, byte-identical (via
-    /// [`CompactRoutes::to_compiled`]) to
-    /// [`CompiledRouteTable::compile_degraded`] on the same pairs.
-    ///
-    /// # Panics
-    /// Panics if the engine, topology and fault set disagree on machine
-    /// size or channel numbering.
-    pub fn repatch(&mut self, xgft: &Xgft, faults: &FaultSet) -> PatchStats {
-        self.overlay.clear();
-        self.unroutable = 0;
-        self.patch(xgft, faults)
-    }
-
     /// Compute the dense channel path of `(s, d)` into `out`. Returns
     /// `false` — leaving `out` empty — on exactly the misses the compiled
-    /// form has: self-pairs, out-of-range leaves, pairs outside the built
-    /// domain, and pairs a patch declared unroutable.
+    /// form has: self-pairs, out-of-range leaves and pairs outside the
+    /// built domain.
     pub fn path_into(&self, s: usize, d: usize, out: &mut Vec<u32>) -> bool {
         out.clear();
         if s >= self.num_leaves || d >= self.num_leaves || s == d {
             return false;
         }
-        let code = (s * self.num_leaves + d) as u64;
-        if !self.domain_contains(code) {
+        if !self.domain_contains((s * self.num_leaves + d) as u64) {
             return false;
         }
-        match self.overlay.get(&code) {
-            Some(PatchEntry::Unroutable) => false,
-            Some(PatchEntry::Rerouted(path)) => {
-                out.extend_from_slice(path);
-                true
-            }
-            None => {
-                self.closed_form_into(s, d, out);
-                true
-            }
-        }
+        self.closed_form_into(s, d, out);
+        true
     }
 
     /// The dense channel path of `(s, d)` as an owned vector (`None` on a
@@ -365,7 +240,8 @@ impl CompactRoutes {
     /// its channel path — the same decode as
     /// [`CompiledRouteTable::route`].
     pub fn route(&self, s: usize, d: usize) -> Option<Route> {
-        self.path(s, d).map(|path| self.decode_route(&path))
+        self.path(s, d)
+            .map(|path| decode_route(&self.channels, &path))
     }
 
     /// The name of the scheme.
@@ -383,14 +259,12 @@ impl CompactRoutes {
         self.num_leaves
     }
 
-    /// Number of routable pairs: the domain size minus the typed misses a
-    /// patch introduced.
+    /// Number of routable pairs: the size of the domain.
     pub fn len(&self) -> usize {
-        let domain = match &self.domain {
+        match &self.domain {
             PairDomain::AllPairs => self.num_leaves * self.num_leaves - self.num_leaves,
             PairDomain::Pairs(codes) => codes.len(),
-        };
-        domain - self.unroutable
+        }
     }
 
     /// True if no pair is routable.
@@ -400,27 +274,15 @@ impl CompactRoutes {
 
     /// Bytes of route state: scheme state (zero for mod-k, one seed for
     /// Random, the relabeling maps for r-NCA) plus the explicit pair domain
-    /// (if any) plus the sparse overlay — the quantity the compact-routing
-    /// literature budgets, and the number the docs size table reports
-    /// against [`CompiledRouteTable::storage_bytes`].
+    /// (if any) — the quantity the compact-routing literature budgets, and
+    /// the number the docs size table reports against
+    /// [`CompiledRouteTable::storage_bytes`].
     pub fn storage_bytes(&self) -> usize {
         let domain = match &self.domain {
             PairDomain::AllPairs => 0,
             PairDomain::Pairs(codes) => std::mem::size_of_val(&codes[..]),
         };
-        let overlay: usize = self
-            .overlay
-            .iter()
-            .map(|(key, entry)| {
-                std::mem::size_of_val(key)
-                    + std::mem::size_of::<PatchEntry>()
-                    + match entry {
-                        PatchEntry::Rerouted(path) => std::mem::size_of_val(&path[..]),
-                        PatchEntry::Unroutable => 0,
-                    }
-            })
-            .sum();
-        self.scheme.state_bytes() + domain + overlay
+        self.scheme.state_bytes() + domain
     }
 
     /// Validate every routable pair against the topology: the decoded route
@@ -430,11 +292,12 @@ impl CompactRoutes {
         self.assert_same_machine(xgft);
         let mut result = Ok(());
         let mut out = Vec::new();
-        self.for_each_pair(|s, d, _| {
-            if result.is_err() || !self.path_into(s, d, &mut out) {
+        self.for_each_pair(|s, d| {
+            if result.is_err() {
                 return;
             }
-            let route = self.decode_route(&out);
+            self.closed_form_into(s, d, &mut out);
+            let route = decode_route(&self.channels, &out);
             match xgft.route_channels(s, d, &route) {
                 Ok(expanded) => {
                     if expanded.len() != out.len()
@@ -472,36 +335,24 @@ impl CompactRoutes {
     }
 
     /// Visit every domain pair in ascending `s·n + d` order.
-    fn for_each_pair(&self, mut f: impl FnMut(usize, usize, u64)) {
+    fn for_each_pair(&self, mut f: impl FnMut(usize, usize)) {
         let n = self.num_leaves;
         match &self.domain {
             PairDomain::AllPairs => {
                 for s in 0..n {
                     for d in 0..n {
                         if s != d {
-                            f(s, d, (s * n + d) as u64);
+                            f(s, d);
                         }
                     }
                 }
             }
             PairDomain::Pairs(codes) => {
                 for &code in codes {
-                    f((code as usize) / n, (code as usize) % n, code);
+                    f((code as usize) / n, (code as usize) % n);
                 }
             }
         }
-    }
-
-    /// Decode a dense channel path back into its up-port route (the ascent
-    /// half carries the ports).
-    fn decode_route(&self, path: &[u32]) -> Route {
-        let ascent = path.len() / 2;
-        Route::new(
-            path[..ascent]
-                .iter()
-                .map(|&dense| self.channels.channel(dense as usize).up_port)
-                .collect(),
-        )
     }
 
     /// Compute the closed-form dense channel path of a distinct in-range
@@ -569,6 +420,24 @@ impl CompactRoutes {
     }
 }
 
+impl PatchBase for CompactRoutes {
+    fn channels(&self) -> &ChannelTable {
+        &self.channels
+    }
+
+    fn routes(&self) -> usize {
+        self.len()
+    }
+
+    fn for_each_path(&self, mut visit: impl FnMut(usize, usize, &[u32])) {
+        let mut path = Vec::new();
+        self.for_each_pair(|s, d| {
+            self.closed_form_into(s, d, &mut path);
+            visit(s, d, &path);
+        });
+    }
+}
+
 /// The NCA level of two leaves: the lowest level whose subtrees (leaves
 /// agreeing on every digit above it) hold both, 0 when equal.
 fn nca_level(spec: &xgft_topo::XgftSpec, mut s: usize, mut d: usize) -> usize {
@@ -586,9 +455,11 @@ mod tests {
     use super::*;
     use crate::algorithm::RoutingAlgorithm;
     use crate::modk::{DModK, SModK};
+    use crate::overlay::tests::{all_pairs, assert_resolves_like, cut_switch_zero};
     use crate::random::RandomRouting;
     use crate::rnca::{RandomNcaDown, RandomNcaUp};
-    use xgft_topo::XgftSpec;
+    use crate::{RouteSource, UndoableTable};
+    use xgft_topo::{FaultSet, XgftSpec};
 
     fn schemes_for(xgft: &Xgft) -> Vec<(CompactScheme, Box<dyn RoutingAlgorithm>)> {
         vec![
@@ -658,50 +529,65 @@ mod tests {
 
     #[test]
     fn patch_matches_compiled_patch_byte_for_byte() {
-        let xgft = Xgft::new(XgftSpec::slimmed_two_level(4, 2).unwrap()).unwrap();
-        let mut faults = FaultSet::none(&xgft);
-        faults.fail_cable(xgft.channels(), 1, 0, 1);
+        let (xgft, faults) = cut_switch_zero(1);
         for (scheme, algo) in schemes_for(&xgft) {
-            let mut compact = CompactRoutes::all_pairs(&xgft, scheme);
-            let compact_stats = compact.patch(&xgft, &faults);
-            let mut compiled = CompiledRouteTable::compile_all_pairs(&xgft, algo.as_ref());
-            let compiled_stats = compiled.patch(&xgft, &faults);
+            let compact = CompactRoutes::all_pairs(&xgft, scheme);
+            let pristine_bytes = compact.storage_bytes();
+            let mut over_compact = UndoableTable::new(compact);
+            let compact_stats = over_compact.patch(&xgft, &faults);
+            let compiled = CompiledRouteTable::compile_all_pairs(&xgft, algo.as_ref());
+            let compiled_stats = UndoableTable::new(&compiled).patch(&xgft, &faults);
             assert_eq!(compact_stats, compiled_stats, "{}", algo.name());
-            assert_eq!(compact.to_compiled(&xgft), compiled, "{}", algo.name());
+            let scratch =
+                CompiledRouteTable::compile_degraded(&xgft, &faults, algo.as_ref(), all_pairs(16));
+            assert_resolves_like(&over_compact, &scratch);
             // Only the fault-crossing pairs are stored.
-            assert_eq!(compact.overlay.len(), compact_stats.rerouted);
-            assert!(compact.validate(&xgft).is_ok());
+            assert_eq!(over_compact.patched_pairs(), compact_stats.rerouted);
+            assert!(over_compact.storage_bytes() > pristine_bytes);
         }
     }
 
     #[test]
-    fn patch_unroutable_pairs_become_typed_misses_and_never_heal() {
-        let xgft = Xgft::new(XgftSpec::slimmed_two_level(4, 2).unwrap()).unwrap();
-        let mut faults = FaultSet::none(&xgft);
-        faults.fail_cable(xgft.channels(), 1, 0, 0);
-        faults.fail_cable(xgft.channels(), 1, 0, 1);
-        let mut compact = CompactRoutes::all_pairs(&xgft, CompactScheme::DModK);
-        let pristine_len = compact.len();
-        let stats = compact.patch(&xgft, &faults);
+    fn patch_unroutable_pairs_become_typed_misses_and_heal_on_repair() {
+        let (xgft, faults) = cut_switch_zero(2);
+        let compact = CompactRoutes::all_pairs(&xgft, CompactScheme::DModK);
+        let mut table = UndoableTable::new(compact);
+        let pristine_len = table.len();
+        let stats = table.patch(&xgft, &faults);
         assert!(stats.unroutable > 0);
-        assert!(compact.path(0, 5).is_none(), "cut-off pair must miss");
-        assert!(compact.path(0, 1).is_some(), "intra-switch pair survives");
-        assert_eq!(compact.len(), pristine_len - stats.unroutable);
+        let mut scratch = Vec::new();
+        assert!(
+            table.path_in(0, 5, &mut scratch).is_none(),
+            "cut-off pair must miss"
+        );
+        assert!(
+            table.path_in(0, 1, &mut scratch).is_some(),
+            "intra-switch pair survives"
+        );
+        assert_eq!(table.len(), pristine_len - stats.unroutable);
+        let expected =
+            CompiledRouteTable::compile_degraded(&xgft, &faults, &DModK::new(), all_pairs(16));
+        assert_resolves_like(&table, &expected);
 
-        let mut compiled = CompiledRouteTable::compile_all_pairs(&xgft, &DModK::new());
-        compiled.patch(&xgft, &faults);
-        assert_eq!(compact.to_compiled(&xgft), compiled);
-        assert_eq!(compact.len(), compiled.len());
+        // The repair: the empty set heals every miss.
+        let stats = table.patch(&xgft, &FaultSet::none(&xgft));
+        assert_eq!(stats.untouched, pristine_len);
+        assert_resolves_like(&table, &table.base().to_compiled(&xgft));
+    }
 
-        // One-way: re-patching with an empty set must not heal the miss.
-        let repaired = FaultSet::none(&xgft);
-        compact.patch(&xgft, &repaired);
-        assert!(compact.path(0, 5).is_none(), "misses must not heal");
-
-        // Idempotent: re-patching with the same set changes nothing.
-        let again = compact.patch(&xgft, &faults);
-        assert_eq!(again.rerouted, 0);
-        assert_eq!(again.unroutable, 0);
+    #[test]
+    fn pristine_patch_with_no_faults_is_free() {
+        let xgft = Xgft::k_ary_n_tree(4, 2);
+        let mut table = UndoableTable::new(CompactRoutes::all_pairs(&xgft, CompactScheme::SModK));
+        let stats = table.patch(&xgft, &FaultSet::none(&xgft));
+        assert_eq!(stats.untouched, table.len());
+        assert_eq!(stats.rerouted, 0);
+        assert_eq!(table.patched_pairs(), 0);
+        assert_eq!(
+            table.storage_bytes(),
+            0,
+            "s-mod-k over all pairs has no state"
+        );
     }
 
     #[test]
@@ -716,15 +602,5 @@ mod tests {
         let rnca = CompactRoutes::all_pairs(&xgft, CompactScheme::random_nca_up(&xgft, 1));
         assert!(rnca.storage_bytes() > 0);
         assert!(rnca.storage_bytes() < compiled.storage_bytes() / 100);
-    }
-
-    #[test]
-    fn pristine_patch_with_no_faults_is_free() {
-        let xgft = Xgft::k_ary_n_tree(4, 2);
-        let mut compact = CompactRoutes::all_pairs(&xgft, CompactScheme::SModK);
-        let stats = compact.patch(&xgft, &FaultSet::none(&xgft));
-        assert_eq!(stats.untouched, compact.len());
-        assert_eq!(stats.rerouted, 0);
-        assert!(compact.overlay.is_empty());
     }
 }

@@ -26,16 +26,16 @@
 //! pattern or for all pairs, flattened into dense per-source channel-index
 //! arrays — the zero-allocation form the simulators inject from),
 //! [`CompactRoutes`] (the closed-form label-arithmetic engine: any hop
-//! computed in O(height) from the pair's labels with near-zero route state,
-//! plus a sparse fault-patch overlay), [`RouteSource`] (the path-lookup
-//! abstraction the simulators and the flow model are generic over),
-//! [`contention`] (the network-contention metrics of Sec. IV and VII),
-//! [`distribution`] (routes-per-NCA histograms of Fig. 4), [`route_dist`]
-//! (exact per-pair route *distributions* — the closed forms the `xgft-flow`
-//! analytical channel-load model consumes in place of seed sweeps), and
-//! [`degraded`] (fault-aware routing: each scheme's deterministic fallback
-//! around dead channels, the typed `Unroutable` miss, and the incremental
-//! [`CompiledRouteTable::patch`](compiled::CompiledRouteTable::patch)).
+//! computed in O(height) from the pair's labels with near-zero route state),
+//! [`RouteSource`] (the path-lookup abstraction the simulators and the flow
+//! model are generic over), [`contention`] (the network-contention metrics
+//! of Sec. IV and VII), [`distribution`] (routes-per-NCA histograms of
+//! Fig. 4), [`route_dist`] (exact per-pair route *distributions* — the
+//! closed forms the `xgft-flow` analytical channel-load model consumes in
+//! place of seed sweeps), [`degraded`] (fault-aware routing: each scheme's
+//! deterministic fallback around dead channels and the typed `Unroutable`
+//! miss), and [`UndoableTable`] (the one fault patch: a revertible sparse
+//! overlay over an untouched compiled or compact base).
 //!
 //! One rule picks the representation. A pass that reads each pair once —
 //! the contention report, the Fig. 4 histograms — routes on the fly from
@@ -55,6 +55,7 @@ pub mod contention;
 pub mod degraded;
 pub mod distribution;
 pub mod modk;
+pub mod overlay;
 pub mod random;
 pub mod relabel;
 pub mod rnca;
@@ -64,11 +65,12 @@ pub mod source;
 pub use algorithm::RoutingAlgorithm;
 pub use colored::ColoredRouting;
 pub use compact::{CompactRoutes, CompactScheme};
-pub use compiled::{CompiledRouteTable, PatchStats, UndoableTable};
+pub use compiled::CompiledRouteTable;
 pub use contention::{ChannelLoads, ContentionReport};
 pub use degraded::{degraded_route, reroute, RoutingError};
 pub use distribution::nca_route_distribution;
 pub use modk::{DModK, SModK};
+pub use overlay::{PatchBase, PatchStats, UndoableTable};
 pub use random::RandomRouting;
 pub use relabel::RelabelMaps;
 pub use rnca::{RandomNcaDown, RandomNcaUp};

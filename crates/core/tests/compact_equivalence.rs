@@ -2,15 +2,16 @@
 //! randomized (spec, scheme, pair set, fault set) tuples, [`CompactRoutes`]
 //! must be byte-identical to [`CompiledRouteTable`] — same paths on the
 //! pristine machine, same typed misses outside the domain, and the same
-//! patched paths / unroutable pairs after a fault patch — while holding
-//! near-zero route state for the closed-form schemes.
+//! patched paths / unroutable pairs when an [`UndoableTable`] patches
+//! either base — while holding near-zero route state for the closed-form
+//! schemes, even under a fault patch on a 65,536-leaf machine.
 
 use proptest::prelude::*;
 use xgft_core::{
-    CompactRoutes, CompactScheme, CompiledRouteTable, DModK, RandomNcaDown, RandomNcaUp,
-    RandomRouting, RoutingAlgorithm, SModK,
+    degraded_route, CompactRoutes, CompactScheme, CompiledRouteTable, DModK, RandomNcaDown,
+    RandomNcaUp, RandomRouting, RouteSource, RoutingAlgorithm, SModK, UndoableTable,
 };
-use xgft_topo::{FaultSet, Xgft, XgftSpec};
+use xgft_topo::{DegradedXgft, FaultSet, Xgft, XgftSpec};
 
 /// Small specs of heights 1 to 4: the two- and three-level slimmed shapes
 /// of the degraded-patch property tests, plus single-level trees (possibly
@@ -120,9 +121,10 @@ proptest! {
         }
     }
 
-    /// Degraded equivalence: patching the compact overlay must agree with
-    /// patching the compiled table — same rerouted paths, same typed
-    /// unroutable misses, same accounting — for any uniform fault draw.
+    /// Degraded equivalence: the overlay over the compact closed form must
+    /// agree with the overlay over the compiled table and with a degraded
+    /// recompile — same rerouted paths, same typed unroutable misses, same
+    /// accounting — for any uniform fault draw.
     #[test]
     fn compact_patch_matches_compiled_patch(
         spec in small_spec(),
@@ -137,24 +139,101 @@ proptest! {
         let pairs = pair_set(xgft.num_leaves(), salt);
         let faults = FaultSet::uniform_links(&xgft, rate_percent as f64 / 100.0, fault_seed);
 
-        let mut compact = CompactRoutes::for_pairs(&xgft, closed_form, pairs.iter().copied());
-        let mut compiled =
-            CompiledRouteTable::compile(&xgft, algo.as_ref(), pairs.iter().copied());
+        let mut compact = UndoableTable::new(CompactRoutes::for_pairs(
+            &xgft,
+            closed_form,
+            pairs.iter().copied(),
+        ));
+        let pristine = CompiledRouteTable::compile(&xgft, algo.as_ref(), pairs.iter().copied());
+        let mut compiled = UndoableTable::new(&pristine);
         let compact_stats = compact.patch(&xgft, &faults);
         let compiled_stats = compiled.patch(&xgft, &faults);
         prop_assert_eq!(compact_stats, compiled_stats, "{}", algo.name());
-        prop_assert_eq!(&compact.to_compiled(&xgft), &compiled);
-        compact.validate(&xgft).expect("patched compact routes stay decodable");
+        let degraded =
+            CompiledRouteTable::compile_degraded(&xgft, &faults, algo.as_ref(), pairs.iter().copied());
+        prop_assert_eq!(compact.len(), degraded.len());
+        prop_assert_eq!(compiled.len(), degraded.len());
 
-        // Unroutable pairs are typed misses in both forms; surviving paths
+        // Unroutable pairs are typed misses in every form; surviving paths
         // avoid every dead channel.
         let mut scratch = Vec::new();
-        for &(s, d) in &pairs {
-            let hit = compact.path_into(s, d, &mut scratch);
-            prop_assert_eq!(hit.then_some(scratch.as_slice()), compiled.path(s, d));
-            if hit {
-                prop_assert!(scratch.iter().all(|&c| !faults.is_failed(c as usize)));
+        let n = xgft.num_leaves();
+        for (s, d) in (0..=n).flat_map(|s| (0..=n).map(move |d| (s, d))) {
+            let path = compact.path_in(s, d, &mut scratch);
+            prop_assert_eq!(path, compiled.path(s, d));
+            prop_assert_eq!(path, degraded.path(s, d));
+            if let Some(path) = path {
+                prop_assert!(path.iter().all(|&c| !faults.is_failed(c as usize)));
             }
+        }
+    }
+}
+
+/// The overlay needs no per-pair index, so a compact base stays compact
+/// under faults at scale: on a 65,536-leaf machine (where a dense `u32`
+/// pair index alone would take 16 GiB), a shift pattern patched with a
+/// top-level cut of half the cables resolves every pair exactly like the
+/// fault-aware reference route (a miss where the reference has none) in
+/// well under 64 MiB — and patching the empty set restores every pristine
+/// closed form.
+#[test]
+fn compact_overlay_patches_a_65536_leaf_machine_sparsely() {
+    let xgft = Xgft::k_ary_n_tree(16, 4);
+    let n = xgft.num_leaves();
+    assert_eq!(n, 65_536);
+    // Shift by 16³: every pair's route climbs to the top level.
+    let pairs: Vec<(usize, usize)> = xgft_patterns::generators::shift(n, 4096, 1)
+        .combined()
+        .network_flows()
+        .map(|f| (f.src, f.dst))
+        .collect();
+    assert_eq!(pairs.len(), n);
+    let cable_level = xgft.height() - 1;
+    let cut = xgft.channels().cables_at_level(cable_level) / 2;
+    let faults = FaultSet::targeted_level_cut(&xgft, cable_level, cut, 17);
+    let degraded = DegradedXgft::new(&xgft, &faults).unwrap();
+
+    for (closed_form, algo) in [
+        (
+            CompactScheme::DModK,
+            Box::new(DModK::new()) as Box<dyn RoutingAlgorithm>,
+        ),
+        (
+            CompactScheme::Random { seed: 3 },
+            Box::new(RandomRouting::new(3)),
+        ),
+    ] {
+        let compact = CompactRoutes::for_pairs(&xgft, closed_form, pairs.iter().copied());
+        let mut table = UndoableTable::new(compact);
+        let stats = table.patch(&xgft, &faults);
+        assert!(stats.rerouted > 0, "{}", algo.name());
+        assert_eq!(stats.untouched + stats.rerouted + stats.unroutable, n);
+        assert_eq!(table.len(), n - stats.unroutable);
+        assert!(
+            table.storage_bytes() < 64 << 20,
+            "{}: {} bytes of route state",
+            algo.name(),
+            table.storage_bytes()
+        );
+
+        let mut scratch = Vec::new();
+        for &(s, d) in &pairs {
+            let expected = degraded_route(&degraded, algo.as_ref(), s, d)
+                .ok()
+                .map(|route| xgft.route_channels(s, d, &route).unwrap());
+            let got = table
+                .path_in(s, d, &mut scratch)
+                .map(|path| path.iter().map(|&c| c as usize).collect::<Vec<_>>());
+            assert_eq!(got, expected, "{} ({s}, {d})", algo.name());
+        }
+
+        let stats = table.patch(&xgft, &FaultSet::none(&xgft));
+        assert_eq!(stats.untouched, n);
+        assert_eq!(table.patched_pairs(), 0);
+        let mut pristine = Vec::new();
+        for &(s, d) in &pairs {
+            assert!(table.base().path_into(s, d, &mut pristine));
+            assert_eq!(table.path_in(s, d, &mut scratch), Some(&pristine[..]));
         }
     }
 }

@@ -1,18 +1,17 @@
-//! Property tests of epoch-wise incremental patching over fault/repair
+//! Property tests of epoch-wise fault patching over fault/repair
 //! *timelines* — the contract the chaos lab stands on: at every point of a
 //! random timeline of overlapping incidents (each a fault set that starts
-//! at one epoch and is repaired some epochs later), rebuilding the working
-//! table with `repatch` against the epoch's cumulative fault set must be
-//! byte-identical to compiling from scratch against the same degraded
-//! topology — for the flat [`CompiledRouteTable`] and for the
-//! [`CompactRoutes`] overlay alike. The repair direction is exactly what
-//! plain `patch` cannot do (faults only accumulate; misses never heal), so
-//! these properties pin `repatch` as the epoch-boundary transition.
+//! at one epoch and is repaired some epochs later), patching the
+//! [`UndoableTable`] overlay with the epoch's cumulative fault set must
+//! resolve every pair exactly like compiling from scratch against the same
+//! degraded topology — over a [`CompiledRouteTable`] base and a
+//! [`CompactRoutes`] base alike. Every patch reverts the previous one
+//! first, so a shrinking fault set (a repair) heals its misses.
 
 use proptest::prelude::*;
 use xgft_core::{
-    CompactRoutes, CompactScheme, CompiledRouteTable, DModK, RandomNcaDown, RandomNcaUp,
-    RandomRouting, RoutingAlgorithm, SModK, UndoableTable,
+    CompactRoutes, CompactScheme, CompiledRouteTable, DModK, PatchBase, RandomNcaDown, RandomNcaUp,
+    RandomRouting, RouteSource, RoutingAlgorithm, SModK, UndoableTable,
 };
 use xgft_topo::{FaultSet, Xgft, XgftSpec};
 
@@ -28,6 +27,16 @@ fn small_spec() -> impl Strategy<Value = XgftSpec> {
             }
         ),
     ]
+}
+
+/// Pair for pair, misses and out-of-range leaves included: does the
+/// overlay resolve exactly like `expected`?
+fn resolves_like<B: PatchBase>(table: &UndoableTable<B>, expected: &CompiledRouteTable) -> bool {
+    let n = expected.num_leaves();
+    let mut scratch = Vec::new();
+    table.len() == expected.len()
+        && (0..=n)
+            .all(|s| (0..=n).all(|d| table.path_in(s, d, &mut scratch) == expected.path(s, d)))
 }
 
 /// The closed form and the tabled algorithm it must reproduce exactly.
@@ -95,12 +104,12 @@ fn cumulative(xgft: &Xgft, incidents: &[Incident], epoch: usize) -> FaultSet {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// At every epoch of a random fault/repair timeline both incremental
-    /// forms — `CompiledRouteTable::repatch` from the pristine table and
-    /// `CompactRoutes::repatch` of the overlay engine — are byte-identical
-    /// to a from-scratch degraded compile of the epoch's cumulative fault
-    /// set. The timeline includes shrinking transitions (repairs), which
-    /// one-way `patch` chaining would get wrong by construction.
+    /// At every epoch of a random fault/repair timeline the overlay over a
+    /// compiled base and the overlay over the compact closed form both
+    /// resolve like a from-scratch degraded compile of the epoch's
+    /// cumulative fault set, with identical patch stats. The timeline
+    /// includes shrinking transitions (repairs), which one-way patch
+    /// chaining would get wrong by construction.
     #[test]
     fn epoch_wise_repatching_tracks_the_timeline_exactly(
         spec in small_spec(),
@@ -117,9 +126,12 @@ proptest! {
             .collect();
 
         let pristine = CompiledRouteTable::compile(&xgft, algo.as_ref(), pairs.iter().copied());
-        let mut working = pristine.clone();
-        let mut compact = CompactRoutes::for_pairs(&xgft, closed_form, pairs.iter().copied());
-        let mut overlay = UndoableTable::new(pristine.clone());
+        let mut working = UndoableTable::new(&pristine);
+        let mut compact = UndoableTable::new(CompactRoutes::for_pairs(
+            &xgft,
+            closed_form,
+            pairs.iter().copied(),
+        ));
 
         let epochs = timeline.iter().map(|i| i.start + i.duration).max().unwrap() + 1;
         let mut saw_shrink = false;
@@ -131,63 +143,48 @@ proptest! {
             any_faults |= faults.num_failed_channels() > 0;
             previous = faults.num_failed_channels();
 
-            let stats = working.repatch(&pristine, &xgft, &faults);
+            let stats = working.patch(&xgft, &faults);
             let scratch = CompiledRouteTable::compile_degraded(
                 &xgft,
                 &faults,
                 algo.as_ref(),
                 pairs.iter().copied(),
             );
-            prop_assert_eq!(
-                &working, &scratch,
-                "epoch {}: repatch and recompile diverged", epoch
+            prop_assert!(
+                resolves_like(&working, &scratch),
+                "epoch {}: compiled-base overlay and recompile diverged", epoch
             );
             prop_assert_eq!(
                 pairs.len(),
                 stats.untouched + stats.rerouted + stats.unroutable
             );
 
-            let compact_stats = compact.repatch(&xgft, &faults);
-            prop_assert_eq!(&compact.to_compiled(&xgft), &scratch,
-                "epoch {}: compact overlay and recompile diverged", epoch);
-            prop_assert_eq!(compact_stats.unroutable, stats.unroutable);
-
-            // The undo-log overlay must resolve every pair exactly like the
-            // clone-and-repatch working table, with identical patch stats —
-            // the chaos lab swaps clone+repatch for revert+patch on the
-            // strength of this property.
-            let overlay_stats = overlay.patch(&xgft, &faults);
-            prop_assert_eq!(overlay_stats, stats);
-            for s in 0..n {
-                for d in 0..n {
-                    prop_assert_eq!(
-                        overlay.path(s, d),
-                        working.path(s, d),
-                        "epoch {}: undo overlay and repatch diverged on ({}, {})",
-                        epoch, s, d
-                    );
-                }
-            }
-            prop_assert_eq!(overlay.len(), working.len());
+            let compact_stats = compact.patch(&xgft, &faults);
+            prop_assert!(
+                resolves_like(&compact, &scratch),
+                "epoch {}: compact-base overlay and recompile diverged", epoch
+            );
+            prop_assert_eq!(compact_stats, stats);
 
             // Every surviving path avoids the epoch's dead channels.
-            for (_, path) in working.iter_paths() {
+            for (_, path) in scratch.iter_paths() {
                 prop_assert!(path.iter().all(|&c| !faults.is_failed(c as usize)));
             }
         }
         // The last epoch is beyond every incident: full repair must restore
-        // the pristine table byte-for-byte.
+        // the pristine routes pair for pair.
         prop_assert!(cumulative(&xgft, &timeline, epochs - 1).is_empty());
-        prop_assert_eq!(&working, &pristine, "full repair must restore pristine routes");
+        prop_assert!(resolves_like(&working, &pristine), "full repair must restore pristine routes");
+        prop_assert_eq!(working.patched_pairs(), 0);
         // Whenever an incident actually failed a channel, its expiry must
         // have shrunk the cumulative set somewhere along the way (the final
         // epoch is beyond every incident), exercising the repair direction.
         prop_assert!(saw_shrink || !any_faults, "timelines with faults must exercise repair");
     }
 
-    /// Deterministic spot check of the healing contract plain `patch`
-    /// cannot express: cut a machine down to misses, then repair
-    /// everything — `repatch` heals the misses, forward `patch` does not.
+    /// Deterministic spot check of the healing contract: cut a machine
+    /// down to misses, then repair everything — the next patch heals the
+    /// misses, over either base.
     #[test]
     fn repatch_heals_what_patch_must_not(
         k in 2usize..=5,
@@ -200,26 +197,21 @@ proptest! {
         let none = FaultSet::none(&xgft);
 
         let pristine = CompiledRouteTable::compile_all_pairs(&xgft, algo.as_ref());
-        let mut working = pristine.clone();
-        let cut = working.repatch(&pristine, &xgft, &total);
+        let mut working = UndoableTable::new(&pristine);
+        let cut = working.patch(&xgft, &total);
         prop_assert!(cut.unroutable > 0);
+        prop_assert!(working.len() < pristine.len());
 
-        // Forward patch with the empty set: misses stay misses.
-        let mut chained = working.clone();
-        chained.patch(&xgft, &none);
-        prop_assert_eq!(chained.len(), working.len());
-        prop_assert!(chained.len() < pristine.len());
+        // Patching the empty set: pair-identical to pristine.
+        working.patch(&xgft, &none);
+        prop_assert!(resolves_like(&working, &pristine));
 
-        // Repatch with the empty set: byte-identical to pristine.
-        working.repatch(&pristine, &xgft, &none);
-        prop_assert_eq!(&working, &pristine);
-
-        // Same healing contract for the compact overlay.
-        let mut compact = CompactRoutes::all_pairs(&xgft, closed_form);
-        compact.repatch(&xgft, &total);
+        // Same healing contract for the compact base.
+        let mut compact = UndoableTable::new(CompactRoutes::all_pairs(&xgft, closed_form));
+        compact.patch(&xgft, &total);
         prop_assert!(compact.len() < pristine.len());
-        compact.repatch(&xgft, &none);
+        compact.patch(&xgft, &none);
         prop_assert_eq!(compact.len(), pristine.len());
-        prop_assert_eq!(&compact.to_compiled(&xgft), &pristine);
+        prop_assert!(resolves_like(&compact, &pristine));
     }
 }

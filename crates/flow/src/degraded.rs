@@ -3,28 +3,29 @@
 //! On a pristine XGFT the model computes expected loads from each scheme's
 //! closed-form route *distribution*. Under faults the routes are whatever
 //! the fault-aware fallback produced — a concrete, deterministic table —
-//! so the exact per-channel loads come straight from the compiled table's
-//! stored paths: every flow adds its weight to each channel of its path,
-//! and flows whose pair has no surviving route are reported as unroutable
-//! demand instead of being silently ignored.
+//! so the exact per-channel loads come straight from the paths of the
+//! patched routes (an `UndoableTable` overlay): every flow adds its weight
+//! to each channel of its path, and flows whose pair has no surviving
+//! route are reported as unroutable demand instead of being silently
+//! ignored.
 //!
 //! Because the accumulation consumes any [`RouteSource`] — the flat
-//! [`CompiledRouteTable`] or the closed-form `CompactRoutes` engine — the
-//! same function is also the *per-instance* exact model on pristine
-//! topologies (a point mass per pair), which is what the engine-agreement
-//! harness compares against the simulators: for any fixed route
-//! representation the three engines must agree channel by channel, faults
-//! or no faults. With the compact representation the accumulation needs no
+//! [`xgft_core::CompiledRouteTable`], the closed-form `CompactRoutes`
+//! engine or a fault-patch overlay over either — the same function is
+//! also the *per-instance* exact model on pristine topologies (a point
+//! mass per pair), which is what the engine-agreement harness compares
+//! against the simulators: for any fixed route representation the three
+//! engines must agree channel by channel, faults or no faults. With the compact representation the accumulation needs no
 //! per-pair storage at all, which is what pushes flow MCL sweeps past a
 //! million leaves.
 
 use crate::loads::ExpectedLoads;
 use crate::traffic::TrafficMatrix;
-use xgft_core::{CompiledRouteTable, RouteSource};
+use xgft_core::RouteSource;
 use xgft_topo::Xgft;
 
-/// Exact per-channel loads of a compiled (possibly fault-patched) route
-/// table under a traffic matrix, plus the demand the table could not route.
+/// Exact per-channel loads of a (possibly fault-patched) route source under
+/// a traffic matrix, plus the demand the source could not route.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DegradedLoads {
     loads: Vec<f64>,
@@ -33,20 +34,9 @@ pub struct DegradedLoads {
 }
 
 impl DegradedLoads {
-    /// Accumulate the loads of every flow of `traffic` over the paths
-    /// stored in `table`. Flows whose pair misses in the table are recorded
-    /// as unroutable (self-flows never enter the network and are skipped).
-    ///
-    /// # Panics
-    /// Panics if the table and topology disagree on the machine size, or
-    /// the traffic matrix references leaves outside the machine.
-    pub fn from_compiled(xgft: &Xgft, table: &CompiledRouteTable, traffic: &TrafficMatrix) -> Self {
-        Self::from_source(xgft, table, traffic)
-    }
-
     /// Accumulate the loads of every flow of `traffic` over the paths of
-    /// any route representation ([`CompiledRouteTable`], `CompactRoutes`,
-    /// …). Flows whose pair misses are recorded as unroutable (self-flows
+    /// any route representation ([`xgft_core::CompiledRouteTable`],
+    /// `CompactRoutes`, `UndoableTable`, …). Flows whose pair misses are recorded as unroutable (self-flows
     /// never enter the network and are skipped).
     ///
     /// # Panics
@@ -146,7 +136,7 @@ impl DegradedLoads {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use xgft_core::{CompiledRouteTable, DModK, RandomRouting};
+    use xgft_core::{CompiledRouteTable, DModK, RandomRouting, UndoableTable};
     use xgft_topo::{FaultSet, Xgft, XgftSpec};
 
     fn two_level(w2: usize) -> Xgft {
@@ -158,7 +148,7 @@ mod tests {
         let xgft = two_level(3);
         let table = CompiledRouteTable::compile_all_pairs(&xgft, &DModK::new());
         let traffic = TrafficMatrix::uniform(16);
-        let exact = DegradedLoads::from_compiled(&xgft, &table, &traffic);
+        let exact = DegradedLoads::from_source(&xgft, &table, &traffic);
         let model = crate::loads::ExpectedLoads::compute(&xgft, &DModK::new(), &traffic);
         assert!(exact.matches_expected(&model, 1e-9));
         assert!(exact.is_fully_routed());
@@ -170,11 +160,12 @@ mod tests {
     #[test]
     fn patched_table_loads_avoid_dead_channels_and_conserve_demand() {
         let xgft = two_level(4);
-        let mut table = CompiledRouteTable::compile_all_pairs(&xgft, &RandomRouting::new(3));
+        let pristine = CompiledRouteTable::compile_all_pairs(&xgft, &RandomRouting::new(3));
+        let mut table = UndoableTable::new(&pristine);
         let faults = FaultSet::uniform_links(&xgft, 0.25, 9);
         table.patch(&xgft, &faults);
         let traffic = TrafficMatrix::uniform(16);
-        let loads = DegradedLoads::from_compiled(&xgft, &table, &traffic);
+        let loads = DegradedLoads::from_source(&xgft, &table, &traffic);
         // No load ever lands on a dead channel.
         for dense in faults.iter_failed() {
             assert_eq!(loads.loads()[dense], 0.0, "dead channel {dense} loaded");
@@ -201,10 +192,11 @@ mod tests {
         let mut faults = FaultSet::none(&xgft);
         faults.fail_cable(xgft.channels(), 1, 0, 0);
         faults.fail_cable(xgft.channels(), 1, 0, 1);
-        let mut table = CompiledRouteTable::compile_all_pairs(&xgft, &DModK::new());
+        let mut table =
+            UndoableTable::new(CompiledRouteTable::compile_all_pairs(&xgft, &DModK::new()));
         table.patch(&xgft, &faults);
         let traffic = TrafficMatrix::uniform(16);
-        let loads = DegradedLoads::from_compiled(&xgft, &table, &traffic);
+        let loads = DegradedLoads::from_source(&xgft, &table, &traffic);
         assert!(!loads.is_fully_routed());
         // Leaves 0..4 each lose 12 cross-switch partners, both directions.
         assert_eq!(loads.unroutable().len(), 2 * 4 * 12);
@@ -222,7 +214,7 @@ mod tests {
         let traffic = TrafficMatrix::uniform(16);
         let compiled = CompiledRouteTable::compile_all_pairs(&xgft, &RandomRouting::new(11));
         let compact = CompactRoutes::all_pairs(&xgft, CompactScheme::Random { seed: 11 });
-        let a = DegradedLoads::from_compiled(&xgft, &compiled, &traffic);
+        let a = DegradedLoads::from_source(&xgft, &compiled, &traffic);
         let b = DegradedLoads::from_source(&xgft, &compact, &traffic);
         assert_eq!(a, b);
         assert_eq!(a.network_mcl(&xgft), b.network_mcl(&xgft));
@@ -236,6 +228,6 @@ mod tests {
         let xgft = two_level(2);
         let other = Xgft::k_ary_n_tree(2, 2);
         let table = CompiledRouteTable::compile_all_pairs(&other, &DModK::new());
-        let _ = DegradedLoads::from_compiled(&xgft, &table, &TrafficMatrix::uniform(16));
+        let _ = DegradedLoads::from_source(&xgft, &table, &TrafficMatrix::uniform(16));
     }
 }

@@ -12,7 +12,7 @@
 //!    [`InjectionBatch`]/`schedule_batch` call, asserted *bit-identical*
 //!    to (1): same report, same ids, same per-channel busy times;
 //! 3. **tracesim** — the same flows replayed as a Send/Recv trace over the
-//!    same compiled table, asserted byte-equal to netsim channel by
+//!    same route table, asserted byte-equal to netsim channel by
 //!    channel;
 //! 4. **xgft-flow** — exact per-channel loads with per-flow demands in
 //!    channel-occupancy picoseconds (`ideal_transfer_ps`), so the
@@ -38,6 +38,7 @@
 
 use xgft_core::{
     CompiledRouteTable, DModK, RandomNcaDown, RandomNcaUp, RandomRouting, RoutingAlgorithm, SModK,
+    UndoableTable,
 };
 use xgft_flow::{DegradedLoads, TrafficMatrix};
 use xgft_netsim::{FailurePolicy, InjectionBatch, NetworkConfig, NetworkSim, SimReport};
@@ -175,7 +176,7 @@ fn random_flows(rng: &mut Rng, n: usize) -> (String, Vec<(usize, usize, u64)>) {
 /// applied with `CompleteInFlight` before traffic is injected.
 fn run_per_message(
     xgft: &Xgft,
-    table: &CompiledRouteTable,
+    table: &UndoableTable,
     flows: &[(usize, usize, u64)],
     schedule: &[(u64, usize)],
 ) -> (SimReport, Vec<u64>) {
@@ -193,7 +194,7 @@ fn run_per_message(
 /// Netsim batched injection of the same matrix and failure schedule.
 fn run_batched(
     xgft: &Xgft,
-    table: &CompiledRouteTable,
+    table: &UndoableTable,
     flows: &[(usize, usize, u64)],
     schedule: &[(u64, usize)],
 ) -> (SimReport, Vec<u64>) {
@@ -213,7 +214,7 @@ fn run_batched(
 /// mid-run failure schedule applied to the inner simulator.
 fn run_tracesim(
     xgft: &Xgft,
-    table: &CompiledRouteTable,
+    table: &UndoableTable,
     flows: &[(usize, usize, u64)],
     schedule: &[(u64, usize)],
 ) -> Vec<u64> {
@@ -253,7 +254,7 @@ fn run_tracesim(
 fn drop_repair_differential(
     label: &str,
     xgft: &Xgft,
-    table: &CompiledRouteTable,
+    table: &UndoableTable,
     flows: &[(usize, usize, u64)],
     rng: &mut Rng,
 ) {
@@ -353,11 +354,11 @@ fn fuzz_iteration(iter: u64, rng: &mut Rng) -> Exercised {
         return exercised;
     }
 
-    let mut table = CompiledRouteTable::compile(
+    let mut table = UndoableTable::new(CompiledRouteTable::compile(
         &xgft,
         algo.as_ref(),
         all_flows.iter().map(|&(s, d, _)| (s, d)),
-    );
+    ));
 
     // Every third-ish iteration degrades the topology and patches the
     // table, restricting the checked flows to the survivors. The failed
@@ -422,7 +423,7 @@ fn fuzz_iteration(iter: u64, rng: &mut Rng) -> Exercised {
             .iter()
             .map(|&(s, d, bytes)| (s, d, network.ideal_transfer_ps(bytes) as f64)),
     );
-    let model = DegradedLoads::from_compiled(&xgft, &table, &traffic);
+    let model = DegradedLoads::from_source(&xgft, &table, &traffic);
     assert!(model.is_fully_routed(), "{label}: checked flows must route");
     let scale = busy_ref.iter().copied().max().unwrap_or(1).max(1) as f64;
     for (idx, (&busy, &load)) in busy_ref.iter().zip(model.loads()).enumerate() {

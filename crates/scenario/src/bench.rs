@@ -21,7 +21,7 @@ use crate::spec::ScenarioError;
 use serde::{Deserialize, Serialize, Value};
 use std::time::Instant;
 use xgft_analysis::{AlgorithmSpec, CampaignConfig, ChaosConfig};
-use xgft_core::{CompactRoutes, CompactScheme, CompiledRouteTable, DModK};
+use xgft_core::{CompactRoutes, CompactScheme, CompiledRouteTable, DModK, UndoableTable};
 use xgft_flow::{FlowScheme, FlowSweepConfig, TrafficSpec};
 use xgft_netsim::{CrossbarSim, InjectionBatch, NetworkConfig, NetworkSim};
 use xgft_patterns::generators;
@@ -203,12 +203,13 @@ fn bench_compile(quick: bool, reps: u32) -> Vec<BenchProbe> {
     ]
 }
 
-/// Incremental patch against 1% uniform link faults (seed-pinned draw),
-/// against the same degraded table compiled from scratch. The recompile
-/// probe's checks are the patch statistics derived by diffing its table
-/// against the pristine one, so the two probes must report identical check
-/// counters (the `degraded_patch` proptests pin the tables byte-identical);
-/// the wall-clock ratio is what incremental patching saves.
+/// A fault-patch overlay over the pristine table against 1% uniform link
+/// faults (seed-pinned draw), against the same degraded table compiled from
+/// scratch. The recompile probe's checks are the patch statistics derived
+/// by diffing its table against the pristine one, so the two probes must
+/// report identical check counters (the `degraded_patch` proptests pin the
+/// overlay pair-identical to the recompile); the wall-clock ratio is what
+/// patching saves.
 fn bench_patch(quick: bool, reps: u32) -> Vec<BenchProbe> {
     let k = if quick { 16 } else { 32 };
     let xgft = Xgft::k_ary_n_tree(k, 2);
@@ -216,8 +217,7 @@ fn bench_patch(quick: bool, reps: u32) -> Vec<BenchProbe> {
     let pristine = CompiledRouteTable::compile_all_pairs(&xgft, &DModK::new());
     let faults = FaultSet::uniform_links(&xgft, 0.01, 7);
     let timed = time_reps(reps, || {
-        let mut table = pristine.clone();
-        let stats = table.patch(&xgft, &faults);
+        let stats = UndoableTable::new(&pristine).patch(&xgft, &faults);
         vec![
             ("untouched", stats.untouched as u64),
             ("rerouted", stats.rerouted as u64),
@@ -492,10 +492,11 @@ fn bench_compact(quick: bool, reps: u32) -> Vec<BenchProbe> {
 }
 
 /// The chaos lab end to end: a seed-pinned fault/repair timeline replayed
-/// epoch by epoch through the event simulator, rerouting by repatching the
-/// compiled tables from pristine. The check counters pin the SLA outcome
-/// (deliveries, drops, unroutable demand), so any change to strike timing,
-/// repair semantics or the repatch path shows up as a behaviour drift.
+/// epoch by epoch through the event simulator, rerouting by patching an
+/// overlay over the pristine compiled tables. The check counters pin the
+/// SLA outcome (deliveries, drops, unroutable demand), so any change to
+/// strike timing, repair semantics or the patch path shows up as a
+/// behaviour drift.
 fn bench_chaos(quick: bool, reps: u32) -> Vec<BenchProbe> {
     let k = if quick { 4 } else { 8 };
     let epochs = if quick { 4 } else { 8 };
@@ -516,7 +517,7 @@ fn bench_chaos(quick: bool, reps: u32) -> Vec<BenchProbe> {
         network: NetworkConfig::default(),
     };
     let timed = time_reps(reps, || {
-        let result = config.run(&pattern);
+        let result = config.run(&pattern).expect("valid chaos configuration");
         let total = |f: fn(&xgft_analysis::ChaosShardOutcome) -> usize| -> u64 {
             result.shards.iter().map(|s| f(s) as u64).sum()
         };
@@ -551,7 +552,9 @@ fn bench_chaos(quick: bool, reps: u32) -> Vec<BenchProbe> {
         network: NetworkConfig::default(),
     };
     let wide = time_reps(reps, || {
-        let result = wide_config.run(&wide_pattern);
+        let result = wide_config
+            .run(&wide_pattern)
+            .expect("valid chaos configuration");
         let total = |f: fn(&xgft_analysis::ChaosShardOutcome) -> usize| -> u64 {
             result.shards.iter().map(|s| f(s) as u64).sum()
         };
@@ -733,26 +736,48 @@ pub fn bench_error(msg: String) -> ScenarioError {
 mod tests {
     use super::*;
 
-    #[test]
-    fn quick_bench_produces_schema_valid_files_for_all_areas() {
-        for &area in ALL_AREAS {
-            if area == "compact" || area == "campaign" || area == "chaos" {
-                // Too slow for a debug-profile unit test; all three run
-                // end-to-end whenever `xgft bench` writes the baselines.
-                continue;
-            }
-            let file = bench_area(area, true).unwrap();
-            assert_eq!(file.area, area);
-            assert!(file.quick);
-            let json = serde_json::to_string_pretty(&file).unwrap();
-            let parsed = validate_bench_file(&json).unwrap();
-            assert_eq!(parsed, file);
-            for p in &file.probes {
-                assert!(p.reps >= 3);
-                assert!(p.min_wall_ns <= p.median_wall_ns);
-                assert!(!p.checks.is_empty());
-            }
+    /// A quick run of `area` writes a schema-valid file of sane probes.
+    /// One test per area, so libtest runs the areas concurrently; the
+    /// `compact`, `campaign` and `chaos` areas are too slow for a
+    /// debug-profile unit test and run end-to-end whenever `xgft bench`
+    /// writes the baselines.
+    fn assert_quick_bench_is_schema_valid(area: &str) {
+        let file = bench_area(area, true).unwrap();
+        assert_eq!(file.area, area);
+        assert!(file.quick);
+        let json = serde_json::to_string_pretty(&file).unwrap();
+        let parsed = validate_bench_file(&json).unwrap();
+        assert_eq!(parsed, file);
+        for p in &file.probes {
+            assert!(p.reps >= 3);
+            assert!(p.min_wall_ns <= p.median_wall_ns);
+            assert!(!p.checks.is_empty());
         }
+    }
+
+    #[test]
+    fn quick_bench_produces_schema_valid_files_for_compile() {
+        assert_quick_bench_is_schema_valid("compile");
+    }
+
+    #[test]
+    fn quick_bench_produces_schema_valid_files_for_patch() {
+        assert_quick_bench_is_schema_valid("patch");
+    }
+
+    #[test]
+    fn quick_bench_produces_schema_valid_files_for_flow_mcl() {
+        assert_quick_bench_is_schema_valid("flow_mcl");
+    }
+
+    #[test]
+    fn quick_bench_produces_schema_valid_files_for_netsim() {
+        assert_quick_bench_is_schema_valid("netsim");
+    }
+
+    #[test]
+    fn quick_bench_produces_schema_valid_files_for_tracesim() {
+        assert_quick_bench_is_schema_valid("tracesim");
     }
 
     #[test]

@@ -507,8 +507,8 @@ impl Plan {
     }
 
     /// Run the plan's engine on the workload pattern.
-    fn run(self, pattern: Pattern) -> ResultPayload {
-        match self {
+    fn run(self, pattern: Pattern) -> Result<ResultPayload, ScenarioError> {
+        Ok(match self {
             Plan::Sweep {
                 config,
                 representation: RepresentationSpec::Compiled,
@@ -537,9 +537,14 @@ impl Plan {
                     .collect(),
             ),
             Plan::Direct(grid) => ResultPayload::Direct(run_direct(grid, &pattern)),
-            Plan::Chaos(config) => ResultPayload::Chaos(config.run(&pattern)),
+            // Lowering already rejects every configuration `run` refuses.
+            Plan::Chaos(config) => ResultPayload::Chaos(
+                config
+                    .run(&pattern)
+                    .map_err(|e| ScenarioError::Invalid(e.to_string()))?,
+            ),
             Plan::Agreement(grid) => ResultPayload::Agreement(run_agreement(grid, &pattern)),
-        }
+        })
     }
 }
 
@@ -573,7 +578,7 @@ pub(crate) fn run_announced(
     if let Some(header) = plan.header().filter(|_| announce) {
         eprintln!("{header}");
     }
-    let payload = plan.run(pattern);
+    let payload = plan.run(pattern)?;
     // Close the run span before diffing so scenario.run itself lands in
     // the window.
     drop(run_span);

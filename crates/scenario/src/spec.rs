@@ -933,7 +933,8 @@ impl ScenarioSpec {
             }
             (_, UniformLinks { .. }, None, _, Compact) => Err(invalid(
                 "representation = compact does not drive fault campaigns; the compact \
-                 fault-patch overlay is exercised at the engine level (CompactRoutes::patch)",
+                 fault-patch overlay is exercised at the engine level (UndoableTable over \
+                 CompactRoutes)",
             )),
             (Tracesim, UniformLinks { .. }, None, List { .. }, Compiled) => Err(invalid(
                 "faults require SeedSpec::Stream (point-local fault seed streams)",

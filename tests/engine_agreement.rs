@@ -3,7 +3,7 @@
 //! Three independent engines can price the same routed traffic:
 //!
 //! 1. **xgft-flow** — exact per-channel loads accumulated from a compiled
-//!    route table's stored paths ([`DegradedLoads::from_compiled`]);
+//!    route table's stored paths ([`DegradedLoads::from_source`]);
 //! 2. **xgft-netsim** — the event-driven simulator's accumulated
 //!    per-channel busy time (`channel_busy_ps`);
 //! 3. **xgft-tracesim** — a trace replay of the same flows through
@@ -23,7 +23,10 @@ use xgft::analysis::AlgorithmSpec;
 use xgft::flow::{DegradedLoads, ExpectedLoads, TrafficMatrix};
 use xgft::netsim::{NetworkConfig, NetworkSim};
 use xgft::patterns::{ConnectivityMatrix, Pattern};
-use xgft::routing::{CompiledRouteTable, RandomNcaDown, RandomRouting, RouteDistribution};
+use xgft::routing::{
+    CompactRoutes, CompiledRouteTable, RandomNcaDown, RandomRouting, RouteDistribution,
+    RouteSource, UndoableTable,
+};
 use xgft::topo::{FaultSet, Xgft, XgftSpec};
 use xgft::tracesim::{
     workloads, Network, NetworkError, RankEvent, ReplayEngine, ReplayError, RoutedNetwork, Trace,
@@ -62,10 +65,11 @@ fn pattern_of(flows: &[(usize, usize)], n: usize) -> Pattern {
 
 /// Engine 2: schedule every routable flow at t = 0 straight into the
 /// event-driven simulator and read the per-channel busy times.
-fn busy_via_netsim(xgft: &Xgft, table: &CompiledRouteTable, flows: &[(usize, usize)]) -> Vec<u64> {
+fn busy_via_netsim(xgft: &Xgft, table: &impl RouteSource, flows: &[(usize, usize)]) -> Vec<u64> {
     let mut sim = NetworkSim::new(xgft, cfg());
+    let mut scratch = Vec::new();
     for &(s, d) in flows {
-        let path = table.path(s, d).expect("routable flow");
+        let path = table.path_in(s, d, &mut scratch).expect("routable flow");
         sim.schedule_message_on_path(0, s, d, BYTES, path);
     }
     sim.run_to_completion();
@@ -77,7 +81,7 @@ fn busy_via_netsim(xgft: &Xgft, table: &CompiledRouteTable, flows: &[(usize, usi
 /// times off the underlying simulator.
 fn busy_via_tracesim(
     xgft: &Xgft,
-    table: &CompiledRouteTable,
+    table: &(impl RouteSource + Clone),
     flows: &[(usize, usize)],
 ) -> Vec<u64> {
     let n = xgft.num_leaves();
@@ -106,19 +110,35 @@ fn busy_via_tracesim(
 /// Engine 1: the flow model's exact loads from the same table.
 fn loads_via_flow(
     xgft: &Xgft,
-    table: &CompiledRouteTable,
+    table: &impl RouteSource,
     flows: &[(usize, usize)],
 ) -> DegradedLoads {
     let traffic =
         TrafficMatrix::from_flows(xgft.num_leaves(), flows.iter().map(|&(s, d)| (s, d, 1.0)));
-    DegradedLoads::from_compiled(xgft, table, &traffic)
+    DegradedLoads::from_source(xgft, table, &traffic)
+}
+
+/// Every pair — misses and out-of-range leaves included — must resolve
+/// through `table` exactly as in the degraded recompile `expected`.
+fn assert_resolves_like(label: &str, table: &impl RouteSource, expected: &CompiledRouteTable) {
+    let n = expected.num_leaves();
+    let mut scratch = Vec::new();
+    for s in 0..=n {
+        for d in 0..=n {
+            assert_eq!(
+                table.path_in(s, d, &mut scratch),
+                expected.path(s, d),
+                "{label}: patch != degraded compile at ({s}, {d})"
+            );
+        }
+    }
 }
 
 /// The three-way assertion for one `(table, flows)` instance.
 fn assert_engines_agree(
     label: &str,
     xgft: &Xgft,
-    table: &CompiledRouteTable,
+    table: &(impl RouteSource + Clone),
     flows: &[(usize, usize)],
 ) {
     let netsim_busy = busy_via_netsim(xgft, table, flows);
@@ -170,11 +190,12 @@ fn all_schemes_agree_across_engines_on_pristine_and_degraded_topologies() {
                         "machine {mi} salt {salt} scheme {} faults {fi}",
                         spec.name()
                     );
-                    // Build the degraded table both ways; they must match
-                    // (the patch-vs-recompile contract, exercised here on
-                    // top of the dedicated proptest).
-                    let mut table =
+                    // Build the degraded routes both ways; they must match
+                    // pair for pair (the patch-vs-recompile contract,
+                    // exercised here on top of the dedicated proptest).
+                    let pristine =
                         CompiledRouteTable::compile(xgft, algo.as_ref(), all_flows.iter().copied());
+                    let mut table = UndoableTable::new(&pristine);
                     table.patch(xgft, faults);
                     let scratch = CompiledRouteTable::compile_degraded(
                         xgft,
@@ -182,7 +203,24 @@ fn all_schemes_agree_across_engines_on_pristine_and_degraded_topologies() {
                         algo.as_ref(),
                         all_flows.iter().copied(),
                     );
-                    assert_eq!(table, scratch, "{label}: patch != degraded compile");
+                    assert_eq!(table.len(), scratch.len(), "{label}: route counts");
+                    assert_resolves_like(&label, &table, &scratch);
+                    // The same patch over the closed form (every scheme
+                    // but Colored has one) resolves identically too.
+                    if let Some(closed_form) = spec.compact_scheme(xgft, 11) {
+                        let mut compact = UndoableTable::new(CompactRoutes::for_pairs(
+                            xgft,
+                            closed_form,
+                            all_flows.iter().copied(),
+                        ));
+                        compact.patch(xgft, faults);
+                        assert_eq!(
+                            compact.len(),
+                            scratch.len(),
+                            "{label}: compact route counts"
+                        );
+                        assert_resolves_like(&format!("{label} (compact)"), &compact, &scratch);
+                    }
 
                     // Restrict to the flows that survived; the engines must
                     // agree exactly on them.
@@ -272,7 +310,10 @@ fn unroutable_pairs_fail_loudly_and_identically_in_every_engine() {
         0,
     );
 
-    let mut table = CompiledRouteTable::compile_all_pairs(&xgft, &xgft::routing::DModK::new());
+    let mut table = UndoableTable::new(CompiledRouteTable::compile_all_pairs(
+        &xgft,
+        &xgft::routing::DModK::new(),
+    ));
     let stats = table.patch(&xgft, &faults);
     assert!(stats.unroutable > 0);
 
@@ -282,7 +323,7 @@ fn unroutable_pairs_fail_loudly_and_identically_in_every_engine() {
 
     // Layer 2: the flow model reports the same pair as unroutable demand.
     let traffic = TrafficMatrix::from_flows(16, vec![(0, 5, 1.0), (1, 2, 1.0)]);
-    let loads = DegradedLoads::from_compiled(&xgft, &table, &traffic);
+    let loads = DegradedLoads::from_source(&xgft, &table, &traffic);
     assert_eq!(loads.unroutable(), &[(0, 5, 1.0)]);
 
     // Layer 3: the network refuses the message with the typed error.

@@ -251,5 +251,5 @@ fn chaos_small_timeline_is_byte_stable() {
         base_seed: 11,
         network: NetworkConfig::default(),
     };
-    assert_golden("chaos_small.json", &to_json(&config.run(&pattern)));
+    assert_golden("chaos_small.json", &to_json(&config.run(&pattern).unwrap()));
 }
