@@ -24,6 +24,7 @@ use crate::sweep::{
 use serde::{Deserialize, Serialize};
 use xgft_netsim::NetworkConfig;
 use xgft_patterns::Pattern;
+use xgft_topo::TopologyError;
 use xgft_tracesim::workloads;
 
 /// SplitMix64: the finaliser used to derive per-shard seeds (the
@@ -108,8 +109,9 @@ impl CampaignConfig {
 
     /// Run the campaign for a workload pattern (the trace is derived from
     /// it): every shard replays in parallel; outcomes are recorded shard by
-    /// shard and aggregated into the usual sweep points.
-    pub fn run(&self, pattern: &Pattern) -> CampaignResult {
+    /// shard and aggregated into the usual sweep points. Errors if `k` and
+    /// a `w2` describe no machine.
+    pub fn run(&self, pattern: &Pattern) -> Result<CampaignResult, TopologyError> {
         let trace = &workloads::trace_from_pattern(pattern, 0);
         xgft_obs::span!("analysis.campaign");
         let shards = self.shards();
@@ -117,7 +119,7 @@ impl CampaignConfig {
         let (crossbar_ps, samples) =
             run_shards(&shards, self.k, &self.network, trace, |xgft, shard| {
                 crate::shards::compile(xgft, pattern, &pairs, shard.algorithm, shard.seed)
-            });
+            })?;
         let outcomes: Vec<ShardOutcome> = shards
             .iter()
             .zip(samples.iter().flatten())
@@ -128,7 +130,7 @@ impl CampaignConfig {
                 slowdown,
             })
             .collect();
-        CampaignResult {
+        Ok(CampaignResult {
             name: self.name.clone(),
             k: self.k,
             base_seed: self.base_seed,
@@ -142,7 +144,7 @@ impl CampaignConfig {
                 crossbar_ps,
                 points: assemble_points(&shards, samples),
             },
-        }
+        })
     }
 }
 
@@ -269,7 +271,7 @@ mod tests {
             base_seed: 1,
             network: NetworkConfig::default(),
         };
-        let result = config.run(&pattern);
+        let result = config.run(&pattern).unwrap();
         assert_eq!(result.name, "mini");
         assert_eq!(result.shards.len(), 6);
         assert!(result.crossbar_ps > 0);
@@ -298,5 +300,23 @@ mod tests {
         assert_eq!(*config.w2_values.last().unwrap(), 1);
         // 16 w2 × (3 seeded × 40 + 3 deterministic).
         assert_eq!(config.shards().len(), 16 * (3 * 40 + 3));
+    }
+
+    #[test]
+    fn zero_w2_is_a_typed_error_not_a_panic() {
+        let pattern = generators::wrf_mesh_exchange(4, 4, 1024);
+        let config = CampaignConfig {
+            name: "zero".into(),
+            k: 4,
+            w2_values: vec![0],
+            algorithms: vec![AlgorithmSpec::DModK],
+            seeds_per_point: 1,
+            base_seed: 1,
+            network: NetworkConfig::default(),
+        };
+        assert!(matches!(
+            config.run(&pattern),
+            Err(TopologyError::ZeroParameter { level: 2 })
+        ));
     }
 }

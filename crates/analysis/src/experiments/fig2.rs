@@ -7,6 +7,7 @@ use serde::{Deserialize, Serialize};
 use xgft_netsim::NetworkConfig;
 use xgft_patterns::generators;
 use xgft_patterns::Pattern;
+use xgft_topo::TopologyError;
 
 /// Which of the two applications of Fig. 2 to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -76,7 +77,7 @@ impl Fig2Config {
     }
 
     /// Run the sweep.
-    pub fn run(&self) -> SweepResult {
+    pub fn run(&self) -> Result<SweepResult, TopologyError> {
         let pattern = self.workload.pattern(self.byte_scale);
         let config = SweepConfig {
             k: 16,
@@ -178,7 +179,7 @@ mod tests {
             w2_values: vec![16, 4, 1],
             network: NetworkConfig::default(),
         };
-        let result = config.run();
+        let result = config.run().unwrap();
         let dmodk_full = result.point(16, "d-mod-k").unwrap().stats.median;
         let smodk_full = result.point(16, "s-mod-k").unwrap().stats.median;
         let colored_full = result.point(16, "colored").unwrap().stats.median;

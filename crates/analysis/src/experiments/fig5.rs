@@ -7,6 +7,7 @@ use crate::experiments::fig2::Workload;
 use crate::sweep::{AlgorithmSpec, SweepConfig, SweepResult};
 use serde::{Deserialize, Serialize};
 use xgft_netsim::NetworkConfig;
+use xgft_topo::TopologyError;
 
 /// Parameters of a Fig. 5 run.
 #[derive(Debug, Clone)]
@@ -36,7 +37,7 @@ impl Fig5Config {
     }
 
     /// Run the sweep with the Fig. 5 algorithm set.
-    pub fn run(&self) -> SweepResult {
+    pub fn run(&self) -> Result<SweepResult, TopologyError> {
         let pattern = self.workload.pattern(self.byte_scale);
         let config = SweepConfig {
             k: 16,
@@ -149,7 +150,7 @@ mod tests {
             seeds: vec![1, 2, 3],
             network: NetworkConfig::default(),
         };
-        let result = config.run(&fifth);
+        let result = config.run(&fifth).unwrap();
         let claims = Fig5Claims::evaluate(&result);
 
         // The pathological D-mod-k vs the proposal on the full tree.

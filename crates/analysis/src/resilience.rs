@@ -29,7 +29,7 @@ use serde::{Deserialize, Serialize};
 use xgft_core::{CompiledRouteTable, UndoableTable};
 use xgft_netsim::{NetworkConfig, NetworkSim};
 use xgft_patterns::Pattern;
-use xgft_topo::{FaultSet, Xgft, XgftSpec};
+use xgft_topo::{FaultSet, TopologyError, Xgft, XgftSpec};
 use xgft_tracesim::{workloads, ReplayEngine};
 
 /// Stream selector for [`resilience_seed`]: the fault-sampler seeds of a
@@ -178,18 +178,17 @@ impl ResilienceConfig {
     /// the table and pays only the patch of its overlay (shard cost is
     /// fault handling, not recompiles or copies). Seeded schemes route
     /// differently per `algo_seed`, so their shards still compile their own
-    /// tables.
-    pub fn run(&self, pattern: &Pattern) -> ResilienceResult {
+    /// tables. Errors if `k` and `w2` describe no machine.
+    pub fn run(&self, pattern: &Pattern) -> Result<ResilienceResult, TopologyError> {
         let trace = &workloads::trace_from_pattern(pattern, 0);
         xgft_obs::span!("analysis.resilience");
+        let xgft = XgftSpec::slimmed_two_level(self.k, self.w2).and_then(Xgft::new)?;
         // A `trace_from_pattern` trace cannot deadlock: in every phase each
         // rank posts all its sends, which never block, before its first
         // receive, and every receive matches a send of the same phase.
         let crossbar_ps = run_on_crossbar(trace, &self.network)
             .expect("crossbar replay cannot deadlock")
             .completion_ps;
-        let spec = XgftSpec::slimmed_two_level(self.k, self.w2).expect("valid slimmed spec");
-        let xgft = Xgft::new(spec).expect("valid topology");
         let pairs = trace.communication_pairs();
         let tables = PristineTables::new(&xgft, pattern, &pairs, &self.algorithms);
         // One work item per (permille, algorithm) point: its replay engine
@@ -209,7 +208,7 @@ impl ResilienceConfig {
             },
         );
         let points = groups.iter().map(|group| point_of(group)).collect();
-        ResilienceResult {
+        Ok(ResilienceResult {
             name: self.name.clone(),
             k: self.k,
             w2: self.w2,
@@ -218,7 +217,7 @@ impl ResilienceConfig {
             crossbar_ps,
             shards: groups.into_iter().flatten().collect(),
             points,
-        }
+        })
     }
 }
 
@@ -441,7 +440,7 @@ mod tests {
         // A brutal rate that disconnects pairs on a 4-ary machine.
         config.failure_permille = vec![0, 800];
         config.faults_per_point = 3;
-        let result = config.run(&pattern);
+        let result = config.run(&pattern).unwrap();
         assert_eq!(result.shards.len(), 2 * (1 + 3));
         assert!(result.crossbar_ps > 0);
 
@@ -481,7 +480,7 @@ mod tests {
             base_seed: 3,
             network: NetworkConfig::default(),
         };
-        let result = config.run(&pattern);
+        let result = config.run(&pattern).unwrap();
         // On the full 4-ary tree a 15% link cut leaves plenty of NCA
         // alternatives: every shard delivers, and at least one had to
         // reroute something.
@@ -489,5 +488,16 @@ mod tests {
         assert_eq!(point.delivery_rate, 1.0);
         assert!(result.shards.iter().any(|o| o.rerouted > 0));
         assert!(result.shards.iter().all(|o| o.slowdown.unwrap() >= 0.999));
+    }
+
+    #[test]
+    fn zero_w2_is_a_typed_error_not_a_panic() {
+        let pattern = generators::wrf_mesh_exchange(4, 4, 1024);
+        let mut config = mini();
+        config.w2 = 0;
+        assert!(matches!(
+            config.run(&pattern),
+            Err(TopologyError::ZeroParameter { level: 2 })
+        ));
     }
 }

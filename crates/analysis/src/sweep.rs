@@ -26,7 +26,7 @@ use xgft_core::{
 };
 use xgft_netsim::{NetworkConfig, NetworkSim};
 use xgft_patterns::Pattern;
-use xgft_topo::{Xgft, XgftSpec};
+use xgft_topo::{TopologyError, Xgft, XgftSpec};
 use xgft_tracesim::{workloads, ReplayEngine, Trace};
 
 /// Which routing algorithms a sweep evaluates. Deterministic algorithms are
@@ -201,8 +201,11 @@ pub(crate) fn record_shard(shard: &SweepShard, crossbar_ps: u64, completion_ps: 
 /// grouped per point in shard order: deterministic for any worker count
 /// (see [`crate::shards::run_grouped`]).
 ///
-/// A point's group builds its topology, simulator and replay plan once and
-/// recycles them across the point's seeds: the simulator through
+/// Every `(k, w2)` machine is built once, before any shard runs, so a `k`
+/// or `w2` that describes no machine is an error rather than a panic
+/// inside a worker. A point's group borrows its machine, builds its
+/// simulator and replay plan once and recycles them across the point's
+/// seeds: the simulator through
 /// [`NetworkSim::reset`] (pinned byte-identical to a fresh build) and the
 /// replay engine's compiled plan and match-queue arenas through its
 /// internal scratch reset (pinned by the tracesim slab suite). `routes`
@@ -217,7 +220,14 @@ pub(crate) fn run_shards<R: RouteSource>(
     network: &NetworkConfig,
     trace: &Trace,
     routes: impl Fn(&Xgft, &SweepShard) -> R + Sync,
-) -> (u64, Vec<Vec<f64>>) {
+) -> Result<(u64, Vec<Vec<f64>>), TopologyError> {
+    let mut machines: Vec<(usize, Xgft)> = Vec::new();
+    for shard in shards {
+        if machines.iter().all(|(w2, _)| *w2 != shard.w2) {
+            let xgft = XgftSpec::slimmed_two_level(k, shard.w2).and_then(Xgft::new)?;
+            machines.push((shard.w2, xgft));
+        }
+    }
     // A `trace_from_pattern` trace cannot deadlock: in every phase each
     // rank posts all its sends, which never block, before its first
     // receive, and every receive matches a send of the same phase. So once
@@ -229,9 +239,11 @@ pub(crate) fn run_shards<R: RouteSource>(
         shards,
         SweepShard::same_point,
         |point| {
-            let spec = XgftSpec::slimmed_two_level(k, point.w2).expect("valid slimmed spec");
-            let xgft = Xgft::new(spec).expect("valid topology");
-            let sim = NetworkSim::new(&xgft, network.clone());
+            let (_, xgft) = machines
+                .iter()
+                .find(|(w2, _)| *w2 == point.w2)
+                .expect("every shard's machine was built");
+            let sim = NetworkSim::new(xgft, network.clone());
             (xgft, ReplayEngine::new(trace), sim)
         },
         |(xgft, engine, sim), shard| {
@@ -244,7 +256,7 @@ pub(crate) fn run_shards<R: RouteSource>(
             result.completion_ps as f64 / crossbar_ps as f64
         },
     );
-    (crossbar_ps, samples)
+    Ok((crossbar_ps, samples))
 }
 
 /// Turn [`run_shards`]' per-point sample groups into [`SweepPoint`]s, in
@@ -367,8 +379,8 @@ impl SweepConfig {
 
     /// Run the sweep for a workload pattern: the trace is derived from it,
     /// then one parallel replay per shard, aggregated into per-point
-    /// boxplots.
-    pub fn run(&self, pattern: &Pattern) -> SweepResult {
+    /// boxplots. Errors if `k` and a `w2` describe no machine.
+    pub fn run(&self, pattern: &Pattern) -> Result<SweepResult, TopologyError> {
         let trace = workloads::trace_from_pattern(pattern, 0);
         // Each machine of a sweep runs a deterministic scheme once, so
         // there is no pristine table to share: every shard compiles its own.
@@ -382,7 +394,7 @@ impl SweepConfig {
     /// identical shards, identical samples (compact paths are byte-equal to
     /// compiled ones), near-zero route state per shard. Panics if the
     /// configuration lists the colored scheme, which has no closed form.
-    pub fn run_compact(&self, pattern: &Pattern) -> SweepResult {
+    pub fn run_compact(&self, pattern: &Pattern) -> Result<SweepResult, TopologyError> {
         let trace = workloads::trace_from_pattern(pattern, 0);
         let pairs = trace.communication_pairs();
         self.run_with(&trace, |xgft, shard| {
@@ -398,16 +410,16 @@ impl SweepConfig {
         &self,
         trace: &Trace,
         routes: impl Fn(&Xgft, &SweepShard) -> R + Sync,
-    ) -> SweepResult {
+    ) -> Result<SweepResult, TopologyError> {
         xgft_obs::span!("analysis.sweep");
         let shards = self.shards();
-        let (crossbar_ps, samples) = run_shards(&shards, self.k, &self.network, trace, routes);
-        SweepResult {
+        let (crossbar_ps, samples) = run_shards(&shards, self.k, &self.network, trace, routes)?;
+        Ok(SweepResult {
             trace: trace.name().to_string(),
             k: self.k,
             crossbar_ps,
             points: assemble_points(&shards, samples),
-        }
+        })
     }
 }
 
@@ -430,7 +442,7 @@ mod tests {
             seeds: vec![1, 2, 3],
             network: NetworkConfig::default(),
         };
-        let result = config.run(&pattern);
+        let result = config.run(&pattern).unwrap();
         assert_eq!(result.k, 4);
         assert!(result.crossbar_ps > 0);
 
@@ -475,8 +487,8 @@ mod tests {
             seeds: vec![1, 2],
             network: NetworkConfig::default(),
         };
-        let compiled = config.run(&pattern);
-        let compact = config.run_compact(&pattern);
+        let compiled = config.run(&pattern).unwrap();
+        let compact = config.run_compact(&pattern).unwrap();
         assert_eq!(compiled.crossbar_ps, compact.crossbar_ps);
         assert_eq!(compiled.points.len(), compact.points.len());
         for (a, b) in compiled.points.iter().zip(&compact.points) {
@@ -503,5 +515,23 @@ mod tests {
         assert_eq!(cfg.w2_values.len(), 16);
         assert_eq!(cfg.w2_values[0], 16);
         assert_eq!(*cfg.w2_values.last().unwrap(), 1);
+    }
+
+    #[test]
+    fn zero_w2_is_a_typed_error_not_a_panic() {
+        let pattern = generators::shift(16, 4, 1024);
+        let config = SweepConfig {
+            k: 4,
+            w2_values: vec![4, 0],
+            algorithms: vec![AlgorithmSpec::DModK],
+            seeds: vec![1],
+            network: NetworkConfig::default(),
+        };
+        for run in [SweepConfig::run, SweepConfig::run_compact] {
+            assert!(matches!(
+                run(&config, &pattern),
+                Err(TopologyError::ZeroParameter { level: 2 })
+            ));
+        }
     }
 }

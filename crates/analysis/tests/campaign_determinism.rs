@@ -35,15 +35,15 @@ fn campaign_result_is_identical_for_any_worker_count() {
         .num_threads(1)
         .build()
         .unwrap()
-        .install(|| config.run(&pattern));
+        .install(|| config.run(&pattern).unwrap());
     // The default (machine) parallelism.
-    let parallel = config.run(&pattern);
+    let parallel = config.run(&pattern).unwrap();
     // An oversubscribed pool, for good measure.
     let wide = ThreadPoolBuilder::new()
         .num_threads(7)
         .build()
         .unwrap()
-        .install(|| config.run(&pattern));
+        .install(|| config.run(&pattern).unwrap());
 
     let single_json = serde_json::to_string(&single).unwrap();
     let parallel_json = serde_json::to_string(&parallel).unwrap();
@@ -76,13 +76,13 @@ fn sweep_result_is_identical_for_any_worker_count() {
             .num_threads(1)
             .build()
             .unwrap()
-            .install(|| run(&config, &pattern));
-        let parallel = run(&config, &pattern);
+            .install(|| run(&config, &pattern).unwrap());
+        let parallel = run(&config, &pattern).unwrap();
         let wide = ThreadPoolBuilder::new()
             .num_threads(7)
             .build()
             .unwrap()
-            .install(|| run(&config, &pattern));
+            .install(|| run(&config, &pattern).unwrap());
         let single_json = serde_json::to_string(&single).unwrap();
         assert_eq!(
             single_json,
@@ -97,7 +97,7 @@ fn sweep_result_is_identical_for_any_worker_count() {
 fn reruns_of_the_same_campaign_are_byte_identical() {
     let pattern = generators::shift(16, 4, 8 * 1024);
     let config = mini_campaign();
-    let a = serde_json::to_string(&config.run(&pattern)).unwrap();
-    let b = serde_json::to_string(&config.run(&pattern)).unwrap();
+    let a = serde_json::to_string(&config.run(&pattern).unwrap()).unwrap();
+    let b = serde_json::to_string(&config.run(&pattern).unwrap()).unwrap();
     assert_eq!(a, b);
 }

@@ -35,13 +35,13 @@ fn resilience_result_is_identical_for_any_worker_count() {
         .num_threads(1)
         .build()
         .unwrap()
-        .install(|| config.run(&pattern));
-    let parallel = config.run(&pattern);
+        .install(|| config.run(&pattern).unwrap());
+    let parallel = config.run(&pattern).unwrap();
     let wide = ThreadPoolBuilder::new()
         .num_threads(7)
         .build()
         .unwrap()
-        .install(|| config.run(&pattern));
+        .install(|| config.run(&pattern).unwrap());
 
     let single_json = serde_json::to_string(&single).unwrap();
     let parallel_json = serde_json::to_string(&parallel).unwrap();
@@ -68,7 +68,7 @@ fn resilience_result_is_identical_for_any_worker_count() {
 fn reruns_of_the_same_resilience_campaign_are_byte_identical() {
     let pattern = generators::shift(16, 4, 8 * 1024);
     let config = mini_resilience();
-    let a = serde_json::to_string(&config.run(&pattern)).unwrap();
-    let b = serde_json::to_string(&config.run(&pattern)).unwrap();
+    let a = serde_json::to_string(&config.run(&pattern).unwrap()).unwrap();
+    let b = serde_json::to_string(&config.run(&pattern).unwrap()).unwrap();
     assert_eq!(a, b);
 }

@@ -29,7 +29,7 @@ fn small_sweep() -> (SweepConfig, xgft_patterns::Pattern) {
 #[test]
 fn sweep_points_cover_every_requested_combination() {
     let (config, pattern) = small_sweep();
-    let result = config.run(&pattern);
+    let result = config.run(&pattern).unwrap();
     assert_eq!(result.points.len(), 3 * 4);
     for &w2 in &[8usize, 4, 2] {
         for name in ["d-mod-k", "s-mod-k", "random", "r-NCA-d"] {
@@ -54,7 +54,7 @@ fn sweep_slowdowns_match_direct_replay() {
     // The sweep's d-mod-k sample must equal an independent replay of the
     // same trace on the same topology, normalised by the same crossbar time.
     let (config, pattern) = small_sweep();
-    let result: SweepResult = config.run(&pattern);
+    let result: SweepResult = config.run(&pattern).unwrap();
     let trace = workloads::trace_from_pattern(&pattern, 0);
     let netcfg = NetworkConfig::default();
     let crossbar = run_on_crossbar(&trace, &netcfg).unwrap().completion_ps;
@@ -73,7 +73,7 @@ fn sweep_slowdowns_match_direct_replay() {
 #[test]
 fn render_table_lists_every_w2_and_algorithm() {
     let (config, pattern) = small_sweep();
-    let result = config.run(&pattern);
+    let result = config.run(&pattern).unwrap();
     let table = result.render_table();
     for w2 in ["   8", "   4", "   2"] {
         assert!(table.contains(w2), "missing row {w2:?}\n{table}");

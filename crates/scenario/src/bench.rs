@@ -406,7 +406,7 @@ fn bench_campaign(quick: bool, reps: u32) -> Vec<BenchProbe> {
         network: NetworkConfig::default(),
     };
     let timed = time_reps(reps, || {
-        let result = config.run(&pattern);
+        let result = config.run(&pattern).expect("valid campaign configuration");
         vec![
             ("shards", result.shards.len() as u64),
             ("crossbar_ps", result.crossbar_ps),
@@ -428,7 +428,9 @@ fn bench_campaign(quick: bool, reps: u32) -> Vec<BenchProbe> {
         network: NetworkConfig::default(),
     };
     let wide = time_reps(reps, || {
-        let result = wide_config.run(&wide_pattern);
+        let result = wide_config
+            .run(&wide_pattern)
+            .expect("valid campaign configuration");
         vec![
             ("shards", result.shards.len() as u64),
             ("crossbar_ps", result.crossbar_ps),

@@ -512,15 +512,19 @@ impl Plan {
             Plan::Sweep {
                 config,
                 representation: RepresentationSpec::Compiled,
-            } => ResultPayload::Sweep(config.run(&pattern)),
+            } => ResultPayload::Sweep(config.run(&pattern).map_err(refused)?),
             // Byte-identical samples from the closed-form engine (compact
             // paths equal compiled paths).
             Plan::Sweep {
                 config,
                 representation: RepresentationSpec::Compact,
-            } => ResultPayload::Sweep(config.run_compact(&pattern)),
-            Plan::Campaign(config) => ResultPayload::Campaign(config.run(&pattern)),
-            Plan::Resilience(config) => ResultPayload::Resilience(config.run(&pattern)),
+            } => ResultPayload::Sweep(config.run_compact(&pattern).map_err(refused)?),
+            Plan::Campaign(config) => {
+                ResultPayload::Campaign(config.run(&pattern).map_err(refused)?)
+            }
+            Plan::Resilience(config) => {
+                ResultPayload::Resilience(config.run(&pattern).map_err(refused)?)
+            }
             Plan::Flow { specs, schemes } => ResultPayload::Flow(
                 FlowSweepConfig {
                     specs,
@@ -537,15 +541,16 @@ impl Plan {
                     .collect(),
             ),
             Plan::Direct(grid) => ResultPayload::Direct(run_direct(grid, &pattern)),
-            // Lowering already rejects every configuration `run` refuses.
-            Plan::Chaos(config) => ResultPayload::Chaos(
-                config
-                    .run(&pattern)
-                    .map_err(|e| ScenarioError::Invalid(e.to_string()))?,
-            ),
+            Plan::Chaos(config) => ResultPayload::Chaos(config.run(&pattern).map_err(refused)?),
             Plan::Agreement(grid) => ResultPayload::Agreement(run_agreement(grid, &pattern)),
         })
     }
+}
+
+/// A runner's typed error as an invalid scenario. Lowering already rejects
+/// every configuration a runner refuses, so this path is a backstop.
+fn refused(e: impl std::fmt::Display) -> ScenarioError {
+    ScenarioError::Invalid(e.to_string())
 }
 
 /// Run one scenario end to end: lower the spec into its plan, then run

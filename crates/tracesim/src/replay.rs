@@ -5,8 +5,9 @@
 //! `Recv` blocks until the matching message has been delivered (the rank's
 //! clock then jumps to the delivery time), and `Barrier` synchronises all
 //! ranks to the latest arrival. The engine alternates between (a) running
-//! every unblocked rank as far as it can go and (b) advancing the network to
-//! its next delivery — the co-simulation structure of Dimemas + Venus.
+//! the ranks that can move as far as they can go and (b) advancing the
+//! network to its next delivery — the co-simulation structure of
+//! Dimemas + Venus.
 //!
 //! ## The indexed replay core
 //!
@@ -20,22 +21,38 @@
 //!
 //! * every distinct triple becomes a dense **match-queue index**, and each
 //!   `Send`/`Recv` instruction is rewritten to carry its queue id — the hot
-//!   loop never hashes or searches anything;
+//!   loop never hashes or searches anything. The plan also keeps each
+//!   queue's receiving rank;
 //! * all queues share one flat **timestamp arena** sized exactly from the
 //!   per-queue send counts (the same shared-arena discipline as netsim's
 //!   `MessageSlab`), with per-queue head/tail cursors instead of per-key
 //!   `VecDeque`s;
 //! * in-flight messages live in a flat slab indexed by the low 32 bits of
 //!   the [`MessageId`](xgft_netsim::MessageId) (the slot), tagged with the
-//!   id's generation so a recycled slot can never alias a stale entry;
-//! * the per-step `(0..n).filter(...).collect()` unfinished-rank scans are
-//!   replaced by an incrementally compacted **active list** that always
-//!   holds exactly the unfinished ranks, in ascending order.
+//!   id's generation so a recycled slot can never alias a stale entry.
+//!
+//! ## Wake-driven scheduling
+//!
+//! Only two things ever unblock a rank: a delivery into the queue it waits
+//! on, and a barrier release. Sends never block, and a queue's tail only
+//! moves when the network delivers into it. So after one ascending sweep
+//! has run every rank to a standstill, a delivery into queue `q` can only
+//! move `q`'s receiver: the engine polls that one rank and no other. The
+//! network sees the same `schedule_message` calls, at the same times and
+//! in the same order, as a sweep over every rank would make.
+//!
+//! Barriers are resolved by two counters, not rank scans: the number of
+//! unfinished ranks and the number waiting at a barrier. When they are
+//! equal and non-zero — after a rank arrives at a barrier, or after the
+//! last rank outside it finishes — every unfinished rank is released at
+//! the latest arrival time and one ascending sweep runs them on.
 //!
 //! The scratch state is owned by the engine and recycled across [`run`]
 //! calls, so a campaign shard that replays one trace against many networks
-//! allocates its buffers once. The pre-overhaul HashMap core is retained in
-//! [`reference`](mod@reference) and pinned byte-identical by an equivalence proptest.
+//! allocates its buffers once. The pre-overhaul HashMap core, which sweeps
+//! every rank after every delivery, is retained in
+//! [`reference`](mod@reference) and pinned byte-identical by equivalence
+//! proptests, deadlocking traces included.
 //!
 //! [`run`]: ReplayEngine::run
 
@@ -124,6 +141,9 @@ struct ReplayPlan {
     /// queue_start[q + 1]]` of the shared arena — spans sized exactly from
     /// the trace's per-queue send counts.
     queue_start: Vec<u32>,
+    /// The receiving rank of queue `q`: the only rank a delivery into `q`
+    /// can unblock.
+    queue_dst: Vec<u32>,
 }
 
 impl ReplayPlan {
@@ -192,6 +212,7 @@ impl ReplayPlan {
             ops,
             program_start,
             queue_start,
+            queue_dst: triples.iter().map(|&(_, dst, _)| dst).collect(),
         })
     }
 
@@ -208,8 +229,8 @@ impl ReplayPlan {
 const VACANT: u64 = u64::MAX;
 
 /// The mutable side of a replay, recycled across [`ReplayEngine::run`]
-/// calls: rank state as struct-of-arrays, the shared timestamp arena with
-/// its per-queue cursors, the in-flight slab and the active-rank list.
+/// calls: rank state as struct-of-arrays, the barrier counters, the shared
+/// timestamp arena with its per-queue cursors and the in-flight slab.
 #[derive(Debug, Default)]
 struct ReplayScratch {
     // Per-rank execution state.
@@ -217,8 +238,14 @@ struct ReplayScratch {
     pc: Vec<u32>,
     at_barrier: Vec<bool>,
     finished: Vec<bool>,
-    /// Unfinished ranks, ascending; compacted in place as ranks finish.
-    active: Vec<u32>,
+    /// Ranks not yet finished.
+    unfinished: usize,
+    /// Unfinished ranks waiting at a barrier.
+    waiting: usize,
+    /// `progress_rank` calls this run.
+    polls: u64,
+    /// Network deliveries this run.
+    deliveries: u64,
     /// The shared delivery-timestamp arena (one exact-size span per queue).
     times: Vec<u64>,
     /// Per-queue count of timestamps consumed by Recvs.
@@ -244,8 +271,10 @@ impl ReplayScratch {
         self.at_barrier.resize(n, false);
         self.finished.clear();
         self.finished.resize(n, false);
-        self.active.clear();
-        self.active.extend(0..n as u32);
+        self.unfinished = n;
+        self.waiting = 0;
+        self.polls = 0;
+        self.deliveries = 0;
         // The arena itself needs no clearing: the tail cursors guard every
         // read, and each slot is written before it can be read.
         self.times.resize(plan.total_sends(), 0);
@@ -254,6 +283,25 @@ impl ReplayScratch {
         self.tails.clear();
         self.tails.resize(plan.num_queues(), 0);
         self.in_flight.clear();
+    }
+
+    /// Release the barrier every unfinished rank waits at: each resumes,
+    /// past its `Barrier`, at the latest arrival time.
+    fn release_barrier(&mut self) {
+        let mut release = 0;
+        for rank in 0..self.clock_ps.len() {
+            if !self.finished[rank] {
+                release = release.max(self.clock_ps[rank]);
+            }
+        }
+        for rank in 0..self.clock_ps.len() {
+            if !self.finished[rank] {
+                self.clock_ps[rank] = release;
+                self.at_barrier[rank] = false;
+                self.pc[rank] += 1;
+            }
+        }
+        self.waiting = 0;
     }
 
     /// Record that message `id` will deliver into `queue` when it completes.
@@ -328,50 +376,24 @@ impl<'t> ReplayEngine<'t> {
         };
         scratch.reset(plan);
 
+        // The first pass sweeps every rank; after that only a barrier
+        // release sweeps, and a delivery wakes its queue's receiver alone.
+        let mut sweep = true;
         loop {
-            // Phase 1: run every unblocked rank as far as possible,
-            // compacting finished ranks out of the active list in place.
-            let mut progressed = true;
-            while progressed {
-                progressed = false;
-                let mut write = 0;
-                for read in 0..scratch.active.len() {
-                    let rank = scratch.active[read];
-                    progressed |= progress_rank(plan, scratch, rank as usize, &mut network)?;
-                    if !scratch.finished[rank as usize] {
-                        scratch.active[write] = rank;
-                        write += 1;
-                    }
-                }
-                scratch.active.truncate(write);
-                // Barrier resolution: if every unfinished rank sits at a
-                // barrier, release them all at the latest arrival time.
-                if !scratch.active.is_empty()
-                    && scratch
-                        .active
-                        .iter()
-                        .all(|&r| scratch.at_barrier[r as usize])
-                {
-                    let release = scratch
-                        .active
-                        .iter()
-                        .map(|&r| scratch.clock_ps[r as usize])
-                        .max()
-                        .unwrap_or(0);
-                    for &r in &scratch.active {
-                        scratch.clock_ps[r as usize] = release;
-                        scratch.at_barrier[r as usize] = false;
-                        scratch.pc[r as usize] += 1;
-                    }
-                    progressed = true;
+            if sweep {
+                for rank in 0..plan.num_ranks {
+                    progress_rank(plan, scratch, rank, &mut network)?;
                 }
             }
-
-            if scratch.active.is_empty() {
+            sweep = scratch.waiting > 0 && scratch.waiting == scratch.unfinished;
+            if sweep {
+                scratch.release_barrier();
+                continue;
+            }
+            if scratch.unfinished == 0 {
                 break;
             }
 
-            // Phase 2: advance the network to the next delivery.
             match network.run_until_next_completion() {
                 Some(completion) => {
                     let queue = scratch.remove_in_flight(completion.id.0) as usize;
@@ -379,15 +401,25 @@ impl<'t> ReplayEngine<'t> {
                     debug_assert!(at < plan.queue_start[queue + 1], "queue overflow");
                     scratch.times[at as usize] = completion.completed_at_ps;
                     scratch.tails[queue] += 1;
+                    scratch.deliveries += 1;
+                    let rank = plan.queue_dst[queue] as usize;
+                    progress_rank(plan, scratch, rank, &mut network)?;
                 }
                 None => {
-                    let blocked_ranks: Vec<usize> =
-                        scratch.active.iter().map(|&r| r as usize).collect();
+                    let blocked_ranks: Vec<usize> = (0..plan.num_ranks)
+                        .filter(|&r| !scratch.finished[r])
+                        .collect();
                     return Err(ReplayError::Deadlock { blocked_ranks });
                 }
             }
         }
 
+        // Bulk-record the run's counters after the loop, never inside it.
+        let metrics = xgft_obs::global();
+        metrics.counter("tracesim.rank_polls").add(scratch.polls);
+        metrics
+            .counter("tracesim.deliveries")
+            .add(scratch.deliveries);
         let rank_finish_ps = scratch.clock_ps.clone();
         let completion_ps = rank_finish_ps.iter().copied().max().unwrap_or(0);
         Ok(ReplayResult {
@@ -400,31 +432,31 @@ impl<'t> ReplayEngine<'t> {
     }
 }
 
-/// Run one rank until it blocks or finishes. Returns true if it made any
-/// progress; a network refusal (e.g. a missing route) aborts the replay.
+/// Run one rank until it blocks, reaches a barrier or finishes, keeping
+/// the barrier counters current. A network refusal (e.g. a missing route)
+/// aborts the replay.
 fn progress_rank<N: Network>(
     plan: &ReplayPlan,
     scratch: &mut ReplayScratch,
     rank: usize,
     network: &mut N,
-) -> Result<bool, ReplayError> {
+) -> Result<(), ReplayError> {
+    scratch.polls += 1;
+    if scratch.finished[rank] || scratch.at_barrier[rank] {
+        return Ok(());
+    }
     let program =
         &plan.ops[plan.program_start[rank] as usize..plan.program_start[rank + 1] as usize];
-    let mut progressed = false;
     loop {
-        if scratch.finished[rank] || scratch.at_barrier[rank] {
-            return Ok(progressed);
-        }
         let pc = scratch.pc[rank] as usize;
         if pc >= program.len() {
             scratch.finished[rank] = true;
-            return Ok(progressed);
+            scratch.unfinished -= 1;
+            return Ok(());
         }
         match program[pc] {
             Op::Compute { duration_ps } => {
                 scratch.clock_ps[rank] += duration_ps;
-                scratch.pc[rank] += 1;
-                progressed = true;
             }
             Op::Send { dst, bytes, queue } => {
                 // Injection cannot happen before the network's current
@@ -432,27 +464,24 @@ fn progress_rank<N: Network>(
                 let at = scratch.clock_ps[rank].max(network.now_ps());
                 let id = network.schedule_message(at, rank, dst as usize, bytes)?;
                 scratch.insert_in_flight(id.0, queue);
-                scratch.pc[rank] += 1;
-                progressed = true;
             }
             Op::Recv { queue } => {
                 let queue = queue as usize;
-                if scratch.heads[queue] < scratch.tails[queue] {
-                    let at = plan.queue_start[queue] + scratch.heads[queue];
-                    let time = scratch.times[at as usize];
-                    scratch.heads[queue] += 1;
-                    scratch.clock_ps[rank] = scratch.clock_ps[rank].max(time);
-                    scratch.pc[rank] += 1;
-                    progressed = true;
-                } else {
-                    return Ok(progressed);
+                if scratch.heads[queue] == scratch.tails[queue] {
+                    return Ok(());
                 }
+                let at = plan.queue_start[queue] + scratch.heads[queue];
+                let time = scratch.times[at as usize];
+                scratch.heads[queue] += 1;
+                scratch.clock_ps[rank] = scratch.clock_ps[rank].max(time);
             }
             Op::Barrier => {
                 scratch.at_barrier[rank] = true;
-                return Ok(true);
+                scratch.waiting += 1;
+                return Ok(());
             }
         }
+        scratch.pc[rank] += 1;
     }
 }
 
@@ -868,6 +897,24 @@ mod tests {
         assert_eq!(first, second);
         let reference = reference::run(&trace, routed(&xgft)).unwrap();
         assert_eq!(first, reference);
+    }
+
+    #[test]
+    fn a_delivery_wakes_only_its_receiver() {
+        // 1024 ranks: a sweep of every rank per delivery would cost at
+        // least 1024 polls each. Waking only the receiver costs one poll
+        // per delivery, plus one sweep per barrier release.
+        let trace = crate::workloads::cg_d_trace(1024, 8192);
+        let xgft = Xgft::new(XgftSpec::slimmed_two_level(32, 32).unwrap()).unwrap();
+        let mut engine = ReplayEngine::new(&trace);
+        let result = engine.run(routed(&xgft)).unwrap();
+        let deliveries = engine.scratch.deliveries;
+        assert_eq!(deliveries, result.network_report.completed_messages as u64);
+        let polls_per_delivery = engine.scratch.polls as f64 / deliveries as f64;
+        assert!(
+            polls_per_delivery < 2.0,
+            "{polls_per_delivery:.2} polls per delivery"
+        );
     }
 
     /// A toy network that recycles message-id slots across completions with

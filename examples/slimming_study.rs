@@ -20,7 +20,7 @@ fn main() {
         seeds: vec![1, 2, 3, 4],
         network: NetworkConfig::default(),
     };
-    let result = config.run(&pattern);
+    let result = config.run(&pattern).unwrap();
     println!("{}", result.render_table());
     println!(
         "Full-Crossbar reference time: {:.3} ms",

@@ -70,7 +70,7 @@ fn fig2_small_sweep_is_byte_stable() {
         seeds: vec![1, 2, 3],
         network: NetworkConfig::default(),
     };
-    assert_golden("fig2_small.json", &to_json(&config.run(&pattern)));
+    assert_golden("fig2_small.json", &to_json(&config.run(&pattern).unwrap()));
 }
 
 /// A scaled-down Fig. 5: the full proposal set (r-NCA-u / r-NCA-d against
@@ -85,7 +85,7 @@ fn fig5_small_sweep_is_byte_stable() {
         seeds: vec![1, 2],
         network: NetworkConfig::default(),
     };
-    assert_golden("fig5_small.json", &to_json(&config.run(&pattern)));
+    assert_golden("fig5_small.json", &to_json(&config.run(&pattern).unwrap()));
 }
 
 /// A scaled-down Fig. 4: routes-per-NCA distributions on a slimmed tree.
@@ -172,7 +172,10 @@ fn campaign_small_is_byte_stable() {
         base_seed: 2009,
         network: NetworkConfig::default(),
     };
-    assert_golden("campaign_small.json", &to_json(&config.run(&pattern)));
+    assert_golden(
+        "campaign_small.json",
+        &to_json(&config.run(&pattern).unwrap()),
+    );
 }
 
 /// The versioned scenario-result envelope: a complete `xgft run` outcome —
@@ -225,7 +228,10 @@ fn faults_small_campaign_is_byte_stable() {
         base_seed: 2009,
         network: NetworkConfig::default(),
     };
-    assert_golden("faults_small.json", &to_json(&config.run(&pattern)));
+    assert_golden(
+        "faults_small.json",
+        &to_json(&config.run(&pattern).unwrap()),
+    );
 }
 
 /// A mini chaos lab: pins the seeded fault/repair timeline (which epochs

@@ -67,7 +67,7 @@ fn reduced_sweep_reproduces_figure_orderings() {
         seeds: vec![1, 2, 3],
         network: NetworkConfig::default(),
     };
-    let result = config.run(&fifth);
+    let result = config.run(&fifth).unwrap();
 
     let at = |w2: usize, name: &str| result.point(w2, name).unwrap().stats.median;
 
