@@ -385,9 +385,11 @@ pub(crate) struct Segment {
     /// Dense channel index whose downstream buffer slot this segment is
     /// currently occupying (`None` while still at the source adapter),
     /// stored as channel + 1 so the `Option` rides in the niche. Segments
-    /// are the payload of most queued events, and the event queue copies
-    /// them on every push, day advance, sort swap and pop — the narrow
-    /// field types keep a queued event comfortably inside one cache line.
+    /// are the payload of most queued events: the event queue writes each
+    /// entry once on push and reads it once on pop (an in-order day becomes
+    /// the agenda whole), and copies it again only for a day that must be
+    /// sorted. The narrow field types keep a queued `(time, event)` entry
+    /// at 40 bytes.
     holds_buffer_of: Option<std::num::NonZeroU32>,
 }
 

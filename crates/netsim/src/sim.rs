@@ -121,7 +121,17 @@ pub struct NetworkSim {
 
 impl NetworkSim {
     /// Create a simulator for a topology with the given configuration.
+    ///
+    /// # Panics
+    /// Panics if `config.segment_bytes` exceeds `u32::MAX`: queued events
+    /// carry a segment's size as `u32`.
     pub fn new(xgft: &Xgft, config: NetworkConfig) -> Self {
+        assert!(
+            config.segment_bytes <= u64::from(u32::MAX),
+            "segment_bytes must be at most {} (segments carry their size as u32), got {}",
+            u32::MAX,
+            config.segment_bytes
+        );
         let num_channels = xgft.channels().len();
         let channels = vec![
             ChannelState {
@@ -474,6 +484,7 @@ impl NetworkSim {
         let events_before = self.events_processed;
         let records_before = self.records.len();
         let dropped_before = self.dropped_messages;
+        let days_before = (self.queue.days(), self.queue.days_adopted());
         while self.step() {}
         self.completions.clear();
         let report = self.report();
@@ -483,6 +494,12 @@ impl NetworkSim {
         metrics
             .counter("netsim.events")
             .add(self.events_processed - events_before);
+        metrics
+            .counter("netsim.days")
+            .add(self.queue.days() - days_before.0);
+        metrics
+            .counter("netsim.days_adopted")
+            .add(self.queue.days_adopted() - days_before.1);
         metrics
             .counter("netsim.delivered")
             .add((self.records.len() - records_before) as u64);
@@ -1454,5 +1471,44 @@ mod tests {
         let (reused_ids, reused_report) = drive(&mut reused);
         assert_eq!(fresh_ids, reused_ids, "minted ids must restart identically");
         assert_eq!(fresh_report, reused_report);
+    }
+
+    #[test]
+    #[should_panic(expected = "segment_bytes must be at most 4294967295")]
+    fn segments_wider_than_u32_are_refused_up_front() {
+        let config = NetworkConfig {
+            segment_bytes: u64::from(u32::MAX) + 1,
+            ..cfg()
+        };
+        NetworkSim::new(&k_ary(2, 2), config);
+    }
+
+    /// The day counters on the `netsim` bench probe's schedule: a shift
+    /// permutation of 64 KiB messages on the 64-leaf 8-ary 2-tree under
+    /// d-mod-k, all injected at time 0. Store-and-forward waves of full
+    /// segments reach each day whole and in time order, so every day is
+    /// adopted without a copy or a sort. The counts are deterministic.
+    #[test]
+    fn synchronized_waves_adopt_every_day() {
+        use xgft_core::{CompiledRouteTable, DModK};
+        let xgft = k_ary(8, 2);
+        let n = xgft.num_leaves();
+        let flows: Vec<(usize, usize, u64)> = xgft_patterns::generators::shift(n, 8, 64 * 1024)
+            .combined()
+            .network_flows()
+            .map(|f| (f.src, f.dst, f.bytes))
+            .collect();
+        let table = CompiledRouteTable::compile(
+            &xgft,
+            &DModK::new(),
+            flows.iter().map(|&(s, d, _)| (s, d)),
+        );
+        let mut sim = NetworkSim::new(&xgft, cfg());
+        for &(s, d, bytes) in &flows {
+            sim.schedule_message_on_path(0, s, d, bytes, table.path(s, d).expect("routed pair"));
+        }
+        let report = sim.run_to_completion();
+        assert_eq!(report.completed_messages, n);
+        assert_eq!((sim.queue.days(), sim.queue.days_adopted()), (256, 256));
     }
 }

@@ -46,8 +46,9 @@ pub struct SimReport {
     pub max_channel_utilization: f64,
     /// Number of simulation events processed.
     pub events_processed: u64,
-    /// Largest number of events pending in the event queue at any point
-    /// (calendar-queue high-water mark).
+    /// Largest number of events pushed but not yet popped at any point:
+    /// a count of events across all of the queue's lanes, independent of
+    /// how the queue stores them or what capacity it holds.
     pub event_queue_hwm: usize,
 }
 
