@@ -80,9 +80,6 @@ impl<'a> PristineTables<'a> {
         pairs: &'a [(usize, usize)],
         algorithms: &[AlgorithmSpec],
     ) -> Self {
-        // Allocated before the first compile: a vector allocated between
-        // the tables left a heap hole that later shards' tables could not
-        // reuse (+4 MiB peak RSS on a 1024-leaf chaos timeline).
         let mut deterministic = Vec::with_capacity(algorithms.len());
         for &a in algorithms.iter().filter(|a| !a.is_seeded()) {
             deterministic.push((a, compile(xgft, pattern, pairs, a, 0)));

@@ -2,9 +2,11 @@
 //! destination)` labels in O(height), with near-zero route state.
 //!
 //! [`crate::CompiledRouteTable`] stores the full channel path of every pair
-//! — O(N² · pathlen) memory, which walls out long before the million-leaf
-//! machines the paper's schemes are meant for. But every oblivious scheme of
-//! the paper is *pure label arithmetic*: d-mod-k and s-mod-k read digits of
+//! it holds — O(N + pairs · pathlen) memory, so an all-pairs table is
+//! O(N² · pathlen) and walls out long before the million-leaf machines the
+//! paper's schemes are meant for, and even a sparse pattern pays its hops
+//! per pair. But every oblivious scheme of the paper is *pure label
+//! arithmetic*: d-mod-k and s-mod-k read digits of
 //! one endpoint's label, Random draws from a per-pair seeded stream, and the
 //! r-NCA family reads per-subtree relabeling maps whose size depends on the
 //! topology, not on the pair count. That is exactly the regime of compact

@@ -6,13 +6,16 @@
 //! every time — fine for a few hundred leaves, but it dominates the cost of
 //! the paper's 40–60-seed campaigns long before the event queue does.
 //!
-//! [`CompiledRouteTable`] is the dense form the repeated readers use
+//! [`CompiledRouteTable`] is the flat form the repeated readers use
 //! instead: a one-off build step flattens all routes into per-source arrays
 //! of *channel-index sequences* (indices into [`xgft_topo::ChannelTable`]'s
-//! dense numbering). A lookup is two array reads and returns a borrowed
-//! slice — no hashing, no allocation, no validation, no expansion — which is
-//! exactly what compact-routing work argues for: the routing-state
-//! representation is itself a first-class cost.
+//! dense numbering). A lookup reads the source's row of stored
+//! destinations, binary-searches it and returns a borrowed slice — no
+//! hashing, no allocation, no validation, no expansion. The index holds
+//! only the pairs the table stores, so a sparse pattern's table costs
+//! O(leaves + pairs + hops), not O(leaves²): the routing-state
+//! representation is itself a first-class cost (Czerner & Räcke,
+//! arXiv:2007.02427).
 //!
 //! [`CompiledRouteTable::route`] decodes a stored path back into its
 //! up-port [`Route`] (the ascent half of a path *is* the route's up-port
@@ -27,10 +30,12 @@ use xgft_topo::{ChannelTable, DegradedXgft, FaultSet, Route, Xgft};
 /// Routes for a set of ordered pairs, flattened into dense indexed storage.
 ///
 /// For every stored pair `(s, d)` the full channel path (ascent then
-/// descent) is kept as a contiguous run of `u32` dense channel indices; a
-/// flat `(num_leaves² + 1)`-entry prefix-sum array maps the pair to its run.
-/// An empty run encodes a miss (a real path for `s != d` always has at
-/// least two hops, and self-pairs are never stored).
+/// descent) is kept as a contiguous run of `u32` dense channel indices. A
+/// per-source index maps the pair to its run: source `s`'s row lists its
+/// stored destinations in ascending order, and a lookup binary-searches
+/// that row. A pair absent from its row is a miss; self-pairs are never
+/// stored. The table holds `(num_leaves + 1) · 4 + routes · 8 + 4 + hops ·
+/// 4` bytes of flat storage ([`CompiledRouteTable::storage_bytes`]).
 ///
 /// # Example
 ///
@@ -54,16 +59,19 @@ pub struct CompiledRouteTable {
     algorithm: String,
     pattern_aware: bool,
     num_leaves: usize,
-    /// `offsets[s * num_leaves + d] .. offsets[s * num_leaves + d + 1]`
-    /// bounds the pair's run in `hops`.
-    offsets: Vec<u32>,
+    /// `rows[s] .. rows[s + 1]` bounds source `s`'s stored pairs in `dsts`
+    /// and `ends` (`num_leaves + 1` entries).
+    rows: Vec<u32>,
+    /// The destination of each stored pair, ascending within each row.
+    dsts: Vec<u32>,
+    /// `ends[i] .. ends[i + 1]` bounds stored pair `i`'s run in `hops`
+    /// (`routes + 1` entries).
+    ends: Vec<u32>,
     /// Concatenated channel paths, pair-major in `(s, d)` order.
     hops: Vec<u32>,
     /// Channel numbering of the topology the table was compiled for (used to
     /// decode paths back into up-port routes).
     channels: ChannelTable,
-    /// Number of stored (present) routes.
-    routes: usize,
 }
 
 impl PatchBase for CompiledRouteTable {
@@ -72,7 +80,7 @@ impl PatchBase for CompiledRouteTable {
     }
 
     fn routes(&self) -> usize {
-        self.routes
+        self.len()
     }
 
     fn for_each_path(&self, mut visit: impl FnMut(usize, usize, &[u32])) {
@@ -85,13 +93,15 @@ impl PatchBase for CompiledRouteTable {
 /// Two tables are equal when they store the same routes for the same
 /// machine under the same algorithm label — i.e. their flat storage is
 /// byte-identical. The channel numbering is a pure function of the spec the
-/// equal offsets/hops were built against, so it is not compared.
+/// equal index and hops were built against, so it is not compared.
 impl PartialEq for CompiledRouteTable {
     fn eq(&self, other: &Self) -> bool {
         self.algorithm == other.algorithm
             && self.pattern_aware == other.pattern_aware
             && self.num_leaves == other.num_leaves
-            && self.offsets == other.offsets
+            && self.rows == other.rows
+            && self.dsts == other.dsts
+            && self.ends == other.ends
             && self.hops == other.hops
     }
 }
@@ -165,9 +175,9 @@ impl CompiledRouteTable {
         Self::from_sorted_routes(xgft, algo.name(), algo.is_pattern_aware(), picked)
     }
 
-    /// Shared build step: expand each route into its dense channel path and
-    /// lay the paths out contiguously. `picked` must be sorted by pair index
-    /// and free of duplicates and self-pairs. Also used by
+    /// Shared build step: expand each route into its dense channel path, lay
+    /// the paths out contiguously and index them by source. `picked` must be
+    /// sorted by pair index and free of duplicates and self-pairs. Also used by
     /// [`crate::CompactRoutes::to_compiled`], which is why it is
     /// crate-visible.
     pub(crate) fn from_sorted_routes(
@@ -178,42 +188,47 @@ impl CompiledRouteTable {
     ) -> Self {
         let n = xgft.num_leaves();
         assert!(
-            xgft.channels().len() <= u32::MAX as usize,
-            "channel indices must fit in u32"
+            xgft.channels().len() <= u32::MAX as usize && n <= u32::MAX as usize,
+            "channel and leaf indices must fit in u32"
         );
         let total_hops: usize = picked.iter().map(|(_, r)| 2 * r.nca_level()).sum();
         assert!(
             total_hops <= u32::MAX as usize,
             "flattened hop storage must fit u32 offsets"
         );
-        let mut offsets = vec![0u32; n * n + 1];
+        let mut rows = Vec::with_capacity(n + 1);
+        let mut dsts = Vec::with_capacity(picked.len());
+        let mut ends = Vec::with_capacity(picked.len() + 1);
         let mut hops = Vec::with_capacity(total_hops);
-        let mut cursor = 0usize;
+        rows.push(0);
+        ends.push(0);
         for &(idx, ref route) in &picked {
             let (s, d) = (idx / n, idx % n);
-            // Pairs between `cursor` and `idx` have no route: give them the
-            // same start offset so their run is empty.
-            offsets[cursor..=idx].fill(hops.len() as u32);
-            cursor = idx + 1;
+            // Open row `s`, closing every row before it (empty ones too).
+            rows.resize(s + 1, dsts.len() as u32);
             let path = xgft
                 .route_channels(s, d, route)
                 .expect("algorithms must produce valid routes");
             hops.extend(path.iter().map(|&c| c as u32));
+            dsts.push(d as u32);
+            ends.push(hops.len() as u32);
         }
-        offsets[cursor..=n * n].fill(hops.len() as u32);
+        // Close the last row with a pair and every empty row after it.
+        rows.resize(n + 1, dsts.len() as u32);
         let table = CompiledRouteTable {
             algorithm: algorithm.into(),
             pattern_aware,
             num_leaves: n,
-            offsets,
+            rows,
+            dsts,
+            ends,
             hops,
             channels: xgft.channels().clone(),
-            routes: picked.len(),
         };
         let metrics = xgft_obs::global();
         metrics
             .counter("core.compile.routes")
-            .add(table.routes as u64);
+            .add(table.len() as u64);
         metrics
             .counter("core.compile.hops")
             .add(table.hops.len() as u64);
@@ -226,7 +241,7 @@ impl CompiledRouteTable {
                 &[
                     ("algorithm", table.algorithm.as_str().into()),
                     ("num_leaves", table.num_leaves.into()),
-                    ("routes", table.routes.into()),
+                    ("routes", table.len().into()),
                     ("storage_bytes", table.storage_bytes().into()),
                 ],
             );
@@ -251,12 +266,12 @@ impl CompiledRouteTable {
 
     /// Number of stored routes.
     pub fn len(&self) -> usize {
-        self.routes
+        self.dsts.len()
     }
 
     /// True if no routes are stored.
     pub fn is_empty(&self) -> bool {
-        self.routes == 0
+        self.dsts.is_empty()
     }
 
     /// The dense channel path stored for `(s, d)` — the hot lookup. Returns
@@ -268,14 +283,15 @@ impl CompiledRouteTable {
         if s >= self.num_leaves || d >= self.num_leaves {
             return None;
         }
-        let idx = s * self.num_leaves + d;
-        let start = self.offsets[idx] as usize;
-        let end = self.offsets[idx + 1] as usize;
-        if start == end {
-            None
-        } else {
-            Some(&self.hops[start..end])
-        }
+        let row = self.rows[s] as usize..self.rows[s + 1] as usize;
+        let i = self.dsts[row.clone()].binary_search(&(d as u32)).ok()?;
+        Some(self.run(row.start + i))
+    }
+
+    /// The channel path of stored pair `i`.
+    #[inline]
+    fn run(&self, i: usize) -> &[u32] {
+        &self.hops[self.ends[i] as usize..self.ends[i + 1] as usize]
     }
 
     /// The up-port [`Route`] stored for `(s, d)`, decoded from the ascent
@@ -287,23 +303,22 @@ impl CompiledRouteTable {
     }
 
     /// Iterate over `((source, destination), path)` entries in pair-major
-    /// order.
+    /// order (ascending `source · num_leaves + destination`).
     pub fn iter_paths(&self) -> impl Iterator<Item = ((usize, usize), &[u32])> {
-        let n = self.num_leaves;
-        self.offsets
-            .windows(2)
-            .enumerate()
-            .filter(|(_, run)| run[0] != run[1])
-            .map(move |(idx, run)| {
-                let path = &self.hops[run[0] as usize..run[1] as usize];
-                ((idx / n, idx % n), path)
-            })
+        self.rows.windows(2).enumerate().flat_map(move |(s, row)| {
+            (row[0] as usize..row[1] as usize)
+                .map(move |i| ((s, self.dsts[i] as usize), self.run(i)))
+        })
     }
 
-    /// Bytes of flat storage held by the table (offsets plus hops) — the
-    /// quantity the compact-routing literature budgets.
+    /// Bytes of flat storage held by the table (index plus hops) — the
+    /// quantity the compact-routing literature budgets:
+    /// `(num_leaves + 1) · 4 + routes · 8 + 4 + hops · 4`.
     pub fn storage_bytes(&self) -> usize {
-        std::mem::size_of_val(&self.offsets[..]) + std::mem::size_of_val(&self.hops[..])
+        [&self.rows, &self.dsts, &self.ends, &self.hops]
+            .iter()
+            .map(|v| std::mem::size_of_val(&v[..]))
+            .sum()
     }
 
     /// Validate every stored path against the topology: each decoded route
@@ -494,6 +509,16 @@ mod tests {
         assert!(table.path_in(16, 0, &mut scratch).is_none());
         assert_eq!(table.base(), &pristine);
         assert!(!table.is_empty());
+    }
+
+    #[test]
+    fn storage_counts_the_index_of_stored_pairs_only() {
+        // 1024 leaves, two pairs: the index is one row bound per source
+        // plus two entries per stored pair, not one entry per pair slot.
+        let xgft = Xgft::k_ary_n_tree(32, 2);
+        let compiled = CompiledRouteTable::compile(&xgft, &DModK::new(), [(0, 1), (5, 1000)]);
+        let hops = 2 + 4;
+        assert_eq!(compiled.storage_bytes(), 1025 * 4 + 2 * 8 + 4 + hops * 4);
     }
 
     #[test]

@@ -12,7 +12,10 @@ pub enum SwitchingMode {
     StoreAndForward,
     /// A segment becomes eligible for its next hop after only the switch
     /// latency (idealised cut-through); its serialization time still bounds
-    /// how fast it can cross each link.
+    /// how fast it can cross each link. Every per-hop delay is shorter, yet
+    /// under contention a message set can finish *later* than under
+    /// store-and-forward: earlier arrivals reorder a shared channel's FIFO
+    /// queue, and FIFO service is not monotone in the delays.
     CutThrough,
 }
 

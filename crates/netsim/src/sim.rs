@@ -1048,6 +1048,54 @@ mod tests {
         assert!(ct_report.makespan_ps > 0);
     }
 
+    /// A scheduling anomaly, not a bug: on `XGFT(2; 3,3; 1,1)` cut-through
+    /// finishes these six messages 3.96 µs *later* than store-and-forward.
+    /// The decision that flips is the FIFO order at leaf 2's ejection link
+    /// (switch 0 → leaf 2, shared by messages 1, 4 and 5). Under
+    /// store-and-forward the two-hop message 4 (1 → 2) queues its first
+    /// three segments there before the four-hop message 1 (6 → 2) arrives;
+    /// under cut-through message 1's first segment arrives after message 4's
+    /// first and the two interleave. Message 1 then drains earlier, its
+    /// segments take switch 2's up-link back to back ahead of message 3
+    /// (7 → 5), whose waiting segments hold the input buffer of leaf 7's
+    /// injection link longer, and message 2 (7 → 6), served round-robin
+    /// with message 3 on that link, finishes last.
+    #[test]
+    fn cut_through_can_lose_to_store_and_forward_under_contention() {
+        let xgft = Xgft::new(XgftSpec::new(vec![3, 3], vec![1, 1]).unwrap()).unwrap();
+        let msgs = [
+            (7, 6, 4 * 1024),
+            (6, 2, 16 * 1024),
+            (7, 6, 24 * 1024),
+            (7, 5, 8 * 1024),
+            (1, 2, 12 * 1024),
+            (4, 2, 12 * 1024),
+        ];
+        let run = |switching| {
+            let mut sim = NetworkSim::new(&xgft, NetworkConfig { switching, ..cfg() });
+            for &(s, d, bytes) in &msgs {
+                let route = Route::new(vec![0; xgft.nca_level(s, d)]);
+                sim.schedule_message(0, s, d, bytes, route);
+            }
+            let report = sim.run_to_completion();
+            let mut done: Vec<_> = report
+                .messages
+                .iter()
+                .map(|m| (m.id.0, m.completed_at_ps))
+                .collect();
+            done.sort_unstable();
+            (report.makespan_ps, done)
+        };
+        let (saf, saf_done) = run(SwitchingMode::StoreAndForward);
+        let (ct, ct_done) = run(SwitchingMode::CutThrough);
+        assert_eq!(saf, 176_528_000);
+        assert_eq!(ct, 180_488_000);
+        // Message 1 (6 → 2) gains from the flipped order; message 2
+        // (7 → 6) pays for it and sets the makespan.
+        assert_eq!((saf_done[1].1, ct_done[1].1), (168_036_000, 163_972_000));
+        assert_eq!((saf_done[2].1, ct_done[2].1), (176_528_000, 180_488_000));
+    }
+
     #[test]
     fn report_statistics_are_populated() {
         let xgft = k_ary(4, 2);

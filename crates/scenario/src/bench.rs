@@ -154,9 +154,9 @@ pub fn bench_area(area: &str, quick: bool) -> Result<BenchFile, String> {
 
 /// All-pairs d-mod-k compile on a k-ary 2-tree: the table-build hot path.
 /// Then the lookup the simulators pay per message, for every pair, through
-/// the flat [`CompiledRouteTable`] (two array reads returning a borrowed
-/// slice). The lookup's check counters are pinned to the committed quick
-/// baseline by a unit test.
+/// the flat [`CompiledRouteTable`] (a binary search in the source's row
+/// returning a borrowed slice). The lookup's check counters and the table's
+/// byte size are pinned to the committed quick baseline by unit tests.
 fn bench_compile(quick: bool, reps: u32) -> Vec<BenchProbe> {
     let k = if quick { 16 } else { 32 };
     let xgft = Xgft::k_ary_n_tree(k, 2);
@@ -884,6 +884,24 @@ mod tests {
             "patch: {left} vs {right}"
         );
         assert!(find(&patch, left).iter().any(|c| c.value > 0));
+    }
+
+    #[test]
+    fn compile_storage_bytes_follow_the_index_formula() {
+        // All pairs of the 256-leaf quick machine: `(n + 1) · 4` bytes of
+        // row bounds, 8 bytes per route (its destination and its run's
+        // end), one leading run bound and 4 bytes per hop.
+        let (n, routes, hops) = (256u64, 256 * 255, 253_440);
+        let expected = (n + 1) * 4 + routes * 8 + 4 + hops * 4;
+        assert_eq!(expected, 1_537_032);
+        let probes = bench_compile(true, 1);
+        let probe = probes
+            .iter()
+            .find(|p| p.name == "compile_all_pairs")
+            .unwrap();
+        let check = |name: &str| probe.checks.iter().find(|c| c.name == name).unwrap().value;
+        assert_eq!(check("routes"), routes);
+        assert_eq!(check("storage_bytes"), expected);
     }
 
     #[test]

@@ -100,7 +100,8 @@ impl<N: Network + ?Sized> Network for &mut N {
 /// route expansion on the hot path.
 ///
 /// The default representation is the flat [`CompiledRouteTable`] (a lookup
-/// is two array reads returning a borrowed slice); the closed-form
+/// searches the source's short row of stored destinations and returns a
+/// borrowed slice); the closed-form
 /// [`xgft_core::CompactRoutes`] engine computes the path into a reusable
 /// scratch buffer instead, trading a few arithmetic operations per hop for
 /// near-zero route state.

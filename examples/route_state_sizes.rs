@@ -9,9 +9,9 @@
 //! none):
 //!
 //! * `CompiledRouteTable` — flat indexed channel paths (exact, via
-//!   `storage_bytes`); its `(n² + 1)`-entry offsets array is the scaling
-//!   wall, so the million-leaf cell is computed arithmetically rather than
-//!   allocated (it would be ~4 TB);
+//!   `storage_bytes`): a per-source index over the stored pairs plus the
+//!   hops, `(n + 1) · 4 + routes · 8 + 4 + hops · 4` bytes, built for real
+//!   at every size;
 //! * `CompactRoutes` — label arithmetic (exact, via `storage_bytes`),
 //!   shown both with the explicit pair domain and as the domain-free
 //!   all-pairs engine.
@@ -25,17 +25,8 @@ use serde::Value;
 use xgft::routing::{CompactRoutes, CompactScheme, CompiledRouteTable, DModK};
 use xgft::topo::{Xgft, XgftSpec};
 
-/// What `CompiledRouteTable::storage_bytes` would report for `pairs` stored
-/// routes of `hops` channels each on an `n`-leaf machine, without paying
-/// the allocation.
-fn compiled_bytes_arithmetic(n: usize, pairs: usize, hops: usize) -> usize {
-    (n * n + 1) * std::mem::size_of::<u32>() + pairs * hops * std::mem::size_of::<u32>()
-}
-
 fn human(bytes: usize) -> String {
-    if bytes >= 1 << 40 {
-        format!("{:.1} TiB", bytes as f64 / (1u64 << 40) as f64)
-    } else if bytes >= 1 << 30 {
+    if bytes >= 1 << 30 {
         format!("{:.2} GiB", bytes as f64 / (1u64 << 30) as f64)
     } else if bytes >= 1 << 20 {
         format!("{:.1} MiB", bytes as f64 / (1u64 << 20) as f64)
@@ -50,7 +41,6 @@ fn human(bytes: usize) -> String {
 struct SizeRow {
     leaves: usize,
     compiled_bytes: usize,
-    compiled_arithmetic: bool,
     compact_domain_bytes: usize,
     compact_all_pairs_bytes: usize,
     compact_rnca_bytes: usize,
@@ -62,10 +52,6 @@ impl SizeRow {
         Value::Object(vec![
             ("leaves".to_string(), field(self.leaves)),
             ("compiled_bytes".to_string(), field(self.compiled_bytes)),
-            (
-                "compiled_arithmetic".to_string(),
-                Value::Bool(self.compiled_arithmetic),
-            ),
             (
                 "compact_domain_bytes".to_string(),
                 field(self.compact_domain_bytes),
@@ -95,27 +81,14 @@ fn main() {
         let n = xgft.num_leaves();
         let pairs: Vec<(usize, usize)> = (0..n).map(|s| (s, (s + k) % n)).collect();
 
-        // The compiled offsets array is quadratic in the leaf count: build
-        // it for real while that is sane, switch to arithmetic above 16k
-        // leaves (the million-leaf table would need terabytes).
-        let (compiled_bytes, compiled_note) = if n <= 16 * 1024 {
-            let compiled = CompiledRouteTable::compile(&xgft, &DModK::new(), pairs.iter().copied());
-            (compiled.storage_bytes(), "")
-        } else {
-            (
-                compiled_bytes_arithmetic(n, pairs.len(), 4),
-                " (arithmetic)",
-            )
-        };
-
+        let compiled = CompiledRouteTable::compile(&xgft, &DModK::new(), pairs.iter().copied());
         let domain = CompactRoutes::for_pairs(&xgft, CompactScheme::DModK, pairs.iter().copied());
         let free = CompactRoutes::all_pairs(&xgft, CompactScheme::DModK);
         let rnca = CompactRoutes::all_pairs(&xgft, CompactScheme::random_nca_up(&xgft, 1));
 
         let row = SizeRow {
             leaves: n,
-            compiled_bytes,
-            compiled_arithmetic: !compiled_note.is_empty(),
+            compiled_bytes: compiled.storage_bytes(),
             compact_domain_bytes: domain.storage_bytes(),
             compact_all_pairs_bytes: free.storage_bytes(),
             compact_rnca_bytes: rnca.storage_bytes(),
@@ -133,10 +106,9 @@ fn main() {
             );
         } else {
             println!(
-                "| {} | {}{} | {} | {} | {} |",
+                "| {} | {} | {} | {} | {} |",
                 row.leaves,
                 human(row.compiled_bytes),
-                compiled_note,
                 human(row.compact_domain_bytes),
                 human(row.compact_all_pairs_bytes),
                 human(row.compact_rnca_bytes),

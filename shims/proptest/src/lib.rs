@@ -10,9 +10,12 @@
 //! Semantics differ from upstream in two deliberate ways: inputs are drawn
 //! from a deterministic per-test RNG (seeded from the test name, so runs are
 //! reproducible without a persistence file), and there is **no shrinking** —
-//! a failing case reports the panic message only. Both are acceptable for a
-//! CI gate; swapping back to the registry crate is a one-line change in the
-//! workspace `Cargo.toml`.
+//! a failing case reports its panic message together with the property's
+//! name, the case's 0-based index `i`, the case count and the
+//! `PROPTEST_SHIM_SEED` in effect. The case sequence does not depend on the
+//! count, so `PROPTEST_CASES=i+1` (with the same seed) reruns exactly up to
+//! the failing input. Both are acceptable for a CI gate; swapping back to
+//! the registry crate is a one-line change in the workspace `Cargo.toml`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -26,13 +29,32 @@ use rand::{Rng, SeedableRng};
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TestCaseError(pub String);
 
-/// Executes one generated case of a property body (used by `proptest!`).
-/// Failures surface as panics, either directly from `prop_assert*` or from
-/// an `Err` return.
-pub fn run_case<F: FnOnce() -> Result<(), TestCaseError>>(body: F) {
-    if let Err(TestCaseError(msg)) = body() {
-        panic!("property returned an error: {msg}");
-    }
+/// Executes case `case` (0-based) of `cases` of the property `name` (used
+/// by `proptest!`). Failures surface as panics, either directly from
+/// `prop_assert*` or from an `Err` return; either way the panic message
+/// names the property, the case, the count and the seed in effect, and how
+/// to rerun up to that case.
+pub fn run_case<F: FnOnce() -> Result<(), TestCaseError>>(
+    name: &str,
+    case: u32,
+    cases: u32,
+    body: F,
+) {
+    let message = match std::panic::catch_unwind(std::panic::AssertUnwindSafe(body)) {
+        Ok(Ok(())) => return,
+        Ok(Err(TestCaseError(msg))) => format!("property returned an error: {msg}"),
+        Err(payload) => payload
+            .downcast_ref::<String>()
+            .cloned()
+            .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
+            .unwrap_or_else(|| "non-string panic payload".to_string()),
+    };
+    let seed = std::env::var("PROPTEST_SHIM_SEED").unwrap_or_else(|_| "unset".to_string());
+    panic!(
+        "property `{name}` failed at case {case} (0-based) of {cases}, \
+         PROPTEST_SHIM_SEED={seed}; rerun with PROPTEST_CASES={}: {message}",
+        case + 1
+    );
 }
 
 /// Runner configuration (the `ProptestConfig` subset in use).
@@ -364,12 +386,12 @@ macro_rules! proptest {
                 let config = $config;
                 let cases = $crate::strategy::effective_cases(config.cases);
                 let mut rng = $crate::strategy::rng_for(stringify!($name));
-                for _case in 0..cases {
+                for case in 0..cases {
                     $(
                         let $binding =
                             $crate::strategy::Strategy::generate(&$strategy, &mut rng);
                     )+
-                    $crate::run_case(|| {
+                    $crate::run_case(stringify!($name), case, cases, || {
                         $body
                         ::std::result::Result::Ok(())
                     });
@@ -430,6 +452,92 @@ mod tests {
             }
         }
         assert!(seen_a && seen_b);
+    }
+
+    /// The panic message of a failed `run_case`.
+    fn failure_of(body: impl FnOnce()) -> String {
+        let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(body))
+            .expect_err("the property must fail");
+        payload
+            .downcast_ref::<String>()
+            .cloned()
+            .expect("run_case panics with a String")
+    }
+
+    #[test]
+    fn failures_name_the_property_case_count_and_seed() {
+        let seed = std::env::var("PROPTEST_SHIM_SEED").unwrap_or_else(|_| "unset".to_string());
+        let asserted = failure_of(|| {
+            crate::run_case("some_property", 6, 40, || {
+                prop_assert!(1 + 1 == 3, "arithmetic broke");
+                Ok(())
+            })
+        });
+        let returned = failure_of(|| {
+            crate::run_case("some_property", 6, 40, || {
+                Err(TestCaseError("typed failure".to_string()))
+            })
+        });
+        for (message, cause) in [(asserted, "arithmetic broke"), (returned, "typed failure")] {
+            assert!(
+                message.starts_with("property `some_property` failed at case 6 (0-based) of 40"),
+                "{message}"
+            );
+            assert!(
+                message.contains(&format!("PROPTEST_SHIM_SEED={seed};")),
+                "{message}"
+            );
+            assert!(message.contains("rerun with PROPTEST_CASES=7"), "{message}");
+            assert!(message.contains(cause), "{message}");
+        }
+    }
+
+    thread_local! {
+        /// The case count of `fails_on_zero`, set by the test driving it.
+        static CASES: std::cell::Cell<u32> = const { std::cell::Cell::new(0) };
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(CASES.with(|c| c.get())))]
+
+        /// Fails on the first draw of 0; no `#[test]`, it is driven below.
+        fn fails_on_zero(x in 0u32..8) {
+            prop_assert_ne!(x, 0);
+        }
+    }
+
+    #[test]
+    fn the_reported_case_reruns_as_the_last_one() {
+        if std::env::var("PROPTEST_CASES").is_ok() {
+            // The environment's count would override the one set here.
+            return;
+        }
+        // Replay the property's own case sequence to find its first failure.
+        let mut rng = crate::strategy::rng_for("fails_on_zero");
+        let first = (0u32..)
+            .find(|_| (0u32..8).generate(&mut rng) == 0)
+            .unwrap();
+        let run = |cases: u32| {
+            CASES.with(|c| c.set(cases));
+            failure_of(fails_on_zero)
+        };
+        let expected = |cases: u32| {
+            format!(
+                "property `fails_on_zero` failed at case {first} (0-based) of {cases}, \
+                 PROPTEST_SHIM_SEED="
+            )
+        };
+        let message = run(first + 10);
+        assert!(message.starts_with(&expected(first + 10)), "{message}");
+        assert!(
+            message.contains(&format!("rerun with PROPTEST_CASES={}", first + 1)),
+            "{message}"
+        );
+        // The advertised count fails on the same case, and one fewer passes.
+        let rerun = run(first + 1);
+        assert!(rerun.starts_with(&expected(first + 1)), "{rerun}");
+        CASES.with(|c| c.set(first));
+        fails_on_zero();
     }
 
     proptest! {
