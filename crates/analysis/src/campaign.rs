@@ -1,10 +1,11 @@
-//! Deterministic parallel seed campaigns (the paper's 40–60-seed figure
-//! runs as one schedulable unit).
+//! Seed campaigns: the paper's 40–60-seed figure runs as one schedulable
+//! unit, with per-shard provenance.
 //!
-//! A campaign is a sweep plus a *seed policy*: instead of one shared seed
-//! list, every (topology, algorithm) point draws its seeds from its own
-//! deterministic stream, derived by mixing the campaign's `base_seed` with
-//! the point's coordinates through SplitMix64. Two properties follow:
+//! A campaign is a sweep under the [`SeedSpec::Stream`] policy: instead of
+//! one shared seed list, every (topology, algorithm) point draws its seeds
+//! from its own deterministic stream, derived by mixing the campaign's
+//! `base_seed` with the point's coordinates through SplitMix64
+//! ([`shard_seed`]). Two properties follow:
 //!
 //! 1. **Reproducibility** — the full shard list, including every seed, is a
 //!    pure function of the configuration; reruns (on any machine, with any
@@ -13,19 +14,17 @@
 //!    (more `w2` values, more algorithms) never perturbs the samples of
 //!    existing points.
 //!
-//! The result is a serde-serialisable [`CampaignResult`]: the raw per-shard
-//! outcomes (the provenance record) plus the aggregated
+//! [`CampaignConfig`] describes such a sweep and runs it through
+//! [`SweepConfig`]; [`CampaignResult::from_sweep`] attaches the raw
+//! per-shard outcomes (the provenance record) to the aggregated
 //! [`SweepResult`] the figure renderers consume. `xgft campaign` wraps this
 //! in a command line and emits the JSON.
 
-use crate::sweep::{
-    assemble_points, enumerate_shards, run_shards, AlgorithmSpec, SweepResult, SweepShard,
-};
+use crate::sweep::{AlgorithmSpec, SeedSpec, SweepConfig, SweepResult, SweepShard};
 use serde::{Deserialize, Serialize};
 use xgft_netsim::NetworkConfig;
 use xgft_patterns::Pattern;
 use xgft_topo::TopologyError;
-use xgft_tracesim::workloads;
 
 /// SplitMix64: the finaliser used to derive per-shard seeds (the
 /// workspace's canonical implementation, shared with the fault samplers
@@ -96,55 +95,39 @@ impl CampaignConfig {
         }
     }
 
+    /// The sweep this campaign describes: its grid under the
+    /// [`SeedSpec::Stream`] policy rooted at `base_seed`.
+    fn to_sweep(&self) -> SweepConfig {
+        SweepConfig {
+            k: self.k,
+            w2_values: self.w2_values.clone(),
+            algorithms: self.algorithms.clone(),
+            seeds: SeedSpec::Stream {
+                base_seed: self.base_seed,
+                seeds_per_point: self.seeds_per_point,
+            },
+            network: self.network.clone(),
+        }
+    }
+
     /// The campaign's shard list — one (topology, algorithm, seed) triple
     /// per parallel job, each seeded from its point's deterministic stream.
     /// Pure function of the configuration.
     pub fn shards(&self) -> Vec<SweepShard> {
-        enumerate_shards(&self.w2_values, &self.algorithms, |w2, algo| {
-            (0..self.seeds_per_point)
-                .map(|index| shard_seed(self.base_seed, w2, algo, index))
-                .collect()
-        })
+        self.to_sweep().shards()
     }
 
-    /// Run the campaign for a workload pattern (the trace is derived from
-    /// it): every shard replays in parallel; outcomes are recorded shard by
-    /// shard and aggregated into the usual sweep points. Errors if `k` and
-    /// a `w2` describe no machine.
+    /// Run the campaign's sweep for a workload pattern and record its
+    /// outcomes shard by shard. Errors if `k` and a `w2` describe no
+    /// machine.
     pub fn run(&self, pattern: &Pattern) -> Result<CampaignResult, TopologyError> {
-        let trace = &workloads::trace_from_pattern(pattern, 0);
-        xgft_obs::span!("analysis.campaign");
-        let shards = self.shards();
-        let pairs = trace.communication_pairs();
-        let (crossbar_ps, samples) =
-            run_shards(&shards, self.k, &self.network, trace, |xgft, shard| {
-                crate::shards::compile(xgft, pattern, &pairs, shard.algorithm, shard.seed)
-            })?;
-        let outcomes: Vec<ShardOutcome> = shards
-            .iter()
-            .zip(samples.iter().flatten())
-            .map(|(shard, &slowdown)| ShardOutcome {
-                w2: shard.w2,
-                algorithm: shard.algorithm.name().to_string(),
-                seed: shard.seed,
-                slowdown,
-            })
-            .collect();
-        Ok(CampaignResult {
-            name: self.name.clone(),
-            k: self.k,
-            base_seed: self.base_seed,
-            seeds_per_point: self.seeds_per_point,
-            trace: trace.name().to_string(),
-            crossbar_ps,
-            shards: outcomes,
-            sweep: SweepResult {
-                trace: trace.name().to_string(),
-                k: self.k,
-                crossbar_ps,
-                points: assemble_points(&shards, samples),
-            },
-        })
+        Ok(CampaignResult::from_sweep(
+            self.name.clone(),
+            self.base_seed,
+            self.seeds_per_point,
+            &self.shards(),
+            self.to_sweep().run(pattern)?,
+        ))
     }
 }
 
@@ -181,6 +164,42 @@ pub struct CampaignResult {
     pub shards: Vec<ShardOutcome>,
     /// The aggregated sweep (boxplot points per (w2, algorithm)).
     pub sweep: SweepResult,
+}
+
+impl CampaignResult {
+    /// The campaign record of `sweep`, the result of the sweep whose
+    /// `shards` were seeded by the stream `(base_seed, seeds_per_point)`:
+    /// one [`ShardOutcome`] per shard, in shard order.
+    pub fn from_sweep(
+        name: String,
+        base_seed: u64,
+        seeds_per_point: usize,
+        shards: &[SweepShard],
+        sweep: SweepResult,
+    ) -> Self {
+        // A point's samples are its shards' slowdowns, in shard order.
+        let samples = sweep.points.iter().flat_map(|p| &p.samples);
+        let shards = shards
+            .iter()
+            .zip(samples)
+            .map(|(shard, &slowdown)| ShardOutcome {
+                w2: shard.w2,
+                algorithm: shard.algorithm.name().to_string(),
+                seed: shard.seed,
+                slowdown,
+            })
+            .collect();
+        CampaignResult {
+            name,
+            k: sweep.k,
+            base_seed,
+            seeds_per_point,
+            trace: sweep.trace.clone(),
+            crossbar_ps: sweep.crossbar_ps,
+            shards,
+            sweep,
+        }
+    }
 }
 
 #[cfg(test)]

@@ -1,76 +1,12 @@
 //! Fig. 5: the proposed Random NCA Up / Random NCA Down schemes compared
 //! against S-mod-k, D-mod-k, Random and the pattern-aware Colored baseline
 //! over progressively slimmed `XGFT(2;16,16;1,w2)` topologies, with boxplots
-//! over seeds for the randomised schemes.
+//! over seeds for the randomised schemes. The sweep itself runs through the
+//! `xgft fig5_*` registry entries ([`crate::sweep::SweepConfig`]); this
+//! module holds the claims the paper draws from it.
 
-use crate::experiments::fig2::Workload;
-use crate::sweep::{AlgorithmSpec, SweepConfig, SweepResult};
+use crate::sweep::SweepResult;
 use serde::{Deserialize, Serialize};
-use xgft_netsim::NetworkConfig;
-use xgft_topo::TopologyError;
-
-/// Parameters of a Fig. 5 run.
-#[derive(Debug, Clone)]
-pub struct Fig5Config {
-    /// Which application to run.
-    pub workload: Workload,
-    /// Per-message byte scale (1.0 = paper sizes).
-    pub byte_scale: f64,
-    /// Seeds for the randomised schemes (the paper uses 40–60 per box).
-    pub seeds: Vec<u64>,
-    /// The w2 values to sweep.
-    pub w2_values: Vec<usize>,
-    /// Network parameters.
-    pub network: NetworkConfig,
-}
-
-impl Fig5Config {
-    /// Default configuration: full sweep, paper-shaped workloads.
-    pub fn new(workload: Workload, byte_scale: f64, seeds: Vec<u64>) -> Self {
-        Fig5Config {
-            workload,
-            byte_scale,
-            seeds,
-            w2_values: (1..=16).rev().collect(),
-            network: NetworkConfig::default(),
-        }
-    }
-
-    /// Run the sweep with the Fig. 5 algorithm set.
-    pub fn run(&self) -> Result<SweepResult, TopologyError> {
-        let pattern = self.workload.pattern(self.byte_scale);
-        let config = SweepConfig {
-            k: 16,
-            w2_values: self.w2_values.clone(),
-            algorithms: AlgorithmSpec::figure5_set(),
-            seeds: self.seeds.clone(),
-            network: self.network.clone(),
-        };
-        config.run(&pattern)
-    }
-
-    /// The `--analytic` mode: the Fig. 5 scheme set through the `xgft-flow`
-    /// closed-form model. The r-NCA schemes contribute their seed-marginal
-    /// expectation — the quantity the paper's 40-60-seed boxplots estimate —
-    /// in a single exact computation.
-    pub fn run_analytic(&self) -> xgft_flow::FlowSweepResult {
-        let pattern = self.workload.pattern(self.byte_scale);
-        xgft_flow::FlowSweepConfig::slimming_family(
-            16,
-            &self.w2_values,
-            vec![
-                xgft_flow::FlowScheme::SModK,
-                xgft_flow::FlowScheme::DModK,
-                xgft_flow::FlowScheme::Colored,
-                xgft_flow::FlowScheme::RNcaUp,
-                xgft_flow::FlowScheme::RNcaDown,
-                xgft_flow::FlowScheme::Random,
-            ],
-            xgft_flow::TrafficSpec::Pattern(pattern),
-        )
-        .run()
-    }
-}
 
 /// The qualitative claims the paper draws from Fig. 5, checked on a sweep
 /// result (used by the integration tests and reported by the binary).
@@ -132,7 +68,8 @@ impl Fig5Claims {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sweep::SweepConfig;
+    use crate::sweep::{AlgorithmSpec, SeedSpec, SweepConfig};
+    use xgft_netsim::NetworkConfig;
     use xgft_patterns::generators;
 
     /// Scaled-down Fig. 5(b): the CG-like congruent pattern on a k = 8
@@ -147,7 +84,9 @@ mod tests {
             k: 8,
             w2_values: vec![8, 4],
             algorithms: AlgorithmSpec::figure5_set(),
-            seeds: vec![1, 2, 3],
+            seeds: SeedSpec::List {
+                seeds: vec![1, 2, 3],
+            },
             network: NetworkConfig::default(),
         };
         let result = config.run(&fifth).unwrap();
@@ -162,37 +101,5 @@ mod tests {
         );
         assert!(claims.worst_gap_to_colored >= 1.0);
         assert!(!claims.render().is_empty());
-    }
-
-    /// The analytic Fig. 5: the r-NCA closed forms avoid both the mod-k
-    /// wrap imbalance and the CG congruence, w2 by w2, without a single
-    /// seed.
-    #[test]
-    fn analytic_fig5_rnca_beats_mod_k_on_slimmed_trees() {
-        let config = Fig5Config {
-            workload: Workload::CgD128,
-            byte_scale: 1.0,
-            seeds: vec![],
-            w2_values: vec![16, 10],
-            network: NetworkConfig::default(),
-        };
-        let result = config.run_analytic();
-        for w2 in [16usize, 10] {
-            let dmodk = result.point_by_w(w2, "d-mod-k").unwrap();
-            let rnca = result.point_by_w(w2, "r-NCA-d").unwrap();
-            assert!(
-                rnca.mcl <= dmodk.mcl,
-                "w2={w2}: r-NCA-d {} vs d-mod-k {}",
-                rnca.mcl,
-                dmodk.mcl
-            );
-        }
-    }
-
-    #[test]
-    fn fig5_config_defaults() {
-        let cfg = Fig5Config::new(Workload::CgD128, 0.5, vec![1, 2]);
-        assert_eq!(cfg.w2_values.len(), 16);
-        assert_eq!(cfg.seeds.len(), 2);
     }
 }

@@ -9,19 +9,22 @@
 //! |---|---|
 //! | [`experiments::table1`]  | Table I (labels, node/link counts) and Eq. (1) |
 //! | [`experiments::fig1`]    | Fig. 1 (example XGFTs) |
-//! | [`experiments::fig2`]    | Fig. 2 (WRF-256 / CG.D-128, classic oblivious routings) |
+//! | [`sweep`] (the `xgft fig2_*` registry entries) | Fig. 2 (WRF-256 / CG.D-128, classic oblivious routings) |
 //! | [`experiments::fig3`]    | Fig. 3 (CG.D-128 traffic pattern) |
 //! | [`experiments::fig4`]    | Fig. 4 (routes per NCA) |
-//! | [`experiments::fig5`]    | Fig. 5 (proposed r-NCA-u / r-NCA-d boxplots) |
+//! | [`sweep`] (the `xgft fig5_*` entries) + [`experiments::fig5`]'s claims | Fig. 5 (proposed r-NCA-u / r-NCA-d boxplots) |
 //! | [`experiments::equivalence`] | Sec. VII-B/C (S-mod-k / D-mod-k duality) |
 //! | [`experiments::flow_mcl`] | analytical MCL sweeps (`xgft-flow`) + netsim cross-validation |
 //!
 //! Sweeps decompose into (topology, algorithm, seed) [`SweepShard`]s that
-//! replay in parallel on compiled route tables; the [`campaign`] module
-//! adds deterministic per-shard seed streams and serde-JSON campaign output
-//! on top (the paper's 40–60-seed figure runs as one schedulable unit).
-//! Sweeps, campaigns, [`resilience`] and [`chaos`] runs all execute their
-//! shards through one grouped executor, one parallel work item per point.
+//! replay in parallel on compiled route tables or closed-form compact
+//! routes. A sweep's [`SeedSpec`] says where each point's seeds come from:
+//! one shared list, or deterministic point-local streams. The [`campaign`]
+//! module describes a stream-seeded sweep and records its per-shard
+//! provenance as serde-JSON (the paper's 40–60-seed figure runs as one
+//! schedulable unit). Sweeps, [`resilience`] and [`chaos`] runs all execute
+//! their shards through one grouped executor, one parallel work item per
+//! point.
 //!
 //! The `xgft` command line (the `xgft-scenario` crate) runs each experiment
 //! by name so every figure can be regenerated; see the repository
@@ -50,4 +53,4 @@ pub use resilience::{
 };
 pub use slowdown::{slowdown_of, SlowdownReport};
 pub use stats::BoxplotStats;
-pub use sweep::{AlgorithmSpec, SweepConfig, SweepPoint, SweepResult, SweepShard};
+pub use sweep::{AlgorithmSpec, SeedSpec, SweepConfig, SweepPoint, SweepResult, SweepShard};

@@ -3,9 +3,11 @@
 //! A sweep runs one trace over the family `XGFT(2; k, k; 1, w2)` for a range
 //! of `w2` values and a set of routing algorithms, reporting the slowdown
 //! relative to the Full-Crossbar for each point. Randomised algorithms are
-//! sampled over a list of seeds and summarised as boxplots, exactly like the
-//! paper's Figs. 4 and 5 (40–60 seeds per box in the paper; the number is a
-//! parameter here).
+//! sampled over seeds and summarised as boxplots, exactly like the paper's
+//! Figs. 4 and 5 (40–60 seeds per box in the paper; the number is a
+//! parameter here). Where a point's seeds come from is the sweep's
+//! [`SeedSpec`]: one explicit list shared by every point, or point-local
+//! deterministic streams.
 //!
 //! Independent (topology, algorithm, seed) runs are embarrassingly parallel;
 //! a sweep is decomposed into [`SweepShard`]s — one per (topology,
@@ -14,9 +16,10 @@
 //! at the outermost loop.
 //! Shard order (and therefore every aggregate) is a pure function of the
 //! configuration: results are identical whatever the worker count. The
-//! [`crate::campaign`] module layers deterministic per-shard seed streams
-//! and serde-JSON campaign output on top of the same machinery.
+//! [`crate::campaign`] module attaches per-shard provenance to a
+//! stream-seeded sweep's result.
 
+use crate::campaign::shard_seed;
 use crate::slowdown::{run_on_crossbar, run_reusing_sim};
 use crate::stats::BoxplotStats;
 use serde::{Deserialize, Serialize};
@@ -137,48 +140,59 @@ pub struct SweepShard {
 
 impl SweepShard {
     /// True when both shards belong to the same `(w2, algorithm)` point.
-    pub(crate) fn same_point(&self, other: &SweepShard) -> bool {
+    fn same_point(&self, other: &SweepShard) -> bool {
         self.w2 == other.w2 && self.algorithm == other.algorithm
     }
 }
 
-/// Enumerate the shards of a (w2 × algorithm) grid: seeded algorithms get
-/// one shard per seed from `seeds_for_point`, deterministic ones a single
-/// placeholder-seeded shard. Shared by [`SweepConfig::shards`] and
-/// [`crate::campaign::CampaignConfig::shards`] so the two can never
-/// silently diverge in enumeration order.
-pub(crate) fn enumerate_shards(
-    w2_values: &[usize],
-    algorithms: &[AlgorithmSpec],
-    seeds_for_point: impl Fn(usize, AlgorithmSpec) -> Vec<u64>,
-) -> Vec<SweepShard> {
-    let mut shards = Vec::new();
-    for &w2 in w2_values {
-        for &algo in algorithms {
-            if algo.is_seeded() {
-                for seed in seeds_for_point(w2, algo) {
-                    shards.push(SweepShard {
-                        w2,
-                        algorithm: algo,
-                        seed,
-                    });
-                }
-            } else {
-                shards.push(SweepShard {
-                    w2,
-                    algorithm: algo,
-                    seed: 0,
-                });
-            }
+/// Where a sweep's randomised schemes get their seeds: the sweep's seed
+/// policy, evaluated per `(w2, algorithm)` point.
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+pub enum SeedSpec {
+    /// An explicit seed list, shared by every sweep point (the historical
+    /// per-figure behaviour).
+    List {
+        /// The seeds.
+        seeds: Vec<u64>,
+    },
+    /// Deterministic point-local SplitMix64 streams rooted at `base_seed`
+    /// (the campaign/resilience discipline: enlarging the sweep never
+    /// perturbs existing points). See [`shard_seed`].
+    Stream {
+        /// Root of every per-shard stream.
+        base_seed: u64,
+        /// Seeds drawn per (topology, scheme) point.
+        seeds_per_point: usize,
+    },
+}
+
+impl SeedSpec {
+    /// The explicit seed list, if this is a `List` policy.
+    pub fn as_list(&self) -> Option<&[u64]> {
+        match self {
+            SeedSpec::List { seeds } => Some(seeds),
+            SeedSpec::Stream { .. } => None,
         }
     }
-    shards
+
+    /// The seeds of a seeded algorithm's point `(w2, algorithm)`.
+    fn point_seeds(&self, w2: usize, algorithm: AlgorithmSpec) -> Vec<u64> {
+        match *self {
+            SeedSpec::List { ref seeds } => seeds.clone(),
+            SeedSpec::Stream {
+                base_seed,
+                seeds_per_point,
+            } => (0..seeds_per_point)
+                .map(|index| shard_seed(base_seed, w2, algorithm, index))
+                .collect(),
+        }
+    }
 }
 
 /// Count a completed shard (and emit a trace event when a sink is
 /// installed). Rayon shards run on real threads, which is exactly what the
 /// registry's atomics are for.
-pub(crate) fn record_shard(shard: &SweepShard, crossbar_ps: u64, completion_ps: u64) {
+fn record_shard(shard: &SweepShard, crossbar_ps: u64, completion_ps: u64) {
     xgft_obs::global().counter("analysis.shards").incr();
     if xgft_obs::trace_enabled() {
         xgft_obs::trace(
@@ -194,84 +208,6 @@ pub(crate) fn record_shard(shard: &SweepShard, crossbar_ps: u64, completion_ps: 
             ],
         );
     }
-}
-
-/// Replay every shard (rayon, one work item per `(w2, algorithm)` point)
-/// and return the crossbar reference plus one slowdown sample per shard,
-/// grouped per point in shard order: deterministic for any worker count
-/// (see [`crate::shards::run_grouped`]).
-///
-/// Every `(k, w2)` machine is built once, before any shard runs, so a `k`
-/// or `w2` that describes no machine is an error rather than a panic
-/// inside a worker. A point's group borrows its machine, builds its
-/// simulator and replay plan once and recycles them across the point's
-/// seeds: the simulator through
-/// [`NetworkSim::reset`] (pinned byte-identical to a fresh build) and the
-/// replay engine's compiled plan and match-queue arenas through its
-/// internal scratch reset (pinned by the tracesim slab suite). `routes`
-/// builds each shard's route source — a compiled table or closed-form
-/// [`CompactRoutes`] — because it is the only per-seed state.
-///
-/// `trace` is always built by [`workloads::trace_from_pattern`], and
-/// `routes` covers every pair it communicates over.
-pub(crate) fn run_shards<R: RouteSource>(
-    shards: &[SweepShard],
-    k: usize,
-    network: &NetworkConfig,
-    trace: &Trace,
-    routes: impl Fn(&Xgft, &SweepShard) -> R + Sync,
-) -> Result<(u64, Vec<Vec<f64>>), TopologyError> {
-    let mut machines: Vec<(usize, Xgft)> = Vec::new();
-    for shard in shards {
-        if machines.iter().all(|(w2, _)| *w2 != shard.w2) {
-            let xgft = XgftSpec::slimmed_two_level(k, shard.w2).and_then(Xgft::new)?;
-            machines.push((shard.w2, xgft));
-        }
-    }
-    // A `trace_from_pattern` trace cannot deadlock: in every phase each
-    // rank posts all its sends, which never block, before its first
-    // receive, and every receive matches a send of the same phase. So once
-    // all ranks reach a phase, every receive of that phase is satisfied.
-    let crossbar_ps = run_on_crossbar(trace, network)
-        .expect("crossbar replay cannot deadlock")
-        .completion_ps;
-    let samples = crate::shards::run_grouped(
-        shards,
-        SweepShard::same_point,
-        |point| {
-            let (_, xgft) = machines
-                .iter()
-                .find(|(w2, _)| *w2 == point.w2)
-                .expect("every shard's machine was built");
-            let sim = NetworkSim::new(xgft, network.clone());
-            (xgft, ReplayEngine::new(trace), sim)
-        },
-        |(xgft, engine, sim), shard| {
-            // The same phase argument holds on the routed network, and the
-            // shard's routes cover every pair the trace communicates over,
-            // so no message misses its route either.
-            let result = run_reusing_sim(engine, sim, routes(xgft, shard))
-                .expect("replay cannot deadlock on a valid trace");
-            record_shard(shard, crossbar_ps, result.completion_ps);
-            result.completion_ps as f64 / crossbar_ps as f64
-        },
-    );
-    Ok((crossbar_ps, samples))
-}
-
-/// Turn [`run_shards`]' per-point sample groups into [`SweepPoint`]s, in
-/// configuration order.
-pub(crate) fn assemble_points(shards: &[SweepShard], samples: Vec<Vec<f64>>) -> Vec<SweepPoint> {
-    shards
-        .chunk_by(SweepShard::same_point)
-        .zip(samples)
-        .map(|(group, samples)| SweepPoint {
-            w2: group[0].w2,
-            algorithm: group[0].algorithm.name().to_string(),
-            stats: BoxplotStats::from_samples(&samples),
-            samples,
-        })
-        .collect()
 }
 
 /// One point of a sweep: a (w2, algorithm) pair with its slowdown samples.
@@ -350,16 +286,16 @@ pub struct SweepConfig {
     pub w2_values: Vec<usize>,
     /// Algorithms to evaluate.
     pub algorithms: Vec<AlgorithmSpec>,
-    /// Seeds for the randomised algorithms (the paper uses 40–60).
-    pub seeds: Vec<u64>,
+    /// Where the randomised algorithms' seeds come from (the paper uses
+    /// 40–60 per point).
+    pub seeds: SeedSpec,
     /// Network parameters.
     pub network: NetworkConfig,
 }
 
 impl SweepConfig {
-    /// The paper's Fig. 2 configuration scaled by a per-message byte count
-    /// (use the generators' constants for the full-size runs).
-    pub fn paper_family(algorithms: Vec<AlgorithmSpec>, seeds: Vec<u64>) -> Self {
+    /// The paper's slimming family `XGFT(2;16,16;1,w2)` for `w2 = 16..=1`.
+    pub fn paper_family(algorithms: Vec<AlgorithmSpec>, seeds: SeedSpec) -> Self {
         SweepConfig {
             k: 16,
             w2_values: (1..=16).rev().collect(),
@@ -370,11 +306,26 @@ impl SweepConfig {
     }
 
     /// Decompose the sweep into its (topology, algorithm, seed) shards:
-    /// seeded algorithms get one shard per configured seed (the same list
-    /// at every point), deterministic ones a single shard. Pure function of
-    /// the configuration.
+    /// seeded algorithms get one shard per seed of their point under the
+    /// seed policy, deterministic ones a single shard with a placeholder
+    /// seed of 0. Pure function of the configuration.
     pub fn shards(&self) -> Vec<SweepShard> {
-        enumerate_shards(&self.w2_values, &self.algorithms, |_, _| self.seeds.clone())
+        let mut shards = Vec::new();
+        for &w2 in &self.w2_values {
+            for &algorithm in &self.algorithms {
+                let seeds = if algorithm.is_seeded() {
+                    self.seeds.point_seeds(w2, algorithm)
+                } else {
+                    vec![0]
+                };
+                shards.extend(seeds.into_iter().map(|seed| SweepShard {
+                    w2,
+                    algorithm,
+                    seed,
+                }));
+            }
+        }
+        shards
     }
 
     /// Run the sweep for a workload pattern: the trace is derived from it,
@@ -406,6 +357,24 @@ impl SweepConfig {
         })
     }
 
+    /// Replay every shard (rayon, one work item per `(w2, algorithm)`
+    /// point) against the crossbar reference and aggregate each point's
+    /// samples, in shard order: deterministic for any worker count (see
+    /// [`crate::shards::run_grouped`]).
+    ///
+    /// Every `(k, w2)` machine is built once, before any shard runs, so a
+    /// `k` or `w2` that describes no machine is an error rather than a
+    /// panic inside a worker. A point's group borrows its machine, builds
+    /// its simulator and replay plan once and recycles them across the
+    /// point's seeds: the simulator through [`NetworkSim::reset`] (pinned
+    /// byte-identical to a fresh build) and the replay engine's compiled
+    /// plan and match-queue arenas through its internal scratch reset
+    /// (pinned by the tracesim slab suite). `routes` builds each shard's
+    /// route source — a compiled table or closed-form [`CompactRoutes`] —
+    /// because it is the only per-seed state.
+    ///
+    /// `trace` is always built by [`workloads::trace_from_pattern`], and
+    /// `routes` covers every pair it communicates over.
     fn run_with<R: RouteSource>(
         &self,
         trace: &Trace,
@@ -413,12 +382,57 @@ impl SweepConfig {
     ) -> Result<SweepResult, TopologyError> {
         xgft_obs::span!("analysis.sweep");
         let shards = self.shards();
-        let (crossbar_ps, samples) = run_shards(&shards, self.k, &self.network, trace, routes)?;
+        let mut machines: Vec<(usize, Xgft)> = Vec::new();
+        for shard in &shards {
+            if machines.iter().all(|(w2, _)| *w2 != shard.w2) {
+                let xgft = XgftSpec::slimmed_two_level(self.k, shard.w2).and_then(Xgft::new)?;
+                machines.push((shard.w2, xgft));
+            }
+        }
+        // A `trace_from_pattern` trace cannot deadlock: in every phase each
+        // rank posts all its sends, which never block, before its first
+        // receive, and every receive matches a send of the same phase. So
+        // once all ranks reach a phase, every receive of that phase is
+        // satisfied.
+        let crossbar_ps = run_on_crossbar(trace, &self.network)
+            .expect("crossbar replay cannot deadlock")
+            .completion_ps;
+        let samples = crate::shards::run_grouped(
+            &shards,
+            SweepShard::same_point,
+            |point| {
+                let (_, xgft) = machines
+                    .iter()
+                    .find(|(w2, _)| *w2 == point.w2)
+                    .expect("every shard's machine was built");
+                let sim = NetworkSim::new(xgft, self.network.clone());
+                (xgft, ReplayEngine::new(trace), sim)
+            },
+            |(xgft, engine, sim), shard| {
+                // The same phase argument holds on the routed network, and
+                // the shard's routes cover every pair the trace
+                // communicates over, so no message misses its route either.
+                let result = run_reusing_sim(engine, sim, routes(xgft, shard))
+                    .expect("replay cannot deadlock on a valid trace");
+                record_shard(shard, crossbar_ps, result.completion_ps);
+                result.completion_ps as f64 / crossbar_ps as f64
+            },
+        );
+        let points = shards
+            .chunk_by(SweepShard::same_point)
+            .zip(samples)
+            .map(|(group, samples)| SweepPoint {
+                w2: group[0].w2,
+                algorithm: group[0].algorithm.name().to_string(),
+                stats: BoxplotStats::from_samples(&samples),
+                samples,
+            })
+            .collect();
         Ok(SweepResult {
             trace: trace.name().to_string(),
             k: self.k,
             crossbar_ps,
-            points: assemble_points(&shards, samples),
+            points,
         })
     }
 }
@@ -439,7 +453,9 @@ mod tests {
             k: 4,
             w2_values: vec![4, 2, 1],
             algorithms: vec![AlgorithmSpec::DModK, AlgorithmSpec::Random],
-            seeds: vec![1, 2, 3],
+            seeds: SeedSpec::List {
+                seeds: vec![1, 2, 3],
+            },
             network: NetworkConfig::default(),
         };
         let result = config.run(&pattern).unwrap();
@@ -484,7 +500,7 @@ mod tests {
                 AlgorithmSpec::Random,
                 AlgorithmSpec::RandomNcaUp,
             ],
-            seeds: vec![1, 2],
+            seeds: SeedSpec::List { seeds: vec![1, 2] },
             network: NetworkConfig::default(),
         };
         let compiled = config.run(&pattern).unwrap();
@@ -510,7 +526,10 @@ mod tests {
 
     #[test]
     fn paper_family_covers_w2_16_down_to_1() {
-        let cfg = SweepConfig::paper_family(AlgorithmSpec::figure2_set(), vec![1]);
+        let cfg = SweepConfig::paper_family(
+            AlgorithmSpec::figure2_set(),
+            SeedSpec::List { seeds: vec![1] },
+        );
         assert_eq!(cfg.k, 16);
         assert_eq!(cfg.w2_values.len(), 16);
         assert_eq!(cfg.w2_values[0], 16);
@@ -524,7 +543,7 @@ mod tests {
             k: 4,
             w2_values: vec![4, 0],
             algorithms: vec![AlgorithmSpec::DModK],
-            seeds: vec![1],
+            seeds: SeedSpec::List { seeds: vec![1] },
             network: NetworkConfig::default(),
         };
         for run in [SweepConfig::run, SweepConfig::run_compact] {

@@ -1,11 +1,13 @@
-//! The parallel campaign runner must be seed-deterministic: the same
-//! configuration produces an identical [`SweepResult`] / [`CampaignResult`]
-//! whatever the rayon worker count (`RAYON_NUM_THREADS=1` vs the default),
+//! The parallel sweep runner must be seed-deterministic: the same
+//! configuration, under either seed policy and in either route
+//! representation, produces an identical [`SweepResult`] /
+//! [`CampaignResult`] whatever the rayon worker count
+//! (`RAYON_NUM_THREADS=1` vs the default),
 //! because shard order — and every per-shard seed — is a pure function of
 //! the configuration and the parallel map preserves input order.
 
 use rayon::ThreadPoolBuilder;
-use xgft_analysis::{AlgorithmSpec, CampaignConfig, SweepConfig};
+use xgft_analysis::{AlgorithmSpec, CampaignConfig, SeedSpec, SweepConfig};
 use xgft_netsim::NetworkConfig;
 use xgft_patterns::generators;
 
@@ -62,34 +64,47 @@ fn campaign_result_is_identical_for_any_worker_count() {
 #[test]
 fn sweep_result_is_identical_for_any_worker_count() {
     let pattern = generators::wrf_mesh_exchange(4, 4, 16 * 1024);
-    let config = SweepConfig {
-        k: 4,
-        w2_values: vec![4, 1],
-        algorithms: vec![AlgorithmSpec::DModK, AlgorithmSpec::Random],
-        seeds: vec![1, 2, 3],
-        network: NetworkConfig::default(),
-    };
-    // Both route representations: compiled tables and closed-form
-    // compact routes run through the same grouped executor.
-    for run in [SweepConfig::run, SweepConfig::run_compact] {
-        let single = ThreadPoolBuilder::new()
-            .num_threads(1)
-            .build()
-            .unwrap()
-            .install(|| run(&config, &pattern).unwrap());
-        let parallel = run(&config, &pattern).unwrap();
-        let wide = ThreadPoolBuilder::new()
-            .num_threads(7)
-            .build()
-            .unwrap()
-            .install(|| run(&config, &pattern).unwrap());
-        let single_json = serde_json::to_string(&single).unwrap();
-        assert_eq!(
-            single_json,
-            serde_json::to_string(&parallel).unwrap(),
-            "the sweep must not depend on the rayon thread count"
-        );
-        assert_eq!(single_json, serde_json::to_string(&wide).unwrap());
+    // Both seed policies: a shared list and point-local streams.
+    for seeds in [
+        SeedSpec::List {
+            seeds: vec![1, 2, 3],
+        },
+        SeedSpec::Stream {
+            base_seed: 77,
+            seeds_per_point: 3,
+        },
+    ] {
+        let config = SweepConfig {
+            k: 4,
+            w2_values: vec![4, 1],
+            algorithms: vec![AlgorithmSpec::DModK, AlgorithmSpec::Random],
+            seeds,
+            network: NetworkConfig::default(),
+        };
+        // Both route representations: compiled tables and closed-form
+        // compact routes run through the same grouped executor.
+        for run in [SweepConfig::run, SweepConfig::run_compact] {
+            let single = ThreadPoolBuilder::new()
+                .num_threads(1)
+                .build()
+                .unwrap()
+                .install(|| run(&config, &pattern).unwrap());
+            let parallel = run(&config, &pattern).unwrap();
+            let wide = ThreadPoolBuilder::new()
+                .num_threads(7)
+                .build()
+                .unwrap()
+                .install(|| run(&config, &pattern).unwrap());
+            let single_json = serde_json::to_string(&single).unwrap();
+            assert_eq!(
+                single_json,
+                serde_json::to_string(&parallel).unwrap(),
+                "the sweep must not depend on the rayon thread count ({:?})",
+                config.seeds
+            );
+            assert_eq!(single_json, serde_json::to_string(&wide).unwrap());
+            assert_eq!(single.point(4, "random").unwrap().samples.len(), 3);
+        }
     }
 }
 

@@ -2,7 +2,7 @@
 //! lookups, sample counts and rendering must all agree with each other.
 
 use xgft_analysis::slowdown::{run_on_crossbar, run_on_xgft};
-use xgft_analysis::sweep::{AlgorithmSpec, SweepConfig, SweepResult};
+use xgft_analysis::sweep::{AlgorithmSpec, SeedSpec, SweepConfig, SweepResult};
 use xgft_core::DModK;
 use xgft_netsim::NetworkConfig;
 use xgft_patterns::generators;
@@ -20,7 +20,9 @@ fn small_sweep() -> (SweepConfig, xgft_patterns::Pattern) {
             AlgorithmSpec::Random,
             AlgorithmSpec::RandomNcaDown,
         ],
-        seeds: vec![1, 2, 3],
+        seeds: SeedSpec::List {
+            seeds: vec![1, 2, 3],
+        },
         network: NetworkConfig::default(),
     };
     (config, pattern)

@@ -6,8 +6,7 @@
 //!
 //! | `Plan` variant | lowered from | runs on | payload |
 //! |---|---|---|---|
-//! | `Sweep` | `Tracesim` + `SeedSpec::List` | [`SweepConfig`] (figure sweeps) | [`ResultPayload::Sweep`] |
-//! | `Campaign` | `Tracesim` + `SeedSpec::Stream` | [`CampaignConfig`] (seed campaigns) | [`ResultPayload::Campaign`] |
+//! | `Trace` | `Tracesim`, either representation | [`SweepConfig`] (slimming sweeps) | the seed policy picks it: [`ResultPayload::Sweep`] for `SeedSpec::List`, [`ResultPayload::Campaign`] (per-shard provenance) for `SeedSpec::Stream` |
 //! | `Resilience` | `Tracesim` + `FaultSpec::UniformLinks` | [`ResilienceConfig`] | [`ResultPayload::Resilience`] |
 //! | `Flow` | `Flow`, compiled | [`FlowSweepConfig`] (closed forms) | [`ResultPayload::Flow`] |
 //! | `CompactFlow` | `Flow`, compact | exact closed-form loads (this module) | [`ResultPayload::CompactFlow`] |
@@ -23,12 +22,12 @@
 //! binaries emitted (pinned by `tests/scenario_registry.rs` against the
 //! golden fixtures).
 
-use crate::spec::{RepresentationSpec, ScenarioError, ScenarioSpec, SchemeSpec};
+use crate::spec::{RepresentationSpec, ScenarioError, ScenarioSpec, SchemeSpec, SeedSpec};
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use xgft_analysis::experiments::fig4::{self, Fig4Result};
 use xgft_analysis::{
-    CampaignConfig, CampaignResult, ChaosConfig, ChaosResult, ChaosShardOutcome, ResilienceConfig,
+    CampaignResult, ChaosConfig, ChaosResult, ChaosShardOutcome, ResilienceConfig,
     ResilienceResult, SweepConfig, SweepResult,
 };
 use xgft_core::{CompactRoutes, CompactScheme, CompiledRouteTable, RouteSource};
@@ -413,13 +412,13 @@ impl ScenarioResult {
 /// `ScenarioSpec::lower` is the only constructor, so every value is a
 /// runnable combination and [`run_scenario`] matches on it exhaustively.
 pub(crate) enum Plan {
-    /// A figure sweep in either route representation.
-    Sweep {
+    /// A trace sweep in either route representation under either seed
+    /// policy; `name` labels a stream-seeded run's campaign record.
+    Trace {
+        name: String,
         config: SweepConfig,
         representation: RepresentationSpec,
     },
-    /// A seed campaign over point-local seed streams.
-    Campaign(CampaignConfig),
     /// A fault campaign on one machine.
     Resilience(ResilienceConfig),
     /// The analytical sweep; the workload pattern becomes its traffic.
@@ -472,16 +471,23 @@ impl Plan {
     /// never silent.
     pub(crate) fn header(&self) -> Option<String> {
         match self {
-            Plan::Campaign(c) => Some(format!(
-                "# campaign {}: {} leaves, {} shards ({} w2 points x {} algorithms, {} seeds/point, base seed {})",
-                c.name,
-                c.k * c.k,
-                c.shards().len(),
-                c.w2_values.len(),
-                c.algorithms.len(),
-                c.seeds_per_point,
-                c.base_seed
-            )),
+            Plan::Trace {
+                name,
+                config: c,
+                ..
+            } => match c.seeds {
+                SeedSpec::List { .. } => None,
+                SeedSpec::Stream {
+                    base_seed,
+                    seeds_per_point,
+                } => Some(format!(
+                    "# campaign {name}: {} leaves, {} shards ({} w2 points x {} algorithms, {seeds_per_point} seeds/point, base seed {base_seed})",
+                    c.k * c.k,
+                    c.shards().len(),
+                    c.w2_values.len(),
+                    c.algorithms.len(),
+                )),
+            },
             Plan::Resilience(c) => Some(format!(
                 "# resilience {}: {} leaves, {} shards ({} rates x {} algorithms, {} fault draws/point, base seed {})",
                 c.name,
@@ -509,18 +515,31 @@ impl Plan {
     /// Run the plan's engine on the workload pattern.
     fn run(self, pattern: Pattern) -> Result<ResultPayload, ScenarioError> {
         Ok(match self {
-            Plan::Sweep {
+            Plan::Trace {
+                name,
                 config,
-                representation: RepresentationSpec::Compiled,
-            } => ResultPayload::Sweep(config.run(&pattern).map_err(refused)?),
-            // Byte-identical samples from the closed-form engine (compact
-            // paths equal compiled paths).
-            Plan::Sweep {
-                config,
-                representation: RepresentationSpec::Compact,
-            } => ResultPayload::Sweep(config.run_compact(&pattern).map_err(refused)?),
-            Plan::Campaign(config) => {
-                ResultPayload::Campaign(config.run(&pattern).map_err(refused)?)
+                representation,
+            } => {
+                let sweep = match representation {
+                    RepresentationSpec::Compiled => config.run(&pattern),
+                    // Byte-identical samples from the closed-form engine
+                    // (compact paths equal compiled paths).
+                    RepresentationSpec::Compact => config.run_compact(&pattern),
+                }
+                .map_err(refused)?;
+                match config.seeds {
+                    SeedSpec::List { .. } => ResultPayload::Sweep(sweep),
+                    SeedSpec::Stream {
+                        base_seed,
+                        seeds_per_point,
+                    } => ResultPayload::Campaign(CampaignResult::from_sweep(
+                        name,
+                        base_seed,
+                        seeds_per_point,
+                        &config.shards(),
+                        sweep,
+                    )),
+                }
             }
             Plan::Resilience(config) => {
                 ResultPayload::Resilience(config.run(&pattern).map_err(refused)?)
@@ -1001,6 +1020,32 @@ mod tests {
             serde_json::to_string(a).unwrap(),
             serde_json::to_string(b).unwrap(),
             "compact representation must reproduce the compiled sweep byte for byte"
+        );
+    }
+
+    #[test]
+    fn compact_tracesim_stream_matches_the_compiled_campaign_exactly() {
+        let mut spec = base_spec();
+        spec.sweep = SweepSpec::over(vec![4, 2]);
+        spec.seeds = SeedSpec::Stream {
+            base_seed: 2009,
+            seeds_per_point: 2,
+        };
+        spec.schemes.push(SchemeSpec(AlgorithmSpec::RandomNcaDown));
+        let compiled = run_scenario(&spec, &RunOptions::default()).unwrap();
+        spec.representation = RepresentationSpec::Compact;
+        let compact = run_scenario(&spec, &RunOptions::default()).unwrap();
+        let (ResultPayload::Campaign(a), ResultPayload::Campaign(b)) =
+            (&compiled.payload, &compact.payload)
+        else {
+            panic!("expected campaign payloads from both representations");
+        };
+        // 2 w2 × (2 random + 2 r-NCA-d + 1 d-mod-k).
+        assert_eq!(b.shards.len(), 10);
+        assert_eq!(
+            serde_json::to_string(a).unwrap(),
+            serde_json::to_string(b).unwrap(),
+            "compact representation must reproduce the compiled campaign byte for byte"
         );
     }
 

@@ -16,7 +16,7 @@
 use crate::runner::{ClosedForm, Grid, Plan, Routes};
 use serde::{Deserialize, Serialize, Value};
 use std::fmt;
-use xgft_analysis::{AlgorithmSpec, CampaignConfig, ChaosConfig, ResilienceConfig, SweepConfig};
+use xgft_analysis::{AlgorithmSpec, ChaosConfig, ResilienceConfig, SweepConfig};
 use xgft_core::CompactScheme;
 use xgft_flow::FlowScheme;
 use xgft_netsim::NetworkConfig;
@@ -541,35 +541,9 @@ impl SweepSpec {
     }
 }
 
-/// Where randomised schemes get their seeds.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub enum SeedSpec {
-    /// An explicit seed list, shared by every sweep point (the historical
-    /// per-figure behaviour).
-    List {
-        /// The seeds.
-        seeds: Vec<u64>,
-    },
-    /// Deterministic point-local SplitMix64 streams rooted at `base_seed`
-    /// (the campaign/resilience discipline: enlarging the sweep never
-    /// perturbs existing points).
-    Stream {
-        /// Root of every per-shard stream.
-        base_seed: u64,
-        /// Seeds drawn per (topology, scheme) point.
-        seeds_per_point: usize,
-    },
-}
-
-impl SeedSpec {
-    /// The explicit seed list, if this is a `List` policy.
-    pub fn as_list(&self) -> Option<&[u64]> {
-        match self {
-            SeedSpec::List { seeds } => Some(seeds),
-            SeedSpec::Stream { .. } => None,
-        }
-    }
-}
+/// Where randomised schemes get their seeds: the sweep's seed policy,
+/// defined by `xgft-analysis` and serialized under this name.
+pub use xgft_analysis::SeedSpec;
 
 /// A chaos campaign riding on the scenario: a deterministic, seeded
 /// timeline of fault/repair incidents driven through the event simulator,
@@ -950,9 +924,11 @@ impl ScenarioSpec {
             (_, UniformLinks { .. }, None, _, Compiled) => Err(invalid(
                 "faults currently require the Tracesim engine (the resilience campaign)",
             )),
-            (Tracesim, FaultSpec::None, None, List { seeds }, representation) => {
+            (Tracesim, FaultSpec::None, None, seeds, representation) => {
                 let (k, w2_values) = self.slimmed_sweep(TRACESIM_TOPOLOGY)?;
-                self.require_seeds(seeds)?;
+                if let List { seeds } = seeds {
+                    self.require_seeds(seeds)?;
+                }
                 if representation == Compact {
                     for scheme in &self.schemes {
                         scheme.closed_form()?;
@@ -965,39 +941,16 @@ impl ScenarioSpec {
                     seeds: seeds.clone(),
                     network: self.network.clone(),
                 };
-                Ok(Plan::Sweep {
+                Ok(Plan::Trace {
+                    name: self.name.clone(),
                     config,
                     representation,
                 })
             }
-            (
-                Tracesim,
-                FaultSpec::None,
-                None,
-                &Stream {
-                    base_seed,
-                    seeds_per_point,
-                },
-                Compiled,
-            ) => {
-                let (k, w2_values) = self.slimmed_sweep(TRACESIM_TOPOLOGY)?;
-                Ok(Plan::Campaign(CampaignConfig {
-                    name: self.name.clone(),
-                    k,
-                    w2_values,
-                    algorithms: algorithms(),
-                    seeds_per_point,
-                    base_seed,
-                    network: self.network.clone(),
-                }))
-            }
-            (_, FaultSpec::None, None, Stream { .. }, Compact) => Err(invalid(
-                "representation = compact requires an explicit SeedSpec::List",
-            )),
-            // Only the Tracesim machinery (campaigns / resilience) and the
-            // chaos lab implement point-local seed streams; every other
-            // engine would silently ignore them.
-            (_, FaultSpec::None, None, Stream { .. }, Compiled) => Err(invalid(
+            // Only the trace sweep, the resilience campaign and the chaos
+            // lab implement point-local seed streams; every other engine
+            // would silently ignore them.
+            (_, FaultSpec::None, None, Stream { .. }, _) => Err(invalid(
                 "SeedSpec::Stream requires the Tracesim engine or a chaos campaign; other \
                  engines take an explicit SeedSpec::List",
             )),
@@ -1268,20 +1221,27 @@ mod tests {
         assert!(bad.validate().is_err(), "sweep needs the slimming family");
 
         // Seed streams are a Tracesim-only feature: any other engine would
-        // silently drop seeded schemes or fabricate a seed.
+        // silently drop seeded schemes or fabricate a seed, in either
+        // representation.
         for engine in [
             EngineSpec::Netsim,
             EngineSpec::AllWithAgreement,
             EngineSpec::Flow,
             EngineSpec::Nca,
         ] {
-            let mut bad = spec();
-            bad.engine = engine;
-            bad.seeds = SeedSpec::Stream {
-                base_seed: 1,
-                seeds_per_point: 2,
-            };
-            assert!(bad.validate().is_err(), "{engine:?} must reject Stream");
+            for representation in [RepresentationSpec::Compiled, RepresentationSpec::Compact] {
+                let mut bad = spec();
+                bad.engine = engine;
+                bad.representation = representation;
+                bad.seeds = SeedSpec::Stream {
+                    base_seed: 1,
+                    seeds_per_point: 2,
+                };
+                assert!(
+                    bad.validate().is_err(),
+                    "{engine:?} must reject Stream ({representation:?})"
+                );
+            }
         }
     }
 
@@ -1329,6 +1289,16 @@ mod tests {
         let mut colored = compact(|_| ());
         colored.schemes.push(SchemeSpec(AlgorithmSpec::Colored));
         assert!(colored.validate().is_err(), "colored has no closed form");
+
+        // A compact trace sweep takes either seed policy.
+        let mut stream = compact(|_| ());
+        stream.seeds = SeedSpec::Stream {
+            base_seed: 1,
+            seeds_per_point: 2,
+        };
+        assert!(stream.validate().is_ok(), "compact + Stream on Tracesim");
+        stream.schemes.push(SchemeSpec(AlgorithmSpec::Colored));
+        assert!(stream.validate().is_err(), "colored has no closed form");
 
         let mut faulted = compact(|_| ());
         faulted.faults = FaultSpec::UniformLinks {

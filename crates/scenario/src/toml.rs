@@ -26,6 +26,11 @@
 use serde::{Deserialize, Error, Serialize, Value};
 use std::fmt::Write as _;
 
+/// How deeply tables, arrays and inline tables may nest, counting a table
+/// header's path. The value parser recurses once per level, so this bounds
+/// its stack: deeper input is an error, not a stack overflow.
+pub const MAX_DEPTH: usize = 128;
+
 /// Serializes `value` as a TOML document. The top level must serialize to
 /// an object, and no reachable value may be `null`.
 pub fn to_toml_string<T: Serialize>(value: &T) -> Result<String, Error> {
@@ -186,6 +191,9 @@ fn parse_document(input: &str) -> Result<Value, Error> {
                 .strip_suffix(']')
                 .ok_or_else(|| at("unterminated table header"))?;
             current_path = parse_header_path(header).map_err(|e| at(&e))?;
+            if current_path.len() > MAX_DEPTH {
+                return Err(at(&format!("nesting deeper than {MAX_DEPTH} levels")));
+            }
             // Ensure the table exists (empty tables are meaningful).
             navigate(&mut root, &current_path).map_err(|e| at(&e))?;
             continue;
@@ -194,6 +202,7 @@ fn parse_document(input: &str) -> Result<Value, Error> {
         let (key_text, value_text) = (line[..eq].trim(), line[eq + 1..].trim());
         let key = parse_key(key_text).map_err(|e| at(&e))?;
         let mut cursor = Cursor::new(value_text);
+        cursor.depth = current_path.len();
         let value = cursor.parse_value().map_err(|e| at(&e))?;
         cursor.skip_ws();
         if !cursor.at_end() {
@@ -303,15 +312,20 @@ fn navigate<'a>(root: &'a mut Value, path: &[String]) -> Result<&'a mut Value, S
 /// Single-line TOML value parser (strings, numbers, bools, arrays, inline
 /// tables).
 struct Cursor<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
+    /// Tables and arrays enclosing the value being parsed.
+    depth: usize,
 }
 
 impl<'a> Cursor<'a> {
     fn new(text: &'a str) -> Self {
         Cursor {
+            text,
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         }
     }
 
@@ -333,12 +347,23 @@ impl<'a> Cursor<'a> {
         self.skip_ws();
         match self.peek() {
             Some(b'"') => self.parse_string().map(Value::Str),
-            Some(b'[') => self.parse_array(),
-            Some(b'{') => self.parse_inline_table(),
+            Some(b'[') => self.nested(Self::parse_array),
+            Some(b'{') => self.nested(Self::parse_inline_table),
             Some(b't') | Some(b'f') => self.parse_bool(),
             Some(b'-' | b'+' | b'0'..=b'9') => self.parse_number(),
             other => Err(format!("unexpected value start: {other:?}")),
         }
+    }
+
+    /// Parse one array or inline table, one level deeper than the caller.
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Value, String>) -> Result<Value, String> {
+        if self.depth == MAX_DEPTH {
+            return Err(format!("nesting deeper than {MAX_DEPTH} levels"));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn parse_bool(&mut self) -> Result<Value, String> {
@@ -387,9 +412,13 @@ impl<'a> Cursor<'a> {
                     }
                 }
                 _ => {
+                    // `start` is a char boundary of the line: decode the one
+                    // character there.
                     let start = self.pos - 1;
-                    let s = std::str::from_utf8(&self.bytes[start..]).map_err(|e| e.to_string())?;
-                    let c = s.chars().next().expect("non-empty by construction");
+                    let c = self.text[start..]
+                        .chars()
+                        .next()
+                        .expect("non-empty by construction");
                     out.push(c);
                     self.pos = start + c.len_utf8();
                 }
@@ -626,6 +655,35 @@ value = true
             entries[2].1,
             Value::Object(vec![("value".into(), Value::Bool(true))])
         );
+    }
+
+    #[test]
+    fn a_long_non_ascii_string_parses_in_linear_time() {
+        // 1 MiB of two-byte characters: re-validating the rest of the line
+        // per character would take minutes.
+        let body = "é".repeat(512 * 1024);
+        let doc = parse_document(&format!("name = \"{body}\"")).unwrap();
+        assert_eq!(doc, obj(vec![("name", Value::Str(body))]));
+    }
+
+    #[test]
+    fn nesting_is_limited_to_max_depth() {
+        let array = |depth: usize| format!("x = {}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(parse_document(&array(MAX_DEPTH)).is_ok());
+        let err = parse_document(&array(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.to_string().contains("nesting deeper than 128"), "{err}");
+        let inline =
+            |depth: usize| format!("x = {}1{}", "{ a = ".repeat(depth), " }".repeat(depth));
+        assert!(parse_document(&inline(MAX_DEPTH)).is_ok());
+        assert!(parse_document(&inline(MAX_DEPTH + 1)).is_err());
+        // A header path counts toward the limit, alone or with a value.
+        let header = |depth: usize| format!("[{}]", vec!["t"; depth].join("."));
+        assert!(parse_document(&header(MAX_DEPTH)).is_ok());
+        assert!(parse_document(&header(MAX_DEPTH + 1)).is_err());
+        assert!(parse_document(&format!("{}\nx = 1", header(MAX_DEPTH))).is_ok());
+        assert!(parse_document(&format!("{}\nx = []", header(MAX_DEPTH))).is_err());
+        // Far past the limit the parser stops at the limit.
+        assert!(parse_document(&format!("x = {}", "[".repeat(1_000_000))).is_err());
     }
 
     #[test]

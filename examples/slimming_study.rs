@@ -5,7 +5,7 @@
 //!
 //! Run with `cargo run --release --example slimming_study`.
 
-use xgft::analysis::sweep::{AlgorithmSpec, SweepConfig};
+use xgft::analysis::sweep::{AlgorithmSpec, SeedSpec, SweepConfig};
 use xgft::netsim::NetworkConfig;
 use xgft::patterns::generators;
 
@@ -17,7 +17,9 @@ fn main() {
         k: 16,
         w2_values: vec![16, 12, 8, 4, 2, 1],
         algorithms: AlgorithmSpec::figure5_set(),
-        seeds: vec![1, 2, 3, 4],
+        seeds: SeedSpec::List {
+            seeds: vec![1, 2, 3, 4],
+        },
         network: NetworkConfig::default(),
     };
     let result = config.run(&pattern).unwrap();

@@ -32,11 +32,23 @@ pub fn to_string_pretty<T: Serialize>(value: &T) -> Result<String, Error> {
     Ok(out)
 }
 
+/// How deeply arrays and objects may nest (serde_json's default recursion
+/// limit). The parser recurses once per level, so this bounds its stack:
+/// deeper input is an error, not a stack overflow.
+pub const MAX_DEPTH: usize = 128;
+
 /// Deserializes a value from a JSON string.
 pub fn from_str<T: Deserialize>(input: &str) -> Result<T, Error> {
+    T::from_value(&parse(input)?)
+}
+
+/// Parses one JSON document into a [`Value`] tree.
+fn parse(input: &str) -> Result<Value, Error> {
     let mut parser = Parser {
+        text: input,
         bytes: input.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     parser.skip_ws();
     let value = parser.parse_value()?;
@@ -44,7 +56,7 @@ pub fn from_str<T: Deserialize>(input: &str) -> Result<T, Error> {
     if parser.pos != parser.bytes.len() {
         return Err(Error::custom("trailing characters after JSON value"));
     }
-    T::from_value(&value)
+    Ok(value)
 }
 
 fn write_value(
@@ -141,8 +153,11 @@ fn write_escaped(out: &mut String, s: &str) {
 
 /// Minimal recursive-descent JSON parser producing a [`Value`] tree.
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -178,14 +193,28 @@ impl Parser<'_> {
             Some(b't') => self.parse_keyword("true", Value::Bool(true)),
             Some(b'f') => self.parse_keyword("false", Value::Bool(false)),
             Some(b'"') => Ok(Value::Str(self.parse_string()?)),
-            Some(b'[') => self.parse_array(),
-            Some(b'{') => self.parse_object(),
+            Some(b'[') => self.nested(Self::parse_array),
+            Some(b'{') => self.nested(Self::parse_object),
             Some(b'-' | b'0'..=b'9') => self.parse_number(),
             other => Err(Error::custom(format!(
                 "unexpected input at byte {}: {other:?}",
                 self.pos
             ))),
         }
+    }
+
+    /// Parse one array or object, one level deeper than the caller.
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Value, Error>) -> Result<Value, Error> {
+        if self.depth == MAX_DEPTH {
+            return Err(Error::custom(format!(
+                "nesting deeper than {MAX_DEPTH} levels at byte {}",
+                self.pos
+            )));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn parse_keyword(&mut self, word: &str, value: Value) -> Result<Value, Error> {
@@ -250,10 +279,13 @@ impl Parser<'_> {
                     }
                 }
                 _ => {
-                    // Re-decode from the byte position to keep UTF-8 intact.
+                    // `start` is a char boundary of the input: decode the
+                    // one character there.
                     let start = self.pos - 1;
-                    let s = std::str::from_utf8(&self.bytes[start..]).map_err(Error::custom)?;
-                    let c = s.chars().next().expect("non-empty by construction");
+                    let c = self.text[start..]
+                        .chars()
+                        .next()
+                        .expect("non-empty by construction");
                     out.push(c);
                     self.pos = start + c.len_utf8();
                 }
@@ -385,6 +417,30 @@ mod tests {
     fn non_finite_floats_are_rejected() {
         assert!(to_string(&f64::NAN).is_err());
         assert!(to_string(&f64::INFINITY).is_err());
+    }
+
+    #[test]
+    fn a_long_non_ascii_string_parses_in_linear_time() {
+        // 1 MiB of two-byte characters: re-validating the rest of the input
+        // per character would take minutes.
+        let body = "é".repeat(512 * 1024);
+        let parsed = from_str::<String>(&format!("\"{body}\"")).unwrap();
+        assert_eq!(parsed.len(), 1024 * 1024);
+        assert_eq!(parsed, body);
+    }
+
+    #[test]
+    fn nesting_is_limited_to_max_depth() {
+        let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(parse(&nested(MAX_DEPTH)).is_ok());
+        let err = parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.to_string().contains("nesting deeper than 128"), "{err}");
+        let objects = |depth: usize| format!("{}1{}", "{\"a\":".repeat(depth), "}".repeat(depth));
+        assert!(parse(&objects(MAX_DEPTH)).is_ok());
+        assert!(parse(&objects(MAX_DEPTH + 1)).is_err());
+        // Far past the limit the parser stops at the limit, so input that
+        // would overflow the stack is an ordinary error.
+        assert!(parse(&"[".repeat(1_000_000)).is_err());
     }
 
     #[test]

@@ -67,7 +67,9 @@ fn fig2_small_sweep_is_byte_stable() {
         k: 4,
         w2_values: vec![4, 2, 1],
         algorithms: AlgorithmSpec::figure2_set(),
-        seeds: vec![1, 2, 3],
+        seeds: SeedSpec::List {
+            seeds: vec![1, 2, 3],
+        },
         network: NetworkConfig::default(),
     };
     assert_golden("fig2_small.json", &to_json(&config.run(&pattern).unwrap()));
@@ -82,7 +84,7 @@ fn fig5_small_sweep_is_byte_stable() {
         k: 4,
         w2_values: vec![4, 2],
         algorithms: AlgorithmSpec::figure5_set(),
-        seeds: vec![1, 2],
+        seeds: SeedSpec::List { seeds: vec![1, 2] },
         network: NetworkConfig::default(),
     };
     assert_golden("fig5_small.json", &to_json(&config.run(&pattern).unwrap()));

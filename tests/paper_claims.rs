@@ -3,9 +3,12 @@
 //! the cost of the full sweeps (those run through `xgft <name> --full`).
 
 use xgft::analysis::experiments::{equivalence, fig4};
-use xgft::analysis::sweep::{AlgorithmSpec, SweepConfig};
+use xgft::analysis::sweep::{AlgorithmSpec, SeedSpec, SweepConfig};
 use xgft::netsim::NetworkConfig;
 use xgft::patterns::generators;
+use xgft::scenario::{
+    registry, run_scenario, ExperimentArgs, ResultPayload, RunOptions, ScenarioSpec,
+};
 use xgft::topo::XgftSpec;
 
 /// Sec. VII-B: `C(S-mod-k, P) == C(D-mod-k, P⁻¹)` exactly, for every sampled
@@ -64,7 +67,9 @@ fn reduced_sweep_reproduces_figure_orderings() {
         k: 16,
         w2_values: vec![16, 4, 1],
         algorithms: AlgorithmSpec::figure5_set(),
-        seeds: vec![1, 2, 3],
+        seeds: SeedSpec::List {
+            seeds: vec![1, 2, 3],
+        },
         network: NetworkConfig::default(),
     };
     let result = config.run(&fifth).unwrap();
@@ -98,4 +103,124 @@ fn eq1_switch_counts() {
     }
     assert_eq!(XgftSpec::k_ary_n_tree(16, 2).inner_switches(), 32);
     assert_eq!(XgftSpec::k_ary_n_tree(4, 3).inner_switches(), 48);
+}
+
+/// The payload of a Fig. 2/5 registry entry run with `flags`, through the
+/// same `spec_for` + `run_scenario` path `xgft <name>` takes.
+fn run_entry(name: &str, flags: &[&str]) -> ResultPayload {
+    let spec = entry_spec(name, flags);
+    run_scenario(&spec, &RunOptions::default())
+        .unwrap_or_else(|e| panic!("{name}: {e}"))
+        .payload
+}
+
+fn entry_spec(name: &str, flags: &[&str]) -> ScenarioSpec {
+    let args = ExperimentArgs::parse_from(flags.iter().map(|f| f.to_string())).unwrap();
+    registry::spec_for(name, &args)
+        .expect("scenario-backed entry")
+        .unwrap()
+}
+
+/// Fig. 2's workloads keep the paper's shapes: WRF-256 is one exchange
+/// phase over 256 ranks, CG.D-128 five phases over 128.
+#[test]
+fn workload_patterns_have_paper_shapes() {
+    for (name, ranks, phases) in [("fig2_wrf", 256, 1), ("fig2_cg", 128, 5)] {
+        let pattern = entry_spec(name, &["--scale", "1"])
+            .workload
+            .pattern()
+            .unwrap();
+        assert_eq!(pattern.num_nodes(), ranks, "{name}");
+        assert_eq!(pattern.num_phases(), phases, "{name}");
+    }
+}
+
+/// `--scale` shrinks every message but never below the 1 KiB floor.
+#[test]
+fn byte_scale_shrinks_messages_with_a_floor() {
+    let first_bytes = |scale: &str| {
+        let pattern = entry_spec("fig2_cg", &["--scale", scale])
+            .workload
+            .pattern()
+            .unwrap();
+        let first = pattern.phases()[0].flows().next().unwrap().bytes;
+        first
+    };
+    let full = first_bytes("1");
+    let small = first_bytes("0.01");
+    assert_eq!(full, 750 * 1024);
+    assert!(small < full);
+    assert!(small >= 1024);
+    assert_eq!(first_bytes("0.0000001"), 1024);
+}
+
+/// The analytic Fig. 2(b) structure with zero simulation: D-mod-k's
+/// CG.D-128 congruence pathology shows up as a congestion ratio far above
+/// Random's.
+#[test]
+fn analytic_fig2b_exposes_the_cg_pathology() {
+    let ResultPayload::Flow(result) =
+        run_entry("fig2_cg", &["--analytic", "--scale", "1", "--w2", "16"])
+    else {
+        panic!("--analytic must lower to the flow engine");
+    };
+    let dmodk = result.point_by_w(16, "d-mod-k").unwrap();
+    let random = result.point_by_w(16, "random").unwrap();
+    let colored = result.point_by_w(16, "colored").unwrap();
+    // The congruence piles several fifth-phase flows onto shared up
+    // channels; over the union of all five phases that still leaves
+    // d-mod-k ~1.4x above the cut bound while Random sits exactly on it.
+    assert!(
+        dmodk.ratio > 1.25 * random.ratio,
+        "d-mod-k ratio {} vs random {}",
+        dmodk.ratio,
+        random.ratio
+    );
+    assert!((random.ratio - 1.0).abs() < 0.05);
+    assert!(colored.mcl <= dmodk.mcl);
+}
+
+/// The analytic Fig. 5: the r-NCA closed forms avoid both the mod-k wrap
+/// imbalance and the CG congruence, w2 by w2, without a single seed.
+#[test]
+fn analytic_fig5_rnca_beats_mod_k_on_slimmed_trees() {
+    let ResultPayload::Flow(result) =
+        run_entry("fig5_cg", &["--analytic", "--scale", "1", "--w2", "16,10"])
+    else {
+        panic!("--analytic must lower to the flow engine");
+    };
+    for w2 in [16usize, 10] {
+        let dmodk = result.point_by_w(w2, "d-mod-k").unwrap();
+        let rnca = result.point_by_w(w2, "r-NCA-d").unwrap();
+        assert!(
+            rnca.mcl <= dmodk.mcl,
+            "w2={w2}: r-NCA-d {} vs d-mod-k {}",
+            rnca.mcl,
+            dmodk.mcl
+        );
+    }
+}
+
+/// A reduced Fig. 2(a): three topologies, a sixteenth of the paper's
+/// message sizes. Checks the qualitative claims of the paper: S-mod-k ≈
+/// D-mod-k ≈ Colored and all beat Random on WRF, and the slimmed end
+/// degrades for everyone.
+#[test]
+fn reduced_fig2a_shape() {
+    let ResultPayload::Sweep(result) = run_entry(
+        "fig2_wrf",
+        &["--scale", "0.0625", "--seeds", "2", "--w2", "16,4,1"],
+    ) else {
+        panic!("fig2_wrf must lower to a sweep");
+    };
+    let at = |w2: usize, name: &str| result.point(w2, name).unwrap().stats.median;
+    let dmodk_full = at(16, "d-mod-k");
+    // S-mod-k and D-mod-k are nearly identical (symmetric pattern).
+    assert!((dmodk_full - at(16, "s-mod-k")).abs() / dmodk_full < 0.05);
+    // Both essentially match the pattern-aware bound on WRF...
+    assert!(dmodk_full < 1.15 * at(16, "colored"));
+    // ...and Random is strictly worse (routing contention it adds).
+    assert!(at(16, "random") > 1.15 * dmodk_full);
+    // Slimming to a single root degrades every scheme.
+    assert!(at(1, "d-mod-k") > 2.0 * dmodk_full);
 }
