@@ -7,72 +7,221 @@
 //! assignment followed by iterative refinement plays the same role:
 //!
 //! 1. flows are processed from the highest NCA level downwards (the flows
-//!    with the fewest alternatives relative to their path length first);
+//!    with the fewest alternatives relative to their path length first),
+//!    ties in ascending `(s, d)` order;
 //! 2. each flow is assigned the NCA that minimises the *effective* maximum
 //!    load along its path, where — as in the paper's contention metric —
 //!    flows sharing the source do not add load on shared up channels and
 //!    flows sharing the destination do not add load on shared down channels;
+//!    ties go to the smaller sum of loads, then to the smaller NCA index;
 //! 3. a configurable number of refinement passes re-seats every flow given
-//!    the placement of all others.
+//!    the placement of all others, stopping early once a pass changes
+//!    nothing.
 //!
 //! The result is a pattern-aware upper bound: for the full 16-ary 2-tree it
 //! finds non-conflicting assignments for permutations (the rearrangeable
 //! case), and for slimmed trees it spreads the unavoidable conflicts evenly,
 //! which is exactly the role the Colored curve plays in Figs. 2 and 5.
+//!
+//! # State and cost
+//!
+//! A pair at NCA level `L` has `w_1⋯w_L` candidate NCAs. Candidate `i`'s
+//! up-ports are the digits of `i` in mixed radix over `w_1…w_L` (the order
+//! of `NcaSet::route_digits`), and its `2L` dense channels come from the
+//! label arithmetic the compact closed forms use
+//! ([`crate::compact`]'s `walk_channels`). So scoring a candidate costs
+//! `L` levels of integer arithmetic plus one lookup per channel, and
+//! allocates nothing.
+//!
+//! While building, the effective loads are a dense `u32` per channel (the
+//! number of distinct relevant endpoints: sources on up channels,
+//! destinations on down channels), next to one flat map from
+//! `channel << 32 | endpoint` to the number of seated flows with that
+//! endpoint on that channel, so flows can be removed and re-seated.
+//!
+//! The built scheme keeps only its choices: the pattern's pairs as sorted
+//! `s·n + d` codes and one `u32` NCA index per pair (12 bytes a pair).
+//! [`RoutingAlgorithm::route`] binary-searches the codes and decodes the
+//! index into its up-ports; a pair outside the pattern falls back to
+//! d-mod-k.
+//!
+//! `crates/core/tests/colored_equivalence.rs` keeps a reference builder
+//! that walks `Xgft::ncas` / `Xgft::route_path` and hash-map loads, and
+//! pins this one to it, route for route, over random specs, sparse
+//! patterns and pass counts.
 
 use crate::algorithm::RoutingAlgorithm;
+use crate::compact::{nca_level, walk_channels, WalkLevel};
 use crate::modk::mod_route;
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use xgft_patterns::ConnectivityMatrix;
-use xgft_topo::{Direction, Route, Xgft};
+use xgft_topo::{ChannelTable, Route, Xgft};
+
+/// A one-multiply hasher for the tracker's `u64` keys: the key times an odd
+/// constant, the 128-bit product folded to 64 bits so that both the low
+/// bits (the bucket) and the high bits (the control tag) mix every key bit.
+/// The keys are dense channel and leaf indices of the machine, so there is
+/// no crafted input to defend against.
+#[derive(Default)]
+struct FoldHasher(u64);
+
+impl Hasher for FoldHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &byte in bytes {
+            self.write_u64(u64::from(byte));
+        }
+    }
+
+    fn write_u64(&mut self, key: u64) {
+        let product = u128::from(self.0 ^ key) * 0x9E37_79B9_7F4A_7C15;
+        self.0 = (product as u64) ^ ((product >> 64) as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
 
 /// Per-channel multiset of "relevant endpoints" (sources on up channels,
 /// destinations on down channels), supporting add/remove so flows can be
 /// re-seated during refinement.
-#[derive(Debug, Clone)]
 struct LoadTracker {
-    /// For every dense channel index: endpoint -> number of flows with that
-    /// endpoint currently crossing the channel.
-    per_channel: Vec<HashMap<usize, usize>>,
+    /// Effective load of every dense channel: its distinct endpoints.
+    loads: Vec<u32>,
+    /// `channel << 32 | endpoint` -> number of seated flows with that
+    /// endpoint crossing the channel (absent when zero).
+    flows: HashMap<u64, u32, BuildHasherDefault<FoldHasher>>,
+}
+
+fn key(channel: u32, endpoint: usize) -> u64 {
+    u64::from(channel) << 32 | endpoint as u64
 }
 
 impl LoadTracker {
-    fn new(num_channels: usize) -> Self {
+    /// An empty tracker with room for `seats` (channel, endpoint) keys.
+    fn new(num_channels: usize, seats: usize) -> Self {
         LoadTracker {
-            per_channel: vec![HashMap::new(); num_channels],
+            loads: vec![0; num_channels],
+            flows: HashMap::with_capacity_and_hasher(seats, Default::default()),
         }
-    }
-
-    fn effective_load(&self, channel: usize) -> usize {
-        self.per_channel[channel].len()
     }
 
     /// The effective load the channel would have after adding a flow with
     /// the given endpoint.
-    fn load_if_added(&self, channel: usize, endpoint: usize) -> usize {
-        let map = &self.per_channel[channel];
-        map.len() + usize::from(!map.contains_key(&endpoint))
-    }
-
-    fn add(&mut self, channel: usize, endpoint: usize) {
-        *self.per_channel[channel].entry(endpoint).or_insert(0) += 1;
-    }
-
-    fn remove(&mut self, channel: usize, endpoint: usize) {
-        if let Some(count) = self.per_channel[channel].get_mut(&endpoint) {
-            *count -= 1;
-            if *count == 0 {
-                self.per_channel[channel].remove(&endpoint);
-            }
+    fn load_if_added(&self, channel: u32, endpoint: usize) -> u32 {
+        match self.loads[channel as usize] {
+            // An idle channel holds no endpoint: skip the map.
+            0 => 1,
+            load => load + u32::from(!self.flows.contains_key(&key(channel, endpoint))),
         }
     }
+
+    fn add(&mut self, channel: u32, endpoint: usize) {
+        let count = self.flows.entry(key(channel, endpoint)).or_insert(0);
+        *count += 1;
+        if *count == 1 {
+            self.loads[channel as usize] += 1;
+        }
+    }
+
+    fn remove(&mut self, channel: u32, endpoint: usize) {
+        let k = key(channel, endpoint);
+        let count = self.flows.get_mut(&k).expect("removing a seated flow");
+        *count -= 1;
+        if *count == 0 {
+            self.flows.remove(&k);
+            self.loads[channel as usize] -= 1;
+        }
+    }
+
+    /// Seat (`add`) or unseat the flow `s → d` on NCA candidate `nca`.
+    fn apply(&mut self, channels: &ChannelTable, flow: Flow, nca: u32, add: bool) {
+        let Flow { s, d, level, .. } = flow;
+        walk_channels(channels, s, d, level, nca_ports(nca), |_, up, down| {
+            if add {
+                self.add(up, s);
+                self.add(down, d);
+            } else {
+                self.remove(up, s);
+                self.remove(down, d);
+            }
+        });
+    }
+
+    /// Score every candidate NCA of the flow and return the index with the
+    /// lexicographically smallest (max load, sum of loads, index) cost.
+    fn best(&self, channels: &ChannelTable, flow: Flow) -> u32 {
+        let Flow {
+            s,
+            d,
+            level,
+            candidates,
+        } = flow;
+        let mut best = (u32::MAX, u32::MAX, 0);
+        for nca in 0..candidates {
+            let (mut max, mut sum) = (0, 0);
+            walk_channels(channels, s, d, level, nca_ports(nca), |_, up, down| {
+                for load in [self.load_if_added(up, s), self.load_if_added(down, d)] {
+                    max = max.max(load);
+                    sum += load;
+                }
+            });
+            // Candidates arrive in index order, so a tie keeps the first.
+            if (max, sum) < (best.0, best.1) {
+                best = (max, sum, nca);
+            }
+        }
+        best.2
+    }
+}
+
+/// One flow of the pattern with its NCA level and candidate count.
+#[derive(Clone, Copy)]
+struct Flow {
+    s: usize,
+    d: usize,
+    level: usize,
+    /// `w_1⋯w_level`: the NCAs at `level` that reach both endpoints.
+    candidates: u32,
+}
+
+impl Flow {
+    fn new(xgft: &Xgft, s: usize, d: usize) -> Self {
+        let level = nca_level(xgft.spec(), s, d);
+        let candidates = xgft.spec().ncas_at_level(level);
+        Flow {
+            s,
+            d,
+            level,
+            candidates: u32::try_from(candidates).expect("NCA indices fit in u32"),
+        }
+    }
+}
+
+/// The port rule of NCA candidate `nca`: its digits in mixed radix over
+/// `w_1…w_L`, least significant first.
+fn nca_ports(nca: u32) -> impl FnMut(WalkLevel) -> usize {
+    let mut rem = nca as usize;
+    move |step| next_digit(&mut rem, step.w)
+}
+
+/// Pop the least significant radix-`w` digit off `rem`.
+fn next_digit(rem: &mut usize, w: usize) -> usize {
+    let digit = *rem % w;
+    *rem /= w;
+    digit
 }
 
 /// A pattern-aware routing: routes are chosen with full knowledge of the
 /// communication pattern when the scheme is constructed.
 #[derive(Debug, Clone)]
 pub struct ColoredRouting {
-    routes: HashMap<(usize, usize), Route>,
+    num_leaves: usize,
+    /// The pattern's pairs as ascending `s·n + d` codes.
+    pairs: Vec<u64>,
+    /// The chosen NCA index of each pair in `pairs`.
+    ncas: Vec<u32>,
     refinement_passes: usize,
 }
 
@@ -84,43 +233,71 @@ impl ColoredRouting {
     }
 
     /// Assign routes with an explicit number of refinement passes.
+    ///
+    /// # Panics
+    /// Panics if a flow of the pattern names a leaf outside `xgft`.
     pub fn with_passes(xgft: &Xgft, pattern: &ConnectivityMatrix, passes: usize) -> Self {
-        let mut flows: Vec<(usize, usize)> =
-            pattern.network_flows().map(|f| (f.src, f.dst)).collect();
-        // Highest NCA level first, then deterministic order.
-        flows.sort_by_key(|&(s, d)| (std::cmp::Reverse(xgft.nca_level(s, d)), s, d));
-
+        xgft_obs::span!("core.colored");
         let channels = xgft.channels();
-        let mut tracker = LoadTracker::new(channels.len());
-        let mut routes: HashMap<(usize, usize), Route> = HashMap::new();
+        let n = xgft.num_leaves();
+        assert!(
+            u32::try_from(n).is_ok() && u32::try_from(channels.len()).is_ok(),
+            "colored routing keys channels and endpoints as u32"
+        );
+        let mut flows: Vec<Flow> = pattern
+            .network_flows()
+            .map(|f| {
+                let (s, d) = (f.src, f.dst);
+                assert!(s < n && d < n, "flow ({s}, {d}) outside {n} leaves");
+                Flow::new(xgft, s, d)
+            })
+            .collect();
+        // Highest NCA level first, then deterministic order.
+        flows.sort_by_key(|f| (std::cmp::Reverse(f.level), f.s, f.d));
 
+        // Each flow seats at most two keys per level.
+        let seats = flows.iter().map(|f| 2 * f.level).sum();
+        let mut tracker = LoadTracker::new(channels.len(), seats);
+        let mut scored = 0u64;
         // Greedy construction.
-        for &(s, d) in &flows {
-            let route = Self::best_route(xgft, &tracker, s, d);
-            Self::apply(xgft, &mut tracker, s, d, &route, true);
-            routes.insert((s, d), route);
+        let mut ncas: Vec<u32> = Vec::with_capacity(flows.len());
+        for &flow in &flows {
+            let nca = tracker.best(channels, flow);
+            tracker.apply(channels, flow, nca, true);
+            ncas.push(nca);
+            scored += u64::from(flow.candidates);
         }
 
         // Refinement: re-seat every flow given the rest.
         for _ in 0..passes {
             let mut changed = false;
-            for &(s, d) in &flows {
-                let current = routes[&(s, d)].clone();
-                Self::apply(xgft, &mut tracker, s, d, &current, false);
-                let best = Self::best_route(xgft, &tracker, s, d);
-                if best != current {
-                    changed = true;
-                }
-                Self::apply(xgft, &mut tracker, s, d, &best, true);
-                routes.insert((s, d), best);
+            for (&flow, seat) in flows.iter().zip(&mut ncas) {
+                tracker.apply(channels, flow, *seat, false);
+                let best = tracker.best(channels, flow);
+                changed |= best != *seat;
+                tracker.apply(channels, flow, best, true);
+                *seat = best;
+                scored += u64::from(flow.candidates);
             }
             if !changed {
                 break;
             }
         }
+        xgft_obs::global()
+            .counter("core.colored.candidates")
+            .add(scored);
 
+        let mut stored: Vec<(u64, u32)> = flows
+            .iter()
+            .zip(&ncas)
+            .map(|(f, &nca)| ((f.s * n + f.d) as u64, nca))
+            .collect();
+        stored.sort_unstable();
+        let (pairs, ncas) = stored.into_iter().unzip();
         ColoredRouting {
-            routes,
+            num_leaves: n,
+            pairs,
+            ncas,
             refinement_passes: passes,
         }
     }
@@ -132,71 +309,30 @@ impl ColoredRouting {
 
     /// Number of flows the scheme has routes for.
     pub fn num_routes(&self) -> usize {
-        self.routes.len()
+        self.pairs.len()
     }
 
-    fn apply(xgft: &Xgft, tracker: &mut LoadTracker, s: usize, d: usize, route: &Route, add: bool) {
-        let channels = xgft.channels();
-        let path = xgft.route_path(s, d, route).expect("valid route");
-        for hop in path {
-            let idx = channels.index(&hop.channel);
-            let endpoint = match hop.channel.dir {
-                Direction::Up => s,
-                Direction::Down => d,
-            };
-            if add {
-                tracker.add(idx, endpoint);
-            } else {
-                tracker.remove(idx, endpoint);
-            }
+    /// The stored NCA index of `(s, d)`, if the pair is in the pattern.
+    fn nca_of(&self, s: usize, d: usize) -> Option<u32> {
+        let n = self.num_leaves;
+        if s >= n || d >= n {
+            return None;
         }
-    }
-
-    /// Evaluate every candidate NCA of the pair and return the route with
-    /// the lexicographically smallest (max load, sum of loads, index) cost.
-    fn best_route(xgft: &Xgft, tracker: &LoadTracker, s: usize, d: usize) -> Route {
-        let channels = xgft.channels();
-        let ncas = xgft.ncas(s, d).expect("valid pair");
-        let mut best: Option<(usize, usize, usize, Route)> = None;
-        for i in 0..ncas.len() {
-            let route = Route::new(ncas.route_digits(i).expect("in range"));
-            let path = xgft.route_path(s, d, &route).expect("valid route");
-            let mut max_load = 0usize;
-            let mut sum_load = 0usize;
-            for hop in &path {
-                let idx = channels.index(&hop.channel);
-                let endpoint = match hop.channel.dir {
-                    Direction::Up => s,
-                    Direction::Down => d,
-                };
-                let load = tracker.load_if_added(idx, endpoint);
-                max_load = max_load.max(load);
-                sum_load += load;
-            }
-            let candidate = (max_load, sum_load, i, route);
-            let better = match &best {
-                None => true,
-                Some((bm, bs, bi, _)) => (candidate.0, candidate.1, candidate.2) < (*bm, *bs, *bi),
-            };
-            if better {
-                best = Some(candidate);
-            }
-        }
-        best.expect("at least one NCA exists for distinct leaves").3
+        let at = self.pairs.binary_search(&((s * n + d) as u64)).ok()?;
+        Some(self.ncas[at])
     }
 
     /// The maximum effective load the stored assignment induces (useful for
     /// reporting the quality of the pattern-aware bound).
     pub fn max_effective_load(&self, xgft: &Xgft) -> usize {
         let channels = xgft.channels();
-        let mut tracker = LoadTracker::new(channels.len());
-        for (&(s, d), route) in &self.routes {
-            Self::apply(xgft, &mut tracker, s, d, route, true);
+        let n = self.num_leaves;
+        let mut tracker = LoadTracker::new(channels.len(), 0);
+        for (&code, &nca) in self.pairs.iter().zip(&self.ncas) {
+            let flow = Flow::new(xgft, code as usize / n, code as usize % n);
+            tracker.apply(channels, flow, nca, true);
         }
-        (0..channels.len())
-            .map(|c| tracker.effective_load(c))
-            .max()
-            .unwrap_or(0)
+        tracker.loads.iter().copied().max().unwrap_or(0) as usize
     }
 }
 
@@ -206,8 +342,16 @@ impl RoutingAlgorithm for ColoredRouting {
     }
 
     fn route(&self, xgft: &Xgft, s: usize, d: usize) -> Route {
-        match self.routes.get(&(s, d)) {
-            Some(route) => route.clone(),
+        match self.nca_of(s, d) {
+            Some(nca) => {
+                let spec = xgft.spec();
+                let mut rem = nca as usize;
+                Route::new(
+                    (1..=nca_level(spec, s, d))
+                        .map(|pos| next_digit(&mut rem, spec.w(pos)))
+                        .collect(),
+                )
+            }
             // Flows outside the pattern fall back to D-mod-k.
             None => mod_route(xgft, d, xgft.nca_level(s, d)),
         }

@@ -358,19 +358,10 @@ impl CompactRoutes {
     }
 
     /// Compute the closed-form dense channel path of a distinct in-range
-    /// pair into `out` — the digit walk of `Xgft::route_path`, done on the
-    /// leaf indices themselves, so no digit, port or label buffer is built.
-    ///
-    /// A level-`l` node on the path is numbered by its label digits: the
-    /// ports chosen below `l` (a `w`-radix number, `w_low`) and the
-    /// endpoint's digits above `l` (`hi` = the leaf index divided by
-    /// `m_1⋯m_l`), so its index is `hi · (w_1⋯w_l) + w_low`. On the way up
-    /// `hi` is the source's, on the way down the destination's; the up and
-    /// down channels of one level share the port and `w_low`, so both are
-    /// written in the same step.
+    /// pair into `out`: [`walk_channels`] with the scheme's port rule, so
+    /// no digit, port or label buffer is built.
     fn closed_form_into(&self, s: usize, d: usize, out: &mut Vec<u32>) {
-        let spec = self.channels.spec();
-        let level = nca_level(spec, s, d);
+        let level = nca_level(self.channels.spec(), s, d);
         out.clear();
         out.resize(2 * level, 0);
         let mut rng = match self.scheme {
@@ -381,44 +372,37 @@ impl CompactRoutes {
             self.scheme,
             CompactScheme::SModK | CompactScheme::RandomNcaUp { .. }
         );
-        let (mut s_hi, mut d_hi) = (s, d);
-        let (mut w_low, mut w_place) = (0, 1);
         // The guiding leaf's digit at position `l` (1-based), read one step
         // before it is needed.
         let mut digit_below = 0;
-        for l in 0..level {
-            let (m, w) = (spec.m(l + 1), spec.w(l + 1));
-            let guide_hi = if guide_is_source { s_hi } else { d_hi };
-            let digit = guide_hi % m;
+        let port = |step: WalkLevel| {
+            let guide_hi = if guide_is_source {
+                step.s_hi
+            } else {
+                step.d_hi
+            };
+            let digit = guide_hi % step.m;
             // Position max(l, 1): the adapter hop reads digit 1 too.
-            let guide_digit = if l == 0 { digit } else { digit_below };
-            let port = match &self.scheme {
-                CompactScheme::SModK | CompactScheme::DModK => guide_digit % w,
-                CompactScheme::Random { .. } => rng.as_mut().expect("seeded above").gen_range(0..w),
+            let guide_digit = if step.level == 0 { digit } else { digit_below };
+            digit_below = digit;
+            match &self.scheme {
+                CompactScheme::SModK | CompactScheme::DModK => guide_digit % step.w,
+                CompactScheme::Random { .. } => {
+                    rng.as_mut().expect("seeded above").gen_range(0..step.w)
+                }
                 CompactScheme::RandomNcaUp { maps } | CompactScheme::RandomNcaDown { maps } => {
-                    if l == 0 {
-                        guide_digit % w
+                    if step.level == 0 {
+                        guide_digit % step.w
                     } else {
-                        maps.port_in_context(l, guide_hi, guide_digit)
+                        maps.port_in_context(step.level, guide_hi, guide_digit)
                     }
                 }
-            };
-            let channel = |hi: usize, dir| {
-                self.channels.index(&ChannelId {
-                    level: l,
-                    low_index: hi * w_place + w_low,
-                    up_port: port,
-                    dir,
-                }) as u32
-            };
-            out[l] = channel(s_hi, Direction::Up);
-            out[2 * level - 1 - l] = channel(d_hi, Direction::Down);
-            w_low += port * w_place;
-            w_place *= w;
-            s_hi /= m;
-            d_hi /= m;
-            digit_below = digit;
-        }
+            }
+        };
+        walk_channels(&self.channels, s, d, level, port, |l, up, down| {
+            out[l] = up;
+            out[2 * level - 1 - l] = down;
+        });
     }
 }
 
@@ -442,7 +426,7 @@ impl PatchBase for CompactRoutes {
 
 /// The NCA level of two leaves: the lowest level whose subtrees (leaves
 /// agreeing on every digit above it) hold both, 0 when equal.
-fn nca_level(spec: &xgft_topo::XgftSpec, mut s: usize, mut d: usize) -> usize {
+pub(crate) fn nca_level(spec: &xgft_topo::XgftSpec, mut s: usize, mut d: usize) -> usize {
     let mut level = 0;
     while s != d {
         level += 1;
@@ -450,6 +434,76 @@ fn nca_level(spec: &xgft_topo::XgftSpec, mut s: usize, mut d: usize) -> usize {
         d /= spec.m(level);
     }
     level
+}
+
+/// What a port rule of [`walk_channels`] may read at one level of a walk.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct WalkLevel {
+    /// The level the hop leaves upwards (0 = the leaf's adapter hop).
+    pub(crate) level: usize,
+    /// `m_{level+1}`: children per node one level up.
+    pub(crate) m: usize,
+    /// `w_{level+1}`: up-ports per node at this level.
+    pub(crate) w: usize,
+    /// The source's leaf index divided by `m_1⋯m_level`: its digits above
+    /// `level`.
+    pub(crate) s_hi: usize,
+    /// The destination's leaf index divided by `m_1⋯m_level`.
+    pub(crate) d_hi: usize,
+}
+
+/// Walk the dense channels of the route from `s` to `d` that climbs to
+/// `level` (their NCA level), taking at each level the up-port that `port`
+/// picks — the digit walk of `Xgft::route_path`, done on the leaf indices
+/// themselves. `visit(l, up, down)` receives level `l`'s up channel (on the
+/// source side) and down channel (on the destination side).
+///
+/// A level-`l` node on the path is numbered by its label digits: the
+/// ports chosen below `l` (a `w`-radix number, `w_low`) and the
+/// endpoint's digits above `l` (`hi` = the leaf index divided by
+/// `m_1⋯m_l`), so its index is `hi · (w_1⋯w_l) + w_low`. On the way up
+/// `hi` is the source's, on the way down the destination's; the up and
+/// down channels of one level share the port and `w_low`, so both are
+/// found in the same step.
+#[inline]
+pub(crate) fn walk_channels(
+    channels: &ChannelTable,
+    s: usize,
+    d: usize,
+    level: usize,
+    mut port: impl FnMut(WalkLevel) -> usize,
+    mut visit: impl FnMut(usize, u32, u32),
+) {
+    let spec = channels.spec();
+    let (mut s_hi, mut d_hi) = (s, d);
+    let (mut w_low, mut w_place) = (0, 1);
+    for l in 0..level {
+        let (m, w) = (spec.m(l + 1), spec.w(l + 1));
+        let port = port(WalkLevel {
+            level: l,
+            m,
+            w,
+            s_hi,
+            d_hi,
+        });
+        let channel = |hi: usize, dir| {
+            channels.index(&ChannelId {
+                level: l,
+                low_index: hi * w_place + w_low,
+                up_port: port,
+                dir,
+            }) as u32
+        };
+        visit(
+            l,
+            channel(s_hi, Direction::Up),
+            channel(d_hi, Direction::Down),
+        );
+        w_low += port * w_place;
+        w_place *= w;
+        s_hi /= m;
+        d_hi /= m;
+    }
 }
 
 #[cfg(test)]

@@ -559,9 +559,9 @@ impl Plan {
                     .map(|t| fig4::run_for(t, &seeds))
                     .collect(),
             ),
-            Plan::Direct(grid) => ResultPayload::Direct(run_direct(grid, &pattern)),
+            Plan::Direct(grid) => ResultPayload::Direct(run_direct(grid, &pattern)?),
             Plan::Chaos(config) => ResultPayload::Chaos(config.run(&pattern).map_err(refused)?),
-            Plan::Agreement(grid) => ResultPayload::Agreement(run_agreement(grid, &pattern)),
+            Plan::Agreement(grid) => ResultPayload::Agreement(run_agreement(grid, &pattern)?),
         })
     }
 }
@@ -634,13 +634,13 @@ fn flow_list(pattern: &Pattern) -> Vec<(usize, usize, u64)> {
 /// matrix is lowered into one [`InjectionBatch`] and admitted in a single
 /// `schedule_batch` call — bit-identical to a per-message
 /// `schedule_message_on_path` loop (pinned by netsim's fuzz differential).
-/// On this pristine machine every offered message is delivered.
+/// The report must pass [`check_pristine_run`].
 fn inject_and_run(
     xgft: &Xgft,
     network: &NetworkConfig,
     flows: &[(usize, usize, u64)],
     source: &dyn RouteSource,
-) -> (SimReport, Vec<u64>) {
+) -> Result<(SimReport, Vec<u64>), ScenarioError> {
     let mut batch = InjectionBatch::with_capacity(flows.len(), 0);
     let mut scratch = Vec::new();
     for &(s, d, bytes) in flows {
@@ -650,26 +650,42 @@ fn inject_and_run(
     let mut sim = NetworkSim::new(xgft, network.clone());
     sim.schedule_batch(&batch);
     let report = sim.run_to_completion();
-    assert_eq!(
-        report.completed_messages + report.dropped_messages,
-        flows.len(),
-        "offered messages must be delivered or dropped"
-    );
-    assert_eq!(report.dropped_messages, 0, "a pristine run drops nothing");
+    check_pristine_run(&report, flows.len())?;
     let busy = sim.channel_busy_ps();
-    (report, busy)
+    Ok((report, busy))
+}
+
+/// The conservation invariants of a run on a pristine machine: every one
+/// of the `offered` messages is delivered or dropped, and none is dropped.
+fn check_pristine_run(report: &SimReport, offered: usize) -> Result<(), ScenarioError> {
+    let (delivered, dropped) = (report.completed_messages, report.dropped_messages);
+    if delivered + dropped != offered {
+        return Err(ScenarioError::Invariant {
+            invariant: "delivered + dropped = offered",
+            detail: format!("delivered {delivered}, dropped {dropped}, offered {offered}"),
+        });
+    }
+    if dropped != 0 {
+        return Err(ScenarioError::Invariant {
+            invariant: "a pristine run drops nothing",
+            detail: format!("dropped {dropped} of {offered}"),
+        });
+    }
+    Ok(())
 }
 
 impl Grid<Routes> {
     /// Build every job's routes and hand them to `point`, one rayon item
     /// per (machine, job). Each item is self-contained and the points are
-    /// collected in job order, so they are identical at any worker count.
+    /// collected in job order, so they are identical at any worker count;
+    /// so is the error returned, the first in job order.
     fn map_jobs<P: Send>(
         &self,
         pattern: &Pattern,
         flows: &[(usize, usize, u64)],
-        point: impl Fn(&XgftSpec, &Xgft, SchemeSpec, u64, &dyn RouteSource) -> P + Sync,
-    ) -> Vec<P> {
+        point: impl Fn(&XgftSpec, &Xgft, SchemeSpec, u64, &dyn RouteSource) -> Result<P, ScenarioError>
+            + Sync,
+    ) -> Result<Vec<P>, ScenarioError> {
         let pairs: Vec<(usize, usize)> = flows.iter().map(|&(s, d, _)| (s, d)).collect();
         let jobs: Vec<_> = self
             .machines
@@ -738,11 +754,11 @@ fn run_compact_flow(grid: Grid<ClosedForm>, pattern: &Pattern) -> CompactFlowRes
     }
 }
 
-fn run_direct(grid: Grid<Routes>, pattern: &Pattern) -> DirectResult {
+fn run_direct(grid: Grid<Routes>, pattern: &Pattern) -> Result<DirectResult, ScenarioError> {
     let flows = flow_list(pattern);
     let points = grid.map_jobs(pattern, &flows, |topo_spec, xgft, scheme, seed, routes| {
-        let (report, busy) = inject_and_run(xgft, &grid.network, &flows, routes);
-        DirectPoint {
+        let (report, busy) = inject_and_run(xgft, &grid.network, &flows, routes)?;
+        Ok(DirectPoint {
             topology: topo_spec.to_string(),
             w_top: topo_spec.w(topo_spec.height()),
             scheme: scheme.name().to_string(),
@@ -754,13 +770,13 @@ fn run_direct(grid: Grid<Routes>, pattern: &Pattern) -> DirectResult {
             p50_latency_ps: report.p50_latency_ps(),
             p99_latency_ps: report.p99_latency_ps(),
             max_latency_ps: report.max_latency_ps(),
-        }
-    });
-    DirectResult {
+        })
+    })?;
+    Ok(DirectResult {
         name: grid.name,
         workload: pattern.name().to_string(),
         points,
-    }
+    })
 }
 
 const AGREEMENT_TOLERANCE: f64 = 1e-9;
@@ -772,9 +788,9 @@ fn agreement_check(
     network: &NetworkConfig,
     flows: &[(usize, usize, u64)],
     source: &dyn RouteSource,
-) -> (bool, f64, f64) {
+) -> Result<(bool, f64, f64), ScenarioError> {
     // Engine 2: direct injection.
-    let (_, netsim_busy) = inject_and_run(xgft, network, flows, source);
+    let (_, netsim_busy) = inject_and_run(xgft, network, flows, source)?;
 
     // Engine 3: the same flows as a Send/Recv trace replay.
     let n = xgft.num_leaves();
@@ -823,23 +839,23 @@ fn agreement_check(
             .map(|(&load, &busy)| (load - busy as f64).abs() / max_busy)
             .fold(0.0, f64::max)
     };
-    (sims_identical, flow_max_rel_dev, model.mcl())
+    Ok((sims_identical, flow_max_rel_dev, model.mcl()))
 }
 
-fn run_agreement(grid: Grid<Routes>, pattern: &Pattern) -> AgreementResult {
+fn run_agreement(grid: Grid<Routes>, pattern: &Pattern) -> Result<AgreementResult, ScenarioError> {
     let flows = flow_list(pattern);
     let points = grid.map_jobs(pattern, &flows, |topo_spec, xgft, scheme, seed, routes| {
         let (sims_identical, flow_max_rel_dev, model_mcl_ps) =
-            agreement_check(xgft, &grid.network, &flows, routes);
-        AgreementPoint {
+            agreement_check(xgft, &grid.network, &flows, routes)?;
+        Ok(AgreementPoint {
             topology: topo_spec.to_string(),
             scheme: scheme.name().to_string(),
             seed,
             sims_identical,
             flow_max_rel_dev,
             model_mcl_ps,
-        }
-    });
+        })
+    })?;
     let all_agree = points
         .iter()
         .all(|p| p.sims_identical && p.flow_max_rel_dev <= AGREEMENT_TOLERANCE);
@@ -852,13 +868,13 @@ fn run_agreement(grid: Grid<Routes>, pattern: &Pattern) -> AgreementResult {
             ],
         );
     }
-    AgreementResult {
+    Ok(AgreementResult {
         name: grid.name,
         workload: pattern.name().to_string(),
         tolerance: AGREEMENT_TOLERANCE,
         all_agree,
         points,
-    }
+    })
 }
 
 #[cfg(test)]
@@ -1257,5 +1273,42 @@ mod tests {
             header(&chaos).unwrap(),
             "# chaos unit: 16 leaves, 3 shards x 3 epochs (2 algorithms, 2 seeds/point, base seed 11)"
         );
+    }
+
+    #[test]
+    fn a_short_counted_run_is_a_typed_invariant_error() {
+        let delivered_all = SimReport {
+            completed_messages: 5,
+            ..SimReport::default()
+        };
+        assert_eq!(check_pristine_run(&delivered_all, 5), Ok(()));
+
+        let short = SimReport {
+            completed_messages: 3,
+            dropped_messages: 1,
+            ..SimReport::default()
+        };
+        let err = check_pristine_run(&short, 5).unwrap_err();
+        assert_eq!(
+            err,
+            ScenarioError::Invariant {
+                invariant: "delivered + dropped = offered",
+                detail: "delivered 3, dropped 1, offered 5".to_string(),
+            }
+        );
+        assert!(err.to_string().contains("delivered + dropped = offered"));
+
+        let lossy = SimReport {
+            completed_messages: 4,
+            dropped_messages: 1,
+            ..SimReport::default()
+        };
+        assert!(matches!(
+            check_pristine_run(&lossy, 5),
+            Err(ScenarioError::Invariant {
+                invariant: "a pristine run drops nothing",
+                ..
+            })
+        ));
     }
 }

@@ -33,6 +33,14 @@ pub enum ScenarioError {
     UnsupportedSchema(u32),
     /// A structurally invalid field combination, with an explanation.
     Invalid(String),
+    /// A run broke an invariant its result rests on: `invariant` names it,
+    /// `detail` gives the numbers that broke it.
+    Invariant {
+        /// The violated invariant, e.g. `delivered + dropped = offered`.
+        invariant: &'static str,
+        /// The observed values.
+        detail: String,
+    },
 }
 
 impl fmt::Display for ScenarioError {
@@ -43,6 +51,9 @@ impl fmt::Display for ScenarioError {
                 "unsupported scenario schema_version {v} (this build reads {SPEC_SCHEMA_VERSION})"
             ),
             ScenarioError::Invalid(msg) => write!(f, "invalid scenario: {msg}"),
+            ScenarioError::Invariant { invariant, detail } => {
+                write!(f, "invariant violated: {invariant} ({detail})")
+            }
         }
     }
 }

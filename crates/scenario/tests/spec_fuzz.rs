@@ -3,18 +3,26 @@
 //! Every iteration takes one of the checked-in example specs under
 //! `examples/scenarios/` (all but the million-leaf `compact_million.json`)
 //! and applies one to three mutations: structural ones to the spec as a
-//! `serde::Value`, or byte-level ones to the text of a TOML example. The
-//! mutated spec runs through `run_scenario` with `quick: true` under
-//! `catch_unwind` and must come back `Ok` or as a typed `ScenarioError`.
-//! Parsing the mutated TOML text must not panic either.
+//! `serde::Value`, or byte-level ones to the example's text, JSON or TOML.
+//! Parsing the mutated text must not panic. A spec that parses runs
+//! through `run_scenario` with `quick: true` under `catch_unwind` and must
+//! come back `Ok` or as a typed `ScenarioError`.
 //!
 //! Value mutations set a number to 0, 1, 2, −1 or 0.0 (a permille rate
 //! also to its bound + 1, 1001), drop a key, change a value's type, or
 //! swap an enum tag (engine, faults, seeds, representation, topology).
 //! A number is never raised above its original value, a segment size is
-//! never shrunk to a nonzero value, swapped-in topologies keep the radix,
-//! and byte mutations only delete bytes or write punctuation — so no case
-//! can allocate or run without bound.
+//! never shrunk to a nonzero value, and swapped-in topologies keep the
+//! radix.
+//!
+//! Text mutations delete a byte, write or insert punctuation, truncate,
+//! or insert a run of `[` or `{` (some longer than the parsers' nesting
+//! limit of 128), a quote, a multi-byte UTF-8 character, an arbitrary byte, or a copy of
+//! a short span of the text. A case's text never grows more than
+//! [`MAX_TEXT_GROWTH`] bytes past its example. Inserted bytes may form or
+//! lengthen numbers, so a text case runs only if each of its numbers is
+//! at most the largest number its example holds under the same key; the
+//! others are parsed only. So no case can allocate or run without bound.
 //!
 //! The stream is seeded from a fixed constant through the workspace's
 //! canonical SplitMix64 and the iteration count is fixed, so every run
@@ -22,16 +30,24 @@
 //! mutated spec.
 
 use serde::{Deserialize, Serialize, Value};
+use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use xgft_scenario::cli::load_spec;
 use xgft_scenario::{run_scenario, toml, RunOptions, ScenarioSpec};
 use xgft_topo::fault::splitmix64;
 
-/// Cases per run: every example sees each mutation kind several times.
-const ITERS: u64 = 400;
+/// Cases per run: every example sees each mutation kind several times,
+/// about half of them value mutations and half text mutations.
+const ITERS: u64 = 800;
 
 /// Fixed stream seed — the whole fuzz run is a pure function of this.
 const STREAM_SEED: u64 = 0x5EC5_F022_0B5E_55ED;
+
+/// The most bytes a text case may grow past its example.
+const MAX_TEXT_GROWTH: usize = 512;
+
+/// The longest span a text mutation copies.
+const MAX_SPAN: usize = 64;
 
 /// Minimal deterministic RNG over the workspace's canonical SplitMix64.
 struct Rng(u64);
@@ -293,21 +309,66 @@ fn mutate_value(spec: &mut Value, rng: &mut Rng) {
 }
 
 /// Apply one byte-level mutation to spec text: delete a byte, write or
-/// insert punctuation, or truncate. Never writes a digit.
-fn mutate_text(text: &mut Vec<u8>, rng: &mut Rng) {
+/// insert punctuation, truncate, or insert a bracket run, a quote, a
+/// multi-byte character, an arbitrary byte or a copy of a span. An
+/// insertion that would grow the text past `cap` bytes is skipped.
+fn mutate_text(text: &mut Vec<u8>, cap: usize, rng: &mut Rng) {
     const PUNCTUATION: &[u8] = b"[]{}=\",.#' \n";
+    const MULTI_BYTE: &[&str] = &["é", "€", "𝄞", "\u{feff}", "\u{10ffff}"];
     if text.is_empty() {
         return;
     }
     let at = rng.below(text.len());
-    match rng.below(4) {
+    let insert: Vec<u8> = match rng.below(9) {
         0 => {
             text.remove(at);
+            return;
         }
-        1 => text[at] = *rng.pick(PUNCTUATION),
-        2 => text.insert(at, *rng.pick(PUNCTUATION)),
-        _ => text.truncate(at),
+        1 => {
+            text[at] = *rng.pick(PUNCTUATION);
+            return;
+        }
+        2 => vec![*rng.pick(PUNCTUATION)],
+        3 => {
+            text.truncate(at);
+            return;
+        }
+        // Runs reach past the parsers' nesting limit of 128.
+        4 => vec![*rng.pick(b"[{"); 1 + rng.below(160)],
+        5 => vec![*rng.pick(b"\"'")],
+        6 => rng.pick(MULTI_BYTE).as_bytes().to_vec(),
+        7 => vec![rng.next() as u8],
+        _ => {
+            let start = rng.below(text.len());
+            let len = 1 + rng.below(MAX_SPAN.min(text.len() - start));
+            text[start..start + len].to_vec()
+        }
+    };
+    if text.len() + insert.len() <= cap {
+        text.splice(at..at, insert);
     }
+}
+
+/// The largest number under each object key of `value`.
+fn numbers_by_key(value: &Value) -> HashMap<String, f64> {
+    let mut all = Vec::new();
+    paths(value, &mut Vec::new(), &mut all);
+    let mut bounds = HashMap::new();
+    for path in &all {
+        if let Some(n) = number(node(value, path)) {
+            let bound = bounds.entry(key_of(path).to_string()).or_insert(n);
+            *bound = f64::max(*bound, n);
+        }
+    }
+    bounds
+}
+
+/// True if every number of `spec` is at most the largest number that
+/// `bounds` (its example's [`numbers_by_key`]) holds under the same key.
+fn within_example_sizes(spec: &ScenarioSpec, bounds: &HashMap<String, f64>) -> bool {
+    numbers_by_key(&spec.to_value())
+        .iter()
+        .all(|(key, n)| bounds.get(key).is_some_and(|bound| n <= bound))
 }
 
 #[test]
@@ -328,21 +389,36 @@ fn mutated_specs_run_or_fail_with_a_typed_error() {
         .collect();
 
     let mut rng = Rng(STREAM_SEED);
-    let (mut ok, mut typed, mut panicked) = (0, 0, Vec::new());
+    let (mut ok, mut typed, mut parsed_only, mut panicked) = (0, 0, 0, Vec::new());
     for iter in 0..ITERS {
         let (path, example) = rng.pick(&examples);
         let mutations = 1 + rng.below(3);
-        let case = if path.ends_with(".toml") && rng.below(2) == 0 {
+        let case = if rng.below(2) == 0 {
             let mut text = std::fs::read(path).unwrap();
+            let cap = text.len() + MAX_TEXT_GROWTH;
             for _ in 0..mutations {
-                mutate_text(&mut text, &mut rng);
+                mutate_text(&mut text, cap, &mut rng);
             }
-            // Deleting a byte of a multi-byte character leaves invalid
-            // UTF-8, which reading the file would reject; parse the rest.
+            // Byte edits can leave invalid UTF-8, which reading the file
+            // would reject; parse the rest.
             let text = String::from_utf8_lossy(&text);
-            catch_unwind(|| toml::from_toml_str::<ScenarioSpec>(&text))
-                .map(|parsed| parsed.ok())
-                .map_err(|_| format!("TOML parser panicked on:\n{text}"))
+            let parse = || {
+                if path.ends_with(".toml") {
+                    toml::from_toml_str::<ScenarioSpec>(&text).ok()
+                } else {
+                    serde_json::from_str::<ScenarioSpec>(&text).ok()
+                }
+            };
+            match catch_unwind(parse) {
+                Ok(Some(spec))
+                    if !within_example_sizes(&spec, &numbers_by_key(&example.to_value())) =>
+                {
+                    parsed_only += 1;
+                    continue;
+                }
+                Ok(parsed) => Ok(parsed),
+                Err(_) => Err(format!("parser panicked on:\n{text}")),
+            }
         } else {
             let mut value = example.to_value();
             for _ in 0..mutations {
@@ -376,5 +452,8 @@ fn mutated_specs_run_or_fail_with_a_typed_error() {
     }
     assert!(panicked.is_empty(), "{}", panicked.join("\n\n"));
     // Both outcomes are exercised, so the stream reaches the engines.
-    assert!(ok > 0 && typed > 0, "ok {ok}, typed errors {typed}");
+    assert!(
+        ok > 0 && typed > 0,
+        "ok {ok}, typed errors {typed}, parsed only {parsed_only}"
+    );
 }

@@ -2,6 +2,7 @@
 //! on and off yields a byte-identical deterministic `payload`, and the
 //! telemetry section lives strictly outside it (the bare envelope does not
 //! even contain the key, which is what keeps the golden fixtures stable).
+//! A pattern-aware colored build is timed as its own `core.colored` stage.
 
 use serde::Value;
 use xgft::analysis::AlgorithmSpec;
@@ -71,4 +72,34 @@ fn telemetry_window_does_not_perturb_the_deterministic_payload() {
     let instrumented_json = serde_json::to_string_pretty(&instrumented).expect("serialisable");
     assert!(!bare_json.contains("\"telemetry\""));
     assert!(instrumented_json.contains("\"telemetry\""));
+}
+
+#[test]
+fn colored_builds_report_their_own_stage() {
+    let path = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/examples/scenarios/campaign_mini.json"
+    );
+    let colored = xgft::scenario::cli::load_spec(path).expect("checked-in spec");
+    assert!(colored
+        .schemes
+        .contains(&SchemeSpec(AlgorithmSpec::Colored)));
+    let quick = |telemetry| RunOptions {
+        quick: true,
+        telemetry,
+    };
+    let bare = run_scenario(&colored, &quick(false)).expect("valid scenario");
+    let instrumented = run_scenario(&colored, &quick(true)).expect("valid scenario");
+    assert_eq!(payload_json(&bare), payload_json(&instrumented));
+    let telemetry = instrumented.telemetry.as_ref().expect("telemetry window");
+    assert!(telemetry.stage("core.colored").is_some());
+    assert!(telemetry.counter("core.colored.candidates").unwrap_or(0) > 0);
+
+    // No other test in this binary builds colored, so a window over a
+    // colored-free spec must not see the stage.
+    let plain = run_scenario(&spec(), &quick(true)).expect("valid scenario");
+    let telemetry = plain.telemetry.as_ref().expect("telemetry window");
+    assert!(telemetry.stage("core.compile").is_some());
+    assert!(telemetry.stage("core.colored").is_none());
+    assert_eq!(telemetry.counter("core.colored.candidates"), None);
 }
