@@ -29,9 +29,9 @@
 //! up-ports are the digits of `i` in mixed radix over `w_1…w_L` (the order
 //! of `NcaSet::route_digits`), and its `2L` dense channels come from the
 //! label arithmetic the compact closed forms use
-//! ([`crate::compact`]'s `walk_channels`). So scoring a candidate costs
-//! `L` levels of integer arithmetic plus one lookup per channel, and
-//! allocates nothing.
+//! ([`crate::compact`]'s `LevelTable::walk_channels`, with the level table
+//! built once per build). So scoring a candidate costs `L` levels of
+//! multiplications plus one load lookup per channel, and allocates nothing.
 //!
 //! While building, the effective loads are a dense `u32` per channel (the
 //! number of distinct relevant endpoints: sources on up channels,
@@ -40,7 +40,8 @@
 //! endpoint on that channel, so flows can be removed and re-seated.
 //!
 //! The built scheme keeps only its choices: the pattern's pairs as sorted
-//! `s·n + d` codes and one `u32` NCA index per pair (12 bytes a pair).
+//! `s·n + d` codes and one `u32` NCA index per pair (12 bytes a pair), next
+//! to the O(height) level table that decodes them.
 //! [`RoutingAlgorithm::route`] binary-searches the codes and decodes the
 //! index into its up-ports; a pair outside the pattern falls back to
 //! d-mod-k.
@@ -51,12 +52,13 @@
 //! patterns and pass counts.
 
 use crate::algorithm::RoutingAlgorithm;
-use crate::compact::{nca_level, walk_channels, WalkLevel};
+use crate::compact::{LevelTable, WalkLevel};
+use crate::divisor::Divisor;
 use crate::modk::mod_route;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 use xgft_patterns::ConnectivityMatrix;
-use xgft_topo::{ChannelTable, Route, Xgft};
+use xgft_topo::{Route, Xgft};
 
 /// A one-multiply hasher for the tracker's `u64` keys: the key times an odd
 /// constant, the 128-bit product folded to 64 bits so that both the low
@@ -136,9 +138,9 @@ impl LoadTracker {
     }
 
     /// Seat (`add`) or unseat the flow `s → d` on NCA candidate `nca`.
-    fn apply(&mut self, channels: &ChannelTable, flow: Flow, nca: u32, add: bool) {
+    fn apply(&mut self, levels: &LevelTable, flow: Flow, nca: u32, add: bool) {
         let Flow { s, d, level, .. } = flow;
-        walk_channels(channels, s, d, level, nca_ports(nca), |_, up, down| {
+        levels.walk_channels(s, d, level, nca_ports(nca), |_, up, down| {
             if add {
                 self.add(up, s);
                 self.add(down, d);
@@ -151,7 +153,7 @@ impl LoadTracker {
 
     /// Score every candidate NCA of the flow and return the index with the
     /// lexicographically smallest (max load, sum of loads, index) cost.
-    fn best(&self, channels: &ChannelTable, flow: Flow) -> u32 {
+    fn best(&self, levels: &LevelTable, flow: Flow) -> u32 {
         let Flow {
             s,
             d,
@@ -161,7 +163,7 @@ impl LoadTracker {
         let mut best = (u32::MAX, u32::MAX, 0);
         for nca in 0..candidates {
             let (mut max, mut sum) = (0, 0);
-            walk_channels(channels, s, d, level, nca_ports(nca), |_, up, down| {
+            levels.walk_channels(s, d, level, nca_ports(nca), |_, up, down| {
                 for load in [self.load_if_added(up, s), self.load_if_added(down, d)] {
                     max = max.max(load);
                     sum += load;
@@ -187,8 +189,8 @@ struct Flow {
 }
 
 impl Flow {
-    fn new(xgft: &Xgft, s: usize, d: usize) -> Self {
-        let level = nca_level(xgft.spec(), s, d);
+    fn new(xgft: &Xgft, levels: &LevelTable, s: usize, d: usize) -> Self {
+        let level = levels.nca_level(s, d);
         let candidates = xgft.spec().ncas_at_level(level);
         Flow {
             s,
@@ -207,9 +209,9 @@ fn nca_ports(nca: u32) -> impl FnMut(WalkLevel) -> usize {
 }
 
 /// Pop the least significant radix-`w` digit off `rem`.
-fn next_digit(rem: &mut usize, w: usize) -> usize {
-    let digit = *rem % w;
-    *rem /= w;
+fn next_digit(rem: &mut usize, w: Divisor) -> usize {
+    let digit = w.rem(*rem);
+    *rem = w.div(*rem);
     digit
 }
 
@@ -218,6 +220,8 @@ fn next_digit(rem: &mut usize, w: usize) -> usize {
 #[derive(Debug, Clone)]
 pub struct ColoredRouting {
     num_leaves: usize,
+    /// The walk constants of the machine the scheme was built for.
+    levels: LevelTable,
     /// The pattern's pairs as ascending `s·n + d` codes.
     pairs: Vec<u64>,
     /// The chosen NCA index of each pair in `pairs`.
@@ -244,12 +248,13 @@ impl ColoredRouting {
             u32::try_from(n).is_ok() && u32::try_from(channels.len()).is_ok(),
             "colored routing keys channels and endpoints as u32"
         );
+        let levels = LevelTable::new(channels);
         let mut flows: Vec<Flow> = pattern
             .network_flows()
             .map(|f| {
                 let (s, d) = (f.src, f.dst);
                 assert!(s < n && d < n, "flow ({s}, {d}) outside {n} leaves");
-                Flow::new(xgft, s, d)
+                Flow::new(xgft, &levels, s, d)
             })
             .collect();
         // Highest NCA level first, then deterministic order.
@@ -262,8 +267,8 @@ impl ColoredRouting {
         // Greedy construction.
         let mut ncas: Vec<u32> = Vec::with_capacity(flows.len());
         for &flow in &flows {
-            let nca = tracker.best(channels, flow);
-            tracker.apply(channels, flow, nca, true);
+            let nca = tracker.best(&levels, flow);
+            tracker.apply(&levels, flow, nca, true);
             ncas.push(nca);
             scored += u64::from(flow.candidates);
         }
@@ -272,10 +277,10 @@ impl ColoredRouting {
         for _ in 0..passes {
             let mut changed = false;
             for (&flow, seat) in flows.iter().zip(&mut ncas) {
-                tracker.apply(channels, flow, *seat, false);
-                let best = tracker.best(channels, flow);
+                tracker.apply(&levels, flow, *seat, false);
+                let best = tracker.best(&levels, flow);
                 changed |= best != *seat;
-                tracker.apply(channels, flow, best, true);
+                tracker.apply(&levels, flow, best, true);
                 *seat = best;
                 scored += u64::from(flow.candidates);
             }
@@ -296,6 +301,7 @@ impl ColoredRouting {
         let (pairs, ncas) = stored.into_iter().unzip();
         ColoredRouting {
             num_leaves: n,
+            levels,
             pairs,
             ncas,
             refinement_passes: passes,
@@ -325,12 +331,11 @@ impl ColoredRouting {
     /// The maximum effective load the stored assignment induces (useful for
     /// reporting the quality of the pattern-aware bound).
     pub fn max_effective_load(&self, xgft: &Xgft) -> usize {
-        let channels = xgft.channels();
         let n = self.num_leaves;
-        let mut tracker = LoadTracker::new(channels.len(), 0);
+        let mut tracker = LoadTracker::new(xgft.channels().len(), 0);
         for (&code, &nca) in self.pairs.iter().zip(&self.ncas) {
-            let flow = Flow::new(xgft, code as usize / n, code as usize % n);
-            tracker.apply(channels, flow, nca, true);
+            let flow = Flow::new(xgft, &self.levels, code as usize / n, code as usize % n);
+            tracker.apply(&self.levels, flow, nca, true);
         }
         tracker.loads.iter().copied().max().unwrap_or(0) as usize
     }
@@ -344,11 +349,10 @@ impl RoutingAlgorithm for ColoredRouting {
     fn route(&self, xgft: &Xgft, s: usize, d: usize) -> Route {
         match self.nca_of(s, d) {
             Some(nca) => {
-                let spec = xgft.spec();
                 let mut rem = nca as usize;
                 Route::new(
-                    (1..=nca_level(spec, s, d))
-                        .map(|pos| next_digit(&mut rem, spec.w(pos)))
+                    (0..self.levels.nca_level(s, d))
+                        .map(|l| next_digit(&mut rem, self.levels.w(l)))
                         .collect(),
                 )
             }

@@ -25,13 +25,31 @@
 //! * the same fault patching: a [`crate::UndoableTable`] over a compact base
 //!   stores only the fault-crossing pairs, so every clean pair keeps
 //!   costing zero bytes.
+//!
+//! # Cost per hop
+//!
+//! Each engine builds a level table once: per level `l`, the reciprocals
+//! of `m_{l+1}` and `w_{l+1}` (a crate-private `Divisor`, Lemire, Kaser &
+//! Kurz 2019) and the dense offset of the level's channel block. The NCA
+//! search and the walk then evaluate every route with multiplications
+//! only: per level, one multiply-high each for the source's and the
+//! destination's quotient, one for the guiding digit and one for the port
+//! remainder, and a multiply-add for each dense channel index
+//! (`offset + 2·((hi·w_place + w_low)·w + port) + dir`). No hop runs a
+//! hardware division or goes through [`ChannelTable::index`]. Random adds
+//! its draw per level, reduced with one 64-bit remainder.
+//!
+//! The reciprocal identities hold for dividends and divisors below 2³², so
+//! every engine asserts at build time that leaf and channel indices fit in
+//! a `u32` — the width the paths are handed out in anyway.
 
 use crate::compiled::CompiledRouteTable;
+use crate::divisor::Divisor;
 use crate::overlay::{decode_route, PatchBase};
 use crate::random::pair_stream;
 use crate::relabel::RelabelMaps;
 use rand::Rng;
-use xgft_topo::{ChannelId, ChannelTable, Direction, Route, Xgft};
+use xgft_topo::{ChannelTable, Route, Xgft};
 
 /// The closed-form port arithmetic of one oblivious scheme.
 ///
@@ -151,8 +169,10 @@ enum PairDomain {
 #[derive(Debug, Clone)]
 pub struct CompactRoutes {
     num_leaves: usize,
-    /// Channel numbering (embeds the spec: all label arithmetic reads it).
+    /// Channel numbering (embeds the spec; decodes paths into routes).
     channels: ChannelTable,
+    /// The walk's per-level reciprocals and channel offsets.
+    levels: LevelTable,
     scheme: CompactScheme,
     domain: PairDomain,
 }
@@ -193,9 +213,15 @@ impl CompactRoutes {
     fn with_domain(xgft: &Xgft, scheme: CompactScheme, domain: PairDomain) -> Self {
         xgft_obs::span!("core.compact");
         xgft_obs::global().counter("core.compact.engines").incr();
+        let channels = xgft.channels();
+        assert!(
+            xgft.num_leaves() <= u32::MAX as usize && channels.len() <= u32::MAX as usize,
+            "channel and leaf indices must fit in u32"
+        );
         CompactRoutes {
             num_leaves: xgft.num_leaves(),
-            channels: xgft.channels().clone(),
+            channels: channels.clone(),
+            levels: LevelTable::new(channels),
             scheme,
             domain,
         }
@@ -358,10 +384,10 @@ impl CompactRoutes {
     }
 
     /// Compute the closed-form dense channel path of a distinct in-range
-    /// pair into `out`: [`walk_channels`] with the scheme's port rule, so
-    /// no digit, port or label buffer is built.
+    /// pair into `out`: [`LevelTable::walk_channels`] with the scheme's port
+    /// rule, so no digit, port or label buffer is built.
     fn closed_form_into(&self, s: usize, d: usize, out: &mut Vec<u32>) {
-        let level = nca_level(self.channels.spec(), s, d);
+        let level = self.levels.nca_level(s, d);
         out.clear();
         out.resize(2 * level, 0);
         let mut rng = match self.scheme {
@@ -381,25 +407,26 @@ impl CompactRoutes {
             } else {
                 step.d_hi
             };
-            let digit = guide_hi % step.m;
+            let digit = step.m.rem(guide_hi);
             // Position max(l, 1): the adapter hop reads digit 1 too.
             let guide_digit = if step.level == 0 { digit } else { digit_below };
             digit_below = digit;
             match &self.scheme {
-                CompactScheme::SModK | CompactScheme::DModK => guide_digit % step.w,
-                CompactScheme::Random { .. } => {
-                    rng.as_mut().expect("seeded above").gen_range(0..step.w)
-                }
+                CompactScheme::SModK | CompactScheme::DModK => step.w.rem(guide_digit),
+                CompactScheme::Random { .. } => rng
+                    .as_mut()
+                    .expect("seeded above")
+                    .gen_range(0..step.w.get()),
                 CompactScheme::RandomNcaUp { maps } | CompactScheme::RandomNcaDown { maps } => {
                     if step.level == 0 {
-                        guide_digit % step.w
+                        step.w.rem(guide_digit)
                     } else {
                         maps.port_in_context(step.level, guide_hi, guide_digit)
                     }
                 }
             }
         };
-        walk_channels(&self.channels, s, d, level, port, |l, up, down| {
+        self.levels.walk_channels(s, d, level, port, |l, up, down| {
             out[l] = up;
             out[2 * level - 1 - l] = down;
         });
@@ -424,86 +451,124 @@ impl PatchBase for CompactRoutes {
     }
 }
 
-/// The NCA level of two leaves: the lowest level whose subtrees (leaves
-/// agreeing on every digit above it) hold both, 0 when equal.
-pub(crate) fn nca_level(spec: &xgft_topo::XgftSpec, mut s: usize, mut d: usize) -> usize {
-    let mut level = 0;
-    while s != d {
-        level += 1;
-        s /= spec.m(level);
-        d /= spec.m(level);
-    }
-    level
+/// One level's constants of the closed-form walk.
+#[derive(Debug, Clone, Copy)]
+struct WalkConsts {
+    /// `m_{l+1}`: children per node one level up.
+    m: Divisor,
+    /// `w_{l+1}`: up-ports per node at this level.
+    w: Divisor,
+    /// Dense index of the level's first channel
+    /// (`ChannelTable::level_range(l).start`).
+    offset: usize,
 }
 
-/// What a port rule of [`walk_channels`] may read at one level of a walk.
+/// The per-level constants of the closed-form walk — the reciprocals of
+/// `m_1…m_h` and `w_1…w_h` and each level's channel offset — built once per
+/// machine, so that [`LevelTable::nca_level`] and
+/// [`LevelTable::walk_channels`] multiply where they would divide and never
+/// go through [`ChannelTable::index`].
+///
+/// Every leaf index and NCA index the walk divides must be below 2³² (the
+/// [`Divisor`] domain); the builders of [`CompactRoutes`] and
+/// [`crate::ColoredRouting`] assert it.
+#[derive(Debug, Clone)]
+pub(crate) struct LevelTable {
+    levels: Vec<WalkConsts>,
+}
+
+impl LevelTable {
+    pub(crate) fn new(channels: &ChannelTable) -> Self {
+        let spec = channels.spec();
+        let levels = (0..spec.height())
+            .map(|l| WalkConsts {
+                m: Divisor::new(spec.m(l + 1)),
+                w: Divisor::new(spec.w(l + 1)),
+                offset: channels.level_range(l).start,
+            })
+            .collect();
+        LevelTable { levels }
+    }
+
+    /// `w_{l+1}`: up-ports per node at level `l`.
+    pub(crate) fn w(&self, l: usize) -> Divisor {
+        self.levels[l].w
+    }
+
+    /// The NCA level of two leaves: the lowest level whose subtrees (leaves
+    /// agreeing on every digit above it) hold both, 0 when equal.
+    pub(crate) fn nca_level(&self, mut s: usize, mut d: usize) -> usize {
+        let mut level = 0;
+        while s != d {
+            let m = self.levels[level].m;
+            s = m.div(s);
+            d = m.div(d);
+            level += 1;
+        }
+        level
+    }
+
+    /// Walk the dense channels of the route from `s` to `d` that climbs to
+    /// `level` (their NCA level), taking at each level the up-port that
+    /// `port` picks — the digit walk of `Xgft::route_path`, done on the leaf
+    /// indices themselves. `visit(l, up, down)` receives level `l`'s up
+    /// channel (on the source side) and down channel (on the destination
+    /// side).
+    ///
+    /// A level-`l` node on the path is numbered by its label digits: the
+    /// ports chosen below `l` (a `w`-radix number, `w_low`) and the
+    /// endpoint's digits above `l` (`hi` = the leaf index divided by
+    /// `m_1⋯m_l`), so its index is `hi · (w_1⋯w_l) + w_low`. On the way up
+    /// `hi` is the source's, on the way down the destination's; the up and
+    /// down channels of one level share the port and `w_low`, so both are
+    /// found in the same step. A cable is numbered `node · w_{l+1} + port`
+    /// within its level, and its up and down channels are the even and odd
+    /// dense index after the level's offset.
+    #[inline]
+    pub(crate) fn walk_channels(
+        &self,
+        s: usize,
+        d: usize,
+        level: usize,
+        mut port: impl FnMut(WalkLevel) -> usize,
+        mut visit: impl FnMut(usize, u32, u32),
+    ) {
+        let (mut s_hi, mut d_hi) = (s, d);
+        let (mut w_low, mut w_place) = (0, 1);
+        for (l, consts) in self.levels[..level].iter().enumerate() {
+            let port = port(WalkLevel {
+                level: l,
+                m: consts.m,
+                w: consts.w,
+                s_hi,
+                d_hi,
+            });
+            let w = consts.w.get();
+            let channel = |hi: usize| consts.offset + 2 * ((hi * w_place + w_low) * w + port);
+            visit(l, channel(s_hi) as u32, channel(d_hi) as u32 + 1);
+            w_low += port * w_place;
+            w_place *= w;
+            s_hi = consts.m.div(s_hi);
+            d_hi = consts.m.div(d_hi);
+        }
+    }
+}
+
+/// What a port rule of [`LevelTable::walk_channels`] may read at one level
+/// of a walk.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct WalkLevel {
     /// The level the hop leaves upwards (0 = the leaf's adapter hop).
     pub(crate) level: usize,
     /// `m_{level+1}`: children per node one level up.
-    pub(crate) m: usize,
+    pub(crate) m: Divisor,
     /// `w_{level+1}`: up-ports per node at this level.
-    pub(crate) w: usize,
+    pub(crate) w: Divisor,
     /// The source's leaf index divided by `m_1⋯m_level`: its digits above
     /// `level`.
     pub(crate) s_hi: usize,
     /// The destination's leaf index divided by `m_1⋯m_level`.
     pub(crate) d_hi: usize,
-}
-
-/// Walk the dense channels of the route from `s` to `d` that climbs to
-/// `level` (their NCA level), taking at each level the up-port that `port`
-/// picks — the digit walk of `Xgft::route_path`, done on the leaf indices
-/// themselves. `visit(l, up, down)` receives level `l`'s up channel (on the
-/// source side) and down channel (on the destination side).
-///
-/// A level-`l` node on the path is numbered by its label digits: the
-/// ports chosen below `l` (a `w`-radix number, `w_low`) and the
-/// endpoint's digits above `l` (`hi` = the leaf index divided by
-/// `m_1⋯m_l`), so its index is `hi · (w_1⋯w_l) + w_low`. On the way up
-/// `hi` is the source's, on the way down the destination's; the up and
-/// down channels of one level share the port and `w_low`, so both are
-/// found in the same step.
-#[inline]
-pub(crate) fn walk_channels(
-    channels: &ChannelTable,
-    s: usize,
-    d: usize,
-    level: usize,
-    mut port: impl FnMut(WalkLevel) -> usize,
-    mut visit: impl FnMut(usize, u32, u32),
-) {
-    let spec = channels.spec();
-    let (mut s_hi, mut d_hi) = (s, d);
-    let (mut w_low, mut w_place) = (0, 1);
-    for l in 0..level {
-        let (m, w) = (spec.m(l + 1), spec.w(l + 1));
-        let port = port(WalkLevel {
-            level: l,
-            m,
-            w,
-            s_hi,
-            d_hi,
-        });
-        let channel = |hi: usize, dir| {
-            channels.index(&ChannelId {
-                level: l,
-                low_index: hi * w_place + w_low,
-                up_port: port,
-                dir,
-            }) as u32
-        };
-        visit(
-            l,
-            channel(s_hi, Direction::Up),
-            channel(d_hi, Direction::Down),
-        );
-        w_low += port * w_place;
-        w_place *= w;
-        s_hi /= m;
-        d_hi /= m;
-    }
 }
 
 #[cfg(test)]

@@ -54,6 +54,7 @@ pub mod compiled;
 pub mod contention;
 pub mod degraded;
 pub mod distribution;
+mod divisor;
 pub mod modk;
 pub mod overlay;
 pub mod random;

@@ -237,3 +237,61 @@ fn compact_overlay_patches_a_65536_leaf_machine_sparsely() {
         }
     }
 }
+
+/// Million-leaf spot check: on a 1,048,576-leaf two-level machine and a
+/// 1,096,100-leaf three-level machine with odd radices, 4096 sampled pairs
+/// per scheme route exactly like the tabled algorithm's route, expanded
+/// hop by hop. The property tests above stop at a few hundred leaves, where
+/// every radix is small and every leaf index tiny; this pins the
+/// closed-form arithmetic where indices approach the million range. Pairs
+/// share a subtree of every size, so every NCA level is exercised.
+#[test]
+fn closed_forms_match_tabled_routes_on_million_leaf_machines() {
+    for spec in [
+        XgftSpec::slimmed_two_level(1024, 4).expect("valid"),
+        XgftSpec::new(vec![100, 97, 113], vec![1, 5, 7]).expect("valid"),
+    ] {
+        let xgft = Xgft::new(spec).expect("valid");
+        let n = xgft.num_leaves();
+        assert!(n > 1_000_000);
+        // Leaves per subtree of each level: 1, m_1, m_1·m_2, …, n.
+        let subtree: Vec<usize> = (0..=xgft.height())
+            .map(|l| xgft.spec().m_vec()[..l].iter().product())
+            .collect();
+        let mut state = 0x5EED_u64;
+        let mut next = move || {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            (state >> 33) as usize
+        };
+        let pairs: Vec<(usize, usize)> = (0..4096)
+            .map(|i| {
+                let s = next() % n;
+                // Redraw d inside s's subtree of level 1 + i mod height.
+                let span = subtree[1 + i % xgft.height()];
+                let d = s - s % span + next() % span;
+                (s, if d == s { (s + 1) % n } else { d })
+            })
+            .collect();
+        for idx in 0..5 {
+            let (closed_form, algo) = scheme(&xgft, idx, 29);
+            let compact = CompactRoutes::all_pairs(&xgft, closed_form);
+            let mut path = Vec::new();
+            for &(s, d) in &pairs {
+                let expected = xgft
+                    .route_channels(s, d, &algo.route(&xgft, s, d))
+                    .expect("tabled route is valid");
+                assert!(compact.path_into(s, d, &mut path), "({s}, {d})");
+                assert!(
+                    path.iter()
+                        .map(|&c| c as usize)
+                        .eq(expected.iter().copied()),
+                    "{} on {:?}: ({s}, {d})",
+                    algo.name(),
+                    xgft.spec()
+                );
+            }
+        }
+    }
+}

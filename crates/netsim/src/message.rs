@@ -3,7 +3,7 @@
 //! Per-message bookkeeping lives in `MessageSlab`, a struct-of-arrays
 //! store: one parallel vector per field instead of one struct per message.
 //! The event loop touches only a few fields per event (e.g. a segment
-//! arrival reads `segments_delivered` + `total_segments`, a hop advance
+//! arrival reads `segments_out` + `total_segments`, a hop advance
 //! reads one path entry), so splitting the fields keeps each event's touch
 //! set inside a handful of cache lines — and the paths of all messages
 //! share one `u32` arena instead of a heap allocation per message.
@@ -70,7 +70,8 @@ pub(crate) struct MessageSlab {
     bytes: Vec<u64>,
     injected_at_ps: Vec<u64>,
     segments_injected: Vec<u64>,
-    segments_delivered: Vec<u64>,
+    /// Segments that have left the network: delivered or dropped.
+    segments_out: Vec<u64>,
     total_segments: Vec<u64>,
     completed_at_ps: Vec<u64>,
     dropped_at_ps: Vec<u64>,
@@ -113,7 +114,7 @@ impl MessageSlab {
         self.bytes.clear();
         self.injected_at_ps.clear();
         self.segments_injected.clear();
-        self.segments_delivered.clear();
+        self.segments_out.clear();
         self.total_segments.clear();
         self.completed_at_ps.clear();
         self.dropped_at_ps.clear();
@@ -161,7 +162,7 @@ impl MessageSlab {
                 self.bytes[slot] = bytes;
                 self.injected_at_ps[slot] = injected_at_ps;
                 self.segments_injected[slot] = 0;
-                self.segments_delivered[slot] = 0;
+                self.segments_out[slot] = 0;
                 self.total_segments[slot] = total_segments;
                 self.completed_at_ps[slot] = completed_at_ps.unwrap_or(NO_TIME);
                 self.dropped_at_ps[slot] = NO_TIME;
@@ -176,7 +177,7 @@ impl MessageSlab {
                 self.bytes.push(bytes);
                 self.injected_at_ps.push(injected_at_ps);
                 self.segments_injected.push(0);
-                self.segments_delivered.push(0);
+                self.segments_out.push(0);
                 self.total_segments.push(total_segments);
                 self.completed_at_ps
                     .push(completed_at_ps.unwrap_or(NO_TIME));
@@ -260,12 +261,14 @@ impl MessageSlab {
         self.segments_injected[slot] >= self.total_segments[slot]
     }
 
-    /// Count one delivered segment; true when that was the last one.
+    /// Count one delivered segment; true when no segment of the message is
+    /// left to arrive (for a message that was never dropped: when every
+    /// segment has been delivered).
     #[inline]
     pub fn deliver_segment(&mut self, slot: usize) -> bool {
-        self.segments_delivered[slot] += 1;
-        debug_assert!(self.segments_delivered[slot] <= self.total_segments[slot]);
-        self.segments_delivered[slot] == self.total_segments[slot]
+        self.segments_out[slot] += 1;
+        debug_assert!(self.segments_out[slot] <= self.total_segments[slot]);
+        self.segments_out[slot] == self.total_segments[slot]
     }
 
     #[cfg(test)]
@@ -290,10 +293,12 @@ impl MessageSlab {
         }
     }
 
-    /// Mark the slot dropped at `at_ps`; true if this was the first drop.
+    /// Count one segment of the slot dropped at `at_ps` and mark the
+    /// message dropped; true if this was the first drop.
     #[inline]
     pub fn mark_dropped(&mut self, slot: usize, at_ps: u64) -> bool {
         debug_assert_ne!(at_ps, NO_TIME);
+        self.segments_out[slot] += 1;
         if self.dropped_at_ps[slot] == NO_TIME {
             self.dropped_at_ps[slot] = at_ps;
             true
@@ -315,13 +320,17 @@ impl MessageSlab {
         }
     }
 
-    /// True when the slot's message is finished (delivered or dropped).
+    /// True when the slot's message is finished (delivered or dropped) and
+    /// none of its segments is still in the network. A dropped message's
+    /// segments past the failure keep travelling and reading its path, so
+    /// its slot may only be recycled once the last of them has left.
     #[inline]
-    pub fn is_finished(&self, slot: usize) -> bool {
-        self.completed_at_ps[slot] != NO_TIME || self.dropped_at_ps[slot] != NO_TIME
+    pub fn is_drainable(&self, slot: usize) -> bool {
+        (self.completed_at_ps[slot] != NO_TIME || self.dropped_at_ps[slot] != NO_TIME)
+            && self.segments_out[slot] == self.segments_injected[slot]
     }
 
-    /// Recycle every finished slot whose raw id is *not* in `keep`
+    /// Recycle every drainable slot whose raw id is *not* in `keep`
     /// (sorted); returns how many were drained. Freed generations are
     /// bumped, and the path arena is compacted once drained spans dominate
     /// it.
@@ -329,7 +338,7 @@ impl MessageSlab {
         debug_assert!(keep.is_sorted());
         let mut drained = 0;
         for slot in 0..self.live.len() {
-            if !self.live[slot] || !self.is_finished(slot) {
+            if !self.live[slot] || !self.is_drainable(slot) {
                 continue;
             }
             let id = MessageId::new(slot as u32, self.generations[slot]);

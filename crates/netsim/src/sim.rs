@@ -244,8 +244,10 @@ impl NetworkSim {
     }
 
     /// Recycle the slots of finished (delivered or dropped) messages whose
-    /// [`Completion`]s have already been consumed, returning how many were
-    /// drained. Each freed slot's generation is bumped, so the drained ids
+    /// [`Completion`]s have already been consumed and none of whose segments
+    /// is still in the network, returning how many were drained. A dropped
+    /// message whose stragglers are still travelling stays until a later
+    /// drain. Each freed slot's generation is bumped, so the drained ids
     /// stay dead forever even after the slot is reused; per-message
     /// [`MessageRecord`]s already emitted are unaffected. Long seed
     /// campaigns call this between phases to keep the slab bounded.
@@ -1299,6 +1301,47 @@ mod tests {
         assert_eq!(sim.message_status(survivor), Some(MessageStatus::Delivered));
         // Dropped messages are drainable and their ids stay dead.
         assert_eq!(sim.drain_delivered(), 2);
+        assert_eq!(sim.message_status(doomed), None);
+    }
+
+    #[test]
+    fn drain_keeps_a_dropped_message_until_its_stragglers_leave() {
+        // A Drop failure on the root→switch down channel of 0 → 5 drops the
+        // segments that reach it, while segments already past it are still
+        // in flight towards leaf 5 and read their path as they go. Draining
+        // the dropped message then must not hand its slot (and path) to a
+        // new message.
+        let xgft = k_ary(4, 2);
+        let mut sim = NetworkSim::new(&xgft, cfg());
+        let route = Route::new(vec![0, 1]);
+        let doomed = sim.schedule_message(0, 0, 5, 64 * 1024, route.clone());
+        let down = xgft.route_channels(0, 5, &route).unwrap()[2];
+        let cut_at = 20 * cfg().segment_serialization_ps();
+        sim.fail_channel(cut_at, down, FailurePolicy::Drop);
+        let bystander = sim.schedule_message(cut_at, 8, 9, 1024, Route::new(vec![0]));
+        let done = sim.run_until_next_completion().unwrap();
+        assert_eq!(done.id, bystander);
+        assert_eq!(sim.message_status(doomed), Some(MessageStatus::Dropped));
+        assert_eq!(
+            sim.drain_delivered(),
+            1,
+            "only the bystander may drain while stragglers are in flight"
+        );
+        assert!(sim.message_status(doomed).is_some());
+        let now = sim.now_ps();
+        for (src, dst) in [(1, 2), (3, 2)] {
+            let id = sim.schedule_message(now, src, dst, 1024, Route::new(vec![0]));
+            assert_ne!(
+                id.slot(),
+                doomed.slot(),
+                "the dropped message's slot is busy"
+            );
+        }
+        let report = sim.run_to_completion();
+        assert_eq!(report.dropped_messages, 1);
+        assert!(sim.is_idle());
+        // Once every straggler has left, the dropped message drains.
+        assert_eq!(sim.drain_delivered(), 3);
         assert_eq!(sim.message_status(doomed), None);
     }
 

@@ -18,7 +18,8 @@
 //! Text mutations delete a byte, write or insert punctuation, truncate,
 //! or insert a run of `[` or `{` (some longer than the parsers' nesting
 //! limit of 128), a quote, a multi-byte UTF-8 character, an arbitrary byte, or a copy of
-//! a short span of the text. A case's text never grows more than
+//! a short span of the text, or edit a value in place: a digit of a number
+//! (never raised) or a character inside a string. A case's text never grows more than
 //! [`MAX_TEXT_GROWTH`] bytes past its example. Inserted bytes may form or
 //! lengthen numbers, so a text case runs only if each of its numbers is
 //! at most the largest number its example holds under the same key; the
@@ -309,9 +310,10 @@ fn mutate_value(spec: &mut Value, rng: &mut Rng) {
 }
 
 /// Apply one byte-level mutation to spec text: delete a byte, write or
-/// insert punctuation, truncate, or insert a bracket run, a quote, a
-/// multi-byte character, an arbitrary byte or a copy of a span. An
-/// insertion that would grow the text past `cap` bytes is skipped.
+/// insert punctuation, truncate, insert a bracket run, a quote, a
+/// multi-byte character, an arbitrary byte or a copy of a span, or edit a
+/// value in place ([`edit_value`]). An insertion that would grow the text
+/// past `cap` bytes is skipped.
 fn mutate_text(text: &mut Vec<u8>, cap: usize, rng: &mut Rng) {
     const PUNCTUATION: &[u8] = b"[]{}=\",.#' \n";
     const MULTI_BYTE: &[&str] = &["é", "€", "𝄞", "\u{feff}", "\u{10ffff}"];
@@ -319,7 +321,7 @@ fn mutate_text(text: &mut Vec<u8>, cap: usize, rng: &mut Rng) {
         return;
     }
     let at = rng.below(text.len());
-    let insert: Vec<u8> = match rng.below(9) {
+    let insert: Vec<u8> = match rng.below(10) {
         0 => {
             text.remove(at);
             return;
@@ -338,6 +340,10 @@ fn mutate_text(text: &mut Vec<u8>, cap: usize, rng: &mut Rng) {
         5 => vec![*rng.pick(b"\"'")],
         6 => rng.pick(MULTI_BYTE).as_bytes().to_vec(),
         7 => vec![rng.next() as u8],
+        8 => {
+            edit_value(text, rng);
+            return;
+        }
         _ => {
             let start = rng.below(text.len());
             let len = 1 + rng.below(MAX_SPAN.min(text.len() - start));
@@ -347,6 +353,32 @@ fn mutate_text(text: &mut Vec<u8>, cap: usize, rng: &mut Rng) {
     if text.len() + insert.len() <= cap {
         text.splice(at..at, insert);
     }
+}
+
+/// Edit a value rather than the structure around it: rewrite one digit of
+/// a number to a digit no larger, or one character inside a quoted string
+/// (a scheme, generator or engine name) to a letter, a digit or `-`. Most
+/// such edits still parse, so they carry the case on to the runner.
+fn edit_value(text: &mut [u8], rng: &mut Rng) {
+    const NAME_BYTES: &[u8] = b"abcdefghijklmnopqrstuvwxyz0123456789-";
+    let mut in_string = false;
+    let mut sites = Vec::new();
+    for (i, &byte) in text.iter().enumerate() {
+        if byte == b'"' {
+            in_string = !in_string;
+        } else if in_string || byte.is_ascii_digit() {
+            sites.push((i, in_string));
+        }
+    }
+    if sites.is_empty() {
+        return;
+    }
+    let (at, in_string) = *rng.pick(&sites);
+    text[at] = if in_string {
+        *rng.pick(NAME_BYTES)
+    } else {
+        b'0' + rng.below(usize::from(text[at] - b'0') + 1) as u8
+    };
 }
 
 /// The largest number under each object key of `value`.
@@ -390,10 +422,13 @@ fn mutated_specs_run_or_fail_with_a_typed_error() {
 
     let mut rng = Rng(STREAM_SEED);
     let (mut ok, mut typed, mut parsed_only, mut panicked) = (0, 0, 0, Vec::new());
+    // Text cases that parse within the example's sizes and reach the runner.
+    let mut text_ran = 0;
     for iter in 0..ITERS {
         let (path, example) = rng.pick(&examples);
         let mutations = 1 + rng.below(3);
-        let case = if rng.below(2) == 0 {
+        let from_text = rng.below(2) == 0;
+        let case = if from_text {
             let mut text = std::fs::read(path).unwrap();
             let cap = text.len() + MAX_TEXT_GROWTH;
             for _ in 0..mutations {
@@ -437,6 +472,7 @@ fn mutated_specs_run_or_fail_with_a_typed_error() {
                 continue;
             }
         };
+        text_ran += usize::from(from_text);
         let options = RunOptions {
             quick: true,
             ..RunOptions::default()
@@ -451,9 +487,10 @@ fn mutated_specs_run_or_fail_with_a_typed_error() {
         }
     }
     assert!(panicked.is_empty(), "{}", panicked.join("\n\n"));
-    // Both outcomes are exercised, so the stream reaches the engines.
+    // Both outcomes are exercised, so the stream reaches the engines, and
+    // text mutations reach them too, not only the parsers.
     assert!(
-        ok > 0 && typed > 0,
-        "ok {ok}, typed errors {typed}, parsed only {parsed_only}"
+        ok > 0 && typed > 0 && text_ran > 0,
+        "ok {ok}, typed errors {typed}, parsed only {parsed_only}, text cases run {text_ran}"
     );
 }

@@ -47,6 +47,19 @@ pub trait SampleRange {
     fn sample_from<R: RngCore + ?Sized>(self, rng: &mut R) -> Self::Output;
 }
 
+/// Reduce one raw draw into `0..span`, for spans up to 2⁶⁴. Any span that
+/// fits in a `u64` reduces with a 64-bit remainder, which yields the same
+/// value as the 128-bit one because the draw is below 2⁶⁴; the only larger
+/// span, 2⁶⁴ itself (a full-width inclusive range), leaves the draw as it
+/// is.
+#[inline]
+fn reduce(draw: u64, span: u128) -> u64 {
+    match u64::try_from(span) {
+        Ok(span) => draw % span,
+        Err(_) => draw,
+    }
+}
+
 macro_rules! impl_int_sample_range {
     ($($t:ty),*) => {$(
         impl SampleRange for core::ops::Range<$t> {
@@ -54,7 +67,7 @@ macro_rules! impl_int_sample_range {
             fn sample_from<R: RngCore + ?Sized>(self, rng: &mut R) -> $t {
                 assert!(self.start < self.end, "cannot sample from an empty range");
                 let span = (self.end as i128 - self.start as i128) as u128;
-                (self.start as i128 + (rng.next_u64() as u128 % span) as i128) as $t
+                (self.start as i128 + reduce(rng.next_u64(), span) as i128) as $t
             }
         }
         impl SampleRange for core::ops::RangeInclusive<$t> {
@@ -63,7 +76,7 @@ macro_rules! impl_int_sample_range {
                 let (start, end) = (*self.start(), *self.end());
                 assert!(start <= end, "cannot sample from an empty range");
                 let span = (end as i128 - start as i128) as u128 + 1;
-                (start as i128 + (rng.next_u64() as u128 % span) as i128) as $t
+                (start as i128 + reduce(rng.next_u64(), span) as i128) as $t
             }
         }
     )*};
@@ -162,6 +175,44 @@ mod tests {
         sorted.sort_unstable();
         assert_eq!(sorted, (0..100).collect::<Vec<_>>());
         assert_ne!(v, sorted, "a 100-element shuffle should move something");
+    }
+
+    /// The integer `gen_range` formula before spans were reduced in
+    /// `u64`: a 128-bit remainder of every draw.
+    fn wide<T: TryFrom<i128>>(draw: u64, start: i128, span: u128) -> T {
+        match T::try_from(start + (u128::from(draw) % span) as i128) {
+            Ok(value) => value,
+            Err(_) => panic!("the reference draw leaves the range"),
+        }
+    }
+
+    #[test]
+    fn integer_ranges_draw_what_the_u128_formula_drew() {
+        use super::RngCore;
+        let mut rng = StdRng::seed_from_u64(3);
+        let mut raw = StdRng::seed_from_u64(3);
+        // `raw` replays the draw `rng` consumes, for the reference formula.
+        macro_rules! same {
+            ($range:expr, $t:ty, $start:expr, $span:expr) => {{
+                let draw = raw.next_u64();
+                assert_eq!(rng.gen_range($range), wide::<$t>(draw, $start, $span));
+            }};
+        }
+        let full = 1u128 << 64;
+        for _ in 0..2000 {
+            same!(0..1usize, usize, 0, 1);
+            same!(7..=7u32, u32, 7, 1);
+            for w in [2usize, 3, 7, 10, 16, 97] {
+                same!(0..w, usize, 0, w as u128);
+            }
+            same!(-5i8..=5, i8, -5, 11);
+            same!(0..u64::MAX, u64, 0, full - 1);
+            same!(0..=u64::MAX, u64, 0, full);
+            same!(i64::MIN..i64::MAX, i64, i64::MIN.into(), full - 1);
+            same!(i64::MIN..=i64::MAX, i64, i64::MIN.into(), full);
+            same!(0..usize::MAX, usize, 0, usize::MAX as u128);
+            same!(0..=usize::MAX, usize, 0, usize::MAX as u128 + 1);
+        }
     }
 
     #[test]
