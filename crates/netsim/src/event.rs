@@ -42,6 +42,13 @@
 //! next bucket to fill draws from, so the footprint grows with the days
 //! that hold events, not with the ring.
 //!
+//! **Entry width.** A queued `(time, event)` entry is 16 bytes: the time
+//! plus an 8-byte `Event`, whose segments carry only a slab slot, a hop
+//! and a short-last bit and derive the rest from the message slab. Every
+//! lane and every spare vector holds entries by value, so the queue's
+//! retained memory (`EventQueue::capacity`, in entries) scales with this
+//! width; a compile-time assertion pins it.
+//!
 //! **Determinism.** Push order is sequence order, and every lane keeps it
 //! among equal times: buckets append, the agenda is built by a stable sort
 //! (or is already ordered) and inserts after equal times, and the FIFO's
@@ -60,18 +67,21 @@ use std::collections::VecDeque;
 /// The kinds of events the simulator processes.
 ///
 /// Channel and adapter ids are stored as `u32` (the topology layer caps
-/// channel counts far below that) so the whole enum packs into 32 bytes
-/// and a queued `(time, event)` entry into 40: queue inserts memmove a
-/// slice of these, and the event rate is high enough that payload width is
+/// channel counts far below that), and a segment carries only its slab
+/// slot, hop and short-last bit (see [`Segment`]), so the whole enum packs
+/// into 8 bytes and a queued `(time, event)` entry into 16: queue inserts
+/// memmove a slice of these, the ring's vectors keep capacity for them
+/// between days, and the event rate is high enough that payload width is
 /// measurable on the bench probes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Event {
     /// The source adapter of `src` should try to hand its next segment to
     /// the injection channel.
     AdapterTryInject { src: u32 },
-    /// A segment has finished its transmission over `channel` and now sits
-    /// in the downstream input buffer.
-    SegmentArrived { segment: Segment, channel: u32 },
+    /// A segment has finished its transmission over the last channel of
+    /// its path, `path[hop]`, and now sits in the destination's input
+    /// buffer.
+    SegmentArrived { segment: Segment },
     /// A segment that arrived earlier has crossed the switch and is ready to
     /// be queued for its next hop.
     SegmentReadyForNextHop { segment: Segment },
@@ -89,6 +99,9 @@ pub(crate) enum Event {
 /// A pending event and its absolute time. Push order stands in for the
 /// sequence number, so no lane stores one.
 type Entry = (u64, Event);
+
+// Every lane stores entries by value: keep them at two words.
+const _: () = assert!(std::mem::size_of::<Entry>() == 16);
 
 /// Width of one calendar day: `2^16` ps = 65.536 ns, about 1/62 of a
 /// default-config segment serialization (4.096 µs). Small enough that the
@@ -347,6 +360,19 @@ impl EventQueue {
         self.high_water
     }
 
+    /// Entries the queue has allocated room for across the ring's buckets,
+    /// the spare pool, the agenda and the FIFO: its retained memory, in
+    /// entries, which outlives the events that caused it.
+    pub fn capacity(&self) -> usize {
+        self.buckets
+            .iter()
+            .map(|b| b.events.capacity())
+            .chain(self.spare.iter().map(Vec::capacity))
+            .sum::<usize>()
+            + self.agenda.capacity()
+            + self.now_fifo.capacity()
+    }
+
     /// Days the cursor has advanced to so far.
     pub fn days(&self) -> u64 {
         self.days
@@ -548,7 +574,7 @@ mod tests {
 #[cfg(test)]
 mod pop_order_properties {
     use super::*;
-    use crate::message::{MessageId, Segment};
+    use crate::message::Segment;
     use proptest::prelude::*;
     use std::cmp::Ordering;
     use std::collections::BinaryHeap;
@@ -688,17 +714,14 @@ mod pop_order_properties {
     /// Build a distinguishable event for `kind` (every variant, both failure
     /// policies) so payload mix-ups cannot hide behind identical payloads.
     fn event_for(kind: u8, salt: usize) -> Event {
-        let mut segment = Segment::new(MessageId(salt as u64), salt as u64 % 7, 1024, salt % 3);
-        if !salt.is_multiple_of(2) {
-            segment.set_holds_buffer_of(salt);
+        let mut segment = Segment::new(salt, salt.is_multiple_of(2));
+        for _ in 0..salt % 3 {
+            segment = segment.next_hop();
         }
         let id = salt as u32;
         match kind % 7 {
             0 => Event::AdapterTryInject { src: id },
-            1 => Event::SegmentArrived {
-                segment,
-                channel: id,
-            },
+            1 => Event::SegmentArrived { segment },
             2 => Event::SegmentReadyForNextHop { segment },
             3 => Event::CreditReturn { channel: id },
             4 => Event::ChannelFail {

@@ -172,6 +172,8 @@ impl MessageSlab {
                 slot
             }
             None => {
+                // Ids and segments carry the slot as `u32`.
+                assert!(self.live.len() <= u32::MAX as usize, "message slab full");
                 self.src.push(src as u32);
                 self.dst.push(dst as u32);
                 self.bytes.push(bytes);
@@ -190,7 +192,20 @@ impl MessageSlab {
             }
         };
         self.live_count += 1;
+        self.id(slot)
+    }
+
+    /// The id of the slot's current occupant: the slot combined with its
+    /// current generation.
+    #[inline]
+    pub fn id(&self, slot: usize) -> MessageId {
         MessageId::new(slot as u32, self.generations[slot])
+    }
+
+    /// True while the slot holds a message that has not been drained.
+    #[inline]
+    pub fn is_live(&self, slot: usize) -> bool {
+        self.live[slot]
     }
 
     /// True when `id`'s generation matches its slot's current occupant and
@@ -246,19 +261,13 @@ impl MessageSlab {
         self.arena[self.path_start[slot] as usize + hop] as usize
     }
 
-    /// Hand out the next segment index of the slot (bumps the injected
-    /// count).
+    /// Count one more segment of the slot handed to the injection queue;
+    /// true when it was the message's last.
     #[inline]
-    pub fn next_segment_index(&mut self, slot: usize) -> u64 {
-        let index = self.segments_injected[slot];
-        self.segments_injected[slot] = index + 1;
-        index
-    }
-
-    /// True once every segment has been handed to the injection queue.
-    #[inline]
-    pub fn fully_injected(&self, slot: usize) -> bool {
-        self.segments_injected[slot] >= self.total_segments[slot]
+    pub fn inject_segment(&mut self, slot: usize) -> bool {
+        self.segments_injected[slot] += 1;
+        debug_assert!(self.segments_injected[slot] <= self.total_segments[slot]);
+        self.segments_injected[slot] == self.total_segments[slot]
     }
 
     /// Count one delivered segment; true when no segment of the message is
@@ -341,8 +350,7 @@ impl MessageSlab {
             if !self.live[slot] || !self.is_drainable(slot) {
                 continue;
             }
-            let id = MessageId::new(slot as u32, self.generations[slot]);
-            if keep.binary_search(&id.0).is_ok() {
+            if keep.binary_search(&self.id(slot).0).is_ok() {
                 continue;
             }
             self.live[slot] = false;
@@ -376,51 +384,78 @@ impl MessageSlab {
     }
 }
 
-/// A segment in flight: which message it belongs to, its index and how far
-/// along the path it has progressed. Deliberately compact — segments ride
-/// inside queued events, so their size sets the event queue's memory
-/// traffic.
+/// A segment in flight, reduced to what the slab cannot supply: its
+/// message's slab slot, the hop it has reached and whether it is its
+/// message's short last segment. Everything else is derived on demand:
+///
+/// * the message id is [`MessageSlab::id`] of the slot;
+/// * the channel whose downstream buffer slot the segment occupies is the
+///   path's previous hop, `path[hop - 1]`, and none at hop 0 (still at the
+///   source adapter);
+/// * its payload is `segment_bytes`, or `bytes % segment_bytes` of its
+///   message when it is short-last (messages shorter than one segment are
+///   a single short-last segment).
+///
+/// This is sound because a slot stays reserved while any of its segments
+/// is in flight: [`MessageSlab::is_drainable`] waits for the last one to
+/// leave the network, so the slot's path and byte count cannot change
+/// under a travelling segment.
+///
+/// Segments ride inside queued events and channel waiting queues, so their
+/// width sets the event queue's memory traffic. The struct is packed to 7
+/// bytes (fields are read by value, never by reference): padded to 8, an
+/// `Event` holding it would be 12 bytes and a queued `(time, event)` entry
+/// 24 instead of 16.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[repr(C, packed)]
 pub(crate) struct Segment {
-    pub message: MessageId,
-    /// Segment index within its message.
-    pub index: u32,
-    /// Payload bytes of this segment (one link transfer, never a whole
-    /// message).
-    pub bytes: u32,
-    /// Index into the message's path of the channel the segment is currently
-    /// queued for / traversing.
-    pub hop: u16,
-    /// Dense channel index whose downstream buffer slot this segment is
-    /// currently occupying (`None` while still at the source adapter),
-    /// stored as channel + 1 so the `Option` rides in the niche. Segments
-    /// are the payload of most queued events: the event queue writes each
-    /// entry once on push and reads it once on pop (an in-order day becomes
-    /// the agenda whole), and copies it again only for a day that must be
-    /// sorted. The narrow field types keep a queued `(time, event)` entry
-    /// at 40 bytes.
-    holds_buffer_of: Option<std::num::NonZeroU32>,
+    slot: u32,
+    /// Index into the message's path of the channel the segment is
+    /// currently queued for / traversing.
+    hop: u16,
+    short_last: bool,
 }
 
 impl Segment {
-    pub fn new(message: MessageId, index: u64, bytes: u64, hop: usize) -> Segment {
+    /// A segment of the message in `slot`, at its source adapter (hop 0).
+    /// Slots fit `u32` (checked by [`MessageSlab::alloc`]).
+    pub fn new(slot: usize, short_last: bool) -> Segment {
         Segment {
-            message,
-            index: u32::try_from(index).expect("segment index fits u32"),
-            bytes: u32::try_from(bytes).expect("segment bytes fit u32"),
-            hop: u16::try_from(hop).expect("hop fits u16"),
-            holds_buffer_of: None,
+            slot: slot as u32,
+            hop: 0,
+            short_last,
         }
     }
 
-    /// The channel whose downstream buffer slot this segment occupies.
-    pub fn holds_buffer_of(&self) -> Option<usize> {
-        self.holds_buffer_of.map(|c| c.get() as usize - 1)
+    /// The slab slot of the segment's message.
+    #[inline]
+    pub fn slot(self) -> usize {
+        self.slot as usize
     }
 
-    pub fn set_holds_buffer_of(&mut self, channel: usize) {
-        let encoded = u32::try_from(channel + 1).expect("channel index fits u32");
-        self.holds_buffer_of = std::num::NonZeroU32::new(encoded);
+    /// The index into its message's path of the channel the segment is
+    /// queued for or traversing.
+    #[inline]
+    pub fn hop(self) -> usize {
+        self.hop as usize
+    }
+
+    /// True for the last segment of a message whose size is not a multiple
+    /// of the segment size.
+    #[inline]
+    pub fn short_last(self) -> bool {
+        self.short_last
+    }
+
+    /// The same segment one hop further along its path. Paths are at most
+    /// `u16::MAX` hops long (checked by [`MessageSlab::alloc`]), and a
+    /// segment only advances to a hop its path has.
+    #[inline]
+    pub fn next_hop(self) -> Segment {
+        Segment {
+            hop: self.hop + 1,
+            ..self
+        }
     }
 }
 
@@ -435,13 +470,11 @@ mod tests {
         let slot = id.slot();
         assert_eq!(slab.status(slot), MessageStatus::Pending);
         assert_eq!(slab.total_segments(slot), 4);
-        assert_eq!(slab.next_segment_index(slot), 0);
+        assert!(!slab.inject_segment(slot));
         assert_eq!(slab.status(slot), MessageStatus::InFlight);
-        assert!(!slab.fully_injected(slot));
-        for expect in 1..4u64 {
-            assert_eq!(slab.next_segment_index(slot), expect);
-        }
-        assert!(slab.fully_injected(slot));
+        assert!(!slab.inject_segment(slot));
+        assert!(!slab.inject_segment(slot));
+        assert!(slab.inject_segment(slot), "the fourth segment is the last");
         for _ in 0..3 {
             assert!(!slab.deliver_segment(slot));
         }

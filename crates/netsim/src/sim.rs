@@ -121,17 +121,7 @@ pub struct NetworkSim {
 
 impl NetworkSim {
     /// Create a simulator for a topology with the given configuration.
-    ///
-    /// # Panics
-    /// Panics if `config.segment_bytes` exceeds `u32::MAX`: queued events
-    /// carry a segment's size as `u32`.
     pub fn new(xgft: &Xgft, config: NetworkConfig) -> Self {
-        assert!(
-            config.segment_bytes <= u64::from(u32::MAX),
-            "segment_bytes must be at most {} (segments carry their size as u32), got {}",
-            u32::MAX,
-            config.segment_bytes
-        );
         let num_channels = xgft.channels().len();
         let channels = vec![
             ChannelState {
@@ -219,15 +209,29 @@ impl NetworkSim {
         self.messages.live_count()
     }
 
-    /// Serialization time of a segment of `bytes` bytes — the cached
-    /// full-segment constant on the hot path (every segment except possibly
-    /// a message's last is full-sized), the float fallback otherwise.
+    /// Serialization time of `segment` — the cached full-segment constant
+    /// on the hot path (every segment except possibly a message's last is
+    /// full-sized), the float fallback for a short last segment, whose
+    /// payload is what its message's bytes leave over.
     #[inline]
-    fn serialization(&self, bytes: u64) -> u64 {
-        if bytes == self.config.segment_bytes {
-            self.seg_full_ps
+    fn serialization(&self, segment: Segment) -> u64 {
+        if segment.short_last() {
+            let bytes = self.messages.bytes(segment.slot());
+            self.config
+                .serialization_ps(bytes % self.config.segment_bytes)
         } else {
-            self.config.serialization_ps(bytes)
+            self.seg_full_ps
+        }
+    }
+
+    /// The channel whose downstream buffer slot `segment` occupies: the
+    /// previous channel of its path, none while it is still at its source
+    /// adapter.
+    #[inline]
+    fn held_buffer(&self, segment: Segment) -> Option<usize> {
+        match segment.hop() {
+            0 => None,
+            hop => Some(self.messages.path_channel(segment.slot(), hop - 1)),
         }
     }
 
@@ -514,6 +518,11 @@ impl NetworkSim {
         metrics
             .gauge("netsim.event_queue_hwm")
             .set_max(report.event_queue_hwm as u64);
+        // What the queue keeps allocated, in entries, against the
+        // high-water mark of what it held at once.
+        metrics
+            .gauge("netsim.queue_capacity")
+            .set_max(self.queue.capacity() as u64);
         let latency = metrics.histogram("netsim.delivery_latency_ps");
         for record in &self.records[records_before..] {
             latency.record(record.latency_ps());
@@ -568,9 +577,7 @@ impl NetworkSim {
         self.events_processed += 1;
         match event {
             Event::AdapterTryInject { src } => self.adapter_try_inject(src as usize),
-            Event::SegmentArrived { segment, channel } => {
-                self.segment_arrived(segment, channel as usize)
-            }
+            Event::SegmentArrived { segment } => self.segment_arrived(segment),
             Event::SegmentReadyForNextHop { segment } => self.segment_ready(segment),
             Event::CreditReturn { channel } => {
                 self.channels[channel as usize].credits += 1;
@@ -633,7 +640,9 @@ impl NetworkSim {
     /// let its source adapter move on, mark its message dropped and stop
     /// injecting the message's remaining segments.
     fn drop_segment(&mut self, segment: Segment) {
-        if let Some(prev) = segment.holds_buffer_of() {
+        let slot = segment.slot();
+        debug_assert!(self.messages.is_live(slot), "in-flight slots stay live");
+        if let Some(prev) = self.held_buffer(segment) {
             self.queue.push(
                 self.now_ps,
                 Event::CreditReturn {
@@ -641,12 +650,10 @@ impl NetworkSim {
                 },
             );
         }
-        let id = segment.message;
-        let slot = id.slot();
         let now_ps = self.now_ps;
         let first_drop = self.messages.mark_dropped(slot, now_ps);
         let src = self.messages.src(slot);
-        if segment.hop == 0 {
+        if segment.hop() == 0 {
             // The segment sat in the injection queue; free the adapter's
             // round-robin slot so its other messages keep flowing.
             self.adapters[src].segment_enqueued = false;
@@ -655,6 +662,7 @@ impl NetworkSim {
         }
         if first_drop {
             self.dropped_messages += 1;
+            let id = self.messages.id(slot);
             self.adapters[src].active.retain(|&m| m != id);
         }
     }
@@ -686,11 +694,15 @@ impl NetworkSim {
             .expect("in range");
         let slot = id.slot();
         debug_assert!(self.messages.id_is_current(id));
-        let index = self.messages.next_segment_index(slot);
-        let bytes = self.config.segment_size(self.messages.bytes(slot), index);
-        let segment = Segment::new(id, index, bytes, 0);
+        let last = self.messages.inject_segment(slot);
+        let short_last = last
+            && !self
+                .messages
+                .bytes(slot)
+                .is_multiple_of(self.config.segment_bytes);
+        let segment = Segment::new(slot, short_last);
         let injection_channel = self.messages.path_channel(slot, 0);
-        if !self.messages.fully_injected(slot) {
+        if !last {
             // Round-robin: this message goes to the back of the adapter queue.
             self.adapters[src].active.push_back(id);
         }
@@ -704,7 +716,7 @@ impl NetworkSim {
     fn enqueue_segment(&mut self, segment: Segment, channel: usize) {
         if let Some((failed_at, policy)) = self.channels[channel].failed {
             let drains = policy == FailurePolicy::CompleteInFlight
-                && self.messages.injected_at_ps(segment.message.slot()) < failed_at;
+                && self.messages.injected_at_ps(segment.slot()) < failed_at;
             if !drains {
                 self.drop_segment(segment);
                 return;
@@ -744,7 +756,9 @@ impl NetworkSim {
     /// Put `segment` on the wire of `channel`: the caller has already taken
     /// a credit for it.
     fn start_transmission(&mut self, segment: Segment, channel: usize) {
-        let serialization = self.serialization(segment.bytes as u64);
+        let slot = segment.slot();
+        debug_assert!(self.messages.is_live(slot), "in-flight slots stay live");
+        let serialization = self.serialization(segment);
         let (start, finish) = {
             let ch = &mut self.channels[channel];
             let start = self.now_ps.max(ch.free_at_ps);
@@ -756,7 +770,7 @@ impl NetworkSim {
 
         // The slot the segment held on its previous channel frees when it
         // starts moving onto this one.
-        if let Some(prev) = segment.holds_buffer_of() {
+        if let Some(prev) = self.held_buffer(segment) {
             self.queue.push(
                 start,
                 Event::CreditReturn {
@@ -766,56 +780,54 @@ impl NetworkSim {
         }
         // The source adapter can decide its next round-robin segment as
         // soon as this one starts occupying the injection link.
-        if segment.hop == 0 {
-            let src = self.messages.src(segment.message.slot());
+        if segment.hop() == 0 {
+            let src = self.messages.src(slot);
             self.adapters[src].segment_enqueued = false;
             self.queue
                 .push(start, Event::AdapterTryInject { src: src as u32 });
         }
 
-        let is_last_hop =
-            segment.hop as usize + 1 == self.messages.path_hops(segment.message.slot());
-        let mut moved = segment;
-        moved.set_holds_buffer_of(channel);
-
-        if is_last_hop {
-            self.queue.push(
-                finish,
-                Event::SegmentArrived {
-                    segment: moved,
-                    channel: channel as u32,
-                },
-            );
+        // From here on the segment holds a buffer slot of `channel`, which
+        // is `path[hop]`: the arrival returns it, and one hop further along
+        // `held_buffer` finds it as `path[hop - 1]`.
+        if segment.hop() + 1 == self.messages.path_hops(slot) {
+            self.queue.push(finish, Event::SegmentArrived { segment });
         } else {
-            moved.hop += 1;
             let eligible = match self.config.switching {
                 SwitchingMode::StoreAndForward => finish + self.switch_ps,
                 SwitchingMode::CutThrough => start + self.flit_ps + self.switch_ps,
             };
-            self.queue
-                .push(eligible, Event::SegmentReadyForNextHop { segment: moved });
+            self.queue.push(
+                eligible,
+                Event::SegmentReadyForNextHop {
+                    segment: segment.next_hop(),
+                },
+            );
         }
     }
 
     /// A segment has crossed its switch and is ready for the next channel of
     /// its path.
     fn segment_ready(&mut self, segment: Segment) {
-        let next_channel = self
-            .messages
-            .path_channel(segment.message.slot(), segment.hop as usize);
+        let slot = segment.slot();
+        debug_assert!(self.messages.is_live(slot), "in-flight slots stay live");
+        let next_channel = self.messages.path_channel(slot, segment.hop());
         self.enqueue_segment(segment, next_channel);
     }
 
-    /// A segment has fully arrived at the destination adapter.
-    fn segment_arrived(&mut self, segment: Segment, channel: usize) {
+    /// A segment has fully arrived at the destination adapter over the last
+    /// channel of its path.
+    fn segment_arrived(&mut self, segment: Segment) {
+        let slot = segment.slot();
+        debug_assert!(self.messages.is_live(slot), "in-flight slots stay live");
         // The destination adapter drains its ejection buffer immediately.
+        let channel = self.messages.path_channel(slot, segment.hop());
         self.queue.push(
             self.now_ps,
             Event::CreditReturn {
                 channel: channel as u32,
             },
         );
-        let slot = segment.message.slot();
         let now_ps = self.now_ps;
         let last = self.messages.deliver_segment(slot);
         if last && self.messages.dropped_at(slot).is_none() {
@@ -823,15 +835,16 @@ impl NetworkSim {
             let (src, dst) = (self.messages.src(slot), self.messages.dst(slot));
             let bytes = self.messages.bytes(slot);
             let injected_at_ps = self.messages.injected_at_ps(slot);
+            let id = self.messages.id(slot);
             self.completions.push_back(Completion {
-                id: segment.message,
+                id,
                 src,
                 dst,
                 bytes,
                 completed_at_ps: now_ps,
             });
             self.records.push(MessageRecord {
-                id: segment.message,
+                id,
                 src,
                 dst,
                 bytes,
@@ -1564,14 +1577,32 @@ mod tests {
         assert_eq!(fresh_report, reused_report);
     }
 
+    /// Segment sizes past `u32::MAX` bytes: a segment's payload is derived
+    /// from its message, never stored, so nothing narrows it. Two full
+    /// segments and a short last one of three bytes, uncontended.
     #[test]
-    #[should_panic(expected = "segment_bytes must be at most 4294967295")]
-    fn segments_wider_than_u32_are_refused_up_front() {
+    fn segments_wider_than_u32_price_like_any_other() {
+        let segment_bytes = (1u64 << 32) + 1;
         let config = NetworkConfig {
-            segment_bytes: u64::from(u32::MAX) + 1,
+            segment_bytes,
             ..cfg()
         };
-        NetworkSim::new(&k_ary(2, 2), config);
+        let xgft = k_ary(4, 2);
+        let mut sim = NetworkSim::new(&xgft, config.clone());
+        sim.schedule_message(0, 0, 5, 2 * segment_bytes + 3, Route::new(vec![0, 1]));
+        let report = sim.run_to_completion();
+        assert_eq!(report.completed_messages, 1);
+        let seg = config.segment_serialization_ps();
+        let tail = config.serialization_ps(3);
+        let hop = config.switch_latency_ps();
+        // Store-and-forward with four buffer slots: the full segments
+        // stream back to back and reach the last of the four links
+        // `3 · (seg + hop)` after their first start; the short tail crosses
+        // each later link right behind the second full segment.
+        let hops = 4u64;
+        let expected = 2 * seg + tail + (hops - 1) * (seg + hop);
+        assert_eq!(report.makespan_ps, expected);
+        assert!(seg > u64::from(u32::MAX), "the segment really is wide");
     }
 
     /// The day counters on the `netsim` bench probe's schedule: a shift

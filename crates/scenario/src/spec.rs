@@ -775,14 +775,6 @@ impl ScenarioSpec {
         if network.segment_bytes == 0 {
             return Err(invalid("network.segment_bytes must be at least 1"));
         }
-        // The simulators carry a segment's size as `u32`.
-        if network.segment_bytes > u64::from(u32::MAX) {
-            return Err(invalid(format!(
-                "network.segment_bytes must be at most {}, got {}",
-                u32::MAX,
-                network.segment_bytes
-            )));
-        }
         if network.flit_bytes == 0 {
             return Err(invalid("network.flit_bytes must be at least 1"));
         }
@@ -1469,16 +1461,6 @@ mod tests {
         let mut bad = spec();
         bad.network.segment_bytes = 0;
         assert_rejects(&bad, "network.segment_bytes");
-    }
-
-    #[test]
-    fn segment_bytes_beyond_u32_is_rejected() {
-        let mut bad = spec();
-        bad.network.segment_bytes = u64::from(u32::MAX) + 1;
-        assert_rejects(&bad, "network.segment_bytes");
-        let mut edge = spec();
-        edge.network.segment_bytes = u64::from(u32::MAX);
-        assert!(edge.validate().is_ok());
     }
 
     #[test]

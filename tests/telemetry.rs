@@ -2,7 +2,8 @@
 //! on and off yields a byte-identical deterministic `payload`, and the
 //! telemetry section lives strictly outside it (the bare envelope does not
 //! even contain the key, which is what keeps the golden fixtures stable).
-//! A pattern-aware colored build is timed as its own `core.colored` stage.
+//! A pattern-aware colored build is timed as its own `core.colored` stage,
+//! and a netsim run reports what its event queue keeps allocated.
 
 use serde::Value;
 use xgft::analysis::AlgorithmSpec;
@@ -102,4 +103,38 @@ fn colored_builds_report_their_own_stage() {
     assert!(telemetry.stage("core.compile").is_some());
     assert!(telemetry.stage("core.colored").is_none());
     assert_eq!(telemetry.counter("core.colored.candidates"), None);
+}
+
+#[test]
+fn netsim_runs_report_the_event_queue_capacity() {
+    let mut netsim = spec();
+    netsim.engine = EngineSpec::Netsim;
+    let bare = run_scenario(&netsim, &RunOptions::default()).expect("valid scenario");
+    let instrumented = run_scenario(
+        &netsim,
+        &RunOptions {
+            telemetry: true,
+            ..RunOptions::default()
+        },
+    )
+    .expect("valid scenario");
+    assert_eq!(payload_json(&bare), payload_json(&instrumented));
+
+    // The gauge is the queue's allocation in entries, so it can never be
+    // below the most events the queue held at once.
+    let telemetry = instrumented.telemetry.as_ref().expect("telemetry window");
+    let gauge = |name: &str| {
+        telemetry
+            .gauges
+            .iter()
+            .find(|g| g.name == name)
+            .map(|g| g.value)
+    };
+    let capacity = gauge("netsim.queue_capacity").expect("capacity gauge");
+    let hwm = gauge("netsim.event_queue_hwm").expect("high-water gauge");
+    assert!(hwm > 0);
+    assert!(
+        capacity >= hwm,
+        "capacity {capacity} < high-water mark {hwm}"
+    );
 }
