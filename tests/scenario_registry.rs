@@ -235,3 +235,45 @@ fn registry_specs_are_valid_and_round_trip() {
         assert_eq!(back, spec, "{name}");
     }
 }
+
+/// A checked-in example spec, run at the CI preset.
+fn quick_example(file: &str) -> ResultPayload {
+    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("examples/scenarios")
+        .join(file);
+    let spec = xgft::scenario::cli::load_spec(path.to_str().unwrap())
+        .unwrap_or_else(|e| panic!("{file}: {e}"));
+    run(&spec.quickened())
+}
+
+/// The Flow (expected-load) engine over all six schemes, colored
+/// included, == flow_mcl_slimming_quick.json, byte for byte.
+#[test]
+fn flow_example_matches_the_golden_fixture() {
+    let payload = quick_example("flow_mcl_slimming.toml");
+    assert!(matches!(payload, ResultPayload::Flow(_)));
+    assert_eq!(
+        payload_json(&payload),
+        fixture("flow_mcl_slimming_quick.json")
+    );
+}
+
+/// The Netsim engine's direct injection == hotspot_direct_quick.json.
+#[test]
+fn direct_example_matches_the_golden_fixture() {
+    let payload = quick_example("hotspot_direct.json");
+    assert!(matches!(payload, ResultPayload::Direct(_)));
+    assert_eq!(payload_json(&payload), fixture("hotspot_direct_quick.json"));
+}
+
+/// The AllWithAgreement engine's per-job verdicts ==
+/// agreement_tornado_quick.json.
+#[test]
+fn agreement_example_matches_the_golden_fixture() {
+    let payload = quick_example("agreement_tornado.json");
+    assert!(matches!(payload, ResultPayload::Agreement(_)));
+    assert_eq!(
+        payload_json(&payload),
+        fixture("agreement_tornado_quick.json")
+    );
+}
