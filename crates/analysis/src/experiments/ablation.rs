@@ -15,8 +15,8 @@
 use crate::stats::BoxplotStats;
 use serde::{Deserialize, Serialize};
 use xgft_core::{
-    distribution::top_level_distribution_all_pairs, DModK, RandomNcaDown, RandomRouting,
-    RelabelMaps, RoutingAlgorithm,
+    distribution::top_level_distribution_all_pairs, AlgorithmSpec, DModK, RandomNcaDown,
+    RandomRouting, RelabelMaps, RoutingAlgorithm,
 };
 use xgft_topo::{Xgft, XgftSpec};
 
@@ -68,7 +68,7 @@ pub fn run(k: usize, w2: usize, seeds: &[u64]) -> AblationResult {
 
     // Reference extremes.
     let dmodk: Vec<f64> = per_nca(&DModK::new()).collect();
-    rows.push(summarise("d-mod-k", &dmodk));
+    rows.push(summarise(AlgorithmSpec::DModK.name(), &dmodk));
 
     let mut random_samples = Vec::new();
     let mut balanced_samples = Vec::new();
@@ -80,7 +80,7 @@ pub fn run(k: usize, w2: usize, seeds: &[u64]) -> AblationResult {
             RelabelMaps::unbalanced_random(&xgft, seed),
         )));
     }
-    rows.push(summarise("random", &random_samples));
+    rows.push(summarise(AlgorithmSpec::Random.name(), &random_samples));
     rows.push(summarise("r-NCA-d (balanced)", &balanced_samples));
     rows.push(summarise("r-NCA-d (unbalanced)", &unbalanced_samples));
 

@@ -2,12 +2,11 @@
 //! pairs, for the five routing schemes, on `XGFT(2;16,16;1,16)` and
 //! `XGFT(2;16,16;1,10)`.
 
+use super::OBLIVIOUS_SCHEMES;
 use crate::stats::BoxplotStats;
 use serde::{Deserialize, Serialize};
-use xgft_core::{
-    distribution::top_level_distribution_all_pairs, DModK, RandomNcaDown, RandomNcaUp,
-    RandomRouting, RoutingAlgorithm, SModK,
-};
+use xgft_core::distribution::top_level_distribution_all_pairs;
+use xgft_patterns::ConnectivityMatrix;
 use xgft_topo::{Xgft, XgftSpec};
 
 /// The routes-per-NCA distribution of one algorithm on one topology.
@@ -43,50 +42,30 @@ pub fn run(w2: usize, seeds: &[u64]) -> Fig4Result {
 pub fn run_for(spec: &XgftSpec, seeds: &[u64]) -> Fig4Result {
     let xgft = Xgft::new(spec.clone()).expect("valid topology");
     let num_ncas = xgft.nodes_at_level(xgft.height());
+    let n = xgft.num_leaves();
     let mut distributions = Vec::new();
 
-    // Deterministic schemes: a single distribution.
-    for algo in [&SModK::new() as &dyn RoutingAlgorithm, &DModK::new()] {
-        let per_nca: Vec<f64> = top_level_distribution_all_pairs(&xgft, algo)
-            .iter()
-            .map(|&c| c as f64)
-            .collect();
-        distributions.push(AlgorithmDistribution {
-            algorithm: algo.name(),
-            spread: BoxplotStats::from_samples(&per_nca),
-            per_nca,
-        });
-    }
-
-    // Seeded schemes: aggregate over seeds.
-    type SeededBuilders<'a> = Vec<(&'a str, Box<dyn Fn(u64) -> Box<dyn RoutingAlgorithm> + 'a>)>;
-    let seeded: SeededBuilders = vec![
-        (
-            "random",
-            Box::new(|seed| Box::new(RandomRouting::new(seed))),
-        ),
-        (
-            "r-NCA-u",
-            Box::new(|seed| Box::new(RandomNcaUp::new(&xgft, seed))),
-        ),
-        (
-            "r-NCA-d",
-            Box::new(|seed| Box::new(RandomNcaDown::new(&xgft, seed))),
-        ),
-    ];
-    for (name, build) in seeded {
+    // Deterministic schemes give one distribution, seeded schemes the
+    // per-NCA mean over the seeds.
+    for algorithm in OBLIVIOUS_SCHEMES {
+        let algo_seeds: &[u64] = if algorithm.is_seeded() { seeds } else { &[0] };
         let mut all_samples: Vec<f64> = Vec::new();
         let mut sums = vec![0.0f64; num_ncas];
-        for &seed in seeds {
-            let dist = top_level_distribution_all_pairs(&xgft, build(seed).as_ref());
+        for &seed in algo_seeds {
+            // Fig. 4 has no pattern; oblivious schemes never read one.
+            let algo = algorithm.build(&xgft, seed, || ConnectivityMatrix::new(n));
+            let dist = top_level_distribution_all_pairs(&xgft, algo.as_ref());
             for (i, &c) in dist.iter().enumerate() {
                 sums[i] += c as f64;
                 all_samples.push(c as f64);
             }
         }
-        let per_nca: Vec<f64> = sums.iter().map(|s| s / seeds.len().max(1) as f64).collect();
+        let per_nca: Vec<f64> = sums
+            .iter()
+            .map(|s| s / algo_seeds.len().max(1) as f64)
+            .collect();
         distributions.push(AlgorithmDistribution {
-            algorithm: name.to_string(),
+            algorithm: algorithm.name().to_string(),
             spread: BoxplotStats::from_samples(&all_samples),
             per_nca,
         });

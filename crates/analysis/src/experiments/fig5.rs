@@ -5,7 +5,7 @@
 //! `xgft fig5_*` registry entries ([`crate::sweep::SweepConfig`]); this
 //! module holds the claims the paper draws from it.
 
-use crate::sweep::SweepResult;
+use crate::sweep::{AlgorithmSpec, SweepResult};
 use serde::{Deserialize, Serialize};
 
 /// The qualitative claims the paper draws from Fig. 5, checked on a sweep
@@ -28,10 +28,11 @@ impl Fig5Claims {
         let mut worst_gap: f64 = 1.0;
         let w2s: std::collections::BTreeSet<usize> = result.points.iter().map(|p| p.w2).collect();
         for &w2 in &w2s {
-            let random = result.point(w2, "random").map(|p| p.stats.median);
-            let u = result.point(w2, "r-NCA-u").map(|p| p.stats.median);
-            let d = result.point(w2, "r-NCA-d").map(|p| p.stats.median);
-            let colored = result.point(w2, "colored").map(|p| p.stats.median);
+            let median = |a: AlgorithmSpec| result.point(w2, a.name()).map(|p| p.stats.median);
+            let random = median(AlgorithmSpec::Random);
+            let u = median(AlgorithmSpec::RandomNcaUp);
+            let d = median(AlgorithmSpec::RandomNcaDown);
+            let colored = median(AlgorithmSpec::Colored);
             if let (Some(r), Some(u)) = (random, u) {
                 // Allow 2% tolerance: the paper's claim is statistical.
                 if u > 1.02 * r {

@@ -6,7 +6,9 @@
 //! `xgft-flow` closed-form channel-load model: exact expected loads, MCL,
 //! the tree-cut lower bound and the per-scheme congestion-ratio estimate —
 //! no seeds, no events, and machine sizes far beyond what the simulator can
-//! replay (tens of thousands of leaves per point in milliseconds).
+//! replay (tens of thousands of leaves per point in milliseconds). The
+//! sweeps themselves are [`xgft_flow::FlowSweepConfig::slimming_family`]
+//! runs; this module adds the simulator bridge and the scale demo.
 //!
 //! [`cross_validate_mcl`] is the bridge back to the simulator: it replays a
 //! flow set once per seed, derives per-channel utilization from netsim's
@@ -16,47 +18,10 @@
 //! large-scale analytical numbers can be trusted.
 
 use serde::{Deserialize, Serialize};
-use xgft_core::RouteDistribution;
-use xgft_flow::{ExpectedLoads, FlowScheme, FlowSweepConfig, FlowSweepResult, TrafficSpec};
+use xgft_core::{AlgorithmSpec, RouteDistribution};
+use xgft_flow::ExpectedLoads;
 use xgft_netsim::{NetworkConfig, NetworkSim};
 use xgft_topo::{Xgft, XgftSpec};
-
-/// Parameters of an analytical MCL sweep over the paper's slimming family.
-#[derive(Debug, Clone)]
-pub struct FlowMclConfig {
-    /// Switch radix `k` (16 in the paper).
-    pub k: usize,
-    /// The `w2` values to sweep.
-    pub w2_values: Vec<usize>,
-    /// Schemes to evaluate.
-    pub schemes: Vec<FlowScheme>,
-    /// Traffic family.
-    pub traffic: TrafficSpec,
-}
-
-impl FlowMclConfig {
-    /// The default configuration: the paper's `XGFT(2;16,16;1,w2)` family
-    /// under uniform all-pairs traffic, every oblivious scheme.
-    pub fn new(w2_values: Vec<usize>) -> Self {
-        FlowMclConfig {
-            k: 16,
-            w2_values,
-            schemes: FlowScheme::oblivious_set(),
-            traffic: TrafficSpec::Uniform,
-        }
-    }
-
-    /// Run the sweep.
-    pub fn run(&self) -> FlowSweepResult {
-        FlowSweepConfig::slimming_family(
-            self.k,
-            &self.w2_values,
-            self.schemes.clone(),
-            self.traffic.clone(),
-        )
-        .run()
-    }
-}
 
 /// The outcome of cross-validating the flow model against netsim.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -159,15 +124,15 @@ where
 
 /// A demonstration point for the binary: the largest machines the
 /// analytical model handles interactively (far beyond netsim's reach).
-pub fn large_instance_demo() -> Vec<(XgftSpec, FlowScheme)> {
+pub fn large_instance_demo() -> Vec<(XgftSpec, AlgorithmSpec)> {
     vec![
         // 16 384 leaves, half-slimmed two-level tree.
         (
             XgftSpec::new(vec![128, 128], vec![1, 64]).expect("valid"),
-            FlowScheme::Random,
+            AlgorithmSpec::Random,
         ),
         // 32 768 leaves, full 32-ary 3-tree.
-        (XgftSpec::k_ary_n_tree(32, 3), FlowScheme::RNcaDown),
+        (XgftSpec::k_ary_n_tree(32, 3), AlgorithmSpec::RandomNcaDown),
     ]
 }
 
@@ -175,20 +140,6 @@ pub fn large_instance_demo() -> Vec<(XgftSpec, FlowScheme)> {
 mod tests {
     use super::*;
     use xgft_core::{DModK, RandomRouting};
-
-    #[test]
-    fn sweep_runs_and_orders_points() {
-        let config = FlowMclConfig {
-            k: 8,
-            w2_values: vec![8, 5],
-            schemes: vec![FlowScheme::Random, FlowScheme::DModK],
-            traffic: TrafficSpec::Uniform,
-        };
-        let result = config.run();
-        assert_eq!(result.points.len(), 4);
-        assert!(result.point_by_w(5, "random").is_some());
-        assert!(result.render_table().contains("XGFT(2;8,8;1,5)"));
-    }
 
     #[test]
     fn cross_validation_is_exact_for_deterministic_schemes() {

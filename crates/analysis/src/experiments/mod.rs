@@ -17,3 +17,15 @@ pub mod fig5;
 pub mod flow_mcl;
 pub mod synthetic;
 pub mod table1;
+
+use xgft_core::AlgorithmSpec;
+
+/// The oblivious schemes in the order the Fig. 4 and synthetic tables list
+/// them: the deterministic pair, then the seeded schemes.
+const OBLIVIOUS_SCHEMES: [AlgorithmSpec; 5] = [
+    AlgorithmSpec::SModK,
+    AlgorithmSpec::DModK,
+    AlgorithmSpec::Random,
+    AlgorithmSpec::RandomNcaUp,
+    AlgorithmSpec::RandomNcaDown,
+];

@@ -8,13 +8,12 @@
 //! used by most fat-tree routing studies, so the schemes can be compared on
 //! patterns the paper only argues about qualitatively.
 
+use super::OBLIVIOUS_SCHEMES;
 use crate::stats::BoxplotStats;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
-use xgft_core::{
-    ContentionReport, DModK, RandomNcaDown, RandomNcaUp, RandomRouting, RoutingAlgorithm, SModK,
-};
+use xgft_core::{AlgorithmSpec, ContentionReport};
 use xgft_patterns::{generators, Pattern};
 use xgft_topo::{Xgft, XgftSpec};
 
@@ -39,9 +38,10 @@ pub struct SyntheticResult {
     pub rows: Vec<SyntheticRow>,
 }
 
-fn contention_of(xgft: &Xgft, algo: &dyn RoutingAlgorithm, pattern: &Pattern) -> f64 {
+fn contention_of(xgft: &Xgft, algorithm: AlgorithmSpec, seed: u64, pattern: &Pattern) -> f64 {
+    let algo = algorithm.instantiate(xgft, pattern, seed);
     let flows = pattern.phases()[0].network_flows().map(|f| (f.src, f.dst));
-    ContentionReport::compute(xgft, algo, flows).network_contention as f64
+    ContentionReport::compute(xgft, algo.as_ref(), flows).network_contention as f64
 }
 
 /// Run the comparison on `XGFT(2;k,k;1,w2)` with the given seeds for the
@@ -66,35 +66,18 @@ pub fn run(k: usize, w2: usize, seeds: &[u64]) -> SyntheticResult {
 
     let mut rows = Vec::new();
     for pattern in &patterns {
-        // Deterministic schemes.
-        for algo in [&SModK::new() as &dyn RoutingAlgorithm, &DModK::new()] {
+        for algorithm in OBLIVIOUS_SCHEMES {
+            let samples: Vec<f64> = if algorithm.is_seeded() {
+                seeds
+                    .iter()
+                    .map(|&s| contention_of(&xgft, algorithm, s, pattern))
+                    .collect()
+            } else {
+                vec![contention_of(&xgft, algorithm, 0, pattern)]
+            };
             rows.push(SyntheticRow {
                 pattern: pattern.name().to_string(),
-                algorithm: algo.name(),
-                contention: BoxplotStats::from_samples(&[contention_of(&xgft, algo, pattern)]),
-            });
-        }
-        // Seeded schemes.
-        type SeededAlgos<'a> = Vec<(&'a str, Box<dyn Fn(u64) -> Box<dyn RoutingAlgorithm> + 'a>)>;
-        let seeded: SeededAlgos = vec![
-            ("random", Box::new(|s| Box::new(RandomRouting::new(s)))),
-            (
-                "r-NCA-u",
-                Box::new(|s| Box::new(RandomNcaUp::new(&xgft, s))),
-            ),
-            (
-                "r-NCA-d",
-                Box::new(|s| Box::new(RandomNcaDown::new(&xgft, s))),
-            ),
-        ];
-        for (name, build) in &seeded {
-            let samples: Vec<f64> = seeds
-                .iter()
-                .map(|&s| contention_of(&xgft, build(s).as_ref(), pattern))
-                .collect();
-            rows.push(SyntheticRow {
-                pattern: pattern.name().to_string(),
-                algorithm: name.to_string(),
+                algorithm: algorithm.name().to_string(),
                 contention: BoxplotStats::from_samples(&samples),
             });
         }

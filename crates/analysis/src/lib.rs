@@ -18,7 +18,9 @@
 //!
 //! Sweeps decompose into (topology, algorithm, seed) [`SweepShard`]s that
 //! replay in parallel on compiled route tables or closed-form compact
-//! routes. A sweep's [`SeedSpec`] says where each point's seeds come from:
+//! routes. The algorithms are [`AlgorithmSpec`] values, re-exported from
+//! `xgft-core`, whose one table holds each scheme's name, seeding,
+//! instance and closed form. A sweep's [`SeedSpec`] says where each point's seeds come from:
 //! one shared list, or deterministic point-local streams. The [`campaign`]
 //! module describes a stream-seeded sweep and records its per-shard
 //! provenance as serde-JSON (the paper's 40–60-seed figure runs as one

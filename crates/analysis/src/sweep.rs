@@ -23,108 +23,13 @@ use crate::campaign::shard_seed;
 use crate::slowdown::{run_on_crossbar, run_reusing_sim};
 use crate::stats::BoxplotStats;
 use serde::{Deserialize, Serialize};
-use xgft_core::{
-    ColoredRouting, CompactRoutes, CompactScheme, DModK, RandomNcaDown, RandomNcaUp, RandomRouting,
-    RouteSource, RoutingAlgorithm, SModK,
-};
+use xgft_core::{CompactRoutes, RouteSource};
 use xgft_netsim::{NetworkConfig, NetworkSim};
 use xgft_patterns::Pattern;
 use xgft_topo::{TopologyError, Xgft, XgftSpec};
 use xgft_tracesim::{workloads, ReplayEngine, Trace};
 
-/// Which routing algorithms a sweep evaluates. Deterministic algorithms are
-/// run once per topology; seeded algorithms once per seed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum AlgorithmSpec {
-    /// Static random NCA selection (seeded).
-    Random,
-    /// Source-mod-k (deterministic).
-    SModK,
-    /// Destination-mod-k (deterministic).
-    DModK,
-    /// Random NCA Up — the paper's proposal, source-guided (seeded).
-    RandomNcaUp,
-    /// Random NCA Down — the paper's proposal, destination-guided (seeded).
-    RandomNcaDown,
-    /// Pattern-aware baseline (deterministic, sees the pattern).
-    Colored,
-}
-
-impl AlgorithmSpec {
-    /// The name used in reports (matches the paper's legends).
-    pub fn name(&self) -> &'static str {
-        match self {
-            AlgorithmSpec::Random => "random",
-            AlgorithmSpec::SModK => "s-mod-k",
-            AlgorithmSpec::DModK => "d-mod-k",
-            AlgorithmSpec::RandomNcaUp => "r-NCA-u",
-            AlgorithmSpec::RandomNcaDown => "r-NCA-d",
-            AlgorithmSpec::Colored => "colored",
-        }
-    }
-
-    /// True if the algorithm consumes a seed (and therefore gets a boxplot).
-    pub fn is_seeded(&self) -> bool {
-        matches!(
-            self,
-            AlgorithmSpec::Random | AlgorithmSpec::RandomNcaUp | AlgorithmSpec::RandomNcaDown
-        )
-    }
-
-    /// The full set evaluated by Fig. 2 (classic oblivious schemes).
-    pub fn figure2_set() -> Vec<AlgorithmSpec> {
-        vec![
-            AlgorithmSpec::Random,
-            AlgorithmSpec::SModK,
-            AlgorithmSpec::DModK,
-            AlgorithmSpec::Colored,
-        ]
-    }
-
-    /// The full set evaluated by Fig. 5 (proposals plus references).
-    pub fn figure5_set() -> Vec<AlgorithmSpec> {
-        vec![
-            AlgorithmSpec::SModK,
-            AlgorithmSpec::DModK,
-            AlgorithmSpec::Colored,
-            AlgorithmSpec::RandomNcaUp,
-            AlgorithmSpec::RandomNcaDown,
-            AlgorithmSpec::Random,
-        ]
-    }
-
-    /// Instantiate the algorithm for a topology / pattern / seed.
-    pub fn instantiate(
-        &self,
-        xgft: &Xgft,
-        pattern: &Pattern,
-        seed: u64,
-    ) -> Box<dyn RoutingAlgorithm + Send + Sync> {
-        match self {
-            AlgorithmSpec::Random => Box::new(RandomRouting::new(seed)),
-            AlgorithmSpec::SModK => Box::new(SModK::new()),
-            AlgorithmSpec::DModK => Box::new(DModK::new()),
-            AlgorithmSpec::RandomNcaUp => Box::new(RandomNcaUp::new(xgft, seed)),
-            AlgorithmSpec::RandomNcaDown => Box::new(RandomNcaDown::new(xgft, seed)),
-            AlgorithmSpec::Colored => Box::new(ColoredRouting::new(xgft, &pattern.combined())),
-        }
-    }
-
-    /// The closed-form [`CompactScheme`] equivalent of this algorithm, or
-    /// `None` for the pattern-aware colored scheme, which has no
-    /// label-arithmetic form. For seeded algorithms the same seed yields
-    /// paths byte-identical to [`Self::instantiate`]'s.
-    pub fn compact_scheme(&self, xgft: &Xgft, seed: u64) -> Option<CompactScheme> {
-        Some(match self {
-            AlgorithmSpec::Random => CompactScheme::Random { seed },
-            AlgorithmSpec::SModK => CompactScheme::SModK,
-            AlgorithmSpec::DModK => CompactScheme::DModK,
-            AlgorithmSpec::RandomNcaUp => CompactScheme::random_nca_up(xgft, seed),
-            AlgorithmSpec::RandomNcaDown => CompactScheme::random_nca_down(xgft, seed),
-            AlgorithmSpec::Colored => return None,
-        })
-    }
-}
+pub use xgft_core::AlgorithmSpec;
 
 /// One unit of parallel sweep work: a (topology, algorithm, seed) triple.
 /// Deterministic algorithms carry a placeholder seed of 0.
@@ -511,17 +416,6 @@ mod tests {
             assert_eq!((a.w2, &a.algorithm), (b.w2, &b.algorithm));
             assert_eq!(a.samples, b.samples, "{}@w2={}", a.algorithm, a.w2);
         }
-    }
-
-    #[test]
-    fn algorithm_spec_metadata() {
-        assert!(AlgorithmSpec::Random.is_seeded());
-        assert!(AlgorithmSpec::RandomNcaUp.is_seeded());
-        assert!(!AlgorithmSpec::DModK.is_seeded());
-        assert!(!AlgorithmSpec::Colored.is_seeded());
-        assert_eq!(AlgorithmSpec::figure2_set().len(), 4);
-        assert_eq!(AlgorithmSpec::figure5_set().len(), 6);
-        assert_eq!(AlgorithmSpec::RandomNcaDown.name(), "r-NCA-d");
     }
 
     #[test]

@@ -55,6 +55,7 @@ use crate::algorithm::RoutingAlgorithm;
 use crate::compact::{LevelTable, WalkLevel};
 use crate::divisor::Divisor;
 use crate::modk::mod_route;
+use crate::scheme::AlgorithmSpec;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 use xgft_patterns::ConnectivityMatrix;
@@ -343,7 +344,7 @@ impl ColoredRouting {
 
 impl RoutingAlgorithm for ColoredRouting {
     fn name(&self) -> String {
-        "colored".to_string()
+        AlgorithmSpec::Colored.name().to_string()
     }
 
     fn route(&self, xgft: &Xgft, s: usize, d: usize) -> Route {

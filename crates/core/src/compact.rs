@@ -48,6 +48,7 @@ use crate::divisor::Divisor;
 use crate::overlay::{decode_route, PatchBase};
 use crate::random::pair_stream;
 use crate::relabel::RelabelMaps;
+use crate::scheme::AlgorithmSpec;
 use rand::Rng;
 use xgft_topo::{ChannelTable, Route, Xgft};
 
@@ -97,17 +98,18 @@ impl CompactScheme {
         }
     }
 
-    /// The algorithm name, identical to the corresponding
-    /// [`crate::RoutingAlgorithm::name`] so compiled and compact forms of the
-    /// same scheme compare equal.
+    /// The name of the scheme's [`AlgorithmSpec`], as its
+    /// [`crate::RoutingAlgorithm::name`] reports it, so compiled and compact
+    /// forms of the same scheme compare equal.
     pub fn name(&self) -> &'static str {
         match self {
-            CompactScheme::SModK => "s-mod-k",
-            CompactScheme::DModK => "d-mod-k",
-            CompactScheme::Random { .. } => "random",
-            CompactScheme::RandomNcaUp { .. } => "r-NCA-u",
-            CompactScheme::RandomNcaDown { .. } => "r-NCA-d",
+            CompactScheme::SModK => AlgorithmSpec::SModK,
+            CompactScheme::DModK => AlgorithmSpec::DModK,
+            CompactScheme::Random { .. } => AlgorithmSpec::Random,
+            CompactScheme::RandomNcaUp { .. } => AlgorithmSpec::RandomNcaUp,
+            CompactScheme::RandomNcaDown { .. } => AlgorithmSpec::RandomNcaDown,
         }
+        .name()
     }
 
     /// Bytes of scheme state (the only state that scales with anything at

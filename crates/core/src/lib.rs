@@ -22,6 +22,9 @@
 //!   from ICS'09; here a greedy + refinement heuristic over an
 //!   endpoint-contention-aware cost plays that role).
 //!
+//! [`AlgorithmSpec`] is the one table of these schemes: each scheme's
+//! paper name, whether it is seeded, how to build it and its closed form.
+//!
 //! Supporting machinery: [`CompiledRouteTable`] (a scheme's routes for a
 //! pattern or for all pairs, flattened into dense per-source channel-index
 //! arrays — the zero-allocation form the simulators inject from),
@@ -61,6 +64,7 @@ pub mod random;
 pub mod relabel;
 pub mod rnca;
 pub mod route_dist;
+pub mod scheme;
 pub mod source;
 
 pub use algorithm::RoutingAlgorithm;
@@ -76,4 +80,5 @@ pub use random::RandomRouting;
 pub use relabel::RelabelMaps;
 pub use rnca::{RandomNcaDown, RandomNcaUp};
 pub use route_dist::{RouteDist, RouteDistribution};
+pub use scheme::{AlgorithmSpec, UnknownScheme};
 pub use source::RouteSource;

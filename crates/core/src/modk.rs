@@ -23,6 +23,7 @@
 
 use crate::algorithm::RoutingAlgorithm;
 use crate::route_dist::RouteDistribution;
+use crate::scheme::AlgorithmSpec;
 use xgft_topo::{Route, Xgft};
 
 /// Compute the mod-k up-port sequence guided by `guide_leaf`, climbing to
@@ -60,7 +61,7 @@ impl SModK {
 
 impl RoutingAlgorithm for SModK {
     fn name(&self) -> String {
-        "s-mod-k".to_string()
+        AlgorithmSpec::SModK.name().to_string()
     }
 
     fn route(&self, xgft: &Xgft, s: usize, d: usize) -> Route {
@@ -86,7 +87,7 @@ impl DModK {
 
 impl RoutingAlgorithm for DModK {
     fn name(&self) -> String {
-        "d-mod-k".to_string()
+        AlgorithmSpec::DModK.name().to_string()
     }
 
     fn route(&self, xgft: &Xgft, s: usize, d: usize) -> Route {

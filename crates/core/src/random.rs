@@ -11,6 +11,7 @@
 
 use crate::algorithm::RoutingAlgorithm;
 use crate::route_dist::{RouteDist, RouteDistribution};
+use crate::scheme::AlgorithmSpec;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use xgft_topo::{Route, Xgft};
@@ -63,7 +64,7 @@ impl Default for RandomRouting {
 
 impl RoutingAlgorithm for RandomRouting {
     fn name(&self) -> String {
-        "random".to_string()
+        AlgorithmSpec::Random.name().to_string()
     }
 
     fn route(&self, xgft: &Xgft, s: usize, d: usize) -> Route {

@@ -22,6 +22,7 @@
 use crate::algorithm::RoutingAlgorithm;
 use crate::relabel::RelabelMaps;
 use crate::route_dist::{RouteDist, RouteDistribution};
+use crate::scheme::AlgorithmSpec;
 use xgft_topo::{Route, Xgft};
 
 /// The seed-marginal route distribution shared by r-NCA-u and r-NCA-d: the
@@ -101,7 +102,7 @@ impl RandomNcaUp {
 
 impl RoutingAlgorithm for RandomNcaUp {
     fn name(&self) -> String {
-        "r-NCA-u".to_string()
+        AlgorithmSpec::RandomNcaUp.name().to_string()
     }
 
     fn route(&self, xgft: &Xgft, s: usize, d: usize) -> Route {
@@ -150,7 +151,7 @@ impl RandomNcaDown {
 
 impl RoutingAlgorithm for RandomNcaDown {
     fn name(&self) -> String {
-        "r-NCA-d".to_string()
+        AlgorithmSpec::RandomNcaDown.name().to_string()
     }
 
     fn route(&self, xgft: &Xgft, s: usize, d: usize) -> Route {

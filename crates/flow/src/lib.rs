@@ -41,7 +41,7 @@
 //! | [`traffic`] | [`TrafficMatrix`] / [`TrafficSpec`] — demands (uniform kept symbolic) |
 //! | [`loads`] | [`ExpectedLoads`], MCL, [`expected_nca_distribution`] |
 //! | [`bound`] | [`tree_cut_lower_bound`], [`oblivious_congestion_ratio`] |
-//! | [`sweep`] | [`FlowSweepConfig`] — rayon-parallel (topology × scheme) sweeps |
+//! | [`sweep`] | [`FlowSweepConfig`] — rayon-parallel (topology × scheme) sweeps over `xgft_core::AlgorithmSpec` schemes |
 //!
 //! Cross-validation against the event-driven simulator lives in this
 //! crate's integration tests (property tests comparing expected loads to
@@ -61,5 +61,5 @@ pub mod traffic;
 pub use bound::{oblivious_congestion_ratio, tree_cut_lower_bound, CongestionRatio, CutBound};
 pub use degraded::DegradedLoads;
 pub use loads::{expected_nca_distribution, ExpectedLoads};
-pub use sweep::{FlowPoint, FlowScheme, FlowSweepConfig, FlowSweepResult};
+pub use sweep::{FlowPoint, FlowSweepConfig, FlowSweepResult};
 pub use traffic::{TrafficMatrix, TrafficSpec};

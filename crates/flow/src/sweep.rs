@@ -14,79 +14,8 @@ use crate::loads::ExpectedLoads;
 use crate::traffic::TrafficSpec;
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
-use xgft_core::{
-    ColoredRouting, DModK, RandomNcaDown, RandomNcaUp, RandomRouting, RouteDistribution, SModK,
-};
-use xgft_topo::{Xgft, XgftSpec};
-
-/// The routing schemes the analytical sweep knows how to instantiate.
-///
-/// Randomised schemes are represented by their *closed-form expectation*
-/// (no seed axis): Random's uniform product distribution and the r-NCA
-/// family's balanced-map marginal. Deterministic schemes use their exact
-/// point routes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum FlowScheme {
-    /// Static random NCA selection (closed form).
-    Random,
-    /// Source-mod-k (deterministic).
-    SModK,
-    /// Destination-mod-k (deterministic).
-    DModK,
-    /// Random NCA Up — seed-marginal closed form.
-    RNcaUp,
-    /// Random NCA Down — seed-marginal closed form.
-    RNcaDown,
-    /// Pattern-aware Colored baseline (deterministic; sees the traffic).
-    Colored,
-}
-
-impl FlowScheme {
-    /// The name used in tables (matches the simulator sweeps' legends).
-    pub fn name(&self) -> &'static str {
-        match self {
-            FlowScheme::Random => "random",
-            FlowScheme::SModK => "s-mod-k",
-            FlowScheme::DModK => "d-mod-k",
-            FlowScheme::RNcaUp => "r-NCA-u",
-            FlowScheme::RNcaDown => "r-NCA-d",
-            FlowScheme::Colored => "colored",
-        }
-    }
-
-    /// Every oblivious scheme (the default sweep set; Colored additionally
-    /// requires materialising the traffic as a pattern).
-    pub fn oblivious_set() -> Vec<FlowScheme> {
-        vec![
-            FlowScheme::Random,
-            FlowScheme::SModK,
-            FlowScheme::DModK,
-            FlowScheme::RNcaUp,
-            FlowScheme::RNcaDown,
-        ]
-    }
-
-    /// Instantiate the scheme for a topology and traffic family.
-    pub fn instantiate(
-        &self,
-        xgft: &Xgft,
-        traffic: &TrafficSpec,
-    ) -> Box<dyn RouteDistribution + Send + Sync> {
-        match self {
-            FlowScheme::Random => Box::new(RandomRouting::new(0)),
-            FlowScheme::SModK => Box::new(SModK::new()),
-            FlowScheme::DModK => Box::new(DModK::new()),
-            // The seed is irrelevant to the closed-form distribution; 0 is
-            // used so `route()` (a concrete draw) stays reproducible.
-            FlowScheme::RNcaUp => Box::new(RandomNcaUp::new(xgft, 0)),
-            FlowScheme::RNcaDown => Box::new(RandomNcaDown::new(xgft, 0)),
-            FlowScheme::Colored => Box::new(ColoredRouting::new(
-                xgft,
-                &traffic.connectivity(xgft.num_leaves()),
-            )),
-        }
-    }
-}
+use xgft_core::AlgorithmSpec;
+use xgft_topo::{TopologyError, Xgft, XgftSpec};
 
 /// One (topology, scheme) point of an analytical sweep.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -176,40 +105,46 @@ impl FlowSweepResult {
 
 /// Configuration of an analytical sweep: a list of topologies × a list of
 /// schemes under one traffic family.
+///
+/// Randomised schemes are evaluated by their *closed-form expectation* (no
+/// seed axis): Random's uniform product distribution and the r-NCA
+/// family's balanced-map marginal, from the seed-0 instance. Deterministic
+/// schemes use their exact point routes; Colored optimises the traffic's
+/// connectivity.
 #[derive(Debug, Clone)]
 pub struct FlowSweepConfig {
     /// The topologies to evaluate.
     pub specs: Vec<XgftSpec>,
     /// The schemes to evaluate on each topology.
-    pub schemes: Vec<FlowScheme>,
+    pub schemes: Vec<AlgorithmSpec>,
     /// The traffic family, instantiated at each topology's leaf count.
     pub traffic: TrafficSpec,
 }
 
 impl FlowSweepConfig {
     /// The paper's slimming family `XGFT(2;k,k;1,w2)` over a list of `w2`
-    /// values.
+    /// values. Errors if `k` and a `w2` describe no machine.
     pub fn slimming_family(
         k: usize,
         w2_values: &[usize],
-        schemes: Vec<FlowScheme>,
+        schemes: Vec<AlgorithmSpec>,
         traffic: TrafficSpec,
-    ) -> Self {
-        FlowSweepConfig {
+    ) -> Result<Self, TopologyError> {
+        Ok(FlowSweepConfig {
             specs: w2_values
                 .iter()
-                .map(|&w2| XgftSpec::slimmed_two_level(k, w2).expect("valid slimmed spec"))
-                .collect(),
+                .map(|&w2| XgftSpec::slimmed_two_level(k, w2))
+                .collect::<Result<_, _>>()?,
             schemes,
             traffic,
-        }
+        })
     }
 
     /// A height sweep of full k-ary n-trees (`n` from 2 to `max_height`).
     pub fn height_family(
         k: usize,
         max_height: usize,
-        schemes: Vec<FlowScheme>,
+        schemes: Vec<AlgorithmSpec>,
         traffic: TrafficSpec,
     ) -> Self {
         FlowSweepConfig {
@@ -237,7 +172,7 @@ impl FlowSweepConfig {
                 (xgft, matrix, bound)
             })
             .collect();
-        let jobs: Vec<(usize, FlowScheme)> = (0..self.specs.len())
+        let jobs: Vec<(usize, AlgorithmSpec)> = (0..self.specs.len())
             .flat_map(|i| self.schemes.iter().map(move |&s| (i, s)))
             .collect();
         let points: Vec<FlowPoint> = jobs
@@ -245,7 +180,9 @@ impl FlowSweepConfig {
             .map(|&(i, scheme)| {
                 let (xgft, matrix, bound) = &prepared[i];
                 let spec = xgft.spec();
-                let algo = scheme.instantiate(xgft, traffic);
+                // The seed only fixes `route()`'s concrete draw; the
+                // closed-form distribution marginalises it away.
+                let algo = scheme.build(xgft, 0, || traffic.connectivity(xgft.num_leaves()));
                 let loads = ExpectedLoads::compute(xgft, algo.as_ref(), matrix);
                 let mcl = loads.mcl();
                 FlowPoint {
@@ -270,13 +207,6 @@ impl FlowSweepConfig {
     }
 }
 
-/// Convenience: the lower bound alone for a family instance (used by
-/// binaries that only want the bound column).
-pub fn bound_for(spec: &XgftSpec, traffic: &TrafficSpec) -> f64 {
-    let xgft = Xgft::new(spec.clone()).expect("valid spec");
-    tree_cut_lower_bound(&xgft, &traffic.matrix(xgft.num_leaves())).bound
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -286,14 +216,17 @@ mod tests {
         // On the slimmed tree the mod-k wrap gives a strictly larger MCL
         // (and ratio) than the balanced closed forms; on the full tree all
         // oblivious schemes meet the bound under uniform traffic.
-        let config = FlowSweepConfig::slimming_family(
-            16,
-            &[16, 10],
-            FlowScheme::oblivious_set(),
-            TrafficSpec::Uniform,
-        );
+        let oblivious = AlgorithmSpec::ALL[..5].to_vec();
+        assert!(!oblivious.contains(&AlgorithmSpec::Colored));
+        let config =
+            FlowSweepConfig::slimming_family(16, &[16, 10], oblivious, TrafficSpec::Uniform)
+                .unwrap();
         let result = config.run();
         assert_eq!(result.points.len(), 10);
+        // A w2 that describes no machine is a typed error.
+        assert!(
+            FlowSweepConfig::slimming_family(16, &[16, 0], vec![], TrafficSpec::Uniform).is_err()
+        );
 
         let full = "XGFT(2;16,16;1,16)";
         let slim = "XGFT(2;16,16;1,10)";
@@ -323,7 +256,7 @@ mod tests {
         let config = FlowSweepConfig::height_family(
             4,
             3,
-            vec![FlowScheme::Random, FlowScheme::DModK],
+            vec![AlgorithmSpec::Random, AlgorithmSpec::DModK],
             TrafficSpec::Shift { offset: 1 },
         );
         let result = config.run();
@@ -340,9 +273,10 @@ mod tests {
         let config = FlowSweepConfig::slimming_family(
             4,
             &[2],
-            vec![FlowScheme::Colored, FlowScheme::DModK],
+            vec![AlgorithmSpec::Colored, AlgorithmSpec::DModK],
             traffic,
-        );
+        )
+        .unwrap();
         let result = config.run();
         let colored = result.point_by_w(2, "colored").unwrap();
         let dmodk = result.point_by_w(2, "d-mod-k").unwrap();
@@ -350,14 +284,5 @@ mod tests {
         // scheme on the pattern it optimised for.
         assert!(colored.mcl <= dmodk.mcl + 1e-9);
         assert!(colored.ratio >= 1.0 - 1e-9);
-    }
-
-    #[test]
-    fn scheme_names_are_stable() {
-        assert_eq!(FlowScheme::Random.name(), "random");
-        assert_eq!(FlowScheme::RNcaDown.name(), "r-NCA-d");
-        assert_eq!(FlowScheme::oblivious_set().len(), 5);
-        let spec = XgftSpec::slimmed_two_level(4, 2).unwrap();
-        assert!(bound_for(&spec, &TrafficSpec::Uniform) > 0.0);
     }
 }

@@ -109,6 +109,8 @@ pub struct NetworkSim {
     completions: VecDeque<Completion>,
     records: Vec<MessageRecord>,
     events_processed: u64,
+    /// The work [`Self::flush_metrics`] has already recorded.
+    flushed: Flushed,
     /// Serialization time of one full segment — cached because `try_start`
     /// pays it once per segment per hop and `NetworkConfig::serialization_ps`
     /// does float math.
@@ -117,6 +119,25 @@ pub struct NetworkSim {
     flit_ps: u64,
     /// Switch traversal latency in picoseconds.
     switch_ps: u64,
+}
+
+/// The counts a [`NetworkSim`] had when it last flushed its metrics.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+struct Flushed {
+    events: u64,
+    days: u64,
+    days_adopted: u64,
+    records: usize,
+    dropped: usize,
+}
+
+impl Drop for NetworkSim {
+    fn drop(&mut self) {
+        // Metrics are not worth a second panic while unwinding.
+        if !std::thread::panicking() {
+            self.flush_metrics();
+        }
+    }
 }
 
 impl NetworkSim {
@@ -150,6 +171,7 @@ impl NetworkSim {
             completions: VecDeque::new(),
             records: Vec::new(),
             events_processed: 0,
+            flushed: Flushed::default(),
             seg_full_ps,
             flit_ps,
             switch_ps,
@@ -167,6 +189,8 @@ impl NetworkSim {
     /// the `reset_is_byte_identical_to_a_fresh_simulator` test and the
     /// campaign golden fixtures).
     pub fn reset(&mut self) {
+        self.flush_metrics();
+        self.flushed = Flushed::default();
         self.now_ps = 0;
         self.queue.clear();
         let credits = self.config.input_buffer_segments.max(1);
@@ -487,47 +511,60 @@ impl NetworkSim {
     /// final report.
     pub fn run_to_completion(&mut self) -> SimReport {
         xgft_obs::span!("netsim.run");
-        let events_before = self.events_processed;
-        let records_before = self.records.len();
-        let dropped_before = self.dropped_messages;
-        let days_before = (self.queue.days(), self.queue.days_adopted());
         while self.step() {}
         self.completions.clear();
-        let report = self.report();
-        // Bulk-record this run's deltas after the event loop (never inside
-        // it): repeated runs on one simulator only count new work.
+        self.flush_metrics();
+        self.report()
+    }
+
+    /// Record the work done since the last flush in the global metrics
+    /// registry: counters and the latency histogram take the deltas, gauges
+    /// their current maxima. It runs after event loops, never inside them:
+    /// at the end of [`Self::run_to_completion`], before [`Self::reset`]
+    /// zeroes the counts, and on drop, so runs driven one completion at a
+    /// time (trace replays) are counted too.
+    fn flush_metrics(&mut self) {
+        let done = Flushed {
+            events: self.events_processed,
+            days: self.queue.days(),
+            days_adopted: self.queue.days_adopted(),
+            records: self.records.len(),
+            dropped: self.dropped_messages,
+        };
+        let before = std::mem::replace(&mut self.flushed, done);
+        if done == before {
+            return;
+        }
         let metrics = xgft_obs::global();
         metrics
             .counter("netsim.events")
-            .add(self.events_processed - events_before);
-        metrics
-            .counter("netsim.days")
-            .add(self.queue.days() - days_before.0);
+            .add(done.events - before.events);
+        metrics.counter("netsim.days").add(done.days - before.days);
         metrics
             .counter("netsim.days_adopted")
-            .add(self.queue.days_adopted() - days_before.1);
+            .add(done.days_adopted - before.days_adopted);
         metrics
             .counter("netsim.delivered")
-            .add((self.records.len() - records_before) as u64);
+            .add((done.records - before.records) as u64);
         metrics
             .counter("netsim.dropped")
-            .add((self.dropped_messages - dropped_before) as u64);
+            .add((done.dropped - before.dropped) as u64);
+        let max_queue = self.channels.iter().map(|c| c.max_queue).max();
         metrics
             .gauge("netsim.queue_depth")
-            .set_max(report.max_queue_depth as u64);
+            .set_max(max_queue.unwrap_or(0) as u64);
         metrics
             .gauge("netsim.event_queue_hwm")
-            .set_max(report.event_queue_hwm as u64);
+            .set_max(self.queue.high_water() as u64);
         // What the queue keeps allocated, in entries, against the
         // high-water mark of what it held at once.
         metrics
             .gauge("netsim.queue_capacity")
             .set_max(self.queue.capacity() as u64);
         let latency = metrics.histogram("netsim.delivery_latency_ps");
-        for record in &self.records[records_before..] {
+        for record in &self.records[before.records..] {
             latency.record(record.latency_ps());
         }
-        report
     }
 
     /// Accumulated busy (transmitting) time of every directed channel so

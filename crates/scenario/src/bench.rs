@@ -22,7 +22,7 @@ use serde::{Deserialize, Serialize, Value};
 use std::time::Instant;
 use xgft_analysis::{AlgorithmSpec, CampaignConfig, ChaosConfig};
 use xgft_core::{CompactRoutes, CompactScheme, CompiledRouteTable, DModK, UndoableTable};
-use xgft_flow::{FlowScheme, FlowSweepConfig, TrafficSpec};
+use xgft_flow::{FlowSweepConfig, TrafficSpec};
 use xgft_netsim::{CrossbarSim, InjectionBatch, NetworkConfig, NetworkSim};
 use xgft_patterns::generators;
 use xgft_topo::{FaultSet, Xgft};
@@ -269,9 +269,14 @@ fn bench_flow_mcl(quick: bool, reps: u32) -> Vec<BenchProbe> {
     let config = FlowSweepConfig::slimming_family(
         k,
         &w2_values,
-        vec![FlowScheme::DModK, FlowScheme::SModK, FlowScheme::RNcaUp],
+        vec![
+            AlgorithmSpec::DModK,
+            AlgorithmSpec::SModK,
+            AlgorithmSpec::RandomNcaUp,
+        ],
         TrafficSpec::Uniform,
-    );
+    )
+    .expect("k and every w2 describe a machine");
     let timed = time_reps(reps, || {
         let result = config.run();
         // Scale the (exact, closed-form) ratios into a stable integer so

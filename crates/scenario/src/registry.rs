@@ -540,24 +540,29 @@ fn run_synthetic(args: &ExperimentArgs) -> Result<EntryOutput, EntryError> {
 fn run_flow_mcl(args: &ExperimentArgs) -> Result<EntryOutput, EntryError> {
     use std::time::Instant;
     use xgft_core::RandomRouting;
-    use xgft_flow::{ExpectedLoads, TrafficMatrix, TrafficSpec};
+    use xgft_flow::{ExpectedLoads, FlowSweepConfig, TrafficMatrix, TrafficSpec};
     use xgft_topo::Xgft;
 
+    // The paper's XGFT(2;16,16;1,w2) family under every oblivious scheme.
+    let sweep = |traffic| {
+        let oblivious = AlgorithmSpec::ALL
+            .into_iter()
+            .filter(|&a| a != AlgorithmSpec::Colored)
+            .collect();
+        FlowSweepConfig::slimming_family(16, &args.w2_sweep(), oblivious, traffic)
+            .map(|config| config.run())
+            .map_err(|e| EntryError::Usage(format!("--w2: {e}")))
+    };
     let mut stdout = String::new();
 
     // 1. The analytical slimming sweep, uniform all-pairs traffic.
-    let config = flow_mcl::FlowMclConfig::new(args.w2_sweep());
-    let result = config.run();
+    let result = sweep(TrafficSpec::Uniform)?;
     stdout.push_str(&result.render_table());
     stdout.push('\n');
 
     // 2. The same sweep under a pattern family (cyclic shift by one
     // switch), showing the congestion ratios pattern structure induces.
-    let shifted = flow_mcl::FlowMclConfig {
-        traffic: TrafficSpec::Shift { offset: 16 },
-        ..flow_mcl::FlowMclConfig::new(args.w2_sweep())
-    };
-    stdout.push_str(&shifted.run().render_table());
+    stdout.push_str(&sweep(TrafficSpec::Shift { offset: 16 })?.render_table());
     stdout.push('\n');
 
     // 3. Cross-validation: seed-averaged netsim utilization vs the model.
@@ -591,7 +596,9 @@ fn run_flow_mcl(args: &ExperimentArgs) -> Result<EntryOutput, EntryError> {
             let start = Instant::now();
             let xgft = Xgft::new(spec.clone()).expect("valid spec");
             let traffic = TrafficMatrix::uniform(xgft.num_leaves());
-            let algo = scheme.instantiate(&xgft, &TrafficSpec::Uniform);
+            let algo = scheme.build(&xgft, 0, || {
+                TrafficSpec::Uniform.connectivity(xgft.num_leaves())
+            });
             let loads = ExpectedLoads::compute(&xgft, algo.as_ref(), &traffic);
             stdout.push_str(&format!(
                 "{} x {}: {} leaves, {} channels, MCL {:.0} in {:.1} ms\n",
@@ -674,6 +681,19 @@ mod tests {
         );
         args.workload = "bogus".to_string();
         assert!(spec_for("faults", &args).unwrap().is_err());
+    }
+
+    #[test]
+    fn a_zero_w2_is_a_usage_error_or_ignored_never_a_panic() {
+        let args = ExperimentArgs::parse_from(["--quick", "--w2", "0"].map(String::from)).unwrap();
+        for entry in registry() {
+            match (entry.run)(&args) {
+                Ok(_) | Err(EntryError::Usage(_)) => {}
+                Err(e) => panic!("{}: {e}", entry.name),
+            }
+        }
+        let err = (find("flow_mcl").unwrap().run)(&args).err();
+        assert!(matches!(err, Some(EntryError::Usage(_))), "{err:?}");
     }
 
     #[test]

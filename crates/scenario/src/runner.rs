@@ -30,10 +30,10 @@ use xgft_analysis::{
     CampaignResult, ChaosConfig, ChaosResult, ChaosShardOutcome, ResilienceConfig,
     ResilienceResult, SweepConfig, SweepResult,
 };
-use xgft_core::{CompactRoutes, CompactScheme, CompiledRouteTable, RouteSource};
+use xgft_core::{AlgorithmSpec, CompactRoutes, CompactScheme, CompiledRouteTable, RouteSource};
 use xgft_flow::{
-    tree_cut_lower_bound, DegradedLoads, FlowScheme, FlowSweepConfig, FlowSweepResult,
-    TrafficMatrix, TrafficSpec,
+    tree_cut_lower_bound, DegradedLoads, FlowSweepConfig, FlowSweepResult, TrafficMatrix,
+    TrafficSpec,
 };
 use xgft_netsim::{InjectionBatch, NetworkConfig, NetworkSim, SimReport};
 use xgft_patterns::Pattern;
@@ -424,10 +424,11 @@ pub(crate) enum Plan {
     /// The analytical sweep; the workload pattern becomes its traffic.
     Flow {
         specs: Vec<XgftSpec>,
-        schemes: Vec<FlowScheme>,
+        schemes: Vec<AlgorithmSpec>,
     },
-    /// Exact closed-form loads, one point per job.
-    CompactFlow(Grid<ClosedForm>),
+    /// Exact closed-form loads, one point per job, routed by its scheme's
+    /// closed form.
+    CompactFlow(Grid<fn(&Xgft, u64) -> CompactScheme>),
     /// Routes-per-NCA distributions; `seeds` is non-empty.
     Nca {
         topologies: Vec<XgftSpec>,
@@ -441,17 +442,14 @@ pub(crate) enum Plan {
     Agreement(Grid<Routes>),
 }
 
-/// The closed form of a scheme on a machine for a seed, which the compact
-/// representation routes by.
-pub(crate) type ClosedForm = fn(&Xgft, u64) -> CompactScheme;
-
 /// How a job of the direct-injection and agreement engines routes.
 #[derive(Clone, Copy)]
 pub(crate) enum Routes {
     /// A [`CompiledRouteTable`] of the workload's pairs.
     Compiled,
-    /// [`CompactRoutes`] over the workload's pairs, from the closed form.
-    Compact(ClosedForm),
+    /// [`CompactRoutes`] over the workload's pairs, from the scheme's
+    /// closed form.
+    Compact(fn(&Xgft, u64) -> CompactScheme),
 }
 
 /// The (topology × scheme × seed) jobs of the grid engines.
@@ -718,7 +716,10 @@ impl Grid<Routes> {
 /// `representation = "compact"`. The traffic matrix is sparse and the
 /// compact engine holds near-zero route state, so this path scales to
 /// million-leaf machines the compiled table cannot represent.
-fn run_compact_flow(grid: Grid<ClosedForm>, pattern: &Pattern) -> CompactFlowResult {
+fn run_compact_flow(
+    grid: Grid<fn(&Xgft, u64) -> CompactScheme>,
+    pattern: &Pattern,
+) -> CompactFlowResult {
     let mut points = Vec::new();
     for (topo_spec, xgft) in &grid.machines {
         let traffic = TrafficMatrix::from_pattern(pattern, xgft.num_leaves());

@@ -13,12 +13,11 @@
 //! route-table / campaign / resilience machinery. `schema_version` is
 //! checked on load so old tooling fails loudly on specs from the future.
 
-use crate::runner::{ClosedForm, Grid, Plan, Routes};
+use crate::runner::{Grid, Plan, Routes};
 use serde::{Deserialize, Serialize, Value};
 use std::fmt;
 use xgft_analysis::{AlgorithmSpec, ChaosConfig, ResilienceConfig, SweepConfig};
 use xgft_core::CompactScheme;
-use xgft_flow::FlowScheme;
 use xgft_netsim::NetworkConfig;
 use xgft_patterns::{generators, Pattern};
 use xgft_topo::{Xgft, XgftSpec};
@@ -78,6 +77,21 @@ fn first_duplicate<T: PartialEq>(items: &[T]) -> Option<&T> {
         .map(|(_, item)| item)
 }
 
+/// The closed form the compact representation routes `scheme` by.
+fn closed_form(scheme: SchemeSpec) -> Result<fn(&Xgft, u64) -> CompactScheme, ScenarioError> {
+    scheme.0.closed_form().ok_or_else(|| {
+        invalid("representation = compact has no closed form for the pattern-aware colored scheme")
+    })
+}
+
+/// How `scheme`'s grid jobs route under `representation`.
+fn routes(scheme: SchemeSpec, representation: RepresentationSpec) -> Result<Routes, ScenarioError> {
+    Ok(match representation {
+        RepresentationSpec::Compiled => Routes::Compiled,
+        RepresentationSpec::Compact => Routes::Compact(closed_form(scheme)?),
+    })
+}
+
 /// The machine under test.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub enum TopologySpec {
@@ -130,74 +144,9 @@ impl TopologySpec {
 pub struct SchemeSpec(pub AlgorithmSpec);
 
 impl SchemeSpec {
-    /// All scheme names this spec layer accepts.
-    pub const NAMES: [&'static str; 6] = [
-        "random", "s-mod-k", "d-mod-k", "r-NCA-u", "r-NCA-d", "colored",
-    ];
-
-    /// Parse a paper name into a scheme.
-    pub fn parse(name: &str) -> Result<SchemeSpec, ScenarioError> {
-        let algo = match name {
-            "random" => AlgorithmSpec::Random,
-            "s-mod-k" => AlgorithmSpec::SModK,
-            "d-mod-k" => AlgorithmSpec::DModK,
-            "r-NCA-u" => AlgorithmSpec::RandomNcaUp,
-            "r-NCA-d" => AlgorithmSpec::RandomNcaDown,
-            "colored" => AlgorithmSpec::Colored,
-            other => {
-                return Err(invalid(format!(
-                    "unknown scheme `{other}` (expected one of {:?})",
-                    SchemeSpec::NAMES
-                )))
-            }
-        };
-        Ok(SchemeSpec(algo))
-    }
-
     /// The paper name (`"d-mod-k"`, …).
     pub fn name(&self) -> &'static str {
         self.0.name()
-    }
-
-    /// The analytical flow-model counterpart of this scheme.
-    pub fn flow_scheme(&self) -> FlowScheme {
-        match self.0 {
-            AlgorithmSpec::Random => FlowScheme::Random,
-            AlgorithmSpec::SModK => FlowScheme::SModK,
-            AlgorithmSpec::DModK => FlowScheme::DModK,
-            AlgorithmSpec::RandomNcaUp => FlowScheme::RNcaUp,
-            AlgorithmSpec::RandomNcaDown => FlowScheme::RNcaDown,
-            AlgorithmSpec::Colored => FlowScheme::Colored,
-        }
-    }
-
-    /// The label-arithmetic closed form of this scheme, which the compact
-    /// representation routes by. The pattern-aware colored scheme has none.
-    pub(crate) fn closed_form(self) -> Result<ClosedForm, ScenarioError> {
-        Ok(match self.0 {
-            AlgorithmSpec::Random => |_, seed| CompactScheme::Random { seed },
-            AlgorithmSpec::SModK => |_, _| CompactScheme::SModK,
-            AlgorithmSpec::DModK => |_, _| CompactScheme::DModK,
-            AlgorithmSpec::RandomNcaUp => CompactScheme::random_nca_up,
-            AlgorithmSpec::RandomNcaDown => CompactScheme::random_nca_down,
-            AlgorithmSpec::Colored => {
-                return Err(invalid(
-                    "representation = compact has no closed form for the pattern-aware \
-                     colored scheme",
-                ))
-            }
-        })
-    }
-
-    /// How this scheme's jobs route under `representation`.
-    pub(crate) fn routes(
-        self,
-        representation: RepresentationSpec,
-    ) -> Result<Routes, ScenarioError> {
-        match representation {
-            RepresentationSpec::Compiled => Ok(Routes::Compiled),
-            RepresentationSpec::Compact => self.closed_form().map(Routes::Compact),
-        }
     }
 }
 
@@ -212,7 +161,9 @@ impl Deserialize for SchemeSpec {
         let name = value
             .as_str()
             .ok_or_else(|| serde::Error::custom("expected a scheme name string"))?;
-        SchemeSpec::parse(name).map_err(serde::Error::custom)
+        AlgorithmSpec::parse(name)
+            .map(SchemeSpec)
+            .map_err(serde::Error::custom)
     }
 }
 
@@ -585,13 +536,14 @@ pub struct ChaosSpec {
 /// `examples/scenarios/` in the repository root for annotated instances.
 ///
 /// ```
+/// use xgft_core::AlgorithmSpec;
 /// use xgft_scenario::{ScenarioSpec, SchemeSpec, TopologySpec, WorkloadSpec};
 ///
 /// let spec = ScenarioSpec::basic(
 ///     "doc",
 ///     TopologySpec::SlimmedTwoLevel { k: 4, w2: 4 },
 ///     WorkloadSpec::new("wrf", 16, 32 * 1024),
-///     vec![SchemeSpec::parse("d-mod-k").unwrap()],
+///     vec![SchemeSpec(AlgorithmSpec::parse("d-mod-k").unwrap())],
 /// );
 /// spec.validate().unwrap();
 /// // Specs round-trip losslessly through JSON (and TOML).
@@ -934,7 +886,7 @@ impl ScenarioSpec {
                 }
                 if representation == Compact {
                     for scheme in &self.schemes {
-                        scheme.closed_form()?;
+                        closed_form(*scheme)?;
                     }
                 }
                 let config = SweepConfig {
@@ -959,12 +911,12 @@ impl ScenarioSpec {
             )),
             (Flow, FaultSpec::None, None, List { .. }, Compiled) => Ok(Plan::Flow {
                 specs: topologies,
-                schemes: self.schemes.iter().map(SchemeSpec::flow_scheme).collect(),
+                schemes: algorithms(),
             }),
             // The Flow engine evaluates randomised schemes by their
             // closed-form expectation, so an empty seed list is allowed.
             (Flow, FaultSpec::None, None, List { seeds }, Compact) => self
-                .grid(topologies, seeds, SchemeSpec::closed_form)
+                .grid(topologies, seeds, closed_form)
                 .map(Plan::CompactFlow),
             (Nca, FaultSpec::None, None, List { seeds }, Compiled) if seeds.is_empty() => {
                 Err(invalid(
@@ -981,7 +933,7 @@ impl ScenarioSpec {
             )),
             (Netsim, FaultSpec::None, None, List { seeds }, representation) => {
                 self.require_seeds(seeds)?;
-                self.grid(topologies, seeds, |s| s.routes(representation))
+                self.grid(topologies, seeds, |s| routes(s, representation))
                     .map(Plan::Direct)
             }
             (AllWithAgreement, FaultSpec::None, None, List { seeds }, representation) => {
@@ -989,7 +941,7 @@ impl ScenarioSpec {
                 // One representative instance per scheme: the agreement
                 // claim is per-instance (exact), so one seed suffices.
                 let first = &seeds[..seeds.len().min(1)];
-                self.grid(topologies, first, |s| s.routes(representation))
+                self.grid(topologies, first, |s| routes(s, representation))
                     .map(Plan::Agreement)
             }
         }?;
@@ -1124,16 +1076,30 @@ mod tests {
         )
     }
 
+    /// The whole scheme vocabulary reads one table: on a full and a
+    /// slimmed two-level machine, every scheme's name parses back to it (as
+    /// text and as a serialized `SchemeSpec`), names its instance and, for
+    /// all but colored, its closed form.
     #[test]
-    fn scheme_names_round_trip() {
-        for name in SchemeSpec::NAMES {
-            let scheme = SchemeSpec::parse(name).unwrap();
-            assert_eq!(scheme.name(), name);
-            let json = serde_json::to_string(&scheme).unwrap();
-            let back: SchemeSpec = serde_json::from_str(&json).unwrap();
-            assert_eq!(scheme, back);
+    fn every_scheme_reads_one_vocabulary() {
+        let pattern = generators::shift(16, 4, 1024);
+        for w2 in [4, 3] {
+            let xgft = Xgft::new(XgftSpec::slimmed_two_level(4, w2).unwrap()).unwrap();
+            for algorithm in AlgorithmSpec::ALL {
+                let name = algorithm.name();
+                assert_eq!(AlgorithmSpec::parse(name), Ok(algorithm));
+                let json = serde_json::to_string(&SchemeSpec(algorithm)).unwrap();
+                assert_eq!(json, format!("\"{name}\""));
+                let back: SchemeSpec = serde_json::from_str(&json).unwrap();
+                assert_eq!(back, SchemeSpec(algorithm));
+                assert_eq!(algorithm.instantiate(&xgft, &pattern, 1).name(), name);
+                let compact = algorithm.compact_scheme(&xgft, 1);
+                let expected = (algorithm != AlgorithmSpec::Colored).then_some(name);
+                assert_eq!(compact.as_ref().map(|c| c.name()), expected);
+            }
         }
-        assert!(SchemeSpec::parse("bogus").is_err());
+        assert!(AlgorithmSpec::parse("bogus").is_err());
+        assert!(serde_json::from_str::<SchemeSpec>("\"bogus\"").is_err());
     }
 
     #[test]

@@ -35,13 +35,14 @@ fn closed_form_mcl_on_16384_leaves_is_subsecond() {
 /// closed forms alone on the slimmed sweep family.
 #[test]
 fn analytic_sweep_reproduces_the_papers_scheme_ordering() {
-    use xgft::flow::{FlowScheme, FlowSweepConfig};
+    use xgft::flow::FlowSweepConfig;
     let result = FlowSweepConfig::slimming_family(
         16,
         &[16, 10, 5],
-        FlowScheme::oblivious_set(),
+        vec![AlgorithmSpec::RandomNcaDown, AlgorithmSpec::DModK],
         TrafficSpec::Uniform,
     )
+    .unwrap()
     .run();
     for w2 in [16usize, 10, 5] {
         let rnca = result.point_by_w(w2, "r-NCA-d").unwrap();
