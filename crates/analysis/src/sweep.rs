@@ -419,6 +419,17 @@ mod tests {
     }
 
     #[test]
+    fn algorithm_spec_metadata() {
+        assert!(AlgorithmSpec::Random.is_seeded());
+        assert!(AlgorithmSpec::RandomNcaUp.is_seeded());
+        assert!(!AlgorithmSpec::DModK.is_seeded());
+        assert!(!AlgorithmSpec::Colored.is_seeded());
+        assert_eq!(AlgorithmSpec::figure2_set().len(), 4);
+        assert_eq!(AlgorithmSpec::figure5_set().len(), 6);
+        assert_eq!(AlgorithmSpec::RandomNcaDown.name(), "r-NCA-d");
+    }
+
+    #[test]
     fn paper_family_covers_w2_16_down_to_1() {
         let cfg = SweepConfig::paper_family(
             AlgorithmSpec::figure2_set(),

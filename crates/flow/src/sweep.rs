@@ -285,4 +285,20 @@ mod tests {
         assert!(colored.mcl <= dmodk.mcl + 1e-9);
         assert!(colored.ratio >= 1.0 - 1e-9);
     }
+
+    /// Flow points carry the paper's scheme names, in the config's scheme
+    /// order, and a positive cut bound under uniform traffic.
+    #[test]
+    fn scheme_names_are_stable() {
+        let oblivious = AlgorithmSpec::ALL[..5].to_vec();
+        let config =
+            FlowSweepConfig::slimming_family(4, &[2], oblivious, TrafficSpec::Uniform).unwrap();
+        let result = config.run();
+        let names: Vec<&str> = result.points.iter().map(|p| p.scheme.as_str()).collect();
+        assert_eq!(
+            names,
+            ["random", "s-mod-k", "d-mod-k", "r-NCA-u", "r-NCA-d"]
+        );
+        assert!(result.points.iter().all(|p| p.lower_bound > 0.0));
+    }
 }

@@ -1076,10 +1076,25 @@ mod tests {
         )
     }
 
+    /// Every scheme's name parses back to it, as text and as a serialized
+    /// `SchemeSpec`; an unknown name is an error either way.
+    #[test]
+    fn scheme_names_round_trip() {
+        for algorithm in AlgorithmSpec::ALL {
+            let name = algorithm.name();
+            assert_eq!(AlgorithmSpec::parse(name), Ok(algorithm));
+            let json = serde_json::to_string(&SchemeSpec(algorithm)).unwrap();
+            assert_eq!(json, format!("\"{name}\""));
+            let back: SchemeSpec = serde_json::from_str(&json).unwrap();
+            assert_eq!(back, SchemeSpec(algorithm));
+        }
+        assert!(AlgorithmSpec::parse("bogus").is_err());
+        assert!(serde_json::from_str::<SchemeSpec>("\"bogus\"").is_err());
+    }
+
     /// The whole scheme vocabulary reads one table: on a full and a
-    /// slimmed two-level machine, every scheme's name parses back to it (as
-    /// text and as a serialized `SchemeSpec`), names its instance and, for
-    /// all but colored, its closed form.
+    /// slimmed two-level machine, every scheme's name names its instance
+    /// and, for all but colored, its closed form.
     #[test]
     fn every_scheme_reads_one_vocabulary() {
         let pattern = generators::shift(16, 4, 1024);
@@ -1087,19 +1102,12 @@ mod tests {
             let xgft = Xgft::new(XgftSpec::slimmed_two_level(4, w2).unwrap()).unwrap();
             for algorithm in AlgorithmSpec::ALL {
                 let name = algorithm.name();
-                assert_eq!(AlgorithmSpec::parse(name), Ok(algorithm));
-                let json = serde_json::to_string(&SchemeSpec(algorithm)).unwrap();
-                assert_eq!(json, format!("\"{name}\""));
-                let back: SchemeSpec = serde_json::from_str(&json).unwrap();
-                assert_eq!(back, SchemeSpec(algorithm));
                 assert_eq!(algorithm.instantiate(&xgft, &pattern, 1).name(), name);
                 let compact = algorithm.compact_scheme(&xgft, 1);
                 let expected = (algorithm != AlgorithmSpec::Colored).then_some(name);
                 assert_eq!(compact.as_ref().map(|c| c.name()), expected);
             }
         }
-        assert!(AlgorithmSpec::parse("bogus").is_err());
-        assert!(serde_json::from_str::<SchemeSpec>("\"bogus\"").is_err());
     }
 
     #[test]
