@@ -12,7 +12,7 @@ use crate::stats::BoxplotStats;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
-use xgft_core::{ContentionReport, DModK, SModK};
+use xgft_core::{CompiledRouteTable, ContentionReport, DModK, SModK};
 use xgft_patterns::Permutation;
 use xgft_topo::{Xgft, XgftSpec};
 
@@ -41,7 +41,8 @@ fn contention_of<A: xgft_core::RoutingAlgorithm>(
     algo: &A,
     perm: &Permutation,
 ) -> usize {
-    ContentionReport::compute(xgft, algo, perm.pairs()).network_contention
+    let table = CompiledRouteTable::compile(xgft, algo, perm.pairs());
+    ContentionReport::compute(xgft, &table, perm.pairs()).network_contention
 }
 
 /// Run the experiment on `XGFT(2;k,k;1,w2)` with `samples` random

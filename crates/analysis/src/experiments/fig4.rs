@@ -2,12 +2,12 @@
 //! pairs, for the five routing schemes, on `XGFT(2;16,16;1,16)` and
 //! `XGFT(2;16,16;1,10)`.
 
-use super::OBLIVIOUS_SCHEMES;
 use crate::stats::BoxplotStats;
 use serde::{Deserialize, Serialize};
 use xgft_core::distribution::top_level_distribution_all_pairs;
+use xgft_core::AlgorithmSpec;
 use xgft_patterns::ConnectivityMatrix;
-use xgft_topo::{Xgft, XgftSpec};
+use xgft_topo::{TopologyError, Xgft, XgftSpec};
 
 /// The routes-per-NCA distribution of one algorithm on one topology.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -33,21 +33,22 @@ pub struct Fig4Result {
     pub distributions: Vec<AlgorithmDistribution>,
 }
 
-/// Run the Fig. 4 analysis on `XGFT(2;16,16;1,w2)`.
-pub fn run(w2: usize, seeds: &[u64]) -> Fig4Result {
-    run_for(&XgftSpec::slimmed_two_level(16, w2).expect("valid"), seeds)
-}
-
-/// Run the Fig. 4 analysis for an arbitrary two-or-more-level spec.
-pub fn run_for(spec: &XgftSpec, seeds: &[u64]) -> Fig4Result {
-    let xgft = Xgft::new(spec.clone()).expect("valid topology");
+/// Run the Fig. 4 analysis of `schemes`, in that order, for an arbitrary
+/// two-or-more-level spec. The distributions are over all pairs, not a
+/// pattern, so a pattern-aware scheme sees an empty pattern here.
+pub fn run_for(
+    spec: &XgftSpec,
+    schemes: &[AlgorithmSpec],
+    seeds: &[u64],
+) -> Result<Fig4Result, TopologyError> {
+    let xgft = Xgft::new(spec.clone())?;
     let num_ncas = xgft.nodes_at_level(xgft.height());
     let n = xgft.num_leaves();
     let mut distributions = Vec::new();
 
     // Deterministic schemes give one distribution, seeded schemes the
     // per-NCA mean over the seeds.
-    for algorithm in OBLIVIOUS_SCHEMES {
+    for &algorithm in schemes {
         let algo_seeds: &[u64] = if algorithm.is_seeded() { seeds } else { &[0] };
         let mut all_samples: Vec<f64> = Vec::new();
         let mut sums = vec![0.0f64; num_ncas];
@@ -71,11 +72,11 @@ pub fn run_for(spec: &XgftSpec, seeds: &[u64]) -> Fig4Result {
         });
     }
 
-    Fig4Result {
+    Ok(Fig4Result {
         topology: spec.to_string(),
         num_ncas,
         distributions,
-    }
+    })
 }
 
 impl Fig4Result {
@@ -115,6 +116,7 @@ impl Fig4Result {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::OBLIVIOUS_SCHEMES;
 
     /// Scaled-down version of Fig. 4(a)/(b) (k = 8 so all-pairs route tables
     /// stay cheap in debug builds): on the full tree mod-k is perfectly even,
@@ -122,14 +124,24 @@ mod tests {
     /// proposed relabeling keeps the spread much tighter.
     #[test]
     fn full_vs_slimmed_distributions() {
-        let full = run_for(&XgftSpec::slimmed_two_level(8, 8).unwrap(), &[1, 2]);
+        let full = run_for(
+            &XgftSpec::slimmed_two_level(8, 8).unwrap(),
+            &OBLIVIOUS_SCHEMES,
+            &[1, 2],
+        )
+        .unwrap();
         let dmodk = full.distribution("d-mod-k").unwrap();
         assert!(
             dmodk.spread.iqr() == 0.0,
             "full tree mod-k must be exactly even"
         );
 
-        let slim = run_for(&XgftSpec::slimmed_two_level(8, 5).unwrap(), &[1, 2]);
+        let slim = run_for(
+            &XgftSpec::slimmed_two_level(8, 5).unwrap(),
+            &OBLIVIOUS_SCHEMES,
+            &[1, 2],
+        )
+        .unwrap();
         assert_eq!(slim.num_ncas, 5);
         let dmodk_slim = slim.distribution("d-mod-k").unwrap();
         // Wrap imbalance: three NCAs receive double the routes.
@@ -149,7 +161,12 @@ mod tests {
 
     #[test]
     fn totals_are_preserved_across_algorithms() {
-        let result = run_for(&XgftSpec::slimmed_two_level(4, 3).unwrap(), &[7]);
+        let result = run_for(
+            &XgftSpec::slimmed_two_level(4, 3).unwrap(),
+            &OBLIVIOUS_SCHEMES,
+            &[7],
+        )
+        .unwrap();
         let expected_total: f64 = {
             // all ordered pairs with NCA at the top level: per destination
             // switch of 4 leaves, sources outside the switch.

@@ -22,7 +22,7 @@ use xgft_core::AlgorithmSpec;
 
 /// The oblivious schemes in the order the Fig. 4 and synthetic tables list
 /// them: the deterministic pair, then the seeded schemes.
-const OBLIVIOUS_SCHEMES: [AlgorithmSpec; 5] = [
+pub const OBLIVIOUS_SCHEMES: [AlgorithmSpec; 5] = [
     AlgorithmSpec::SModK,
     AlgorithmSpec::DModK,
     AlgorithmSpec::Random,

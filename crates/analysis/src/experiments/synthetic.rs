@@ -13,7 +13,7 @@ use crate::stats::BoxplotStats;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
-use xgft_core::{AlgorithmSpec, ContentionReport};
+use xgft_core::{AlgorithmSpec, CompiledRouteTable, ContentionReport};
 use xgft_patterns::{generators, Pattern};
 use xgft_topo::{Xgft, XgftSpec};
 
@@ -40,8 +40,9 @@ pub struct SyntheticResult {
 
 fn contention_of(xgft: &Xgft, algorithm: AlgorithmSpec, seed: u64, pattern: &Pattern) -> f64 {
     let algo = algorithm.instantiate(xgft, pattern, seed);
-    let flows = pattern.phases()[0].network_flows().map(|f| (f.src, f.dst));
-    ContentionReport::compute(xgft, algo.as_ref(), flows).network_contention as f64
+    let flows = || pattern.phases()[0].network_flows().map(|f| (f.src, f.dst));
+    let table = CompiledRouteTable::compile(xgft, algo.as_ref(), flows());
+    ContentionReport::compute(xgft, &table, flows()).network_contention as f64
 }
 
 /// Run the comparison on `XGFT(2;k,k;1,w2)` with the given seeds for the

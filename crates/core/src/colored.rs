@@ -33,11 +33,14 @@
 //! built once per build). So scoring a candidate costs `L` levels of
 //! multiplications plus one load lookup per channel, and allocates nothing.
 //!
-//! While building, the effective loads are a dense `u32` per channel (the
-//! number of distinct relevant endpoints: sources on up channels,
-//! destinations on down channels), next to one flat map from
-//! `channel << 32 | endpoint` to the number of seated flows with that
-//! endpoint on that channel, so flows can be removed and re-seated.
+//! While building, the effective loads live in the crate's one
+//! effective-load counter, [`crate::contention`]'s `LoadTracker`: a dense
+//! `u32` per channel (the number of distinct relevant endpoints: sources
+//! on up channels, destinations on down channels), next to one flat map
+//! from `channel << 32 | endpoint` to the number of seated flows with that
+//! endpoint on that channel, so flows can be removed and re-seated. The
+//! [`crate::ContentionReport`] of the built routes counts with the same
+//! tracker.
 //!
 //! The built scheme keeps only its choices: the pattern's pairs as sorted
 //! `s·n + d` codes and one `u32` NCA index per pair (12 bytes a pair), next
@@ -53,91 +56,15 @@
 
 use crate::algorithm::RoutingAlgorithm;
 use crate::compact::{LevelTable, WalkLevel};
+use crate::contention::LoadTracker;
 use crate::divisor::Divisor;
 use crate::modk::mod_route;
 use crate::scheme::AlgorithmSpec;
-use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
 use xgft_patterns::ConnectivityMatrix;
 use xgft_topo::{Route, Xgft};
 
-/// A one-multiply hasher for the tracker's `u64` keys: the key times an odd
-/// constant, the 128-bit product folded to 64 bits so that both the low
-/// bits (the bucket) and the high bits (the control tag) mix every key bit.
-/// The keys are dense channel and leaf indices of the machine, so there is
-/// no crafted input to defend against.
-#[derive(Default)]
-struct FoldHasher(u64);
-
-impl Hasher for FoldHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        for &byte in bytes {
-            self.write_u64(u64::from(byte));
-        }
-    }
-
-    fn write_u64(&mut self, key: u64) {
-        let product = u128::from(self.0 ^ key) * 0x9E37_79B9_7F4A_7C15;
-        self.0 = (product as u64) ^ ((product >> 64) as u64);
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
-/// Per-channel multiset of "relevant endpoints" (sources on up channels,
-/// destinations on down channels), supporting add/remove so flows can be
-/// re-seated during refinement.
-struct LoadTracker {
-    /// Effective load of every dense channel: its distinct endpoints.
-    loads: Vec<u32>,
-    /// `channel << 32 | endpoint` -> number of seated flows with that
-    /// endpoint crossing the channel (absent when zero).
-    flows: HashMap<u64, u32, BuildHasherDefault<FoldHasher>>,
-}
-
-fn key(channel: u32, endpoint: usize) -> u64 {
-    u64::from(channel) << 32 | endpoint as u64
-}
-
+/// Colored's search over the shared effective-load counter.
 impl LoadTracker {
-    /// An empty tracker with room for `seats` (channel, endpoint) keys.
-    fn new(num_channels: usize, seats: usize) -> Self {
-        LoadTracker {
-            loads: vec![0; num_channels],
-            flows: HashMap::with_capacity_and_hasher(seats, Default::default()),
-        }
-    }
-
-    /// The effective load the channel would have after adding a flow with
-    /// the given endpoint.
-    fn load_if_added(&self, channel: u32, endpoint: usize) -> u32 {
-        match self.loads[channel as usize] {
-            // An idle channel holds no endpoint: skip the map.
-            0 => 1,
-            load => load + u32::from(!self.flows.contains_key(&key(channel, endpoint))),
-        }
-    }
-
-    fn add(&mut self, channel: u32, endpoint: usize) {
-        let count = self.flows.entry(key(channel, endpoint)).or_insert(0);
-        *count += 1;
-        if *count == 1 {
-            self.loads[channel as usize] += 1;
-        }
-    }
-
-    fn remove(&mut self, channel: u32, endpoint: usize) {
-        let k = key(channel, endpoint);
-        let count = self.flows.get_mut(&k).expect("removing a seated flow");
-        *count -= 1;
-        if *count == 0 {
-            self.flows.remove(&k);
-            self.loads[channel as usize] -= 1;
-        }
-    }
-
     /// Seat (`add`) or unseat the flow `s → d` on NCA candidate `nca`.
     fn apply(&mut self, levels: &LevelTable, flow: Flow, nca: u32, add: bool) {
         let Flow { s, d, level, .. } = flow;
@@ -190,6 +117,7 @@ struct Flow {
 }
 
 impl Flow {
+    #[expect(clippy::expect_used, reason = "NCAs < channels, which fit u32")]
     fn new(xgft: &Xgft, levels: &LevelTable, s: usize, d: usize) -> Self {
         let level = levels.nca_level(s, d);
         let candidates = xgft.spec().ncas_at_level(level);
@@ -328,18 +256,6 @@ impl ColoredRouting {
         let at = self.pairs.binary_search(&((s * n + d) as u64)).ok()?;
         Some(self.ncas[at])
     }
-
-    /// The maximum effective load the stored assignment induces (useful for
-    /// reporting the quality of the pattern-aware bound).
-    pub fn max_effective_load(&self, xgft: &Xgft) -> usize {
-        let n = self.num_leaves;
-        let mut tracker = LoadTracker::new(xgft.channels().len(), 0);
-        for (&code, &nca) in self.pairs.iter().zip(&self.ncas) {
-            let flow = Flow::new(xgft, &self.levels, code as usize / n, code as usize % n);
-            tracker.apply(&self.levels, flow, nca, true);
-        }
-        tracker.loads.iter().copied().max().unwrap_or(0) as usize
-    }
 }
 
 impl RoutingAlgorithm for ColoredRouting {
@@ -374,6 +290,7 @@ impl crate::route_dist::RouteDistribution for ColoredRouting {}
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::compiled::CompiledRouteTable;
     use crate::contention::ContentionReport;
     use crate::modk::DModK;
     use xgft_patterns::generators;
@@ -381,6 +298,17 @@ mod tests {
 
     fn tree(w2: usize) -> Xgft {
         Xgft::new(XgftSpec::slimmed_two_level(16, w2).unwrap()).unwrap()
+    }
+
+    /// The contention level `C` of `pattern`'s flows routed by `algo`.
+    fn contention(
+        xgft: &Xgft,
+        algo: &impl RoutingAlgorithm,
+        pattern: &ConnectivityMatrix,
+    ) -> usize {
+        let flows = || pattern.network_flows().map(|f| (f.src, f.dst));
+        let table = CompiledRouteTable::compile(xgft, algo, flows());
+        ContentionReport::compute(xgft, &table, flows()).network_contention
     }
 
     #[test]
@@ -405,12 +333,8 @@ mod tests {
         let cg = generators::cg_d_128();
         let fifth = &cg.phases()[4];
         let colored = ColoredRouting::new(&xgft, fifth);
-        let flows: Vec<(usize, usize)> = fifth.network_flows().map(|f| (f.src, f.dst)).collect();
-        let colored_report = ContentionReport::compute(&xgft, &colored, flows.iter().copied());
-        assert_eq!(colored_report.network_contention, 1);
-
-        let dmodk_report = ContentionReport::compute(&xgft, &DModK::new(), flows.iter().copied());
-        assert!(dmodk_report.network_contention >= 7);
+        assert_eq!(contention(&xgft, &colored, fifth), 1);
+        assert!(contention(&xgft, &DModK::new(), fifth) >= 7);
     }
 
     #[test]
@@ -420,22 +344,17 @@ mod tests {
         for w2 in [8usize, 4, 2] {
             let xgft = tree(w2);
             let shift = generators::shift(256, 16, 1);
-            let flows: Vec<(usize, usize)> = shift.phases()[0]
-                .network_flows()
-                .map(|f| (f.src, f.dst))
-                .collect();
-            let colored = ColoredRouting::new(&xgft, &shift.phases()[0]);
-            let report = ContentionReport::compute(&xgft, &colored, flows.iter().copied());
+            let phase = &shift.phases()[0];
+            let colored = ColoredRouting::new(&xgft, phase);
+            let c = contention(&xgft, &colored, phase);
             let bound = 16usize.div_ceil(w2);
             assert!(
-                report.network_contention >= bound,
-                "w2={w2}: contention {} below the capacity bound {bound}",
-                report.network_contention
+                c >= bound,
+                "w2={w2}: contention {c} below the capacity bound {bound}"
             );
             assert!(
-                report.network_contention <= bound + 1,
-                "w2={w2}: colored should be near the bound, got {}",
-                report.network_contention
+                c <= bound + 1,
+                "w2={w2}: colored should be near the bound, got {c}"
             );
         }
     }
@@ -457,7 +376,7 @@ mod tests {
         let pattern = generators::cg_d_128().combined();
         let greedy = ColoredRouting::with_passes(&xgft, &pattern, 0);
         let refined = ColoredRouting::with_passes(&xgft, &pattern, 3);
-        assert!(refined.max_effective_load(&xgft) <= greedy.max_effective_load(&xgft));
+        assert!(contention(&xgft, &refined, &pattern) <= contention(&xgft, &greedy, &pattern));
         assert_eq!(refined.refinement_passes(), 3);
     }
 }

@@ -388,6 +388,7 @@ impl CompactRoutes {
     /// Compute the closed-form dense channel path of a distinct in-range
     /// pair into `out`: [`LevelTable::walk_channels`] with the scheme's port
     /// rule, so no digit, port or label buffer is built.
+    #[expect(clippy::expect_used, reason = "`rng` is seeded exactly for Random")]
     fn closed_form_into(&self, s: usize, d: usize, out: &mut Vec<u32>) {
         let level = self.levels.nca_level(s, d);
         out.clear();

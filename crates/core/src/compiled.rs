@@ -109,6 +109,9 @@ impl PartialEq for CompiledRouteTable {
 impl CompiledRouteTable {
     /// Compile routes for an explicit set of pairs. Self-pairs are skipped
     /// and duplicates keep the first route.
+    ///
+    /// # Panics
+    /// Panics if a pair references a leaf outside the topology.
     pub fn compile<A: RoutingAlgorithm + ?Sized>(
         xgft: &Xgft,
         algo: &A,
@@ -152,6 +155,11 @@ impl CompiledRouteTable {
     /// when no minimal route survives. Self-pairs are skipped and
     /// duplicates keep the first route, matching
     /// [`CompiledRouteTable::compile`].
+    ///
+    /// # Panics
+    /// Panics if a pair references a leaf outside the topology, or if the
+    /// fault set was drawn on another machine.
+    #[expect(clippy::expect_used, reason = "see # Panics")]
     pub fn compile_degraded<A: RoutingAlgorithm + ?Sized>(
         xgft: &Xgft,
         faults: &FaultSet,
@@ -180,6 +188,7 @@ impl CompiledRouteTable {
     /// sorted by pair index and free of duplicates and self-pairs. Also used by
     /// [`crate::CompactRoutes::to_compiled`], which is why it is
     /// crate-visible.
+    #[expect(clippy::expect_used, reason = "schemes route in-range pairs validly")]
     pub(crate) fn from_sorted_routes(
         xgft: &Xgft,
         algorithm: impl Into<String>,
@@ -325,7 +334,7 @@ impl CompiledRouteTable {
     /// must expand to exactly the stored channel sequence.
     pub fn validate(&self, xgft: &Xgft) -> Result<(), xgft_topo::TopologyError> {
         for ((s, d), path) in self.iter_paths() {
-            let route = self.route(s, d).expect("path implies a route");
+            let route = decode_route(&self.channels, path);
             let expanded = xgft.route_channels(s, d, &route)?;
             if expanded.len() != path.len()
                 || expanded.iter().zip(path).any(|(&a, &b)| a != b as usize)

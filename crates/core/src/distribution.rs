@@ -14,6 +14,7 @@ use xgft_topo::Xgft;
 ///
 /// The returned vector has one entry per node of `level`, indexed by the
 /// node's index within the level (the "NCA number" of Fig. 4).
+#[expect(clippy::expect_used, reason = "schemes route in-range pairs validly")]
 pub fn nca_route_distribution<A: RoutingAlgorithm + ?Sized>(
     xgft: &Xgft,
     algo: &A,
@@ -47,11 +48,10 @@ pub fn top_level_distribution_all_pairs<A: RoutingAlgorithm + ?Sized>(
 /// Simple imbalance measure of a distribution: `(max − min)` over the mean.
 /// Zero means perfectly even.
 pub fn imbalance(counts: &[usize]) -> f64 {
-    if counts.is_empty() {
+    let (Some(&max), Some(&min)) = (counts.iter().max(), counts.iter().min()) else {
         return 0.0;
-    }
-    let max = *counts.iter().max().unwrap() as f64;
-    let min = *counts.iter().min().unwrap() as f64;
+    };
+    let (max, min) = (max as f64, min as f64);
     let mean = counts.iter().sum::<usize>() as f64 / counts.len() as f64;
     if mean == 0.0 {
         0.0

@@ -40,10 +40,11 @@
 //! miss), and [`UndoableTable`] (the one fault patch: a revertible sparse
 //! overlay over an untouched compiled or compact base).
 //!
-//! One rule picks the representation. A pass that reads each pair once —
-//! the contention report, the Fig. 4 histograms — routes on the fly from
-//! the [`RoutingAlgorithm`], which is a pure function of the pair. Anything
-//! that reads pairs repeatedly takes a [`RouteSource`]: a
+//! One rule picks the representation. The Fig. 4 histograms, which need
+//! each route's apex and not its channels, route on the fly from the
+//! [`RoutingAlgorithm`], a pure function of the pair. Everything that
+//! reads channel paths — the simulators, the flow loads and the
+//! [`ContentionReport`] — takes a [`RouteSource`]: a
 //! [`CompiledRouteTable`], or [`CompactRoutes`] when the machine is too
 //! large to table.
 
@@ -71,7 +72,7 @@ pub use algorithm::RoutingAlgorithm;
 pub use colored::ColoredRouting;
 pub use compact::{CompactRoutes, CompactScheme};
 pub use compiled::CompiledRouteTable;
-pub use contention::{ChannelLoads, ContentionReport};
+pub use contention::ContentionReport;
 pub use degraded::{degraded_route, reroute, RoutingError};
 pub use distribution::nca_route_distribution;
 pub use modk::{DModK, SModK};

@@ -169,6 +169,7 @@ impl<B: PatchBase> UndoableTable<B> {
     /// # Panics
     /// Panics if the base, topology and fault set disagree on machine size
     /// or channel numbering.
+    #[expect(clippy::expect_used, reason = "see # Panics; reroute checks routes")]
     pub fn patch(&mut self, xgft: &Xgft, faults: &FaultSet) -> PatchStats {
         xgft_obs::span!("core.patch");
         self.revert();
@@ -300,6 +301,7 @@ impl<B: PatchBase> RouteSource for UndoableTable<B> {
 }
 
 /// The arena offset of the next detour hop.
+#[expect(clippy::expect_used, reason = "u32 offsets cover 16 GiB of detours")]
 fn hop_offset(hops: &[u32]) -> u32 {
     u32::try_from(hops.len()).expect("overlay detours must fit u32 offsets")
 }

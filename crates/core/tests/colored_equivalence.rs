@@ -1,7 +1,8 @@
 //! Oracle property test of the Colored builder: [`ColoredRouting`] must
 //! choose exactly what a straightforward reference builder chooses — the
 //! same route for every pattern pair, the same `num_routes` and the same
-//! `max_effective_load` — and route pairs outside the pattern by d-mod-k.
+//! contention level (the [`ContentionReport`] of its compiled pattern
+//! routes) — and route pairs outside the pattern by d-mod-k.
 //!
 //! The reference below is the earlier builder, kept as the oracle: for
 //! every candidate NCA it builds the `NcaSet`, the `Route` and the
@@ -17,7 +18,7 @@
 
 use proptest::prelude::*;
 use std::collections::HashMap;
-use xgft_core::{ColoredRouting, DModK, RoutingAlgorithm};
+use xgft_core::{ColoredRouting, CompiledRouteTable, ContentionReport, DModK, RoutingAlgorithm};
 use xgft_patterns::ConnectivityMatrix;
 use xgft_topo::fault::splitmix64;
 use xgft_topo::{Direction, Route, Xgft, XgftSpec};
@@ -179,7 +180,9 @@ proptest! {
         let colored = ColoredRouting::with_passes(&xgft, &pattern, passes);
         let (routes, max_load) = reference(&xgft, &pattern, passes);
         prop_assert_eq!(colored.num_routes(), routes.len(), "{}", case);
-        prop_assert_eq!(colored.max_effective_load(&xgft), max_load, "{}", case);
+        let table = CompiledRouteTable::compile(&xgft, &colored, flows.iter().copied());
+        let report = ContentionReport::compute(&xgft, &table, flows.iter().copied());
+        prop_assert_eq!(report.network_contention, max_load, "{}", case);
         prop_assert_eq!(colored.refinement_passes(), passes, "{}", case);
         let dmodk = DModK::new();
         for s in 0..n {

@@ -8,8 +8,8 @@
 
 use proptest::prelude::*;
 use xgft_core::{
-    degraded_route, CompactRoutes, CompactScheme, CompiledRouteTable, DModK, RandomNcaDown,
-    RandomNcaUp, RandomRouting, RouteSource, RoutingAlgorithm, SModK, UndoableTable,
+    degraded_route, CompactRoutes, CompactScheme, CompiledRouteTable, ContentionReport, DModK,
+    RandomNcaDown, RandomNcaUp, RandomRouting, RouteSource, RoutingAlgorithm, SModK, UndoableTable,
 };
 use xgft_topo::{DegradedXgft, FaultSet, Xgft, XgftSpec};
 
@@ -109,6 +109,16 @@ proptest! {
                 );
             }
         }
+
+        // The contention level `C` reads the closed form without a table.
+        let report = ContentionReport::compute(&xgft, &compact, pairs.iter().copied());
+        prop_assert_eq!(report.unroutable, 0);
+        prop_assert_eq!(
+            report,
+            ContentionReport::compute(&xgft, &compiled, pairs.iter().copied()),
+            "{}",
+            algo.name()
+        );
 
         // The memory story that motivates the representation: closed forms
         // carry no per-pair route state (only the domain codes and, for

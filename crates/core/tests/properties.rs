@@ -2,8 +2,8 @@
 
 use proptest::prelude::*;
 use xgft_core::{
-    ColoredRouting, ContentionReport, DModK, RandomNcaDown, RandomNcaUp, RandomRouting,
-    RelabelMaps, RoutingAlgorithm, SModK,
+    ColoredRouting, CompiledRouteTable, ContentionReport, DModK, RandomNcaDown, RandomNcaUp,
+    RandomRouting, RelabelMaps, RoutingAlgorithm, SModK,
 };
 use xgft_patterns::{ConnectivityMatrix, Permutation};
 use xgft_topo::{Xgft, XgftSpec};
@@ -31,6 +31,12 @@ fn algorithms(xgft: &Xgft, seed: u64) -> Vec<Box<dyn RoutingAlgorithm>> {
         Box::new(RandomNcaUp::new(xgft, seed)),
         Box::new(RandomNcaDown::new(xgft, seed)),
     ]
+}
+
+/// The contention level `C` of `flows` routed by `algo`.
+fn contention(xgft: &Xgft, algo: &dyn RoutingAlgorithm, flows: &[(usize, usize)]) -> usize {
+    let table = CompiledRouteTable::compile(xgft, algo, flows.iter().copied());
+    ContentionReport::compute(xgft, &table, flows.iter().copied()).network_contention
 }
 
 proptest! {
@@ -126,12 +132,9 @@ proptest! {
         let perm = Permutation::random(n, &mut rng);
         let inverse = perm.inverse();
 
-        let contention = |algo: &dyn RoutingAlgorithm, p: &Permutation| {
-            let flows: Vec<(usize, usize)> = p.pairs().collect();
-            ContentionReport::compute(&xgft, algo, flows.iter().copied()).network_contention
-        };
-        let c_s = contention(&SModK::new(), &perm);
-        let c_d_inv = contention(&DModK::new(), &inverse);
+        let flows = |p: &Permutation| p.pairs().collect::<Vec<_>>();
+        let c_s = contention(&xgft, &SModK::new(), &flows(&perm));
+        let c_d_inv = contention(&xgft, &DModK::new(), &flows(&inverse));
         prop_assert_eq!(c_s, c_d_inv);
     }
 
@@ -154,14 +157,10 @@ proptest! {
             pattern.add_flow(s, d, 1);
         }
         let colored = ColoredRouting::new(&xgft, &pattern);
-        let colored_c =
-            ContentionReport::compute(&xgft, &colored, flows.iter().copied()).network_contention;
+        let colored_c = contention(&xgft, &colored, &flows);
         let oblivious: Vec<usize> = algorithms(&xgft, seed)
             .iter()
-            .map(|algo| {
-                ContentionReport::compute(&xgft, algo.as_ref(), flows.iter().copied())
-                    .network_contention
-            })
+            .map(|algo| contention(&xgft, algo.as_ref(), &flows))
             .collect();
         let best = *oblivious.iter().min().unwrap();
         let worst = *oblivious.iter().max().unwrap();

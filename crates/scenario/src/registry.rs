@@ -16,7 +16,9 @@ use crate::spec::{
     ChaosSpec, EngineSpec, FaultSpec, RepresentationSpec, ScenarioSpec, SchemeSpec, SeedSpec,
     SweepSpec, TopologySpec, WorkloadSpec, SPEC_SCHEMA_VERSION,
 };
-use xgft_analysis::experiments::{ablation, equivalence, fig1, fig3, fig5, flow_mcl, table1};
+use xgft_analysis::experiments::{
+    ablation, equivalence, fig1, fig3, fig5, flow_mcl, table1, OBLIVIOUS_SCHEMES,
+};
 use xgft_analysis::AlgorithmSpec;
 use xgft_netsim::NetworkConfig;
 use xgft_patterns::generators;
@@ -169,18 +171,8 @@ pub fn find(name: &str) -> Option<&'static RegistryEntry> {
         .find(|e| e.name == name || e.aliases.contains(&name))
 }
 
-fn figure2_schemes() -> Vec<SchemeSpec> {
-    AlgorithmSpec::figure2_set()
-        .into_iter()
-        .map(SchemeSpec)
-        .collect()
-}
-
-fn figure5_schemes() -> Vec<SchemeSpec> {
-    AlgorithmSpec::figure5_set()
-        .into_iter()
-        .map(SchemeSpec)
-        .collect()
+fn schemes(set: impl IntoIterator<Item = AlgorithmSpec>) -> Vec<SchemeSpec> {
+    set.into_iter().map(SchemeSpec).collect()
 }
 
 /// The spec a scenario-backed registry entry runs for the given flags.
@@ -202,9 +194,9 @@ pub fn spec_for(name: &str, args: &ExperimentArgs) -> Option<Result<ScenarioSpec
                 scale_bytes(generators::WRF_DEFAULT_BYTES, args.byte_scale),
             ),
             schemes: if name == "fig2_wrf" {
-                figure2_schemes()
+                schemes(AlgorithmSpec::figure2_set())
             } else {
-                figure5_schemes()
+                schemes(AlgorithmSpec::figure5_set())
             },
             engine,
             representation: RepresentationSpec::Compiled,
@@ -226,9 +218,9 @@ pub fn spec_for(name: &str, args: &ExperimentArgs) -> Option<Result<ScenarioSpec
                 scale_bytes(generators::CG_D_PHASE_BYTES, args.byte_scale),
             ),
             schemes: if name == "fig2_cg" {
-                figure2_schemes()
+                schemes(AlgorithmSpec::figure2_set())
             } else {
-                figure5_schemes()
+                schemes(AlgorithmSpec::figure5_set())
             },
             engine,
             representation: RepresentationSpec::Compiled,
@@ -251,7 +243,7 @@ pub fn spec_for(name: &str, args: &ExperimentArgs) -> Option<Result<ScenarioSpec
                 256,
                 scale_bytes(generators::WRF_DEFAULT_BYTES, args.byte_scale),
             ),
-            schemes: figure5_schemes(),
+            schemes: schemes(OBLIVIOUS_SCHEMES),
             engine: EngineSpec::Nca,
             representation: RepresentationSpec::Compiled,
             faults: FaultSpec::None,
@@ -276,7 +268,7 @@ pub fn spec_for(name: &str, args: &ExperimentArgs) -> Option<Result<ScenarioSpec
                     w2: args.k,
                 },
                 workload,
-                schemes: figure5_schemes(),
+                schemes: schemes(AlgorithmSpec::figure5_set()),
                 engine: EngineSpec::Tracesim,
                 representation: RepresentationSpec::Compiled,
                 faults: FaultSpec::None,

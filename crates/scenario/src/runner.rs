@@ -429,9 +429,10 @@ pub(crate) enum Plan {
     /// Exact closed-form loads, one point per job, routed by its scheme's
     /// closed form.
     CompactFlow(Grid<fn(&Xgft, u64) -> CompactScheme>),
-    /// Routes-per-NCA distributions; `seeds` is non-empty.
+    /// Routes-per-NCA distributions of oblivious `schemes`; `seeds` is non-empty.
     Nca {
         topologies: Vec<XgftSpec>,
+        schemes: Vec<AlgorithmSpec>,
         seeds: Vec<u64>,
     },
     /// Direct injection, one simulator run per job.
@@ -551,11 +552,16 @@ impl Plan {
                 .run(),
             ),
             Plan::CompactFlow(grid) => ResultPayload::CompactFlow(run_compact_flow(grid, &pattern)),
-            Plan::Nca { topologies, seeds } => ResultPayload::Nca(
+            Plan::Nca {
+                topologies,
+                schemes,
+                seeds,
+            } => ResultPayload::Nca(
                 topologies
                     .iter()
-                    .map(|t| fig4::run_for(t, &seeds))
-                    .collect(),
+                    .map(|t| fig4::run_for(t, &schemes, &seeds))
+                    .collect::<Result<_, _>>()
+                    .map_err(refused)?,
             ),
             Plan::Direct(grid) => ResultPayload::Direct(run_direct(grid, &pattern)?),
             Plan::Chaos(config) => ResultPayload::Chaos(config.run(&pattern).map_err(refused)?),

@@ -459,7 +459,8 @@ pub enum EngineSpec {
     /// The closed-form channel-load model (`xgft-flow`): expected MCL and
     /// congestion ratio, no simulation, no seed axis.
     Flow,
-    /// Routes-per-NCA distributions (Fig. 4's metric; no traffic replay).
+    /// Routes-per-NCA distributions of the listed oblivious schemes over all
+    /// pairs (Fig. 4's metric; no traffic replay; colored is rejected).
     Nca,
     /// Run flow + netsim + tracesim on the same compiled tables and check
     /// they agree channel by channel.
@@ -710,7 +711,7 @@ impl ScenarioSpec {
         if self.name.is_empty() {
             return Err(invalid("name must be non-empty"));
         }
-        if self.schemes.is_empty() && self.engine != EngineSpec::Nca {
+        if self.schemes.is_empty() {
             return Err(invalid("schemes must be non-empty"));
         }
         // Each scheme and w2 value is one point of the result; a repeat
@@ -924,8 +925,17 @@ impl ScenarioSpec {
                      distributions are sampled per seed)",
                 ))
             }
+            (Nca, FaultSpec::None, None, List { .. }, Compiled)
+                if self.schemes.contains(&SchemeSpec(AlgorithmSpec::Colored)) =>
+            {
+                Err(invalid(
+                    "the Nca engine reports all-pairs route distributions, which the \
+                     pattern-aware colored scheme does not define; list oblivious schemes only",
+                ))
+            }
             (Nca, FaultSpec::None, None, List { seeds }, Compiled) => Ok(Plan::Nca {
                 topologies,
+                schemes: algorithms(),
                 seeds: seeds.clone(),
             }),
             (Nca, FaultSpec::None, None, List { .. }, Compact) => Err(invalid(
@@ -1468,7 +1478,13 @@ mod tests {
 
     #[test]
     fn nca_needs_a_seed() {
-        for schemes in [vec![], vec![SchemeSpec(AlgorithmSpec::DModK)]] {
+        for schemes in [
+            vec![SchemeSpec(AlgorithmSpec::DModK)],
+            vec![
+                SchemeSpec(AlgorithmSpec::RandomNcaDown),
+                SchemeSpec(AlgorithmSpec::DModK),
+            ],
+        ] {
             let mut bad = spec();
             bad.engine = EngineSpec::Nca;
             bad.schemes = schemes;
@@ -1477,6 +1493,20 @@ mod tests {
             bad.seeds = SeedSpec::List { seeds: vec![1] };
             assert!(bad.validate().is_ok());
         }
+    }
+
+    #[test]
+    fn nca_lists_oblivious_schemes_only() {
+        let mut bad = spec();
+        bad.engine = EngineSpec::Nca;
+        bad.seeds = SeedSpec::List { seeds: vec![1] };
+        bad.schemes = vec![];
+        assert_rejects(&bad, "schemes must be non-empty");
+        bad.schemes = vec![
+            SchemeSpec(AlgorithmSpec::DModK),
+            SchemeSpec(AlgorithmSpec::Colored),
+        ];
+        assert_rejects(&bad, "colored");
     }
 
     #[test]

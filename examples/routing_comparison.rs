@@ -7,7 +7,7 @@
 
 use xgft::patterns::generators;
 use xgft::prelude::*;
-use xgft::routing::{ContentionReport, RandomNcaDown, RandomNcaUp};
+use xgft::routing::{CompiledRouteTable, ContentionReport, RandomNcaDown, RandomNcaUp};
 
 fn main() {
     let xgft = Xgft::new(XgftSpec::slimmed_two_level(16, 16).expect("spec")).expect("topology");
@@ -35,7 +35,8 @@ fn main() {
         "routing", "max flows", "net contention", "used channels"
     );
     for algo in &algorithms {
-        let report = ContentionReport::compute(&xgft, algo.as_ref(), flows.iter().copied());
+        let table = CompiledRouteTable::compile(&xgft, algo.as_ref(), flows.iter().copied());
+        let report = ContentionReport::compute(&xgft, &table, flows.iter().copied());
         println!(
             "{:>10} {:>12} {:>14} {:>14}",
             report.algorithm, report.max_raw_load, report.network_contention, report.used_channels

@@ -15,7 +15,9 @@
 
 use xgft::analysis::campaign::CampaignConfig;
 use xgft::analysis::chaos::ChaosConfig;
-use xgft::analysis::experiments::{ablation, equivalence, fig4, flow_mcl, synthetic};
+use xgft::analysis::experiments::{
+    ablation, equivalence, fig4, flow_mcl, synthetic, OBLIVIOUS_SCHEMES,
+};
 use xgft::analysis::resilience::ResilienceConfig;
 use xgft::analysis::sweep::{AlgorithmSpec, SweepConfig};
 use xgft::netsim::NetworkConfig;
@@ -93,7 +95,12 @@ fn fig5_small_sweep_is_byte_stable() {
 /// A scaled-down Fig. 4: routes-per-NCA distributions on a slimmed tree.
 #[test]
 fn fig4_small_distribution_is_byte_stable() {
-    let result = fig4::run_for(&XgftSpec::slimmed_two_level(4, 3).unwrap(), &[1, 2]);
+    let result = fig4::run_for(
+        &XgftSpec::slimmed_two_level(4, 3).unwrap(),
+        &OBLIVIOUS_SCHEMES,
+        &[1, 2],
+    )
+    .unwrap();
     assert_golden("fig4_small.json", &to_json(&result));
 }
 

@@ -98,7 +98,7 @@ fn all_schemes_produce_valid_tables_across_the_family() {
             table
                 .validate(&xgft)
                 .unwrap_or_else(|e| panic!("{} invalid on w2={w2}: {e}", algo.name()));
-            let report = ContentionReport::compute(&xgft, algo.as_ref(), flows.iter().copied());
+            let report = ContentionReport::compute(&xgft, &table, flows.iter().copied());
             assert!(report.network_contention >= 1);
         }
     }

@@ -2,7 +2,7 @@
 //! reduced scale, so `cargo test` certifies the reproduction's shape without
 //! the cost of the full sweeps (those run through `xgft <name> --full`).
 
-use xgft::analysis::experiments::{equivalence, fig4};
+use xgft::analysis::experiments::{equivalence, fig4, OBLIVIOUS_SCHEMES};
 use xgft::analysis::sweep::{AlgorithmSpec, SeedSpec, SweepConfig};
 use xgft::netsim::NetworkConfig;
 use xgft::patterns::generators;
@@ -27,7 +27,11 @@ fn smodk_dmodk_duality_is_exact() {
 /// proposed relabeling keeps the spread tight around the 6144 mean.
 #[test]
 fn fig4_route_distributions_match_the_paper() {
-    let full = fig4::run(16, &[1, 2, 3]);
+    let run = |w2| {
+        let spec = XgftSpec::slimmed_two_level(16, w2).unwrap();
+        fig4::run_for(&spec, &OBLIVIOUS_SCHEMES, &[1, 2, 3]).unwrap()
+    };
+    let full = run(16);
     for name in ["s-mod-k", "d-mod-k"] {
         let d = full.distribution(name).unwrap();
         assert!(
@@ -36,7 +40,7 @@ fn fig4_route_distributions_match_the_paper() {
         );
     }
 
-    let slim = fig4::run(10, &[1, 2, 3]);
+    let slim = run(10);
     let dmodk = slim.distribution("d-mod-k").unwrap();
     assert!(dmodk.per_nca[..6]
         .iter()

@@ -10,6 +10,7 @@
 //! payload bytes. If lowering ever perturbs a seed stream, a shard order
 //! or a serialized field, this suite fails before any paper number drifts.
 
+use xgft::analysis::experiments::OBLIVIOUS_SCHEMES;
 use xgft::analysis::AlgorithmSpec;
 use xgft::netsim::NetworkConfig;
 use xgft::scenario::{
@@ -111,7 +112,7 @@ fn scenario_fig4_matches_the_golden_fixture() {
         name: "fig4-golden".to_string(),
         topology: TopologySpec::SlimmedTwoLevel { k: 4, w2: 3 },
         workload: WorkloadSpec::new("wrf", 16, 32 * 1024),
-        schemes: schemes(AlgorithmSpec::figure5_set()),
+        schemes: schemes(OBLIVIOUS_SCHEMES.to_vec()),
         engine: EngineSpec::Nca,
         representation: RepresentationSpec::Compiled,
         faults: FaultSpec::None,
