@@ -519,15 +519,6 @@ impl ChaosShardOutcome {
     pub fn total_unroutable(&self) -> usize {
         self.epochs.iter().map(|e| e.unroutable).sum()
     }
-
-    /// Worst per-epoch p99 latency of the timeline (ps).
-    pub fn worst_p99_latency_ps(&self) -> u64 {
-        self.epochs
-            .iter()
-            .map(|e| e.p99_latency_ps)
-            .max()
-            .unwrap_or(0)
-    }
 }
 
 /// The full, serialisable result of a chaos campaign: a versioned

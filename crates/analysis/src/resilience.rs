@@ -95,34 +95,6 @@ pub struct ResilienceConfig {
 }
 
 impl ResilienceConfig {
-    /// A default campaign on the full `XGFT(2; k, k; 1, k)` machine with
-    /// the oblivious figure-5 schemes (Colored is excluded: it is
-    /// pattern-aware, so it answers a different question under faults).
-    pub fn full_tree(
-        name: impl Into<String>,
-        k: usize,
-        failure_permille: Vec<u32>,
-        faults_per_point: usize,
-        base_seed: u64,
-    ) -> Self {
-        ResilienceConfig {
-            name: name.into(),
-            k,
-            w2: k,
-            algorithms: vec![
-                AlgorithmSpec::SModK,
-                AlgorithmSpec::DModK,
-                AlgorithmSpec::Random,
-                AlgorithmSpec::RandomNcaUp,
-                AlgorithmSpec::RandomNcaDown,
-            ],
-            failure_permille,
-            faults_per_point,
-            base_seed,
-            network: NetworkConfig::default(),
-        }
-    }
-
     /// The campaign's shard list — pure function of the configuration.
     /// Rate-0 points carry a single shard (there is nothing to sample).
     pub fn shards(&self) -> Vec<ResilienceShard> {

@@ -7,7 +7,7 @@
 
 use serde::{Deserialize, Serialize};
 use xgft_core::{CompiledRouteTable, RouteSource, RoutingAlgorithm};
-use xgft_netsim::{CrossbarSim, NetworkConfig, NetworkSim};
+use xgft_netsim::{NetworkConfig, NetworkSim};
 use xgft_topo::Xgft;
 use xgft_tracesim::{ReplayEngine, ReplayError, ReplayResult, RoutedNetwork, Trace};
 
@@ -39,27 +39,16 @@ pub fn run_on_xgft<A: RoutingAlgorithm + ?Sized>(
     config: &NetworkConfig,
 ) -> Result<ReplayResult, ReplayError> {
     let table = CompiledRouteTable::compile(xgft, algo, trace.communication_pairs());
-    run_on_xgft_with_source(trace, xgft, &table, config)
-}
-
-/// Replay `trace` on any route representation: a borrowed or owned
-/// [`CompiledRouteTable`], or `CompactRoutes` when route state is computed
-/// rather than stored.
-pub fn run_on_xgft_with_source<R: RouteSource>(
-    trace: &Trace,
-    xgft: &Xgft,
-    source: R,
-    config: &NetworkConfig,
-) -> Result<ReplayResult, ReplayError> {
-    let net = RoutedNetwork::with_source(NetworkSim::new(xgft, config.clone()), source);
+    let net = RoutedNetwork::with_source(NetworkSim::new(xgft, config.clone()), table);
     ReplayEngine::new(trace).run(net)
 }
 
 /// Replay a pre-compiled engine's trace through a shard-local simulator
-/// reclaimed with [`NetworkSim::reset`]: the scratch-reuse counterpart of
-/// [`run_on_xgft_with_source`]. The engine's replay plan, its match-queue
-/// arenas, and the simulator's slab/queue/channel allocations all survive
-/// from the previous seed or epoch — a campaign shard allocates them once.
+/// reclaimed with [`NetworkSim::reset`], on any route representation: the
+/// scratch-reuse counterpart of [`run_on_xgft`]. The engine's replay plan,
+/// its match-queue arenas, and the simulator's slab/queue/channel
+/// allocations all survive from the previous seed or epoch — a campaign
+/// shard allocates them once.
 pub fn run_reusing_sim<R: RouteSource>(
     engine: &mut ReplayEngine<'_>,
     sim: &mut NetworkSim,
@@ -70,9 +59,14 @@ pub fn run_reusing_sim<R: RouteSource>(
     engine.run(net)
 }
 
-/// Replay `trace` on the ideal Full-Crossbar reference.
+/// Replay `trace` on the ideal Full-Crossbar reference
+/// ([`RoutedNetwork::crossbar`]). A trace with no ranks has no crossbar to
+/// run on and is rejected as [`ReplayError::InvalidTrace`].
 pub fn run_on_crossbar(trace: &Trace, config: &NetworkConfig) -> Result<ReplayResult, ReplayError> {
-    let net = CrossbarSim::new(trace.num_ranks(), config.clone());
+    let ranks = trace.num_ranks();
+    let net = RoutedNetwork::crossbar(ranks, config).map_err(|e| {
+        ReplayError::InvalidTrace(format!("no Full-Crossbar reference for {ranks} ranks: {e}"))
+    })?;
     ReplayEngine::new(trace).run(net)
 }
 
@@ -179,13 +173,26 @@ mod tests {
     }
 
     #[test]
+    fn a_rankless_trace_has_no_crossbar_reference() {
+        // `Trace::new` refuses an empty program list; a deserialized trace
+        // does not.
+        let trace: Trace = serde_json::from_str(r#"{"name": "empty", "programs": []}"#).unwrap();
+        let err = run_on_crossbar(&trace, &small_cfg()).unwrap_err();
+        assert!(matches!(err, ReplayError::InvalidTrace(_)), "{err}");
+    }
+
+    #[test]
     fn table_reuse_matches_direct_run() {
         let trace = workloads::wrf_trace(4, 4, 8 * 1024);
         let xgft = Xgft::new(XgftSpec::k_ary_n_tree(4, 2)).unwrap();
         let cfg = small_cfg();
         let direct = run_on_xgft(&trace, &xgft, &DModK::new(), &cfg).unwrap();
         let table = CompiledRouteTable::compile(&xgft, &DModK::new(), trace.communication_pairs());
-        let via_table = run_on_xgft_with_source(&trace, &xgft, &table, &cfg).unwrap();
-        assert_eq!(direct.completion_ps, via_table.completion_ps);
+        let mut sim = NetworkSim::new(&xgft, cfg);
+        let mut engine = ReplayEngine::new(&trace);
+        for _ in 0..2 {
+            let via_table = run_reusing_sim(&mut engine, &mut sim, &table).unwrap();
+            assert_eq!(direct.completion_ps, via_table.completion_ps);
+        }
     }
 }

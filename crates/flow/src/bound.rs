@@ -158,7 +158,19 @@ pub fn congestion_ratio_of(
         algorithm,
         mcl,
         lower_bound: bound,
-        ratio: if bound > 0.0 { mcl / bound } else { 1.0 },
+        ratio: ratio_to_bound(mcl, bound),
+    }
+}
+
+/// `mcl / bound`, the congestion ratio against the tree-cut lower bound.
+/// A zero bound means no demand crosses any cut, so no routing congests
+/// anything: the ratio is 1.0 (certified optimal), never a non-finite
+/// value that JSON cannot carry.
+pub fn ratio_to_bound(mcl: f64, bound: f64) -> f64 {
+    if bound > 0.0 {
+        mcl / bound
+    } else {
+        1.0
     }
 }
 
@@ -170,6 +182,12 @@ mod tests {
 
     fn two_level(w2: usize) -> Xgft {
         Xgft::new(XgftSpec::slimmed_two_level(16, w2).unwrap()).unwrap()
+    }
+
+    #[test]
+    fn a_zero_bound_gives_a_unit_ratio() {
+        assert_eq!(ratio_to_bound(0.0, 0.0), 1.0);
+        assert_eq!(ratio_to_bound(3.0, 2.0), 1.5);
     }
 
     #[test]

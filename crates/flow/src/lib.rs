@@ -58,7 +58,9 @@ pub mod loads;
 pub mod sweep;
 pub mod traffic;
 
-pub use bound::{oblivious_congestion_ratio, tree_cut_lower_bound, CongestionRatio, CutBound};
+pub use bound::{
+    oblivious_congestion_ratio, ratio_to_bound, tree_cut_lower_bound, CongestionRatio, CutBound,
+};
 pub use degraded::DegradedLoads;
 pub use loads::{expected_nca_distribution, ExpectedLoads};
 pub use sweep::{FlowPoint, FlowSweepConfig, FlowSweepResult};

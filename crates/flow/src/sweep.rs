@@ -9,7 +9,7 @@
 //! slimming factors, pattern families and tree heights scale to machines
 //! far beyond what the simulator can touch.
 
-use crate::bound::tree_cut_lower_bound;
+use crate::bound::{ratio_to_bound, tree_cut_lower_bound};
 use crate::loads::ExpectedLoads;
 use crate::traffic::TrafficSpec;
 use rayon::prelude::*;
@@ -193,7 +193,7 @@ impl FlowSweepConfig {
                     mcl,
                     network_mcl: loads.network_mcl(xgft),
                     lower_bound: *bound,
-                    ratio: if *bound > 0.0 { mcl / bound } else { 1.0 },
+                    ratio: ratio_to_bound(mcl, *bound),
                 }
             })
             .collect();

@@ -7,18 +7,19 @@
 //!
 //! That network is exactly the degenerate `XGFT(1; N; 1)`: one switch with
 //! `N` children. Every (s, d) pair has a single minimal route (`<0>`), so
-//! the same event-driven simulator can be reused unchanged.
+//! the same event-driven simulator runs it unchanged: build a
+//! [`NetworkSim`](crate::NetworkSim) on [`crossbar_xgft`] with
+//! [`crossbar_config`] and route every pair through the one switch.
 
 use crate::config::NetworkConfig;
-use crate::message::MessageId;
-use crate::sim::{Completion, NetworkSim};
-use crate::stats::SimReport;
-use xgft_topo::{Route, Xgft, XgftSpec};
+use xgft_topo::{TopologyError, Xgft, XgftSpec};
 
 /// Build the single-stage crossbar topology for `n` nodes.
-pub fn crossbar_xgft(n: usize) -> Xgft {
-    Xgft::new(XgftSpec::new(vec![n], vec![1]).expect("valid crossbar spec"))
-        .expect("crossbar topology always builds")
+///
+/// # Errors
+/// [`TopologyError::ZeroParameter`] if `n == 0`.
+pub fn crossbar_xgft(n: usize) -> Result<Xgft, TopologyError> {
+    Xgft::new(XgftSpec::new(vec![n], vec![1])?)
 }
 
 /// The network configuration used for the crossbar reference. Link
@@ -34,67 +35,25 @@ pub fn crossbar_config(base: &NetworkConfig) -> NetworkConfig {
     }
 }
 
-/// A thin wrapper around [`NetworkSim`] for the Full-Crossbar reference:
-/// routes are implicit (there is only one), so callers just schedule
-/// (src, dst, bytes) triples.
-#[derive(Debug)]
-pub struct CrossbarSim {
-    sim: NetworkSim,
-}
-
-impl CrossbarSim {
-    /// Create a crossbar simulator for `n` nodes.
-    pub fn new(n: usize, config: NetworkConfig) -> Self {
-        let xgft = crossbar_xgft(n);
-        CrossbarSim {
-            sim: NetworkSim::new(&xgft, crossbar_config(&config)),
-        }
-    }
-
-    /// Schedule a message; the unique route is filled in automatically.
-    pub fn schedule_message(
-        &mut self,
-        at_ps: u64,
-        src: usize,
-        dst: usize,
-        bytes: u64,
-    ) -> MessageId {
-        let route = if src == dst {
-            Route::empty()
-        } else {
-            Route::new(vec![0])
-        };
-        self.sim.schedule_message(at_ps, src, dst, bytes, route)
-    }
-
-    /// See [`NetworkSim::run_until_next_completion`].
-    pub fn run_until_next_completion(&mut self) -> Option<Completion> {
-        self.sim.run_until_next_completion()
-    }
-
-    /// See [`NetworkSim::run_to_completion`].
-    pub fn run_to_completion(&mut self) -> SimReport {
-        self.sim.run_to_completion()
-    }
-
-    /// Current simulation time in picoseconds.
-    pub fn now_ps(&self) -> u64 {
-        self.sim.now_ps()
-    }
-
-    /// Access the underlying simulator (e.g. for statistics).
-    pub fn inner(&self) -> &NetworkSim {
-        &self.sim
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::NetworkSim;
+    use xgft_topo::Route;
+
+    /// The crossbar reference simulator for `n` nodes.
+    fn crossbar(n: usize, cfg: &NetworkConfig) -> NetworkSim {
+        NetworkSim::new(&crossbar_xgft(n).unwrap(), crossbar_config(cfg))
+    }
+
+    /// Schedule a message on the crossbar's one route.
+    fn send(sim: &mut NetworkSim, at_ps: u64, src: usize, dst: usize, bytes: u64) {
+        sim.schedule_message(at_ps, src, dst, bytes, Route::new(vec![0]));
+    }
 
     #[test]
     fn crossbar_topology_shape() {
-        let x = crossbar_xgft(256);
+        let x = crossbar_xgft(256).unwrap();
         assert_eq!(x.num_leaves(), 256);
         assert_eq!(x.num_switches(), 1);
         assert_eq!(x.height(), 1);
@@ -106,6 +65,10 @@ mod tests {
                 }
             }
         }
+        assert_eq!(
+            crossbar_xgft(0).unwrap_err(),
+            TopologyError::ZeroParameter { level: 1 }
+        );
     }
 
     #[test]
@@ -114,13 +77,13 @@ mod tests {
         // single message: no routing contention exists.
         let cfg = NetworkConfig::default();
         let bytes = 64 * 1024u64;
-        let mut single = CrossbarSim::new(16, cfg.clone());
-        single.schedule_message(0, 0, 1, bytes);
+        let mut single = crossbar(16, &cfg);
+        send(&mut single, 0, 0, 1, bytes);
         let t_single = single.run_to_completion().makespan_ps;
 
-        let mut perm = CrossbarSim::new(16, cfg);
+        let mut perm = crossbar(16, &cfg);
         for s in 0..16usize {
-            perm.schedule_message(0, s, (s + 1) % 16, bytes);
+            send(&mut perm, 0, s, (s + 1) % 16, bytes);
         }
         let t_perm = perm.run_to_completion().makespan_ps;
         assert_eq!(t_perm, t_single);
@@ -132,13 +95,13 @@ mod tests {
         // crossbar removes routing contention, not endpoint contention.
         let cfg = NetworkConfig::default();
         let bytes = 64 * 1024u64;
-        let mut fan_in = CrossbarSim::new(16, cfg.clone());
-        fan_in.schedule_message(0, 0, 5, bytes);
-        fan_in.schedule_message(0, 1, 5, bytes);
+        let mut fan_in = crossbar(16, &cfg);
+        send(&mut fan_in, 0, 0, 5, bytes);
+        send(&mut fan_in, 0, 1, 5, bytes);
         let t_fan_in = fan_in.run_to_completion().makespan_ps;
 
-        let mut single = CrossbarSim::new(16, cfg);
-        single.schedule_message(0, 0, 5, bytes);
+        let mut single = crossbar(16, &cfg);
+        send(&mut single, 0, 0, 5, bytes);
         let t_single = single.run_to_completion().makespan_ps;
         let ratio = t_fan_in as f64 / t_single as f64;
         assert!(
@@ -149,12 +112,12 @@ mod tests {
 
     #[test]
     fn self_messages_cost_nothing() {
-        let mut sim = CrossbarSim::new(8, NetworkConfig::default());
-        sim.schedule_message(100, 3, 3, 1024);
+        let mut sim = crossbar(8, &NetworkConfig::default());
+        send(&mut sim, 100, 3, 3, 1024);
         let report = sim.run_to_completion();
         assert_eq!(report.completed_messages, 1);
         assert_eq!(report.makespan_ps, 100);
         assert_eq!(sim.now_ps(), 0);
-        assert_eq!(sim.inner().num_messages(), 1);
+        assert_eq!(sim.num_messages(), 1);
     }
 }

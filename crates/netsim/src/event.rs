@@ -306,6 +306,7 @@ impl EventQueue {
             match self.agenda.get(self.cursor) {
                 Some(e) if e.0 == self.now_ps => {}
                 _ => {
+                    #[expect(clippy::expect_used, reason = "this branch has a FIFO entry")]
                     let event = self.now_fifo.pop_front().expect("non-empty");
                     self.live -= 1;
                     return Some((self.now_ps, event));
@@ -325,7 +326,7 @@ impl EventQueue {
     }
 
     /// Peek at the time of the earliest event.
-    #[allow(dead_code)]
+    #[cfg(test)]
     pub fn next_time(&self) -> Option<u64> {
         if !self.now_fifo.is_empty() {
             return Some(self.now_ps);
@@ -400,6 +401,7 @@ impl EventQueue {
         // Scanning one full ring revolution found nothing: every pending
         // event is at least `ring` days ahead. Jump straight to the global
         // minimum (the per-bucket minima are exact).
+        #[expect(clippy::expect_used, reason = "requires future_len > 0")]
         let target = target.unwrap_or_else(|| {
             self.buckets
                 .iter()

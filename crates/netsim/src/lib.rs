@@ -30,8 +30,9 @@
 //!   serialization on the level-0 down channel of the destination.
 //! * **Full-Crossbar.** The ideal single-stage reference network of the
 //!   paper is the degenerate `XGFT(1; N; 1)` — a single switch connecting
-//!   all N nodes — driven through the same simulator (see
-//!   [`crossbar::crossbar_xgft`]).
+//!   all N nodes — and is a plain [`NetworkSim`] on [`crossbar_xgft`] with
+//!   the unlimited-buffer [`crossbar_config`]; there is no separate crossbar
+//!   simulator type.
 //!
 //! ## Quick example
 //!
@@ -61,7 +62,7 @@ pub mod stats;
 
 pub use batch::InjectionBatch;
 pub use config::{NetworkConfig, SwitchingMode};
-pub use crossbar::{crossbar_config, crossbar_xgft, CrossbarSim};
+pub use crossbar::{crossbar_config, crossbar_xgft};
 pub use message::{MessageId, MessageStatus};
 pub use sim::{Completion, FailurePolicy, NetworkSim};
 pub use stats::SimReport;

@@ -360,6 +360,7 @@ impl NetworkSim {
     /// # Panics
     /// Panics if `bytes == 0`, if `at_ps` lies in the past, or if the route
     /// is invalid for the pair.
+    #[expect(clippy::expect_used, reason = "see # Panics")]
     pub fn schedule_message(
         &mut self,
         at_ps: u64,
@@ -725,6 +726,7 @@ impl NetworkSim {
         else {
             return;
         };
+        #[expect(clippy::expect_used, reason = "`position` found `eligible`")]
         let id = self.adapters[src]
             .active
             .remove(eligible)
@@ -778,6 +780,7 @@ impl NetworkSim {
     /// Start as many waiting transmissions on `channel` as credits allow.
     fn try_start(&mut self, channel: usize) {
         loop {
+            #[expect(clippy::expect_used, reason = "the queue was just seen non-empty")]
             let segment = {
                 let ch = &mut self.channels[channel];
                 if ch.waiting.is_empty() || ch.credits == 0 {

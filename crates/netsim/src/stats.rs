@@ -53,11 +53,6 @@ pub struct SimReport {
 }
 
 impl SimReport {
-    /// Makespan in nanoseconds (convenience).
-    pub fn makespan_ns(&self) -> f64 {
-        self.makespan_ps as f64 / 1000.0
-    }
-
     /// Makespan in milliseconds (convenience).
     pub fn makespan_ms(&self) -> f64 {
         self.makespan_ps as f64 / 1e9

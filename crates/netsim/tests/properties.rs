@@ -1,7 +1,7 @@
 //! Property-based tests of the event-driven network simulator.
 
 use proptest::prelude::*;
-use xgft_netsim::{CrossbarSim, NetworkConfig, NetworkSim, SwitchingMode};
+use xgft_netsim::{crossbar_config, crossbar_xgft, NetworkConfig, NetworkSim, SwitchingMode};
 use xgft_topo::{Route, Xgft, XgftSpec};
 
 /// Random small topologies plus random message sets with routes picked among
@@ -93,9 +93,10 @@ proptest! {
             sim.run_to_completion().makespan_ps
         };
         let crossbar_time = {
-            let mut sim = CrossbarSim::new(xgft.num_leaves(), config.clone());
+            let crossbar = crossbar_xgft(xgft.num_leaves()).unwrap();
+            let mut sim = NetworkSim::new(&crossbar, crossbar_config(&config));
             for &(s, d, bytes, _) in &msgs {
-                sim.schedule_message(0, s, d, bytes);
+                sim.schedule_message(0, s, d, bytes, Route::new(vec![0]));
             }
             sim.run_to_completion().makespan_ps
         };

@@ -23,7 +23,7 @@ use std::time::Instant;
 use xgft_analysis::{AlgorithmSpec, CampaignConfig, ChaosConfig};
 use xgft_core::{CompactRoutes, CompactScheme, CompiledRouteTable, DModK, UndoableTable};
 use xgft_flow::{FlowSweepConfig, TrafficSpec};
-use xgft_netsim::{CrossbarSim, InjectionBatch, NetworkConfig, NetworkSim};
+use xgft_netsim::{InjectionBatch, NetworkConfig, NetworkSim};
 use xgft_patterns::generators;
 use xgft_topo::{FaultSet, Xgft};
 
@@ -375,19 +375,19 @@ fn bench_tracesim(quick: bool, reps: u32) -> Vec<BenchProbe> {
         ]
     };
 
+    let crossbar = || {
+        xgft_tracesim::RoutedNetwork::crossbar(ranks, &NetworkConfig::default())
+            .expect("the probe has ranks")
+    };
+
     let mut engine = xgft_tracesim::ReplayEngine::new(&trace);
     let indexed = time_reps(reps, || {
-        let result = engine
-            .run(CrossbarSim::new(ranks, NetworkConfig::default()))
-            .expect("CG trace is deadlock-free");
+        let result = engine.run(crossbar()).expect("CG trace is deadlock-free");
         checks(&result)
     });
     let reference = time_reps(reps, || {
-        let result = xgft_tracesim::replay::reference::run(
-            &trace,
-            CrossbarSim::new(ranks, NetworkConfig::default()),
-        )
-        .expect("CG trace is deadlock-free");
+        let result = xgft_tracesim::replay::reference::run(&trace, crossbar())
+            .expect("CG trace is deadlock-free");
         checks(&result)
     });
 

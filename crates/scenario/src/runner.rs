@@ -32,8 +32,8 @@ use xgft_analysis::{
 };
 use xgft_core::{AlgorithmSpec, CompactRoutes, CompactScheme, CompiledRouteTable, RouteSource};
 use xgft_flow::{
-    tree_cut_lower_bound, DegradedLoads, FlowSweepConfig, FlowSweepResult, TrafficMatrix,
-    TrafficSpec,
+    ratio_to_bound, tree_cut_lower_bound, DegradedLoads, FlowSweepConfig, FlowSweepResult,
+    TrafficMatrix, TrafficSpec,
 };
 use xgft_netsim::{InjectionBatch, NetworkConfig, NetworkSim, SimReport};
 use xgft_patterns::Pattern;
@@ -151,7 +151,7 @@ pub struct CompactFlowPoint {
     pub network_mcl: f64,
     /// The tree-cut lower bound no scheme can beat.
     pub lower_bound: f64,
-    /// `mcl / lower_bound`.
+    /// `mcl / lower_bound` ([`ratio_to_bound`]: 1.0 when the bound is 0).
     pub ratio: f64,
     /// Demand actually placed on the network.
     pub routed_demand: f64,
@@ -743,11 +743,7 @@ fn run_compact_flow(
                 mcl,
                 network_mcl: loads.network_mcl(xgft),
                 lower_bound: bound,
-                ratio: if bound > 0.0 {
-                    mcl / bound
-                } else {
-                    f64::INFINITY
-                },
+                ratio: ratio_to_bound(mcl, bound),
                 routed_demand: loads.routed_demand(),
                 unroutable_demand: loads.unroutable_demand(),
                 route_state_bytes: routes.storage_bytes(),

@@ -835,6 +835,20 @@ impl ScenarioSpec {
                 "chaos requires SeedSpec::Stream (the timeline and shard seeds are derived \
                  from base_seed)",
             )),
+            // Every trace slowdown divides by the Full-Crossbar completion
+            // time, which is 0 ps when no message crosses the network.
+            (Tracesim, _, None, _, _)
+                if pattern
+                    .phases()
+                    .iter()
+                    .all(|p| p.network_flows().next().is_none()) =>
+            {
+                Err(invalid(format!(
+                    "workload `{}` sends no message between distinct ranks; the Tracesim \
+                     engine normalises by the Full-Crossbar time, which would be 0 ps",
+                    pattern.name()
+                )))
+            }
             (
                 Tracesim,
                 UniformLinks {

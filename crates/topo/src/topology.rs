@@ -180,12 +180,6 @@ impl Xgft {
         Ok(NcaSet::new(&self.spec, self.leaf_digits(s), level))
     }
 
-    /// Number of distinct up-port sequences (routes) available to reach an
-    /// NCA at `level`.
-    pub fn routes_to_level(&self, level: usize) -> usize {
-        self.spec.ncas_at_level(level)
-    }
-
     /// Validate a route for the pair `(s, d)`: its length must equal the NCA
     /// level and each port must be within the level's parent arity.
     pub fn validate_route(&self, s: usize, d: usize, route: &Route) -> Result<(), TopologyError> {

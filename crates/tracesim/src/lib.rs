@@ -15,7 +15,7 @@
 //!
 //! ```
 //! use xgft_tracesim::{workloads, ReplayEngine, RoutedNetwork};
-//! use xgft_netsim::{NetworkConfig, NetworkSim, CrossbarSim};
+//! use xgft_netsim::{NetworkConfig, NetworkSim};
 //! use xgft_core::{CompiledRouteTable, DModK};
 //! use xgft_topo::{Xgft, XgftSpec};
 //!
@@ -26,23 +26,21 @@
 //! let net = RoutedNetwork::with_source(NetworkSim::new(&xgft, NetworkConfig::default()), table);
 //! let result = ReplayEngine::new(&trace).run(net).unwrap();
 //!
-//! // The ideal single-stage crossbar reference.
-//! let reference = ReplayEngine::new(&trace)
-//!     .run(CrossbarSim::new(16, NetworkConfig::default()))
-//!     .unwrap();
+//! // The ideal single-stage crossbar reference: the same routed simulator
+//! // on the one-switch XGFT(1; 16; 1).
+//! let crossbar = RoutedNetwork::crossbar(16, &NetworkConfig::default()).unwrap();
+//! let reference = ReplayEngine::new(&trace).run(crossbar).unwrap();
 //! assert!(result.completion_ps >= reference.completion_ps);
 //! ```
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod mapping;
 pub mod network;
 pub mod replay;
 pub mod trace;
 pub mod workloads;
 
-pub use mapping::{MappedNetwork, Mapping};
 pub use network::{Network, NetworkError, RoutedNetwork};
 pub use replay::{ReplayEngine, ReplayError, ReplayResult};
 pub use trace::{RankEvent, Trace};

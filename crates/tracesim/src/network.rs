@@ -1,16 +1,21 @@
 //! The network abstraction the replay engine drives.
 //!
 //! The replay engine only needs three operations from a network: schedule a
-//! message, advance to the next delivery, and report the current time. Both
-//! the routed XGFT simulator and the Full-Crossbar reference implement the
-//! [`Network`] trait, so a trace can be replayed on either with the same
-//! code path — exactly the Dimemas/Venus coupling of the paper.
+//! message, advance to the next delivery, and report the current time —
+//! the [`Network`] trait. The routed XGFT simulator, [`RoutedNetwork`], is
+//! the only network in the library: the Full-Crossbar reference is the same
+//! type on the degenerate `XGFT(1; N; 1)` ([`RoutedNetwork::crossbar`]), so
+//! every replay, reference included, runs the same code path — the
+//! Dimemas/Venus coupling of the paper.
 
 use std::borrow::BorrowMut;
 use std::fmt;
-use xgft_core::{CompiledRouteTable, RouteSource};
+use xgft_core::{CompactRoutes, CompactScheme, CompiledRouteTable, RouteSource};
 use xgft_netsim::sim::Completion;
-use xgft_netsim::{CrossbarSim, MessageId, NetworkSim, SimReport};
+use xgft_netsim::{
+    crossbar_config, crossbar_xgft, MessageId, NetworkConfig, NetworkSim, SimReport,
+};
+use xgft_topo::TopologyError;
 
 /// Errors a network model can hit when a message is scheduled.
 ///
@@ -57,8 +62,6 @@ pub trait Network {
     fn now_ps(&self) -> u64;
     /// Final report of everything delivered so far.
     fn report(&self) -> SimReport;
-    /// A short label for result tables (e.g. the routing algorithm name).
-    fn label(&self) -> String;
 }
 
 /// A replay engine consumes its network by value; implementing the trait
@@ -87,10 +90,6 @@ impl<N: Network + ?Sized> Network for &mut N {
 
     fn report(&self) -> SimReport {
         (**self).report()
-    }
-
-    fn label(&self) -> String {
-        (**self).label()
     }
 }
 
@@ -151,6 +150,26 @@ impl<R: RouteSource, S: BorrowMut<NetworkSim>> RoutedNetwork<R, S> {
     }
 }
 
+impl RoutedNetwork<CompactRoutes> {
+    /// The paper's ideal Full-Crossbar reference for `n` nodes: a simulator
+    /// on the single-switch `XGFT(1; N; 1)` with unlimited internal
+    /// buffering ([`crossbar_config`]), routed in closed form. D-mod-k on
+    /// that machine is its one route — up to the switch and down to the
+    /// destination, the path `Route <0>` expands to — and holds no per-pair
+    /// state.
+    ///
+    /// # Errors
+    /// [`TopologyError::ZeroParameter`] if `n == 0`.
+    pub fn crossbar(n: usize, config: &NetworkConfig) -> Result<Self, TopologyError> {
+        let xgft = crossbar_xgft(n)?;
+        let routes = CompactRoutes::all_pairs(&xgft, CompactScheme::DModK);
+        Ok(RoutedNetwork::with_source(
+            NetworkSim::new(&xgft, crossbar_config(config)),
+            routes,
+        ))
+    }
+}
+
 impl<R: RouteSource, S: BorrowMut<NetworkSim>> Network for RoutedNetwork<R, S> {
     fn schedule_message(
         &mut self,
@@ -187,51 +206,13 @@ impl<R: RouteSource, S: BorrowMut<NetworkSim>> Network for RoutedNetwork<R, S> {
     fn report(&self) -> SimReport {
         self.sim.borrow().report()
     }
-
-    fn label(&self) -> String {
-        format!(
-            "{} on {}",
-            self.table.algorithm(),
-            self.sim.borrow().xgft().spec()
-        )
-    }
-}
-
-impl Network for CrossbarSim {
-    fn schedule_message(
-        &mut self,
-        at_ps: u64,
-        src: usize,
-        dst: usize,
-        bytes: u64,
-    ) -> Result<MessageId, NetworkError> {
-        // The crossbar connects every pair directly; scheduling never fails.
-        Ok(CrossbarSim::schedule_message(self, at_ps, src, dst, bytes))
-    }
-
-    fn run_until_next_completion(&mut self) -> Option<Completion> {
-        CrossbarSim::run_until_next_completion(self)
-    }
-
-    fn now_ps(&self) -> u64 {
-        CrossbarSim::now_ps(self)
-    }
-
-    fn report(&self) -> SimReport {
-        self.inner().report()
-    }
-
-    fn label(&self) -> String {
-        "full-crossbar".to_string()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use xgft_core::{CompiledRouteTable, DModK};
-    use xgft_netsim::NetworkConfig;
-    use xgft_topo::{Xgft, XgftSpec};
+    use xgft_topo::{Route, Xgft, XgftSpec};
 
     #[test]
     fn routed_network_uses_table_routes() {
@@ -246,7 +227,6 @@ mod tests {
             count += 1;
         }
         assert_eq!(count, 2);
-        assert!(net.label().contains("d-mod-k"));
         assert_eq!(net.report().completed_messages, 2);
         assert_eq!(net.table().algorithm(), "d-mod-k");
         assert!(net.sim().num_messages() == 2);
@@ -302,7 +282,6 @@ mod tests {
             }
         }
         assert_eq!(a.report(), b.report());
-        assert_eq!(a.label(), b.label());
         // Misses stay typed through the generic path.
         let err = b.schedule_message(0, 0, 99, 64).unwrap_err();
         assert_eq!(err, NetworkError::MissingRoute { src: 0, dst: 99 });
@@ -310,11 +289,28 @@ mod tests {
 
     #[test]
     fn crossbar_implements_network() {
-        let mut net = CrossbarSim::new(8, NetworkConfig::default());
+        let mut net = RoutedNetwork::crossbar(8, &NetworkConfig::default()).unwrap();
+        // Every pair rides the crossbar's one route, `<0>`.
+        let xgft = crossbar_xgft(8).unwrap();
+        let mut scratch = Vec::new();
+        for s in 0..8 {
+            for d in (0..8).filter(|&d| d != s) {
+                let expected: Vec<u32> = xgft
+                    .route_channels(s, d, &Route::new(vec![0]))
+                    .unwrap()
+                    .into_iter()
+                    .map(|c| c as u32)
+                    .collect();
+                assert_eq!(net.table().path_in(s, d, &mut scratch).unwrap(), expected);
+            }
+        }
         Network::schedule_message(&mut net, 0, 0, 1, 2048).unwrap();
-        assert_eq!(Network::label(&net), "full-crossbar");
         let c = Network::run_until_next_completion(&mut net).unwrap();
         assert_eq!(c.dst, 1);
         assert_eq!(Network::report(&net).completed_messages, 1);
+        assert_eq!(
+            RoutedNetwork::crossbar(0, &NetworkConfig::default()).unwrap_err(),
+            TopologyError::ZeroParameter { level: 1 }
+        );
     }
 }

@@ -98,8 +98,6 @@ impl std::error::Error for ReplayError {}
 /// The outcome of a replay.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ReplayResult {
-    /// Label of the network the trace ran on.
-    pub network: String,
     /// Name of the trace.
     pub trace: String,
     /// Application completion time: the latest rank finish time (ps).
@@ -169,6 +167,10 @@ impl ReplayPlan {
         }
         triples.sort_unstable();
         triples.dedup();
+        #[expect(
+            clippy::expect_used,
+            reason = "every Send and Recv key is in `triples`"
+        )]
         let queue_of = |key: (u32, u32, u32)| -> u32 {
             triples.binary_search(&key).expect("key was inserted") as u32
         };
@@ -220,6 +222,7 @@ impl ReplayPlan {
         self.queue_start.len() - 1
     }
 
+    #[expect(clippy::expect_used, reason = "`compile` pushes a closing offset")]
     fn total_sends(&self) -> usize {
         *self.queue_start.last().expect("non-empty") as usize
     }
@@ -319,6 +322,7 @@ impl ReplayScratch {
     /// # Panics
     /// Panics if `id` was never scheduled (or its slot was recycled under a
     /// different generation) — the same contract the HashMap core enforced.
+    #[expect(clippy::expect_used, reason = "see # Panics")]
     fn remove_in_flight(&mut self, id: u64) -> u32 {
         let slot = (id & u32::MAX as u64) as usize;
         let entry = self
@@ -423,7 +427,6 @@ impl<'t> ReplayEngine<'t> {
         let rank_finish_ps = scratch.clock_ps.clone();
         let completion_ps = rank_finish_ps.iter().copied().max().unwrap_or(0);
         Ok(ReplayResult {
-            network: network.label(),
             trace: trace.name().to_string(),
             completion_ps,
             rank_finish_ps,
@@ -559,6 +562,7 @@ pub mod reference {
 
             match network.run_until_next_completion() {
                 Some(completion) => {
+                    #[expect(clippy::expect_used, reason = "networks complete only scheduled ids")]
                     let key = in_flight
                         .remove(&completion.id.0)
                         .expect("completion for an unknown message");
@@ -578,7 +582,6 @@ pub mod reference {
         let rank_finish_ps: Vec<u64> = ranks.iter().map(|r| r.clock_ps).collect();
         let completion_ps = rank_finish_ps.iter().copied().max().unwrap_or(0);
         Ok(ReplayResult {
-            network: network.label(),
             trace: trace.name().to_string(),
             completion_ps,
             rank_finish_ps,
@@ -646,7 +649,7 @@ mod tests {
     use super::*;
     use crate::network::RoutedNetwork;
     use xgft_core::{CompiledRouteTable, DModK};
-    use xgft_netsim::{CrossbarSim, NetworkConfig, NetworkSim};
+    use xgft_netsim::{NetworkConfig, NetworkSim};
     use xgft_topo::{Xgft, XgftSpec};
 
     fn routed(xgft: &Xgft) -> RoutedNetwork {
@@ -818,7 +821,7 @@ mod tests {
     fn invalid_trace_is_rejected_before_running() {
         let trace = Trace::new("bad", vec![vec![RankEvent::Recv { src: 0, tag: 0 }]]);
         let err = ReplayEngine::new(&trace)
-            .run(CrossbarSim::new(4, NetworkConfig::default()))
+            .run(RoutedNetwork::crossbar(4, &NetworkConfig::default()).unwrap())
             .unwrap_err();
         assert!(matches!(err, ReplayError::InvalidTrace(_)));
     }
@@ -842,7 +845,7 @@ mod tests {
         let mut engine = ReplayEngine::new(&trace);
         let tree_result = engine.run(routed(&xgft)).unwrap();
         let xbar_result = engine
-            .run(CrossbarSim::new(8, NetworkConfig::default()))
+            .run(RoutedNetwork::crossbar(8, &NetworkConfig::default()).unwrap())
             .unwrap();
         assert!(tree_result.completion_ps >= xbar_result.completion_ps);
         assert!(xbar_result.completion_ps > 0);
@@ -960,10 +963,6 @@ mod tests {
 
         fn report(&self) -> SimReport {
             SimReport::default()
-        }
-
-        fn label(&self) -> String {
-            "recycling-toy".to_string()
         }
     }
 

@@ -25,7 +25,7 @@
 
 use proptest::prelude::*;
 use xgft_core::{CompiledRouteTable, DModK};
-use xgft_netsim::{CrossbarSim, NetworkConfig, NetworkSim};
+use xgft_netsim::{NetworkConfig, NetworkSim};
 use xgft_topo::{Xgft, XgftSpec};
 use xgft_tracesim::replay::reference;
 use xgft_tracesim::{RankEvent, ReplayEngine, RoutedNetwork, Trace};
@@ -190,10 +190,9 @@ proptest! {
     ) {
         let trace = build_trace(num_ranks, &ops);
         let cfg = NetworkConfig::default();
-        let indexed = ReplayEngine::new(&trace)
-            .run(CrossbarSim::new(num_ranks, cfg.clone()))
-            .unwrap();
-        let hashed = reference::run(&trace, CrossbarSim::new(num_ranks, cfg)).unwrap();
+        let crossbar = || RoutedNetwork::crossbar(num_ranks, &cfg).unwrap();
+        let indexed = ReplayEngine::new(&trace).run(crossbar()).unwrap();
+        let hashed = reference::run(&trace, crossbar()).unwrap();
         prop_assert_eq!(indexed, hashed);
     }
 
@@ -215,9 +214,7 @@ proptest! {
         let mut engine = ReplayEngine::new(&trace);
         prop_assert_eq!(engine.run(routed()), reference::run(&trace, routed()));
         let cfg = NetworkConfig::default();
-        prop_assert_eq!(
-            engine.run(CrossbarSim::new(num_ranks, cfg.clone())),
-            reference::run(&trace, CrossbarSim::new(num_ranks, cfg))
-        );
+        let crossbar = || RoutedNetwork::crossbar(num_ranks, &cfg).unwrap();
+        prop_assert_eq!(engine.run(crossbar()), reference::run(&trace, crossbar()));
     }
 }

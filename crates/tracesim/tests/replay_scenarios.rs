@@ -1,13 +1,11 @@
-//! Scenario-level tests of the replay engine: multi-phase workloads,
-//! mappings, and agreement between the phase structure of a trace and the
-//! timing the co-simulation produces.
+//! Scenario-level tests of the replay engine: multi-phase workloads and
+//! agreement between the phase structure of a trace and the timing the
+//! co-simulation produces.
 
 use xgft_core::{CompiledRouteTable, DModK};
-use xgft_netsim::{CrossbarSim, NetworkConfig, NetworkSim};
+use xgft_netsim::{NetworkConfig, NetworkSim};
 use xgft_topo::{Xgft, XgftSpec};
-use xgft_tracesim::{
-    workloads, MappedNetwork, Mapping, Network, RankEvent, ReplayEngine, RoutedNetwork, Trace,
-};
+use xgft_tracesim::{workloads, Network, RankEvent, ReplayEngine, RoutedNetwork, Trace};
 
 fn routed(xgft: &Xgft, trace: &Trace) -> RoutedNetwork {
     let table = CompiledRouteTable::compile(xgft, &DModK::new(), trace.communication_pairs());
@@ -23,7 +21,7 @@ fn cg_phases_serialise() {
     let bytes = 16 * 1024u64;
     let trace = workloads::cg_d_trace(32, bytes);
     let result = ReplayEngine::new(&trace)
-        .run(CrossbarSim::new(32, cfg.clone()))
+        .run(RoutedNetwork::crossbar(32, &cfg).unwrap())
         .unwrap();
     let one_message = cfg.ideal_transfer_ps(bytes);
     assert!(
@@ -41,7 +39,7 @@ fn independent_pairs_finish_together() {
     let cfg = NetworkConfig::default();
     let trace = workloads::wrf_trace(2, 8, 32 * 1024); // 16 ranks, +-8 exchange
     let result = ReplayEngine::new(&trace)
-        .run(CrossbarSim::new(16, cfg.clone()))
+        .run(RoutedNetwork::crossbar(16, &cfg).unwrap())
         .unwrap();
     // Every rank exchanges with at most one partner above and one below, so
     // the endpoint contention is 2 and the completion is about 2 messages.
@@ -67,46 +65,15 @@ fn compute_only_trace() {
     assert_eq!(result.network_report.completed_messages, 0);
 }
 
-/// The same WRF trace under an adversarial random placement is never faster
-/// than under the sequential placement used in the paper, and both are
-/// deterministic.
-#[test]
-fn placement_never_helps_wrf_on_a_slimmed_tree() {
-    let xgft = Xgft::new(XgftSpec::slimmed_two_level(8, 2).unwrap()).unwrap();
-    let trace = workloads::wrf_trace(8, 8, 16 * 1024);
-    let cfg = NetworkConfig::default();
-
-    let run_with = |mapping: Mapping| {
-        let pairs = mapping.map_pairs(&trace.communication_pairs());
-        let table = CompiledRouteTable::compile(&xgft, &DModK::new(), pairs);
-        let net = MappedNetwork::new(
-            RoutedNetwork::with_source(NetworkSim::new(&xgft, cfg.clone()), table),
-            mapping,
-        );
-        ReplayEngine::new(&trace).run(net).unwrap().completion_ps
-    };
-
-    let sequential = run_with(Mapping::sequential(64));
-    assert_eq!(sequential, run_with(Mapping::sequential(64)));
-    for seed in [1u64, 2, 3] {
-        let random_placement = run_with(Mapping::random(64, seed));
-        assert!(
-            random_placement >= sequential,
-            "random placement (seed {seed}) beat the sequential one: {random_placement} < {sequential}"
-        );
-    }
-}
-
-/// Traces built from the same pattern complete identically whether the
-/// pattern is handed over as one phase or split into per-flow tags, as long
-/// as the dependencies are the same.
+/// A routed network names its scheme and machine, and drives through the
+/// `Network` trait by hand.
 #[test]
 fn network_label_and_report_plumbing() {
     let xgft = Xgft::new(XgftSpec::k_ary_n_tree(4, 2)).unwrap();
     let trace = workloads::wrf_trace(4, 4, 8 * 1024);
     let mut net = routed(&xgft, &trace);
-    assert!(net.label().contains("d-mod-k"));
-    assert!(net.label().contains("XGFT(2;4,4;1,4)"));
+    assert_eq!(net.table().algorithm(), "d-mod-k");
+    assert_eq!(net.sim().xgft().spec().to_string(), "XGFT(2;4,4;1,4)");
     // Manual drive of the Network trait, over a pair the WRF ±cols exchange
     // actually communicates (rank 0 talks to rank 4, not rank 5).
     Network::schedule_message(&mut net, 0, 0, 4, 4096).unwrap();
