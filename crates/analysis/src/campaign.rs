@@ -280,7 +280,7 @@ mod tests {
 
     #[test]
     fn campaign_runs_and_aggregates() {
-        let pattern = generators::wrf_mesh_exchange(4, 4, 16 * 1024);
+        let pattern = generators::wrf_mesh_exchange(4, 4, 16 * 1024).unwrap();
         let config = CampaignConfig {
             name: "mini".into(),
             k: 4,
@@ -323,7 +323,7 @@ mod tests {
 
     #[test]
     fn zero_w2_is_a_typed_error_not_a_panic() {
-        let pattern = generators::wrf_mesh_exchange(4, 4, 1024);
+        let pattern = generators::wrf_mesh_exchange(4, 4, 1024).unwrap();
         let config = CampaignConfig {
             name: "zero".into(),
             k: 4,

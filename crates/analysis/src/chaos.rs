@@ -680,7 +680,7 @@ mod tests {
 
     #[test]
     fn campaign_reports_sla_and_recovers_after_repairs() {
-        let pattern = generators::wrf_mesh_exchange(4, 4, 16 * 1024);
+        let pattern = generators::wrf_mesh_exchange(4, 4, 16 * 1024).unwrap();
         let config = mini();
         let result = config.run(&pattern).unwrap();
         assert_eq!(result.schema_version, CHAOS_SCHEMA_VERSION);
@@ -729,7 +729,7 @@ mod tests {
         // One guaranteed incident: a switch kill at epoch 1 (probability
         // forced to certainty), repaired for epoch 3. Long messages keep
         // traffic in flight when the strike lands.
-        let pattern = generators::wrf_mesh_exchange(4, 4, 1024 * 1024);
+        let pattern = generators::wrf_mesh_exchange(4, 4, 1024 * 1024).unwrap();
         let mut config = mini();
         config.algorithms = vec![AlgorithmSpec::DModK];
         config.link_fail_permille = 0;
@@ -755,7 +755,7 @@ mod tests {
 
     #[test]
     fn zero_epochs_is_a_typed_error() {
-        let pattern = generators::wrf_mesh_exchange(4, 4, 1024);
+        let pattern = generators::wrf_mesh_exchange(4, 4, 1024).unwrap();
         let mut config = mini();
         config.epochs = 0;
         assert_eq!(config.run(&pattern), Err(ChaosError::NoEpochs));
@@ -763,7 +763,7 @@ mod tests {
 
     #[test]
     fn zero_epoch_length_is_a_typed_error() {
-        let pattern = generators::wrf_mesh_exchange(4, 4, 1024);
+        let pattern = generators::wrf_mesh_exchange(4, 4, 1024).unwrap();
         let mut config = mini();
         config.epoch_ps = 0;
         assert_eq!(config.run(&pattern), Err(ChaosError::ZeroEpochLength));
@@ -771,7 +771,7 @@ mod tests {
 
     #[test]
     fn zero_k_is_a_typed_error() {
-        let pattern = generators::wrf_mesh_exchange(4, 4, 1024);
+        let pattern = generators::wrf_mesh_exchange(4, 4, 1024).unwrap();
         let mut config = mini();
         config.k = 0;
         assert!(matches!(
@@ -782,7 +782,7 @@ mod tests {
 
     #[test]
     fn zero_w2_is_a_typed_error() {
-        let pattern = generators::wrf_mesh_exchange(4, 4, 1024);
+        let pattern = generators::wrf_mesh_exchange(4, 4, 1024).unwrap();
         let mut config = mini();
         config.w2 = 0;
         assert_eq!(

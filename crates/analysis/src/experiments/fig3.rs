@@ -7,8 +7,7 @@
 //! block-structure rendering of the combined matrix.
 
 use serde::{Deserialize, Serialize};
-use xgft_patterns::generators;
-use xgft_patterns::Pattern;
+use xgft_patterns::{generators, PatternError};
 
 /// Statistics of one CG phase.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -37,9 +36,9 @@ pub struct Fig3Result {
 }
 
 /// Build the Fig. 3 reproduction for the paper's CG.D-128 (or a scaled rank
-/// count for quick runs).
-pub fn run(ranks: usize, bytes: u64) -> Fig3Result {
-    let pattern: Pattern = generators::cg_d(ranks, bytes);
+/// count for quick runs). Errors if CG.D refuses `ranks`.
+pub fn run(ranks: usize, bytes: u64) -> Result<Fig3Result, PatternError> {
+    let pattern = generators::cg_d(ranks, bytes)?;
     let block = 16usize;
     let num_blocks = ranks.div_ceil(block);
     let mut phases = Vec::new();
@@ -63,11 +62,11 @@ pub fn run(ranks: usize, bytes: u64) -> Fig3Result {
             bytes_per_message,
         });
     }
-    Fig3Result {
+    Ok(Fig3Result {
         ranks,
         phases,
         block_matrix,
-    }
+    })
 }
 
 impl Fig3Result {
@@ -104,7 +103,7 @@ mod tests {
 
     #[test]
     fn cg_d_128_phase_structure_matches_the_paper() {
-        let result = run(128, 750 * 1024);
+        let result = run(128, 750 * 1024).unwrap();
         assert_eq!(result.phases.len(), 5);
         // The first four phases are entirely switch-local...
         for p in &result.phases[..4] {
@@ -127,7 +126,7 @@ mod tests {
 
     #[test]
     fn scaled_down_variant_keeps_the_shape() {
-        let result = run(64, 1024);
+        let result = run(64, 1024).unwrap();
         assert_eq!(result.phases.len(), 5);
         assert!(result.phases[..4]
             .iter()

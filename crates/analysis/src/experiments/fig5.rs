@@ -79,7 +79,7 @@ mod tests {
     #[test]
     fn reduced_fig5_cg_claims() {
         // 64 ranks of CG on XGFT(2;8,8;1,w2): blocks of 8 per switch.
-        let cg = generators::cg_d(64, 16 * 1024);
+        let cg = generators::cg_d(64, 16 * 1024).unwrap();
         let fifth = xgft_patterns::Pattern::single_phase("cg-fifth", cg.phases()[4].clone());
         let config = SweepConfig {
             k: 8,

@@ -10,11 +10,9 @@
 
 use super::OBLIVIOUS_SCHEMES;
 use crate::stats::BoxplotStats;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 use xgft_core::{AlgorithmSpec, CompiledRouteTable, ContentionReport};
-use xgft_patterns::{generators, Pattern};
+use xgft_patterns::{Pattern, WorkloadSpec};
 use xgft_topo::{Xgft, XgftSpec};
 
 /// The contention a scheme achieves on one synthetic pattern.
@@ -51,19 +49,21 @@ pub fn run(k: usize, w2: usize, seeds: &[u64]) -> SyntheticResult {
     let spec = XgftSpec::slimmed_two_level(k, w2).expect("valid spec");
     let xgft = Xgft::new(spec.clone()).expect("valid topology");
     let n = xgft.num_leaves();
-    let side = (n as f64).sqrt() as usize;
 
-    let mut rng = StdRng::seed_from_u64(0xC0FFEE);
-    let mut patterns: Vec<Pattern> = vec![
-        generators::shift(n, k, 1),
-        generators::shift(n, 1, 1),
-        generators::bit_reversal(n, 1),
-        generators::bit_complement(n, 1),
-        generators::random_permutation(n, 1, &mut rng),
-    ];
-    if side * side == n {
-        patterns.push(generators::transpose(side, 1));
-    }
+    // Every family the machine's leaf count admits: a generator refuses
+    // the others (bit-reversal and bit-complement need a power of two,
+    // transpose a square).
+    let patterns: Vec<Pattern> = [
+        WorkloadSpec::new("shift", n, 1).with_param("offset", k as f64),
+        WorkloadSpec::new("shift", n, 1).with_param("offset", 1.0),
+        WorkloadSpec::new("bit_reversal", n, 1),
+        WorkloadSpec::new("bit_complement", n, 1),
+        WorkloadSpec::new("random_permutation", n, 1).with_param("seed", f64::from(0xC0FFEE)),
+        WorkloadSpec::new("transpose", n, 1),
+    ]
+    .iter()
+    .filter_map(|family| family.pattern().ok())
+    .collect();
 
     let mut rows = Vec::new();
     for pattern in &patterns {
@@ -164,5 +164,15 @@ mod tests {
     fn transpose_is_included_for_square_node_counts() {
         let result = run(4, 4, &[1]);
         assert!(result.median("transpose-4x4", "d-mod-k").is_some());
+    }
+
+    #[test]
+    fn families_a_leaf_count_refuses_are_skipped() {
+        // 36 leaves: a square but no power of two.
+        let result = run(6, 6, &[1]);
+        assert!(result.median("transpose-6x6", "d-mod-k").is_some());
+        assert!(result.median("shift-6", "d-mod-k").is_some());
+        assert!(result.median("bit-reversal", "d-mod-k").is_none());
+        assert!(result.median("bit-complement", "d-mod-k").is_none());
     }
 }

@@ -407,7 +407,7 @@ mod tests {
 
     #[test]
     fn campaign_runs_aggregates_and_degrades_gracefully() {
-        let pattern = generators::wrf_mesh_exchange(4, 4, 16 * 1024);
+        let pattern = generators::wrf_mesh_exchange(4, 4, 16 * 1024).unwrap();
         let mut config = mini();
         // A brutal rate that disconnects pairs on a 4-ary machine.
         config.failure_permille = vec![0, 800];
@@ -464,7 +464,7 @@ mod tests {
 
     #[test]
     fn zero_w2_is_a_typed_error_not_a_panic() {
-        let pattern = generators::wrf_mesh_exchange(4, 4, 1024);
+        let pattern = generators::wrf_mesh_exchange(4, 4, 1024).unwrap();
         let mut config = mini();
         config.w2 = 0;
         assert!(matches!(

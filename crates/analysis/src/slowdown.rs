@@ -112,7 +112,10 @@ mod tests {
     /// to the crossbar while Random picks up extra contention.
     #[test]
     fn wrf_like_pattern_mod_k_close_to_crossbar() {
-        let trace = workloads::wrf_trace(4, 4, 32 * 1024);
+        let trace = workloads::trace_from_pattern(
+            &generators::wrf_mesh_exchange(4, 4, 32 * 1024).unwrap(),
+            0,
+        );
         let xgft = Xgft::new(XgftSpec::k_ary_n_tree(4, 2)).unwrap();
         let cfg = small_cfg();
         let crossbar = run_on_crossbar(&trace, &cfg).unwrap().completion_ps;
@@ -131,7 +134,7 @@ mod tests {
     /// scaled down to 32 ranks / 4-ary switches).
     #[test]
     fn cg_like_pattern_shows_the_mod_k_pathology() {
-        let cg = generators::cg_d(32, 32 * 1024);
+        let cg = generators::cg_d(32, 32 * 1024).unwrap();
         let fifth = cg.phases()[4].clone();
         let pattern = xgft_patterns::Pattern::single_phase("cg-fifth", fifth.clone());
         let trace = workloads::trace_from_pattern(&pattern, 0);
@@ -152,7 +155,10 @@ mod tests {
 
     #[test]
     fn slowdown_is_at_least_one_for_any_routing() {
-        let trace = workloads::wrf_trace(4, 4, 16 * 1024);
+        let trace = workloads::trace_from_pattern(
+            &generators::wrf_mesh_exchange(4, 4, 16 * 1024).unwrap(),
+            0,
+        );
         let xgft = Xgft::new(XgftSpec::new(vec![4, 4], vec![1, 2]).unwrap()).unwrap();
         let cfg = small_cfg();
         for algo in [
@@ -173,17 +179,11 @@ mod tests {
     }
 
     #[test]
-    fn a_rankless_trace_has_no_crossbar_reference() {
-        // `Trace::new` refuses an empty program list; a deserialized trace
-        // does not.
-        let trace: Trace = serde_json::from_str(r#"{"name": "empty", "programs": []}"#).unwrap();
-        let err = run_on_crossbar(&trace, &small_cfg()).unwrap_err();
-        assert!(matches!(err, ReplayError::InvalidTrace(_)), "{err}");
-    }
-
-    #[test]
     fn table_reuse_matches_direct_run() {
-        let trace = workloads::wrf_trace(4, 4, 8 * 1024);
+        let trace = workloads::trace_from_pattern(
+            &generators::wrf_mesh_exchange(4, 4, 8 * 1024).unwrap(),
+            0,
+        );
         let xgft = Xgft::new(XgftSpec::k_ary_n_tree(4, 2)).unwrap();
         let cfg = small_cfg();
         let direct = run_on_xgft(&trace, &xgft, &DModK::new(), &cfg).unwrap();

@@ -353,7 +353,7 @@ mod tests {
     /// WRF-like exchange.
     #[test]
     fn small_wrf_sweep_has_figure2_shape() {
-        let pattern = generators::wrf_mesh_exchange(4, 4, 32 * 1024);
+        let pattern = generators::wrf_mesh_exchange(4, 4, 32 * 1024).unwrap();
         let config = SweepConfig {
             k: 4,
             w2_values: vec![4, 2, 1],

@@ -29,7 +29,7 @@ fn mini_campaign() -> CampaignConfig {
 
 #[test]
 fn campaign_result_is_identical_for_any_worker_count() {
-    let pattern = generators::wrf_mesh_exchange(4, 4, 16 * 1024);
+    let pattern = generators::wrf_mesh_exchange(4, 4, 16 * 1024).unwrap();
     let config = mini_campaign();
 
     // One worker thread (what RAYON_NUM_THREADS=1 pins the global pool to).
@@ -63,7 +63,7 @@ fn campaign_result_is_identical_for_any_worker_count() {
 
 #[test]
 fn sweep_result_is_identical_for_any_worker_count() {
-    let pattern = generators::wrf_mesh_exchange(4, 4, 16 * 1024);
+    let pattern = generators::wrf_mesh_exchange(4, 4, 16 * 1024).unwrap();
     // Both seed policies: a shared list and point-local streams.
     for seeds in [
         SeedSpec::List {

@@ -28,7 +28,7 @@ fn mini_resilience() -> ResilienceConfig {
 
 #[test]
 fn resilience_result_is_identical_for_any_worker_count() {
-    let pattern = generators::wrf_mesh_exchange(4, 4, 16 * 1024);
+    let pattern = generators::wrf_mesh_exchange(4, 4, 16 * 1024).unwrap();
     let config = mini_resilience();
 
     let single = ThreadPoolBuilder::new()

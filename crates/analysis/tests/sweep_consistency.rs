@@ -10,7 +10,7 @@ use xgft_topo::{Xgft, XgftSpec};
 use xgft_tracesim::workloads;
 
 fn small_sweep() -> (SweepConfig, xgft_patterns::Pattern) {
-    let pattern = generators::wrf_mesh_exchange(4, 8, 16 * 1024);
+    let pattern = generators::wrf_mesh_exchange(4, 8, 16 * 1024).unwrap();
     let config = SweepConfig {
         k: 8,
         w2_values: vec![8, 4, 2],

@@ -314,7 +314,9 @@ mod tests {
     #[test]
     fn routes_every_pattern_flow_and_is_valid() {
         let xgft = tree(8);
-        let pattern = generators::wrf_256(1024).combined();
+        let pattern = generators::wrf_mesh_exchange(16, 16, 1024)
+            .unwrap()
+            .combined();
         let colored = ColoredRouting::new(&xgft, &pattern);
         assert_eq!(colored.num_routes(), pattern.network_flows().count());
         assert!(colored.is_pattern_aware());
@@ -330,7 +332,7 @@ mod tests {
         // must route the CG fifth-phase permutation with contention 1,
         // whereas D-mod-k suffers the Eq. (2) pathology.
         let xgft = tree(16);
-        let cg = generators::cg_d_128();
+        let cg = generators::cg_d(128, generators::CG_D_PHASE_BYTES).unwrap();
         let fifth = &cg.phases()[4];
         let colored = ColoredRouting::new(&xgft, fifth);
         assert_eq!(contention(&xgft, &colored, fifth), 1);
@@ -373,7 +375,9 @@ mod tests {
     #[test]
     fn refinement_never_hurts_the_objective() {
         let xgft = tree(4);
-        let pattern = generators::cg_d_128().combined();
+        let pattern = generators::cg_d(128, generators::CG_D_PHASE_BYTES)
+            .unwrap()
+            .combined();
         let greedy = ColoredRouting::with_passes(&xgft, &pattern, 0);
         let refined = ColoredRouting::with_passes(&xgft, &pattern, 3);
         assert!(contention(&xgft, &refined, &pattern) <= contention(&xgft, &greedy, &pattern));

@@ -43,6 +43,7 @@ pub struct CutBound {
 }
 
 /// Compute the tree-cut lower bound for `traffic` on `xgft`.
+#[expect(clippy::expect_used, reason = "an Xgft has at least one level")]
 pub fn tree_cut_lower_bound(xgft: &Xgft, traffic: &TrafficMatrix) -> CutBound {
     assert_eq!(
         traffic.num_leaves(),

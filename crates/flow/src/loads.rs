@@ -188,6 +188,7 @@ impl ExpectedLoads {
 
 /// The uniform-all-pairs closed form for pair-invariant product
 /// distributions (see the module docs for the formula).
+#[expect(clippy::expect_used, reason = "v ranges over the level's node indices")]
 fn closed_form_uniform(xgft: &Xgft, levels: &[Vec<f64>], weight: f64, loads: &mut [f64]) {
     let spec = xgft.spec();
     let h = spec.height();

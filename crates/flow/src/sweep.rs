@@ -140,25 +140,10 @@ impl FlowSweepConfig {
         })
     }
 
-    /// A height sweep of full k-ary n-trees (`n` from 2 to `max_height`).
-    pub fn height_family(
-        k: usize,
-        max_height: usize,
-        schemes: Vec<AlgorithmSpec>,
-        traffic: TrafficSpec,
-    ) -> Self {
-        FlowSweepConfig {
-            specs: (2..=max_height)
-                .map(|n| XgftSpec::k_ary_n_tree(k, n))
-                .collect(),
-            schemes,
-            traffic,
-        }
-    }
-
     /// Run every (topology, scheme) job in parallel. The topology, traffic
     /// matrix and cut bound depend only on the spec, so they are built once
     /// per spec (in parallel) and shared across that spec's scheme jobs.
+    #[expect(clippy::expect_used, reason = "an XgftSpec always builds its Xgft")]
     pub fn run(&self) -> FlowSweepResult {
         xgft_obs::span!("flow.sweep");
         let traffic = &self.traffic;
@@ -210,6 +195,7 @@ impl FlowSweepConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use xgft_patterns::generators;
 
     #[test]
     fn slimming_sweep_reproduces_fig4_style_imbalance() {
@@ -252,24 +238,25 @@ mod tests {
     }
 
     #[test]
-    fn height_family_and_rendering() {
-        let config = FlowSweepConfig::height_family(
+    fn rendering_names_topologies_schemes_and_traffic() {
+        let config = FlowSweepConfig::slimming_family(
             4,
-            3,
+            &[4, 2],
             vec![AlgorithmSpec::Random, AlgorithmSpec::DModK],
-            TrafficSpec::Shift { offset: 1 },
-        );
+            TrafficSpec::Pattern(generators::shift(16, 1, 1)),
+        )
+        .unwrap();
         let result = config.run();
         assert_eq!(result.points.len(), 4);
         let table = result.render_table();
-        assert!(table.contains("XGFT(3;4,4,4;1,4,4)"));
+        assert!(table.contains("XGFT(2;4,4;1,2)"));
         assert!(table.contains("d-mod-k"));
         assert!(table.contains("shift-1"));
     }
 
     #[test]
     fn colored_scheme_runs_on_pattern_traffic() {
-        let traffic = TrafficSpec::Shift { offset: 3 };
+        let traffic = TrafficSpec::Pattern(generators::shift(16, 3, 1));
         let config = FlowSweepConfig::slimming_family(
             4,
             &[2],

@@ -33,15 +33,9 @@ impl TrafficMatrix {
     /// Uniform all-pairs traffic: one unit per ordered pair of distinct
     /// leaves.
     pub fn uniform(num_leaves: usize) -> Self {
-        Self::uniform_weighted(num_leaves, 1.0)
-    }
-
-    /// Uniform all-pairs traffic with `weight` units per pair.
-    pub fn uniform_weighted(num_leaves: usize, weight: f64) -> Self {
-        assert!(weight >= 0.0, "traffic weights must be non-negative");
         TrafficMatrix {
             num_leaves,
-            kind: TrafficKind::Uniform { weight },
+            kind: TrafficKind::Uniform { weight: 1.0 },
         }
     }
 
@@ -77,19 +71,15 @@ impl TrafficMatrix {
     /// # Panics
     /// Panics if the pattern has more tasks than there are leaves.
     pub fn from_pattern(pattern: &Pattern, num_leaves: usize) -> Self {
-        Self::from_connectivity(&pattern.combined(), num_leaves)
-    }
-
-    /// A single connectivity matrix as a traffic matrix, bytes as weights.
-    pub fn from_connectivity(matrix: &ConnectivityMatrix, num_leaves: usize) -> Self {
         assert!(
-            matrix.num_nodes() <= num_leaves,
+            pattern.num_nodes() <= num_leaves,
             "pattern has {} tasks but the machine only has {num_leaves} leaves",
-            matrix.num_nodes()
+            pattern.num_nodes()
         );
         Self::from_flows(
             num_leaves,
-            matrix
+            pattern
+                .combined()
                 .network_flows()
                 .map(|f| (f.src, f.dst, f.bytes as f64)),
         )
@@ -156,17 +146,10 @@ impl TrafficMatrix {
 /// the traffic axis of the parallel sweep engine.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum TrafficSpec {
-    /// One unit per ordered pair (the classic MCL setting).
+    /// One unit per ordered pair (the classic MCL setting), kept symbolic.
     Uniform,
-    /// Cyclic shift by `offset` (a permutation; unit weights).
-    Shift {
-        /// The shift distance in leaf numbering.
-        offset: usize,
-    },
-    /// Bit-reversal permutation (requires a power-of-two leaf count).
-    BitReversal,
-    /// A fixed application pattern (byte counts as weights); ranks map to
-    /// leaves by identity.
+    /// A fixed pattern from [`xgft_patterns::generators`] (byte counts as
+    /// weights); ranks map to leaves by identity.
     Pattern(Pattern),
 }
 
@@ -175,8 +158,6 @@ impl TrafficSpec {
     pub fn name(&self) -> String {
         match self {
             TrafficSpec::Uniform => "uniform".to_string(),
-            TrafficSpec::Shift { offset } => format!("shift-{offset}"),
-            TrafficSpec::BitReversal => "bit-reversal".to_string(),
             TrafficSpec::Pattern(p) => p.name().to_string(),
         }
     }
@@ -185,14 +166,6 @@ impl TrafficSpec {
     pub fn matrix(&self, num_leaves: usize) -> TrafficMatrix {
         match self {
             TrafficSpec::Uniform => TrafficMatrix::uniform(num_leaves),
-            TrafficSpec::Shift { offset } => TrafficMatrix::from_pattern(
-                &xgft_patterns::generators::shift(num_leaves, *offset, 1),
-                num_leaves,
-            ),
-            TrafficSpec::BitReversal => TrafficMatrix::from_pattern(
-                &xgft_patterns::generators::bit_reversal(num_leaves, 1),
-                num_leaves,
-            ),
             TrafficSpec::Pattern(p) => TrafficMatrix::from_pattern(p, num_leaves),
         }
     }
@@ -212,12 +185,6 @@ impl TrafficSpec {
                     }
                 }
                 m
-            }
-            TrafficSpec::Shift { offset } => {
-                xgft_patterns::generators::shift(num_leaves, *offset, 1).combined()
-            }
-            TrafficSpec::BitReversal => {
-                xgft_patterns::generators::bit_reversal(num_leaves, 1).combined()
             }
             TrafficSpec::Pattern(p) => p.combined(),
         }
@@ -274,12 +241,12 @@ mod tests {
     #[test]
     fn traffic_spec_names_and_instantiation() {
         assert_eq!(TrafficSpec::Uniform.name(), "uniform");
-        assert_eq!(TrafficSpec::Shift { offset: 4 }.name(), "shift-4");
-        let m = TrafficSpec::Shift { offset: 4 }.matrix(16);
+        let shift = TrafficSpec::Pattern(generators::shift(16, 4, 1));
+        assert_eq!(shift.name(), "shift-4");
+        let m = shift.matrix(16);
         assert_eq!(m.flows().unwrap().len(), 16);
+        assert_eq!(shift.connectivity(16).num_flows(), 16);
         let conn = TrafficSpec::Uniform.connectivity(4);
         assert_eq!(conn.num_flows(), 12);
-        let br = TrafficSpec::BitReversal.matrix(8);
-        assert!(br.flows().unwrap().len() <= 8);
     }
 }

@@ -144,10 +144,10 @@ fn random_flows(rng: &mut Rng, n: usize) -> (String, Vec<(usize, usize, u64)>) {
                 generators::shift(n, offset, bytes),
             )
         }
-        1 => ("tornado".into(), generators::tornado(n, bytes)),
+        1 => ("tornado".into(), generators::tornado(n, bytes).unwrap()),
         2 if n.is_power_of_two() => (
             "bit_complement".into(),
-            generators::bit_complement(n, bytes),
+            generators::bit_complement(n, bytes).unwrap(),
         ),
         2 => ("ring_exchange".into(), generators::ring_exchange(n, bytes)),
         _ => {

@@ -28,17 +28,72 @@ use crate::matrix::ConnectivityMatrix;
 use crate::pattern::Pattern;
 use crate::permutation::Permutation;
 use rand::Rng;
+use std::fmt;
 
 /// Default per-message size used for the WRF-256 synthetic trace (bytes).
 pub const WRF_DEFAULT_BYTES: u64 = 512 * 1024;
 /// Per-message size of the CG.D-128 exchanges reported by the paper (bytes).
 pub const CG_D_PHASE_BYTES: u64 = 750 * 1024;
 
-/// The WRF-256 pairwise mesh-exchange pattern on a `rows × cols` task mesh:
-/// every task exchanges with the tasks one row above and one row below
-/// (`±cols` in task numbering). A single phase with all messages outstanding.
-pub fn wrf_mesh_exchange(rows: usize, cols: usize, bytes: u64) -> Pattern {
-    let n = rows * cols;
+/// Why a generator refused its inputs: the generator's workload name and
+/// the rule the inputs broke, with the offending values.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct PatternError {
+    /// The workload name of the generator (`shift`, `cg`, …).
+    pub generator: String,
+    /// The broken rule, e.g. `needs a power-of-two rank count, got 36`.
+    pub rule: String,
+}
+
+impl PatternError {
+    pub(crate) fn new(generator: impl Into<String>, rule: impl Into<String>) -> Self {
+        PatternError {
+            generator: generator.into(),
+            rule: rule.into(),
+        }
+    }
+}
+
+impl fmt::Display for PatternError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "workload `{}` {}", self.generator, self.rule)
+    }
+}
+
+impl std::error::Error for PatternError {}
+
+/// `Ok` when `holds`, else the generator's error with the rule `rule()`.
+fn require(
+    holds: bool,
+    generator: &str,
+    rule: impl FnOnce() -> String,
+) -> Result<(), PatternError> {
+    if holds {
+        Ok(())
+    } else {
+        Err(PatternError::new(generator, rule()))
+    }
+}
+
+fn power_of_two(generator: &str, n: usize) -> Result<(), PatternError> {
+    require(n.is_power_of_two(), generator, || {
+        format!("needs a power-of-two rank count, got {n}")
+    })
+}
+
+/// The WRF-256 pairwise mesh-exchange pattern on a `rows × cols` task mesh
+/// (the paper's WRF-256 is 16 × 16): every task exchanges with the tasks
+/// one row above and one row below (`±cols` in task numbering). A single
+/// phase with all messages outstanding.
+///
+/// Requires `rows × cols` to fit a `usize`.
+pub fn wrf_mesh_exchange(rows: usize, cols: usize, bytes: u64) -> Result<Pattern, PatternError> {
+    let n = rows.checked_mul(cols).ok_or_else(|| {
+        PatternError::new(
+            "wrf",
+            format!("needs rows × cols to fit usize, got {rows} × {cols}"),
+        )
+    })?;
     let mut m = ConnectivityMatrix::new(n);
     for t in 0..n {
         if t + cols < n {
@@ -48,18 +103,16 @@ pub fn wrf_mesh_exchange(rows: usize, cols: usize, bytes: u64) -> Pattern {
             m.add_flow(t, t - cols, bytes);
         }
     }
-    Pattern::single_phase(format!("WRF-{n}"), m)
-}
-
-/// The WRF-256 pattern with the paper's parameters: a 16 × 16 mesh.
-pub fn wrf_256(bytes: u64) -> Pattern {
-    wrf_mesh_exchange(16, 16, bytes)
+    Ok(Pattern::single_phase(format!("WRF-{n}"), m))
 }
 
 /// The CG transpose-exchange permutation for `n` ranks (`n` a power of two).
 /// For an even power the grid is square and the exchange is the matrix
 /// transpose of rank indices; for an odd power (`npcols = 2·nprows`) the NAS
 /// CG formula pairs even/odd ranks as described in the module docs.
+///
+/// # Panics
+/// Panics if `n` is not a power of two.
 pub fn cg_transpose_partner(s: usize, n: usize) -> usize {
     assert!(n.is_power_of_two(), "CG requires a power-of-two rank count");
     let log = n.trailing_zeros() as usize;
@@ -76,15 +129,17 @@ pub fn cg_transpose_partner(s: usize, n: usize) -> usize {
     }
 }
 
-/// The five-phase CG.D pattern for `n` ranks (power of two, `n ≥ 32`):
-/// four XOR-exchange phases local to every aligned block of 16 ranks
-/// followed by the non-local transpose exchange. Every phase moves `bytes`
-/// bytes per rank, matching the paper's "five exchanges of equal size".
-pub fn cg_d(n: usize, bytes: u64) -> Pattern {
-    assert!(
-        n.is_power_of_two() && n >= 32,
-        "CG.D needs a power-of-two n >= 32"
-    );
+/// The five-phase CG.D pattern for `n` ranks (the paper's CG.D-128 has
+/// `n = 128` and [`CG_D_PHASE_BYTES`]): four XOR-exchange phases local to
+/// every aligned block of 16 ranks followed by the non-local transpose
+/// exchange. Every phase moves `bytes` bytes per rank, matching the paper's
+/// "five exchanges of equal size".
+///
+/// Requires `n` to be a power of two and at least 32.
+pub fn cg_d(n: usize, bytes: u64) -> Result<Pattern, PatternError> {
+    require(n.is_power_of_two() && n >= 32, "cg", || {
+        format!("needs a power-of-two rank count >= 32, got {n}")
+    })?;
     let mut phases = Vec::with_capacity(5);
     for j in 0..4 {
         let mut m = ConnectivityMatrix::new(n);
@@ -101,53 +156,69 @@ pub fn cg_d(n: usize, bytes: u64) -> Pattern {
         }
     }
     phases.push(fifth);
-    Pattern::new(format!("CG.D-{n}"), phases)
+    Ok(Pattern::new(format!("CG.D-{n}"), phases))
 }
 
-/// The CG.D-128 pattern with the paper's parameters.
-pub fn cg_d_128() -> Pattern {
-    cg_d(128, CG_D_PHASE_BYTES)
-}
-
-/// Cyclic shift by `offset`: node `i` sends to `(i + offset) mod n`.
+/// Cyclic shift by `offset`: node `i` sends to `(i + offset) mod n`. Any
+/// offset is accepted; only its residue mod `n` moves traffic.
+#[expect(clippy::expect_used, reason = "a rotation of 0..n is a permutation")]
 pub fn shift(n: usize, offset: usize, bytes: u64) -> Pattern {
-    let mapping: Vec<usize> = (0..n).map(|i| (i + offset) % n).collect();
+    let step = offset.checked_rem(n).unwrap_or(0);
+    let mapping: Vec<usize> = (0..n).map(|i| (i + step) % n).collect();
     let p = Permutation::new(mapping).expect("shift is a permutation");
     Pattern::single_phase(format!("shift-{offset}"), p.to_matrix(bytes))
 }
 
 /// Matrix transpose on a square grid of `side × side` nodes: node
 /// `(r, c)` sends to `(c, r)`.
-pub fn transpose(side: usize, bytes: u64) -> Pattern {
-    let n = side * side;
+///
+/// Requires `side × side` to fit a `usize`.
+#[expect(
+    clippy::expect_used,
+    reason = "a transpose of a square grid is a permutation"
+)]
+pub fn transpose(side: usize, bytes: u64) -> Result<Pattern, PatternError> {
+    let n = side.checked_mul(side).ok_or_else(|| {
+        PatternError::new(
+            "transpose",
+            format!("needs side × side to fit usize, got side {side}"),
+        )
+    })?;
     let mapping: Vec<usize> = (0..n).map(|i| (i % side) * side + i / side).collect();
     let p = Permutation::new(mapping).expect("transpose is a permutation");
-    Pattern::single_phase(format!("transpose-{side}x{side}"), p.to_matrix(bytes))
+    Ok(Pattern::single_phase(
+        format!("transpose-{side}x{side}"),
+        p.to_matrix(bytes),
+    ))
 }
 
 /// Bit-reversal permutation on `n = 2^b` nodes.
-pub fn bit_reversal(n: usize, bytes: u64) -> Pattern {
-    assert!(
-        n.is_power_of_two(),
-        "bit reversal needs a power-of-two size"
-    );
+///
+/// Requires `n` to be a power of two.
+#[expect(clippy::expect_used, reason = "reversing b bits permutes 0..2^b")]
+pub fn bit_reversal(n: usize, bytes: u64) -> Result<Pattern, PatternError> {
+    power_of_two("bit_reversal", n)?;
     let bits = n.trailing_zeros();
     let mapping: Vec<usize> = (0..n)
-        .map(|i| (i.reverse_bits() >> (usize::BITS - bits)) & (n - 1))
+        .map(|i| {
+            i.reverse_bits()
+                .checked_shr(usize::BITS - bits)
+                .unwrap_or(0)
+        })
         .collect();
     let p = Permutation::new(mapping).expect("bit reversal is a permutation");
-    Pattern::single_phase("bit-reversal", p.to_matrix(bytes))
+    Ok(Pattern::single_phase("bit-reversal", p.to_matrix(bytes)))
 }
 
 /// Bit-complement permutation on `n = 2^b` nodes: node `i` sends to `!i`.
-pub fn bit_complement(n: usize, bytes: u64) -> Pattern {
-    assert!(
-        n.is_power_of_two(),
-        "bit complement needs a power-of-two size"
-    );
+///
+/// Requires `n` to be a power of two.
+#[expect(clippy::expect_used, reason = "complementing b bits permutes 0..2^b")]
+pub fn bit_complement(n: usize, bytes: u64) -> Result<Pattern, PatternError> {
+    power_of_two("bit_complement", n)?;
     let mapping: Vec<usize> = (0..n).map(|i| (!i) & (n - 1)).collect();
     let p = Permutation::new(mapping).expect("bit complement is a permutation");
-    Pattern::single_phase("bit-complement", p.to_matrix(bytes))
+    Ok(Pattern::single_phase("bit-complement", p.to_matrix(bytes)))
 }
 
 /// All-to-all personalised exchange: every node sends `bytes` to every other
@@ -172,12 +243,18 @@ pub fn random_permutation<R: Rng + ?Sized>(n: usize, bytes: u64, rng: &mut R) ->
 
 /// Uniform random traffic: `flows_per_node` destinations drawn uniformly at
 /// random (with replacement, excluding self) for every source.
+///
+/// Requires `flows_per_node < n`, so the pattern costs no more draws than
+/// all-to-all has flows.
 pub fn uniform_random<R: Rng + ?Sized>(
     n: usize,
     flows_per_node: usize,
     bytes: u64,
     rng: &mut R,
-) -> Pattern {
+) -> Result<Pattern, PatternError> {
+    require(flows_per_node < n, "uniform_random", || {
+        format!("needs flows_per_node < n, got {flows_per_node} for n = {n}")
+    })?;
     let mut m = ConnectivityMatrix::new(n);
     for s in 0..n {
         for _ in 0..flows_per_node {
@@ -188,7 +265,7 @@ pub fn uniform_random<R: Rng + ?Sized>(
             m.add_flow(s, d, bytes);
         }
     }
-    Pattern::single_phase("uniform-random", m)
+    Ok(Pattern::single_phase("uniform-random", m))
 }
 
 /// A hot-spot pattern: every source still emits `bytes` bytes in total,
@@ -197,22 +274,19 @@ pub fn uniform_random<R: Rng + ?Sized>(
 /// remaining `1 - skew` fraction goes to the source's ring successor as
 /// background traffic. Deterministic: no sampling, identical for every run.
 ///
-/// Requires `0.0 <= skew <= 1.0` and `1 <= spots <= n`.
-pub fn hot_spot(n: usize, spots: usize, skew: f64, bytes: u64) -> Pattern {
-    assert!(n >= 2, "hot_spot needs at least two nodes");
-    assert!(
-        spots >= 1 && spots <= n,
-        "hot_spot needs 1 <= spots <= n, got {spots}"
-    );
-    assert!(
-        (0.0..=1.0).contains(&skew),
-        "hot_spot skew must be in [0, 1], got {skew}"
-    );
+/// Requires `1 <= spots <= n` and `0.0 <= skew <= 1.0`.
+pub fn hot_spot(n: usize, spots: usize, skew: f64, bytes: u64) -> Result<Pattern, PatternError> {
+    require((1..=n).contains(&spots), "hot_spot", || {
+        format!("needs 1 <= spots <= n, got {spots} for n = {n}")
+    })?;
+    require((0.0..=1.0).contains(&skew), "hot_spot", || {
+        format!("needs skew in [0, 1], got {skew}")
+    })?;
     // Hot destinations are spread evenly over the node range so they land
     // under different first-level switches (the interesting case).
     let hot: Vec<usize> = (0..spots).map(|i| i * n / spots).collect();
     let hot_bytes = ((bytes as f64 * skew / spots as f64).round() as u64).min(bytes);
-    let background = bytes.saturating_sub(hot_bytes * spots as u64);
+    let background = bytes.saturating_sub(hot_bytes.saturating_mul(spots as u64));
     let mut m = ConnectivityMatrix::new(n);
     for s in 0..n {
         if hot_bytes > 0 {
@@ -235,19 +309,24 @@ pub fn hot_spot(n: usize, spots: usize, skew: f64, bytes: u64) -> Pattern {
             }
         }
     }
-    Pattern::single_phase(format!("hot-spot-{spots}x{skew}"), m)
+    Ok(Pattern::single_phase(format!("hot-spot-{spots}x{skew}"), m))
 }
 
 /// The tornado permutation: node `i` sends to `(i + ⌈n/2⌉ - 1) mod n` —
 /// the adversarial near-half-ring shift of Dally & Towles. The `- 1` keeps
 /// the pattern asymmetric on even `n` (a plain `n/2` shift degenerates to
 /// pairwise exchange).
-pub fn tornado(n: usize, bytes: u64) -> Pattern {
-    assert!(n >= 3, "tornado needs at least three nodes");
-    let offset = (n.div_ceil(2) - 1).max(1);
+///
+/// Requires `n >= 3`.
+#[expect(clippy::expect_used, reason = "a rotation of 0..n is a permutation")]
+pub fn tornado(n: usize, bytes: u64) -> Result<Pattern, PatternError> {
+    require(n >= 3, "tornado", || {
+        format!("needs at least three ranks, got {n}")
+    })?;
+    let offset = n.div_ceil(2) - 1;
     let mapping: Vec<usize> = (0..n).map(|i| (i + offset) % n).collect();
     let p = Permutation::new(mapping).expect("tornado is a permutation");
-    Pattern::single_phase("tornado", p.to_matrix(bytes))
+    Ok(Pattern::single_phase("tornado", p.to_matrix(bytes)))
 }
 
 /// The k-shift family: node `i` sends `bytes` to each of
@@ -255,10 +334,20 @@ pub fn tornado(n: usize, bytes: u64) -> Pattern {
 /// cyclic shifts at stride `k`. With `k` equal to the first-level switch
 /// radix every flow leaves its switch through the same label arithmetic,
 /// which is exactly the congruence structure that stresses mod-k routing.
-pub fn k_shift(n: usize, k: usize, shifts: usize, bytes: u64) -> Pattern {
-    assert!(n >= 2, "k_shift needs at least two nodes");
-    assert!(k >= 1, "k_shift needs a stride of at least 1");
-    assert!(shifts >= 1, "k_shift needs at least one shift");
+///
+/// Requires `k >= 1`, `1 <= shifts < n`, and `n - 1 + shifts·k` to fit a
+/// `usize`.
+pub fn k_shift(n: usize, k: usize, shifts: usize, bytes: u64) -> Result<Pattern, PatternError> {
+    require(k >= 1, "k_shift", || {
+        "needs a stride k >= 1, got 0".to_string()
+    })?;
+    require((1..n).contains(&shifts), "k_shift", || {
+        format!("needs 1 <= shifts < n, got {shifts} for n = {n}")
+    })?;
+    let reach = shifts.checked_mul(k).and_then(|r| r.checked_add(n - 1));
+    require(reach.is_some(), "k_shift", || {
+        format!("needs n - 1 + shifts × k to fit usize, got shifts {shifts} × k {k}")
+    })?;
     let mut m = ConnectivityMatrix::new(n);
     for s in 0..n {
         for j in 1..=shifts {
@@ -268,7 +357,7 @@ pub fn k_shift(n: usize, k: usize, shifts: usize, bytes: u64) -> Pattern {
             }
         }
     }
-    Pattern::single_phase(format!("k-shift-{k}x{shifts}"), m)
+    Ok(Pattern::single_phase(format!("k-shift-{k}x{shifts}"), m))
 }
 
 /// A ring exchange: every node sends to both neighbours on a ring.
@@ -289,7 +378,7 @@ mod tests {
 
     #[test]
     fn wrf_256_matches_paper_description() {
-        let p = wrf_256(WRF_DEFAULT_BYTES);
+        let p = wrf_mesh_exchange(16, 16, WRF_DEFAULT_BYTES).unwrap();
         assert_eq!(p.num_nodes(), 256);
         assert_eq!(p.num_phases(), 1);
         let m = &p.phases()[0];
@@ -340,7 +429,7 @@ mod tests {
 
     #[test]
     fn cg_d_128_has_four_local_and_one_nonlocal_phase() {
-        let p = cg_d_128();
+        let p = cg_d(128, CG_D_PHASE_BYTES).unwrap();
         assert_eq!(p.num_phases(), 5);
         assert_eq!(p.num_nodes(), 128);
         // Phases 0-3 stay within aligned blocks of 16 (same level-1 switch
@@ -375,7 +464,7 @@ mod tests {
         // The pathological behaviour: under D-mod-16 the first up-port is
         // d mod 16, which given Eq. (2) is only ever 0 or 1 for the sources
         // of one switch.
-        let p = cg_d_128();
+        let p = cg_d(128, CG_D_PHASE_BYTES).unwrap();
         let fifth = &p.phases()[4];
         for f in fifth.network_flows().filter(|f| f.src < 16) {
             assert!(f.dst % 16 <= 1, "src {} -> dst {}", f.src, f.dst);
@@ -385,9 +474,11 @@ mod tests {
     #[test]
     fn synthetic_permutations_are_valid() {
         assert!(shift(64, 5, 1).phases()[0].is_permutation());
-        assert!(transpose(8, 1).phases()[0].is_permutation());
-        assert!(bit_reversal(64, 1).phases()[0].is_permutation());
-        assert!(bit_complement(64, 1).phases()[0].is_permutation());
+        assert!(transpose(8, 1).unwrap().phases()[0].is_permutation());
+        assert!(bit_reversal(64, 1).unwrap().phases()[0].is_permutation());
+        assert!(bit_complement(64, 1).unwrap().phases()[0].is_permutation());
+        // One node has zero bits to reverse.
+        assert_eq!(bit_reversal(1, 1).unwrap().num_nodes(), 1);
         let mut rng = StdRng::seed_from_u64(7);
         assert!(random_permutation(64, 1, &mut rng).phases()[0].is_permutation());
     }
@@ -404,7 +495,7 @@ mod tests {
     #[test]
     fn uniform_random_respects_flow_count() {
         let mut rng = StdRng::seed_from_u64(3);
-        let p = uniform_random(32, 3, 10, &mut rng);
+        let p = uniform_random(32, 3, 10, &mut rng).unwrap();
         let m = &p.phases()[0];
         // Every node emits exactly 3 flows worth of bytes (possibly merged).
         for s in 0..32 {
@@ -417,7 +508,7 @@ mod tests {
     fn hot_spot_concentrates_the_skewed_fraction() {
         let n = 64;
         let bytes = 1 << 20;
-        let p = hot_spot(n, 4, 0.8, bytes);
+        let p = hot_spot(n, 4, 0.8, bytes).unwrap();
         let m = &p.phases()[0];
         // Hot nodes sit at 0, 16, 32, 48 and absorb ~80% of all traffic.
         let hot = [0usize, 16, 32, 48];
@@ -444,10 +535,12 @@ mod tests {
         }
         assert!(m.flows().all(|f| f.src != f.dst));
         // Degenerate skews still produce valid patterns.
-        let uniform = hot_spot(n, 1, 0.0, bytes);
+        let uniform = hot_spot(n, 1, 0.0, bytes).unwrap();
         assert!(uniform.phases()[0].num_flows() > 0);
-        let all_hot = hot_spot(n, 1, 1.0, bytes);
+        let all_hot = hot_spot(n, 1, 1.0, bytes).unwrap();
         assert!(all_hot.phases()[0].flows().all(|f| f.dst == 0));
+        // Rounding the hot share of u64::MAX bytes up must not overflow.
+        assert!(hot_spot(4, 2, 1.0, u64::MAX).is_ok());
     }
 
     #[test]
@@ -456,7 +549,7 @@ mod tests {
         // background redirect must walk past *all* of them, not just one,
         // or the delivered hot fraction exceeds the requested skew.
         let bytes = 1u64 << 20;
-        let p = hot_spot(4, 3, 0.5, bytes);
+        let p = hot_spot(4, 3, 0.5, bytes).unwrap();
         let hot = [0usize, 1, 2];
         let hot_bytes = (bytes as f64 * 0.5 / 3.0).round() as u64;
         let background = bytes - hot_bytes * 3;
@@ -473,7 +566,7 @@ mod tests {
         }
         // Every node hot: background has nowhere to go and is dropped
         // rather than inflating the hot fraction.
-        let saturated = hot_spot(4, 4, 0.5, bytes);
+        let saturated = hot_spot(4, 4, 0.5, bytes).unwrap();
         let per_spot = (bytes as f64 * 0.5 / 4.0).round() as u64;
         assert!(saturated.phases()[0].flows().all(|f| f.bytes == per_spot));
     }
@@ -481,7 +574,7 @@ mod tests {
     #[test]
     fn tornado_is_the_near_half_ring_shift() {
         for &n in &[8usize, 9, 64, 256] {
-            let p = tornado(n, 100);
+            let p = tornado(n, 100).unwrap();
             let m = &p.phases()[0];
             assert!(m.is_permutation(), "n={n}");
             let offset = (n.div_ceil(2) - 1).max(1);
@@ -497,7 +590,7 @@ mod tests {
 
     #[test]
     fn k_shift_superposes_strided_shifts() {
-        let p = k_shift(64, 16, 3, 10);
+        let p = k_shift(64, 16, 3, 10).unwrap();
         let m = &p.phases()[0];
         for s in 0..64 {
             let dsts: Vec<usize> = m.flows().filter(|f| f.src == s).map(|f| f.dst).collect();
@@ -507,16 +600,26 @@ mod tests {
             }
         }
         // A stride that wraps onto the source merges away the self-flow.
-        let wrap = k_shift(16, 16, 1, 10);
+        let wrap = k_shift(16, 16, 1, 10).unwrap();
         assert_eq!(wrap.phases()[0].num_flows(), 0);
         // shifts = 1 at stride 1 is the plain neighbour shift.
-        let plain = k_shift(8, 1, 1, 10);
+        let plain = k_shift(8, 1, 1, 10).unwrap();
         assert!(plain.phases()[0].is_permutation());
     }
 
     #[test]
+    fn meshes_and_grids_whose_size_overflows_are_refused() {
+        let side = 1usize << (usize::BITS / 2);
+        assert_eq!(
+            wrf_mesh_exchange(side, side, 1).unwrap_err().generator,
+            "wrf"
+        );
+        assert_eq!(transpose(side, 1).unwrap_err().generator, "transpose");
+    }
+
+    #[test]
     fn wrf_shape_generalises_to_other_meshes() {
-        let p = wrf_mesh_exchange(4, 8, 100);
+        let p = wrf_mesh_exchange(4, 8, 100).unwrap();
         assert_eq!(p.num_nodes(), 32);
         let m = &p.phases()[0];
         assert_eq!(m.out_degree(0), 1);

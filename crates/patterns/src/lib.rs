@@ -18,8 +18,13 @@
 //!   evaluation (WRF-256 pairwise mesh exchange, the five CG.D-128 phases)
 //!   and the synthetic patterns common in fat-tree routing studies (shift,
 //!   transpose, bit-reversal, bit-complement, all-to-all, uniform random).
+//!   Each generator checks its own inputs and refuses bad ones with a
+//!   [`PatternError`] that names the generator and the rule.
 //! * [`Pattern`] — a named, possibly multi-phase workload description that
 //!   the trace simulator turns into rank programs.
+//! * [`WorkloadSpec`] — the workload vocabulary of scenario specs: a
+//!   generator name plus parameters, instantiated by
+//!   [`WorkloadSpec::pattern`].
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -30,9 +35,12 @@ pub mod matrix;
 pub mod pattern;
 pub mod permutation;
 pub mod stats;
+pub mod workload;
 
 pub use decompose::decompose_into_permutations;
+pub use generators::PatternError;
 pub use matrix::{ConnectivityMatrix, Flow};
 pub use pattern::Pattern;
 pub use permutation::Permutation;
 pub use stats::PatternStats;
+pub use workload::WorkloadSpec;

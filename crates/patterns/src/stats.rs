@@ -102,7 +102,7 @@ mod tests {
 
     #[test]
     fn cg_phases_locality() {
-        let cg = generators::cg_d(128, 1024);
+        let cg = generators::cg_d(128, 1024).unwrap();
         for phase in &cg.phases()[..4] {
             let stats = PatternStats::compute(phase, 16);
             assert_eq!(stats.locality_fraction(), 1.0);
@@ -120,7 +120,7 @@ mod tests {
 
     #[test]
     fn wrf_degrees_match_the_paper_description() {
-        let wrf = generators::wrf_256(512 * 1024);
+        let wrf = generators::wrf_mesh_exchange(16, 16, 512 * 1024).unwrap();
         let stats = PatternStats::compute(&wrf.phases()[0], 16);
         assert_eq!(stats.num_nodes, 256);
         assert_eq!(stats.max_out_degree, 2);

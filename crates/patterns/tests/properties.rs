@@ -116,9 +116,9 @@ proptest! {
     ) {
         let n = 1usize << log_n;
         for pattern in [
-            generators::wrf_mesh_exchange(n / 16, 16, bytes),
+            generators::wrf_mesh_exchange(n / 16, 16, bytes).unwrap(),
             generators::shift(n, offset % n, bytes),
-            generators::cg_d(n, bytes),
+            generators::cg_d(n, bytes).unwrap(),
         ] {
             prop_assert_eq!(pattern.combined(), fold_from_empty(&pattern));
         }
@@ -191,11 +191,11 @@ proptest! {
         let n = 1usize << log_n;
         let mut rng = StdRng::seed_from_u64(seed);
         let patterns = vec![
-            generators::wrf_mesh_exchange(n / 16, 16, bytes),
-            generators::cg_d(n, bytes),
+            generators::wrf_mesh_exchange(n / 16, 16, bytes).unwrap(),
+            generators::cg_d(n, bytes).unwrap(),
             generators::shift(n, offset % n, bytes),
-            generators::bit_reversal(n, bytes),
-            generators::bit_complement(n, bytes),
+            generators::bit_reversal(n, bytes).unwrap(),
+            generators::bit_complement(n, bytes).unwrap(),
             generators::random_permutation(n, bytes, &mut rng),
             generators::ring_exchange(n, bytes),
         ];
@@ -210,8 +210,8 @@ proptest! {
         }
         for p in &[
             generators::shift(n, offset % n, bytes),
-            generators::bit_reversal(n, bytes),
-            generators::bit_complement(n, bytes),
+            generators::bit_reversal(n, bytes).unwrap(),
+            generators::bit_complement(n, bytes).unwrap(),
         ] {
             prop_assert!(p.phases()[0].is_permutation());
         }

@@ -17,7 +17,6 @@
 //! * `--workload <name>`  — workload generator name (`wrf`, `cg`, `shift`,
 //!   `tornado`, `hot_spot`, `k_shift`, …; see [`crate::spec::WorkloadSpec`]).
 
-use crate::spec::WorkloadSpec;
 use std::env;
 
 /// Parsed experiment arguments.
@@ -169,19 +168,6 @@ pub fn scale_bytes(bytes: u64, scale: f64) -> u64 {
     ((bytes as f64 * scale).round() as u64).max(1024)
 }
 
-/// Instantiate the workload named by `--workload` for a radix-`k`
-/// two-level machine (`k²` ranks), scaled by `byte_scale`. Shared by the
-/// `campaign` and `faults` registry entries so the flag always means the
-/// same pattern; any generator name known to [`WorkloadSpec`] is accepted.
-pub fn workload_pattern(
-    name: &str,
-    k: usize,
-    byte_scale: f64,
-) -> Result<xgft_patterns::Pattern, String> {
-    let spec = WorkloadSpec::named_for_machine(name, k, byte_scale)?;
-    spec.pattern().map_err(|e| e.to_string())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -264,18 +250,5 @@ mod tests {
         assert_eq!(sweep.len(), 16);
         assert_eq!(sweep[0], 16);
         assert_eq!(sweep[15], 1);
-    }
-
-    #[test]
-    fn workload_pattern_accepts_every_campaign_name() {
-        // The historical trio plus the new generator families resolve for a
-        // 2-level k=8 machine (64 ranks).
-        for name in ["wrf", "cg", "shift", "tornado", "hot_spot", "k_shift"] {
-            let p = workload_pattern(name, 8, 0.1).unwrap_or_else(|e| panic!("{name}: {e}"));
-            assert_eq!(p.num_nodes(), 64, "{name}");
-        }
-        assert!(workload_pattern("bogus", 8, 0.1).is_err());
-        // cg needs a power-of-two rank count >= 32.
-        assert!(workload_pattern("cg", 5, 0.1).is_err());
     }
 }

@@ -17,7 +17,6 @@
 //!   probe's fixed seeds. A check drift means the *work* changed, not just
 //!   its speed — the delta report flags it loudly.
 
-use crate::spec::ScenarioError;
 use serde::{Deserialize, Serialize, Value};
 use std::time::Instant;
 use xgft_analysis::{AlgorithmSpec, CampaignConfig, ChaosConfig};
@@ -365,7 +364,8 @@ fn bench_netsim(quick: bool, reps: u32) -> Vec<BenchProbe> {
 fn bench_tracesim(quick: bool, reps: u32) -> Vec<BenchProbe> {
     let ranks = if quick { 256 } else { 512 };
     let bytes: u64 = 16 * 1024;
-    let trace = xgft_tracesim::workloads::cg_d_trace(ranks, bytes);
+    let cg = generators::cg_d(ranks, bytes).expect("a power-of-two rank count >= 32");
+    let trace = xgft_tracesim::workloads::trace_from_pattern(&cg, 0);
     let params = format!("trace=cg-d ranks={ranks} msg=16KiB network=crossbar");
     let checks = |result: &xgft_tracesim::ReplayResult| {
         vec![
@@ -400,7 +400,7 @@ fn bench_tracesim(quick: bool, reps: u32) -> Vec<BenchProbe> {
 /// A seed campaign through the tracesim machinery (rayon shards included).
 fn bench_campaign(quick: bool, reps: u32) -> Vec<BenchProbe> {
     let k = if quick { 4 } else { 8 };
-    let pattern = generators::wrf_mesh_exchange(k, k, 16 * 1024);
+    let pattern = generators::wrf_mesh_exchange(k, k, 16 * 1024).expect("a k x k mesh");
     let config = CampaignConfig {
         name: "bench".to_string(),
         k,
@@ -422,7 +422,8 @@ fn bench_campaign(quick: bool, reps: u32) -> Vec<BenchProbe> {
     // (w2, algorithm) group, so the shard-local engine/simulator reuse has
     // enough consecutive shards to amortise over.
     let wide_k = if quick { 8 } else { 16 };
-    let wide_pattern = generators::wrf_mesh_exchange(wide_k, wide_k, 16 * 1024);
+    let wide_pattern =
+        generators::wrf_mesh_exchange(wide_k, wide_k, 16 * 1024).expect("a k x k mesh");
     let wide_config = CampaignConfig {
         name: "bench-wide".to_string(),
         k: wide_k,
@@ -507,7 +508,7 @@ fn bench_compact(quick: bool, reps: u32) -> Vec<BenchProbe> {
 fn bench_chaos(quick: bool, reps: u32) -> Vec<BenchProbe> {
     let k = if quick { 4 } else { 8 };
     let epochs = if quick { 4 } else { 8 };
-    let pattern = generators::wrf_mesh_exchange(k, k, 16 * 1024);
+    let pattern = generators::wrf_mesh_exchange(k, k, 16 * 1024).expect("a k x k mesh");
     let config = ChaosConfig {
         name: "bench".to_string(),
         k,
@@ -542,7 +543,8 @@ fn bench_chaos(quick: bool, reps: u32) -> Vec<BenchProbe> {
     // shard cost.
     let wide_k = 8;
     let wide_epochs = if quick { 8 } else { 16 };
-    let wide_pattern = generators::wrf_mesh_exchange(wide_k, wide_k, 16 * 1024);
+    let wide_pattern =
+        generators::wrf_mesh_exchange(wide_k, wide_k, 16 * 1024).expect("a k x k mesh");
     let wide_config = ChaosConfig {
         name: "bench-wide".to_string(),
         k: wide_k,
@@ -732,11 +734,6 @@ pub fn delta_report(baseline: &BenchFile, new: &BenchFile) -> String {
         }
     }
     out
-}
-
-/// Map a bench error into the scenario error space (usage class).
-pub fn bench_error(msg: String) -> ScenarioError {
-    ScenarioError::Invalid(msg)
 }
 
 #[cfg(test)]

@@ -20,7 +20,7 @@
 //! pure JSON.
 
 use crate::args::ExperimentArgs;
-use crate::registry::{self, EntryOutput};
+use crate::registry::{self, EntryError, EntryOutput};
 use crate::runner::{run_announced, RunOptions};
 use crate::spec::ScenarioSpec;
 use serde::Value;
@@ -110,16 +110,22 @@ fn run_named(name: &str, args: Vec<String>) -> i32 {
             return 2;
         }
     };
-    match (entry.run)(&parsed) {
+    finish(name, (entry.run)(&parsed))
+}
+
+/// Print an entry's output and exit 0, or its error with the exit code
+/// the error kind maps to (2 bad input, 1 runtime failure).
+fn finish(name: &str, outcome: Result<EntryOutput, EntryError>) -> i32 {
+    match outcome {
         Ok(output) => {
-            emit(&output, parsed.json);
+            emit(&output);
             0
         }
-        Err(registry::EntryError::Usage(msg)) => {
+        Err(EntryError::Usage(msg)) => {
             eprintln!("{name}: {msg}");
             2
         }
-        Err(registry::EntryError::Runtime(msg)) => {
+        Err(EntryError::Runtime(msg)) => {
             eprintln!("{name}: {msg}");
             1
         }
@@ -213,24 +219,19 @@ fn run_spec_file(rest: &[String]) -> i32 {
         }
     };
     // Announce long campaigns before they run (they can take minutes).
-    match run_announced(&spec, &options, true) {
-        Ok(result) => {
+    let outcome = run_announced(&spec, &options, true)
+        .map_err(|e| EntryError::Usage(e.to_string()))
+        .and_then(|result| {
             if let Some(telemetry) = &result.telemetry {
                 eprint!("{}", telemetry.render_summary());
             }
-            let output = EntryOutput {
+            Ok(EntryOutput {
                 stdout: result.render(),
-                json: Some(serde_json::to_string_pretty(&result).expect("serialisable result")),
+                json: registry::json_for(json, &result)?,
                 json_owns_stdout: true,
-            };
-            emit(&output, json);
-            0
-        }
-        Err(e) => {
-            eprintln!("run: {e}");
-            2
-        }
-    }
+            })
+        });
+    finish("run", outcome)
 }
 
 /// The `xgft bench` subcommand: run the fixed probes, write one
@@ -367,12 +368,12 @@ pub fn load_spec(path: &str) -> Result<ScenarioSpec, String> {
     }
 }
 
-/// Print an entry's output: the table to stdout — unless `--json` was
-/// given and the entry declares its JSON the primary artifact, in which
-/// case stdout carries pure JSON and the table moves to stderr.
-fn emit(output: &EntryOutput, want_json: bool) {
-    match (&output.json, want_json) {
-        (Some(json), true) => {
+/// Print an entry's output: the table to stdout, then the JSON built under
+/// `--json`. An entry that declares its JSON the primary artifact gets
+/// pure JSON on stdout, with the table moved to stderr.
+fn emit(output: &EntryOutput) {
+    match &output.json {
+        Some(json) => {
             if output.json_owns_stdout {
                 eprint!("{}", output.stdout);
             } else {
@@ -380,7 +381,7 @@ fn emit(output: &EntryOutput, want_json: bool) {
             }
             println!("{json}");
         }
-        _ => print!("{}", output.stdout),
+        None => print!("{}", output.stdout),
     }
 }
 

@@ -31,7 +31,7 @@ use xgft_topo::XgftSpec;
 pub struct EntryOutput {
     /// The human-readable report.
     pub stdout: String,
-    /// Pretty JSON, when the entry produces a serializable result.
+    /// Pretty JSON of the result, built only under `--json`.
     pub json: Option<String>,
     /// Under `--json`, route `stdout` to stderr so piped output is pure
     /// JSON (the historical `campaign`/`faults` contract).
@@ -175,9 +175,42 @@ fn schemes(set: impl IntoIterator<Item = AlgorithmSpec>) -> Vec<SchemeSpec> {
     set.into_iter().map(SchemeSpec).collect()
 }
 
+/// The default workload of `--workload <name>` on a radix-`k` two-level
+/// machine (`k²` ranks), with per-message sizes scaled by `--scale`. The
+/// generator's own rules (cg's power-of-two rank count, …) are checked
+/// when the spec lowers.
+fn machine_workload(args: &ExperimentArgs) -> Result<WorkloadSpec, String> {
+    let n = args.k * args.k;
+    let scale = |b: u64| scale_bytes(b, args.byte_scale);
+    let wrf_bytes = scale(generators::WRF_DEFAULT_BYTES);
+    Ok(match args.workload.as_str() {
+        "cg" => WorkloadSpec::new("cg", n, scale(generators::CG_D_PHASE_BYTES)),
+        "shift" => WorkloadSpec::new("shift", n, wrf_bytes).with_param("offset", args.k as f64),
+        "hot_spot" => WorkloadSpec::new("hot_spot", n, wrf_bytes)
+            .with_param("spots", args.k.min(4) as f64)
+            .with_param("skew", 0.5),
+        "k_shift" => WorkloadSpec::new("k_shift", n, wrf_bytes)
+            .with_param("k", args.k as f64)
+            .with_param("shifts", 2.0),
+        other if WorkloadSpec::GENERATORS.contains(&other) => {
+            WorkloadSpec::new(other, n, wrf_bytes)
+        }
+        other => {
+            return Err(format!(
+                "unknown workload: {other} (expected one of {:?})",
+                WorkloadSpec::GENERATORS
+            ))
+        }
+    })
+}
+
 /// The spec a scenario-backed registry entry runs for the given flags.
 /// `None` for report-shaped entries (they have no grid to describe).
 pub fn spec_for(name: &str, args: &ExperimentArgs) -> Option<Result<ScenarioSpec, String>> {
+    build_spec(name, args).transpose()
+}
+
+fn build_spec(name: &str, args: &ExperimentArgs) -> Result<Option<ScenarioSpec>, String> {
     let engine = if args.analytic {
         EngineSpec::Flow
     } else {
@@ -255,11 +288,7 @@ pub fn spec_for(name: &str, args: &ExperimentArgs) -> Option<Result<ScenarioSpec
             network: NetworkConfig::default(),
         },
         "campaign" => {
-            let workload =
-                match WorkloadSpec::named_for_machine(&args.workload, args.k, args.byte_scale) {
-                    Ok(w) => w,
-                    Err(e) => return Some(Err(e)),
-                };
+            let workload = machine_workload(args)?;
             ScenarioSpec {
                 schema_version: SPEC_SCHEMA_VERSION,
                 name: format!("campaign-{}-k{}", args.workload, args.k),
@@ -282,20 +311,16 @@ pub fn spec_for(name: &str, args: &ExperimentArgs) -> Option<Result<ScenarioSpec
             }
         }
         "faults" => {
-            let workload =
-                match WorkloadSpec::named_for_machine(&args.workload, args.k, args.byte_scale) {
-                    Ok(w) => w,
-                    Err(e) => return Some(Err(e)),
-                };
+            let workload = machine_workload(args)?;
             // One campaign is one machine: --w2 picks a single slimming point.
             let w2 = match args.w2_values.as_deref() {
                 None => args.k,
                 Some([w2]) => *w2,
                 Some(_) => {
-                    return Some(Err(
+                    return Err(
                         "faults runs one machine per campaign; pass a single --w2 value"
                             .to_string(),
-                    ))
+                    )
                 }
             };
             // 0%, 1%, 5% for the smoke budget; the default run adds 2% and 10%.
@@ -332,19 +357,15 @@ pub fn spec_for(name: &str, args: &ExperimentArgs) -> Option<Result<ScenarioSpec
             }
         }
         "chaos" => {
-            let workload =
-                match WorkloadSpec::named_for_machine(&args.workload, args.k, args.byte_scale) {
-                    Ok(w) => w,
-                    Err(e) => return Some(Err(e)),
-                };
+            let workload = machine_workload(args)?;
             // One chaos lab is one machine: --w2 picks a single slimming point.
             let w2 = match args.w2_values.as_deref() {
                 None => args.k,
                 Some([w2]) => *w2,
                 Some(_) => {
-                    return Some(Err(
+                    return Err(
                         "chaos runs one machine per campaign; pass a single --w2 value".to_string(),
-                    ))
+                    )
                 }
             };
             ScenarioSpec {
@@ -378,9 +399,9 @@ pub fn spec_for(name: &str, args: &ExperimentArgs) -> Option<Result<ScenarioSpec
                 network: NetworkConfig::default(),
             }
         }
-        _ => return None,
+        _ => return Ok(None),
     };
-    Some(Ok(spec))
+    Ok(Some(spec))
 }
 
 /// Run a scenario-backed entry: build the spec, announce long campaigns
@@ -393,7 +414,7 @@ fn run_scenario_entry(name: &str, args: &ExperimentArgs) -> Result<EntryOutput, 
         .map_err(EntryError::Usage)?;
     let result = run_announced(&spec, &RunOptions::default(), true)
         .map_err(|e| EntryError::Usage(e.to_string()))?;
-    let mut output = shape_scenario_output(&result);
+    let mut output = shape_scenario_output(&result, args)?;
     if name.starts_with("fig5") {
         if let ResultPayload::Sweep(sweep) = &result.payload {
             output
@@ -407,25 +428,39 @@ fn run_scenario_entry(name: &str, args: &ExperimentArgs) -> Result<EntryOutput, 
 /// The common output shape of scenario-backed entries: the payload's text
 /// table on stdout, the full versioned envelope as JSON (owning stdout
 /// under `--json` for the campaign/resilience payloads).
-fn shape_scenario_output(result: &ScenarioResult) -> EntryOutput {
+fn shape_scenario_output(
+    result: &ScenarioResult,
+    args: &ExperimentArgs,
+) -> Result<EntryOutput, EntryError> {
     let json_owns_stdout = matches!(
         result.payload,
         ResultPayload::Campaign(_) | ResultPayload::Resilience(_) | ResultPayload::Chaos(_)
     );
-    EntryOutput {
+    Ok(EntryOutput {
         stdout: result.render(),
-        json: Some(to_json(result)),
+        json: json_for(args.json, result)?,
         json_owns_stdout,
-    }
+    })
 }
 
-fn to_json<T: serde::Serialize>(value: &T) -> String {
-    serde_json::to_string_pretty(value).expect("serialisable")
+/// The pretty JSON of `value`, built only if `wanted` (`--json`). A value
+/// JSON cannot represent (a non-finite float) is a runtime error, not a
+/// panic.
+pub(crate) fn json_for<T: serde::Serialize>(
+    wanted: bool,
+    value: &T,
+) -> Result<Option<String>, EntryError> {
+    if !wanted {
+        return Ok(None);
+    }
+    serde_json::to_string_pretty(value)
+        .map(Some)
+        .map_err(|e| EntryError::Runtime(format!("--json: {e}")))
 }
 
 // ------------------------------------------------- report-shaped entries
 
-fn run_table1(_args: &ExperimentArgs) -> Result<EntryOutput, EntryError> {
+fn run_table1(args: &ExperimentArgs) -> Result<EntryOutput, EntryError> {
     let specs = vec![
         XgftSpec::slimmed_two_level(16, 16).expect("valid"),
         XgftSpec::slimmed_two_level(16, 10).expect("valid"),
@@ -452,26 +487,26 @@ fn run_table1(_args: &ExperimentArgs) -> Result<EntryOutput, EntryError> {
         specs.len()
     ));
     Ok(EntryOutput {
-        json: Some(to_json(&results)),
+        json: json_for(args.json, &results)?,
         stdout,
         ..EntryOutput::default()
     })
 }
 
-fn run_fig1(_args: &ExperimentArgs) -> Result<EntryOutput, EntryError> {
+fn run_fig1(args: &ExperimentArgs) -> Result<EntryOutput, EntryError> {
     let result = fig1::run();
     Ok(EntryOutput {
         stdout: format!("{}\n", result.render()),
-        json: Some(to_json(&result)),
+        json: json_for(args.json, &result)?,
         ..EntryOutput::default()
     })
 }
 
-fn run_fig3(_args: &ExperimentArgs) -> Result<EntryOutput, EntryError> {
-    let result = fig3::run(128, 750 * 1024);
+fn run_fig3(args: &ExperimentArgs) -> Result<EntryOutput, EntryError> {
+    let result = fig3::run(128, 750 * 1024).map_err(|e| EntryError::Runtime(e.to_string()))?;
     Ok(EntryOutput {
         stdout: format!("{}\n", result.render()),
-        json: Some(to_json(&result)),
+        json: json_for(args.json, &result)?,
         ..EntryOutput::default()
     })
 }
@@ -488,7 +523,7 @@ fn run_equivalence(args: &ExperimentArgs) -> Result<EntryOutput, EntryError> {
         results.push(result);
     }
     Ok(EntryOutput {
-        json: Some(to_json(&results)),
+        json: json_for(args.json, &results)?,
         stdout,
         ..EntryOutput::default()
     })
@@ -505,7 +540,7 @@ fn run_ablation(args: &ExperimentArgs) -> Result<EntryOutput, EntryError> {
         results.push(result);
     }
     Ok(EntryOutput {
-        json: Some(to_json(&results)),
+        json: json_for(args.json, &results)?,
         stdout,
         ..EntryOutput::default()
     })
@@ -523,7 +558,7 @@ fn run_synthetic(args: &ExperimentArgs) -> Result<EntryOutput, EntryError> {
         results.push(result);
     }
     Ok(EntryOutput {
-        json: Some(to_json(&results)),
+        json: json_for(args.json, &results)?,
         stdout,
         ..EntryOutput::default()
     })
@@ -552,9 +587,11 @@ fn run_flow_mcl(args: &ExperimentArgs) -> Result<EntryOutput, EntryError> {
     stdout.push_str(&result.render_table());
     stdout.push('\n');
 
-    // 2. The same sweep under a pattern family (cyclic shift by one
-    // switch), showing the congestion ratios pattern structure induces.
-    stdout.push_str(&sweep(TrafficSpec::Shift { offset: 16 })?.render_table());
+    // 2. The same sweep under a pattern (cyclic shift by one switch over
+    // the family's 256 leaves), showing the congestion ratios pattern
+    // structure induces.
+    let shift = TrafficSpec::Pattern(generators::shift(256, 16, 1));
+    stdout.push_str(&sweep(shift)?.render_table());
     stdout.push('\n');
 
     // 3. Cross-validation: seed-averaged netsim utilization vs the model.
@@ -605,7 +642,7 @@ fn run_flow_mcl(args: &ExperimentArgs) -> Result<EntryOutput, EntryError> {
     }
 
     Ok(EntryOutput {
-        json: Some(to_json(&result)),
+        json: json_for(args.json, &result)?,
         stdout,
         ..EntryOutput::default()
     })
@@ -689,8 +726,44 @@ mod tests {
     }
 
     #[test]
+    fn machine_workload_accepts_every_campaign_name() {
+        // The historical trio plus the new generator families resolve for a
+        // 2-level k=8 machine (64 ranks).
+        let mut args = quick_args();
+        args.k = 8;
+        for name in ["wrf", "cg", "shift", "tornado", "hot_spot", "k_shift"] {
+            args.workload = name.to_string();
+            let p = machine_workload(&args)
+                .and_then(|w| w.pattern().map_err(|e| e.to_string()))
+                .unwrap_or_else(|e| panic!("{name}: {e}"));
+            assert_eq!(p.num_nodes(), 64, "{name}");
+        }
+        args.workload = "bogus".to_string();
+        assert!(machine_workload(&args).is_err());
+        // cg needs a power-of-two rank count >= 32: the campaign refuses
+        // k = 5 as a usage error naming cg, before it runs.
+        args.workload = "cg".to_string();
+        args.k = 5;
+        match (find("campaign").unwrap().run)(&args) {
+            Err(EntryError::Usage(msg)) => assert!(msg.contains("`cg`"), "{msg}"),
+            other => panic!("expected a usage error, got {:?}", other.map(|o| o.stdout)),
+        }
+    }
+
+    #[test]
+    fn json_is_built_only_under_the_flag() {
+        // A value JSON cannot carry is never serialised without --json,
+        // and is a runtime error (exit 1) with it.
+        assert!(matches!(json_for(false, &f64::NAN), Ok(None)));
+        let err = json_for(true, &f64::NAN);
+        assert!(matches!(err, Err(EntryError::Runtime(_))));
+        assert_eq!(json_for(true, &1u32).unwrap().as_deref(), Some("1"));
+    }
+
+    #[test]
     fn report_entries_run_and_emit_json() {
-        let args = quick_args();
+        let mut args = quick_args();
+        args.json = true;
         for name in ["table1", "fig1", "fig3"] {
             let entry = find(name).unwrap();
             let out = (entry.run)(&args).unwrap_or_else(|e| panic!("{name}: {e}"));

@@ -38,7 +38,8 @@ use xgft_flow::{
 use xgft_netsim::{InjectionBatch, NetworkConfig, NetworkSim, SimReport};
 use xgft_patterns::Pattern;
 use xgft_topo::{Xgft, XgftSpec};
-use xgft_tracesim::{RankEvent, ReplayEngine, RoutedNetwork, Trace};
+use xgft_tracesim::workloads::trace_from_pattern;
+use xgft_tracesim::{ReplayEngine, RoutedNetwork, Trace};
 
 /// The result schema version this crate emits.
 pub const RESULT_SCHEMA_VERSION: u32 = 1;
@@ -790,30 +791,15 @@ fn agreement_check(
     xgft: &Xgft,
     network: &NetworkConfig,
     flows: &[(usize, usize, u64)],
+    trace: &Trace,
     source: &dyn RouteSource,
 ) -> Result<(bool, f64, f64), ScenarioError> {
     // Engine 2: direct injection.
     let (_, netsim_busy) = inject_and_run(xgft, network, flows, source)?;
 
     // Engine 3: the same flows as a Send/Recv trace replay.
-    let n = xgft.num_leaves();
-    let mut programs: Vec<Vec<RankEvent>> = vec![vec![]; n];
-    for (tag, &(s, d, bytes)) in flows.iter().enumerate() {
-        programs[s].push(RankEvent::Send {
-            dst: d,
-            bytes,
-            tag: tag as u32,
-        });
-    }
-    for (tag, &(s, d, _)) in flows.iter().enumerate() {
-        programs[d].push(RankEvent::Recv {
-            src: s,
-            tag: tag as u32,
-        });
-    }
-    let trace = Trace::new("agreement", programs);
     let mut net = RoutedNetwork::with_source(NetworkSim::new(xgft, network.clone()), source);
-    ReplayEngine::new(&trace)
+    ReplayEngine::new(trace)
         .run(&mut net)
         .expect("fully-routed replay cannot deadlock");
     let tracesim_busy = net.sim().channel_busy_ps();
@@ -823,7 +809,7 @@ fn agreement_check(
     // segments, which is how the simulator accounts busy time) so
     // loads == busy exactly, even for mixed message sizes.
     let traffic = TrafficMatrix::from_flows(
-        n,
+        xgft.num_leaves(),
         flows
             .iter()
             .map(|&(s, d, bytes)| (s, d, network.ideal_transfer_ps(bytes) as f64)),
@@ -847,9 +833,12 @@ fn agreement_check(
 
 fn run_agreement(grid: Grid<Routes>, pattern: &Pattern) -> Result<AgreementResult, ScenarioError> {
     let flows = flow_list(pattern);
+    // The flows as one phase: every rank posts its sends, then its receives.
+    let combined = Pattern::single_phase(pattern.name(), pattern.combined());
+    let trace = trace_from_pattern(&combined, 0);
     let points = grid.map_jobs(pattern, &flows, |topo_spec, xgft, scheme, seed, routes| {
         let (sims_identical, flow_max_rel_dev, model_mcl_ps) =
-            agreement_check(xgft, &grid.network, &flows, routes)?;
+            agreement_check(xgft, &grid.network, &flows, &trace, routes)?;
         Ok(AgreementPoint {
             topology: topo_spec.to_string(),
             scheme: scheme.name().to_string(),

@@ -19,7 +19,8 @@ use std::fmt;
 use xgft_analysis::{AlgorithmSpec, ChaosConfig, ResilienceConfig, SweepConfig};
 use xgft_core::CompactScheme;
 use xgft_netsim::NetworkConfig;
-use xgft_patterns::{generators, Pattern};
+use xgft_patterns::Pattern;
+pub use xgft_patterns::WorkloadSpec;
 use xgft_topo::{Xgft, XgftSpec};
 
 /// The spec schema version this crate reads and writes.
@@ -164,232 +165,6 @@ impl Deserialize for SchemeSpec {
         AlgorithmSpec::parse(name)
             .map(SchemeSpec)
             .map_err(serde::Error::custom)
-    }
-}
-
-/// A workload as a *named generator plus parameters* — every generator in
-/// `xgft_patterns::generators` is reachable by name.
-///
-/// `n` is the rank count, `bytes` the per-message size; generator-specific
-/// extras (shift offsets, hot-spot skew, …) live in `params` as
-/// `(name, value)` pairs so new generators never change the schema.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct WorkloadSpec {
-    /// Generator name: `wrf`, `cg`, `shift`, `transpose`, `bit_reversal`,
-    /// `bit_complement`, `all_to_all`, `ring`, `hot_spot`, `tornado`,
-    /// `k_shift`, `random_permutation` or `uniform_random`.
-    pub generator: String,
-    /// Number of communicating ranks.
-    pub n: usize,
-    /// Per-message byte count.
-    pub bytes: u64,
-    /// Generator-specific parameters (see each generator's docs).
-    pub params: Vec<(String, f64)>,
-}
-
-impl WorkloadSpec {
-    /// All generator names this spec layer accepts.
-    pub const GENERATORS: [&'static str; 13] = [
-        "wrf",
-        "cg",
-        "shift",
-        "transpose",
-        "bit_reversal",
-        "bit_complement",
-        "all_to_all",
-        "ring",
-        "hot_spot",
-        "tornado",
-        "k_shift",
-        "random_permutation",
-        "uniform_random",
-    ];
-
-    /// A parameterless workload.
-    pub fn new(generator: impl Into<String>, n: usize, bytes: u64) -> Self {
-        WorkloadSpec {
-            generator: generator.into(),
-            n,
-            bytes,
-            params: Vec::new(),
-        }
-    }
-
-    /// Add a named parameter (builder style).
-    pub fn with_param(mut self, name: impl Into<String>, value: f64) -> Self {
-        self.params.push((name.into(), value));
-        self
-    }
-
-    /// Look up a parameter by name.
-    pub fn param(&self, name: &str) -> Option<f64> {
-        self.params.iter().find(|(k, _)| k == name).map(|&(_, v)| v)
-    }
-
-    fn usize_param(&self, name: &str) -> Result<usize, ScenarioError> {
-        let v = self.param(name).ok_or_else(|| {
-            invalid(format!(
-                "workload `{}` needs param `{name}`",
-                self.generator
-            ))
-        })?;
-        if v < 0.0 || v.fract() != 0.0 || v > usize::MAX as f64 {
-            return Err(invalid(format!(
-                "workload param `{name}` must be a non-negative integer, got {v}"
-            )));
-        }
-        Ok(v as usize)
-    }
-
-    /// The default workload of `--workload <name>` on a radix-`k` two-level
-    /// machine (`k²` ranks), with per-message sizes scaled by `byte_scale`.
-    pub fn named_for_machine(name: &str, k: usize, byte_scale: f64) -> Result<Self, String> {
-        let n = k * k;
-        let scale = |b: u64| crate::args::scale_bytes(b, byte_scale);
-        let spec = match name {
-            "wrf" => WorkloadSpec::new("wrf", n, scale(generators::WRF_DEFAULT_BYTES)),
-            "cg" => WorkloadSpec::new("cg", n, scale(generators::CG_D_PHASE_BYTES)),
-            "shift" => WorkloadSpec::new("shift", n, scale(generators::WRF_DEFAULT_BYTES))
-                .with_param("offset", k as f64),
-            "tornado" => WorkloadSpec::new("tornado", n, scale(generators::WRF_DEFAULT_BYTES)),
-            "hot_spot" => WorkloadSpec::new("hot_spot", n, scale(generators::WRF_DEFAULT_BYTES))
-                .with_param("spots", k.min(4) as f64)
-                .with_param("skew", 0.5),
-            "k_shift" => WorkloadSpec::new("k_shift", n, scale(generators::WRF_DEFAULT_BYTES))
-                .with_param("k", k as f64)
-                .with_param("shifts", 2.0),
-            other if WorkloadSpec::GENERATORS.contains(&other) => {
-                WorkloadSpec::new(other, n, scale(generators::WRF_DEFAULT_BYTES))
-            }
-            other => {
-                return Err(format!(
-                    "unknown workload: {other} (expected one of {:?})",
-                    WorkloadSpec::GENERATORS
-                ))
-            }
-        };
-        // Surface machine-shape mismatches (e.g. cg on a non-power-of-two
-        // rank count) here, where the caller still has the flag context;
-        // the shape checks are O(1), the pattern itself is not built.
-        if spec.generator == "cg" && (!n.is_power_of_two() || n < 32) {
-            return Err(format!("cg needs k*k a power of two >= 32, got {n}"));
-        }
-        Ok(spec)
-    }
-
-    /// Instantiate the pattern this workload names.
-    pub fn pattern(&self) -> Result<Pattern, ScenarioError> {
-        let n = self.n;
-        if n < 2 {
-            return Err(invalid("workload needs at least two ranks"));
-        }
-        let bytes = self.bytes;
-        if bytes == 0 {
-            return Err(invalid("workload.bytes must be at least 1"));
-        }
-        let square_side = || -> Result<usize, ScenarioError> {
-            let side = (n as f64).sqrt().round() as usize;
-            if side * side != n {
-                return Err(invalid(format!(
-                    "workload `{}` needs a square rank count, got {n}",
-                    self.generator
-                )));
-            }
-            Ok(side)
-        };
-        let pow2 = |what: &str| -> Result<(), ScenarioError> {
-            if !n.is_power_of_two() {
-                return Err(invalid(format!(
-                    "workload `{what}` needs a power-of-two rank count, got {n}"
-                )));
-            }
-            Ok(())
-        };
-        match self.generator.as_str() {
-            "wrf" => {
-                let (rows, cols) = match (self.param("rows"), self.param("cols")) {
-                    (None, None) => {
-                        let side = square_side()?;
-                        (side, side)
-                    }
-                    _ => (self.usize_param("rows")?, self.usize_param("cols")?),
-                };
-                if rows * cols != n {
-                    return Err(invalid(format!(
-                        "wrf rows*cols ({rows}x{cols}) must equal n ({n})"
-                    )));
-                }
-                Ok(generators::wrf_mesh_exchange(rows, cols, bytes))
-            }
-            "cg" => {
-                if !n.is_power_of_two() || n < 32 {
-                    return Err(invalid(format!(
-                        "cg needs a power-of-two rank count >= 32, got {n}"
-                    )));
-                }
-                Ok(generators::cg_d(n, bytes))
-            }
-            "shift" => Ok(generators::shift(n, self.usize_param("offset")?, bytes)),
-            "transpose" => Ok(generators::transpose(square_side()?, bytes)),
-            "bit_reversal" => {
-                pow2("bit_reversal")?;
-                Ok(generators::bit_reversal(n, bytes))
-            }
-            "bit_complement" => {
-                pow2("bit_complement")?;
-                Ok(generators::bit_complement(n, bytes))
-            }
-            "all_to_all" => Ok(generators::all_to_all(n, bytes)),
-            "ring" => Ok(generators::ring_exchange(n, bytes)),
-            "hot_spot" => {
-                let spots = self.usize_param("spots")?;
-                let skew = self
-                    .param("skew")
-                    .ok_or_else(|| invalid("workload `hot_spot` needs param `skew`"))?;
-                if spots == 0 || spots > n {
-                    return Err(invalid(format!(
-                        "hot_spot needs 1 <= spots <= n, got {spots}"
-                    )));
-                }
-                if !(0.0..=1.0).contains(&skew) {
-                    return Err(invalid(format!(
-                        "hot_spot skew must be in [0, 1], got {skew}"
-                    )));
-                }
-                Ok(generators::hot_spot(n, spots, skew, bytes))
-            }
-            "tornado" => {
-                if n < 3 {
-                    return Err(invalid("tornado needs at least three ranks"));
-                }
-                Ok(generators::tornado(n, bytes))
-            }
-            "k_shift" => {
-                let stride = self.usize_param("k")?;
-                let shifts = self.usize_param("shifts")?;
-                if stride == 0 || shifts == 0 {
-                    return Err(invalid("k_shift needs k >= 1 and shifts >= 1"));
-                }
-                Ok(generators::k_shift(n, stride, shifts, bytes))
-            }
-            "random_permutation" => {
-                use rand::{rngs::StdRng, SeedableRng};
-                let seed = self.usize_param("seed")? as u64;
-                let mut rng = StdRng::seed_from_u64(seed);
-                Ok(generators::random_permutation(n, bytes, &mut rng))
-            }
-            "uniform_random" => {
-                use rand::{rngs::StdRng, SeedableRng};
-                let flows = self.usize_param("flows_per_node")?;
-                let seed = self.usize_param("seed")? as u64;
-                let mut rng = StdRng::seed_from_u64(seed);
-                Ok(generators::uniform_random(n, flows, bytes, &mut rng))
-            }
-            other => Err(invalid(format!(
-                "unknown workload generator `{other}` (expected one of {:?})",
-                WorkloadSpec::GENERATORS
-            ))),
-        }
     }
 }
 
@@ -756,7 +531,10 @@ impl ScenarioSpec {
             return Err(invalid("seeds.Stream.seeds_per_point must be at least 1"));
         }
         let topologies = self.topologies()?;
-        let pattern = self.workload.pattern()?;
+        let pattern = self
+            .workload
+            .pattern()
+            .map_err(|e| invalid(e.to_string()))?;
         for spec in &topologies {
             if pattern.num_nodes() > spec.num_leaves() {
                 return Err(invalid(format!(
@@ -1121,7 +899,7 @@ mod tests {
     /// and, for all but colored, its closed form.
     #[test]
     fn every_scheme_reads_one_vocabulary() {
-        let pattern = generators::shift(16, 4, 1024);
+        let pattern = xgft_patterns::generators::shift(16, 4, 1024);
         for w2 in [4, 3] {
             let xgft = Xgft::new(XgftSpec::slimmed_two_level(4, w2).unwrap()).unwrap();
             for algorithm in AlgorithmSpec::ALL {
@@ -1168,20 +946,31 @@ mod tests {
 
     #[test]
     fn workload_errors_name_the_problem() {
-        assert!(WorkloadSpec::new("nope", 16, 1).pattern().is_err());
-        assert!(WorkloadSpec::new("cg", 24, 1).pattern().is_err());
-        assert!(WorkloadSpec::new("shift", 16, 1).pattern().is_err()); // missing offset
-        assert!(WorkloadSpec::new("transpose", 15, 1).pattern().is_err());
-        assert!(WorkloadSpec::new("hot_spot", 16, 1)
-            .with_param("spots", 2.0)
-            .with_param("skew", 1.5)
-            .pattern()
-            .is_err());
-        // Non-integer value for an integral parameter.
-        assert!(WorkloadSpec::new("shift", 16, 1)
-            .with_param("offset", 1.5)
-            .pattern()
-            .is_err());
+        // Each refusal names the generator and the rule its input broke.
+        let hot_spot = |skew| {
+            WorkloadSpec::new("hot_spot", 16, 1)
+                .with_param("spots", 2.0)
+                .with_param("skew", skew)
+        };
+        for (workload, rule) in [
+            (WorkloadSpec::new("nope", 16, 1), "not a generator"),
+            (WorkloadSpec::new("ring", 1, 1), "at least two ranks"),
+            (WorkloadSpec::new("ring", 16, 0), "bytes >= 1"),
+            (WorkloadSpec::new("cg", 24, 1), ">= 32"),
+            (WorkloadSpec::new("shift", 16, 1), "needs param `offset`"),
+            (WorkloadSpec::new("transpose", 15, 1), "square rank count"),
+            (hot_spot(1.5), "skew in [0, 1]"),
+            (hot_spot(f64::NAN), "skew in [0, 1]"),
+            // Non-integer value for an integral parameter.
+            (
+                WorkloadSpec::new("shift", 16, 1).with_param("offset", 1.5),
+                "`offset` to be an integer",
+            ),
+        ] {
+            let err = workload.pattern().unwrap_err().to_string();
+            let generator = format!("`{}`", workload.generator);
+            assert!(err.contains(&generator) && err.contains(rule), "{err}");
+        }
     }
 
     #[test]

@@ -17,10 +17,12 @@
 //! use xgft_tracesim::{workloads, ReplayEngine, RoutedNetwork};
 //! use xgft_netsim::{NetworkConfig, NetworkSim};
 //! use xgft_core::{CompiledRouteTable, DModK};
+//! use xgft_patterns::generators;
 //! use xgft_topo::{Xgft, XgftSpec};
 //!
 //! // A small WRF-like exchange on a 4-ary 2-tree.
-//! let trace = workloads::wrf_trace(4, 4, 8 * 1024);
+//! let mesh = generators::wrf_mesh_exchange(4, 4, 8 * 1024).unwrap();
+//! let trace = workloads::trace_from_pattern(&mesh, 0);
 //! let xgft = Xgft::new(XgftSpec::k_ary_n_tree(4, 2)).unwrap();
 //! let table = CompiledRouteTable::compile(&xgft, &DModK::new(), trace.communication_pairs());
 //! let net = RoutedNetwork::with_source(NetworkSim::new(&xgft, NetworkConfig::default()), table);

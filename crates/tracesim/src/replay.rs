@@ -892,7 +892,10 @@ mod tests {
     fn scratch_reset_then_replay_is_byte_identical() {
         // The same engine run twice (scratch recycled) must reproduce the
         // first result exactly, and match the HashMap reference core.
-        let trace = crate::workloads::wrf_trace(4, 4, 8 * 1024);
+        let trace = crate::workloads::trace_from_pattern(
+            &xgft_patterns::generators::wrf_mesh_exchange(4, 4, 8 * 1024).unwrap(),
+            0,
+        );
         let xgft = Xgft::new(XgftSpec::k_ary_n_tree(4, 2)).unwrap();
         let mut engine = ReplayEngine::new(&trace);
         let first = engine.run(routed(&xgft)).unwrap();
@@ -907,7 +910,10 @@ mod tests {
         // 1024 ranks: a sweep of every rank per delivery would cost at
         // least 1024 polls each. Waking only the receiver costs one poll
         // per delivery, plus one sweep per barrier release.
-        let trace = crate::workloads::cg_d_trace(1024, 8192);
+        let trace = crate::workloads::trace_from_pattern(
+            &xgft_patterns::generators::cg_d(1024, 8192).unwrap(),
+            0,
+        );
         let xgft = Xgft::new(XgftSpec::slimmed_two_level(32, 32).unwrap()).unwrap();
         let mut engine = ReplayEngine::new(&trace);
         let result = engine.run(routed(&xgft)).unwrap();

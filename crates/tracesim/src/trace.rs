@@ -5,10 +5,10 @@
 //! the MPI calls and the causal relationships between messages; detailed
 //! computation is abstracted into `Compute` durations.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// One event of a rank's program.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum RankEvent {
     /// Local computation for the given duration (picoseconds).
     Compute {
@@ -37,7 +37,7 @@ pub enum RankEvent {
 }
 
 /// A complete trace: one event program per rank.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct Trace {
     name: String,
     programs: Vec<Vec<RankEvent>>,

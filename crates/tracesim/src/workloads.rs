@@ -1,11 +1,11 @@
-//! Synthetic application traces: WRF-256, CG.D-128 and pattern-derived
-//! workloads.
+//! Synthetic application traces: any pattern as a trace.
 //!
 //! The paper replays post-mortem MPI traces of the real applications; those
-//! are proprietary, so this module generates traces that reproduce the
-//! communication structure the paper documents (see
-//! [`xgft_patterns::generators`] for the pattern definitions and their
-//! module docs for the substitution rationale):
+//! are proprietary, so [`trace_from_pattern`] turns the generated patterns
+//! that reproduce the communication structure the paper documents into
+//! rank programs (see [`xgft_patterns::generators`] for the pattern
+//! definitions and their module docs for the substitution rationale), e.g.
+//! `trace_from_pattern(&generators::wrf_mesh_exchange(16, 16, bytes)?, 0)`:
 //!
 //! * **WRF-256** — one phase of simultaneous pairwise ±16 exchanges on a
 //!   16 × 16 task mesh. All messages are outstanding at once, which is what
@@ -17,7 +17,6 @@
 //!   reproducing the phase structure visible in the paper's Fig. 3 trace.
 
 use crate::trace::{RankEvent, Trace};
-use xgft_patterns::generators;
 use xgft_patterns::{ConnectivityMatrix, Pattern};
 
 /// Build a trace from a multi-phase pattern: in every phase each rank posts
@@ -57,36 +56,14 @@ fn push_phase(programs: &mut [Vec<RankEvent>], phase: &ConnectivityMatrix, tag: 
     }
 }
 
-/// The WRF pairwise mesh-exchange trace on a `rows × cols` task mesh.
-pub fn wrf_trace(rows: usize, cols: usize, bytes: u64) -> Trace {
-    trace_from_pattern(&generators::wrf_mesh_exchange(rows, cols, bytes), 0)
-}
-
-/// The WRF-256 trace with the paper's parameters (16 × 16 mesh). `bytes` is
-/// the per-message size (the paper does not report it; experiments default
-/// to [`generators::WRF_DEFAULT_BYTES`], scaled down by the harness for
-/// quick runs).
-pub fn wrf_256_trace(bytes: u64) -> Trace {
-    wrf_trace(16, 16, bytes)
-}
-
-/// The five-phase CG.D trace for `n` ranks.
-pub fn cg_d_trace(n: usize, bytes: u64) -> Trace {
-    trace_from_pattern(&generators::cg_d(n, bytes), 0)
-}
-
-/// The CG.D-128 trace with the paper's parameters (750 KB per exchange).
-pub fn cg_d_128_trace() -> Trace {
-    cg_d_trace(128, generators::CG_D_PHASE_BYTES)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use xgft_patterns::generators;
 
     #[test]
     fn wrf_256_trace_shape() {
-        let t = wrf_256_trace(1024);
+        let t = trace_from_pattern(&generators::wrf_mesh_exchange(16, 16, 1024).unwrap(), 0);
         assert_eq!(t.num_ranks(), 256);
         // 480 exchanges, each a send and a recv.
         assert_eq!(t.num_sends(), 480);
@@ -98,7 +75,10 @@ mod tests {
 
     #[test]
     fn cg_d_128_trace_shape() {
-        let t = cg_d_128_trace();
+        let t = trace_from_pattern(
+            &generators::cg_d(128, generators::CG_D_PHASE_BYTES).unwrap(),
+            0,
+        );
         assert_eq!(t.num_ranks(), 128);
         assert!(t.validate().is_ok());
         // Four local phases send 128 messages each; the fifth phase is a
@@ -123,7 +103,7 @@ mod tests {
 
     #[test]
     fn pattern_round_trip_preserves_pairs() {
-        let pattern = generators::wrf_mesh_exchange(4, 4, 64);
+        let pattern = generators::wrf_mesh_exchange(4, 4, 64).unwrap();
         let trace = trace_from_pattern(&pattern, 0);
         let mut expected: Vec<(usize, usize)> = pattern.phases()[0]
             .network_flows()
@@ -135,7 +115,7 @@ mod tests {
 
     #[test]
     fn compute_prefix_is_inserted_per_phase() {
-        let pattern = generators::cg_d(32, 1024);
+        let pattern = generators::cg_d(32, 1024).unwrap();
         let trace = trace_from_pattern(&pattern, 777);
         let computes = trace
             .program(0)

@@ -4,6 +4,7 @@
 
 use xgft_core::{CompiledRouteTable, DModK};
 use xgft_netsim::{NetworkConfig, NetworkSim};
+use xgft_patterns::generators;
 use xgft_topo::{Xgft, XgftSpec};
 use xgft_tracesim::{workloads, Network, RankEvent, ReplayEngine, RoutedNetwork, Trace};
 
@@ -19,7 +20,7 @@ fn routed(xgft: &Xgft, trace: &Trace) -> RoutedNetwork {
 fn cg_phases_serialise() {
     let cfg = NetworkConfig::default();
     let bytes = 16 * 1024u64;
-    let trace = workloads::cg_d_trace(32, bytes);
+    let trace = workloads::trace_from_pattern(&generators::cg_d(32, bytes).unwrap(), 0);
     let result = ReplayEngine::new(&trace)
         .run(RoutedNetwork::crossbar(32, &cfg).unwrap())
         .unwrap();
@@ -37,7 +38,8 @@ fn cg_phases_serialise() {
 #[test]
 fn independent_pairs_finish_together() {
     let cfg = NetworkConfig::default();
-    let trace = workloads::wrf_trace(2, 8, 32 * 1024); // 16 ranks, +-8 exchange
+    let trace =
+        workloads::trace_from_pattern(&generators::wrf_mesh_exchange(2, 8, 32 * 1024).unwrap(), 0); // 16 ranks, +-8 exchange
     let result = ReplayEngine::new(&trace)
         .run(RoutedNetwork::crossbar(16, &cfg).unwrap())
         .unwrap();
@@ -70,7 +72,8 @@ fn compute_only_trace() {
 #[test]
 fn network_label_and_report_plumbing() {
     let xgft = Xgft::new(XgftSpec::k_ary_n_tree(4, 2)).unwrap();
-    let trace = workloads::wrf_trace(4, 4, 8 * 1024);
+    let trace =
+        workloads::trace_from_pattern(&generators::wrf_mesh_exchange(4, 4, 8 * 1024).unwrap(), 0);
     let mut net = routed(&xgft, &trace);
     assert_eq!(net.table().algorithm(), "d-mod-k");
     assert_eq!(net.sim().xgft().spec().to_string(), "XGFT(2;4,4;1,4)");

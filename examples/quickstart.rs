@@ -23,7 +23,10 @@ fn main() {
 
     // A scaled-down WRF-256 workload (64 KB per message keeps this example
     // fast; pass the full 512 KB for paper-scale numbers).
-    let trace = workloads::wrf_256_trace(64 * 1024);
+    let trace = workloads::trace_from_pattern(
+        &generators::wrf_mesh_exchange(16, 16, 64 * 1024).expect("a 16 x 16 mesh"),
+        0,
+    );
     let config = NetworkConfig::default();
     let crossbar = run_on_crossbar(&trace, &config)
         .expect("crossbar replay")

@@ -11,7 +11,7 @@ use xgft::routing::{CompiledRouteTable, ContentionReport, RandomNcaDown, RandomN
 
 fn main() {
     let xgft = Xgft::new(XgftSpec::slimmed_two_level(16, 16).expect("spec")).expect("topology");
-    let cg = generators::cg_d_128();
+    let cg = generators::cg_d(128, generators::CG_D_PHASE_BYTES).expect("128 ranks suit CG.D");
     let fifth = &cg.phases()[4];
     let flows: Vec<(usize, usize)> = fifth.network_flows().map(|f| (f.src, f.dst)).collect();
     println!(

@@ -12,7 +12,7 @@ use xgft::patterns::generators;
 fn main() {
     // 64 KB messages instead of the paper's 512 KB keep this example quick;
     // the slowdown structure is unchanged.
-    let pattern = generators::wrf_256(64 * 1024);
+    let pattern = generators::wrf_mesh_exchange(16, 16, 64 * 1024).expect("a 16 x 16 mesh");
     let config = SweepConfig {
         k: 16,
         w2_values: vec![16, 12, 8, 4, 2, 1],

@@ -44,13 +44,10 @@ pub mod prelude {
     };
     pub use xgft_flow::{ExpectedLoads, FlowSweepConfig, TrafficMatrix, TrafficSpec};
     pub use xgft_netsim::{NetworkConfig, SwitchingMode};
-    pub use xgft_patterns::{ConnectivityMatrix, Pattern};
+    pub use xgft_patterns::{generators, ConnectivityMatrix, Pattern};
     pub use xgft_scenario::{
         run_scenario, RunOptions, ScenarioResult, ScenarioSpec, SchemeSpec, WorkloadSpec,
     };
     pub use xgft_topo::{KAryNTree, NodeLabel, Route, Xgft, XgftSpec};
-    pub use xgft_tracesim::{
-        workloads::{cg_d_trace, wrf_trace},
-        ReplayEngine, Trace,
-    };
+    pub use xgft_tracesim::{workloads::trace_from_pattern, ReplayEngine, Trace};
 }

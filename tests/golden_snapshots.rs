@@ -64,7 +64,7 @@ fn to_json<T: serde::Serialize>(value: &T) -> String {
 /// WRF-like mesh exchange over three slimming points.
 #[test]
 fn fig2_small_sweep_is_byte_stable() {
-    let pattern = generators::wrf_mesh_exchange(4, 4, 32 * 1024);
+    let pattern = generators::wrf_mesh_exchange(4, 4, 32 * 1024).unwrap();
     let config = SweepConfig {
         k: 4,
         w2_values: vec![4, 2, 1],
@@ -167,7 +167,7 @@ fn flow_mcl_cross_validation_is_byte_stable() {
 /// change which seeds the paper numbers average over.
 #[test]
 fn campaign_small_is_byte_stable() {
-    let pattern = generators::wrf_mesh_exchange(4, 4, 16 * 1024);
+    let pattern = generators::wrf_mesh_exchange(4, 4, 16 * 1024).unwrap();
     let config = CampaignConfig {
         name: "golden".into(),
         k: 4,
@@ -222,7 +222,7 @@ fn scenario_envelope_is_byte_stable() {
 /// the patch can silently shift the reliability numbers.
 #[test]
 fn faults_small_campaign_is_byte_stable() {
-    let pattern = generators::wrf_mesh_exchange(4, 4, 16 * 1024);
+    let pattern = generators::wrf_mesh_exchange(4, 4, 16 * 1024).unwrap();
     let config = ResilienceConfig {
         name: "golden".into(),
         k: 4,
@@ -250,7 +250,7 @@ fn faults_small_campaign_is_byte_stable() {
 /// semantics nor the netsim replay can shift silently.
 #[test]
 fn chaos_small_timeline_is_byte_stable() {
-    let pattern = generators::wrf_mesh_exchange(4, 4, 16 * 1024);
+    let pattern = generators::wrf_mesh_exchange(4, 4, 16 * 1024).unwrap();
     let config = ChaosConfig {
         name: "golden".into(),
         k: 4,

@@ -13,12 +13,17 @@ use xgft::tracesim::workloads;
 #[test]
 fn end_to_end_wrf_on_slimmed_tree() {
     let xgft = Xgft::new(XgftSpec::slimmed_two_level(16, 8).unwrap()).unwrap();
-    let trace = workloads::wrf_256_trace(16 * 1024);
+    let trace = workloads::trace_from_pattern(
+        &generators::wrf_mesh_exchange(16, 16, 16 * 1024).unwrap(),
+        0,
+    );
     let config = NetworkConfig::default();
     let crossbar = run_on_crossbar(&trace, &config).unwrap().completion_ps;
     assert!(crossbar > 0);
 
-    let pattern = generators::wrf_256(16 * 1024).combined();
+    let pattern = generators::wrf_mesh_exchange(16, 16, 16 * 1024)
+        .unwrap()
+        .combined();
     let algorithms: Vec<Box<dyn RoutingAlgorithm>> = vec![
         Box::new(RandomRouting::new(1)),
         Box::new(SModK::new()),
@@ -51,7 +56,7 @@ fn end_to_end_wrf_on_slimmed_tree() {
 #[test]
 fn end_to_end_cg_pathology_and_recovery() {
     let xgft = Xgft::new(XgftSpec::slimmed_two_level(16, 16).unwrap()).unwrap();
-    let cg = generators::cg_d(128, 32 * 1024);
+    let cg = generators::cg_d(128, 32 * 1024).unwrap();
     let fifth = xgft::patterns::Pattern::single_phase("cg-fifth", cg.phases()[4].clone());
     let trace = workloads::trace_from_pattern(&fifth, 0);
     let config = NetworkConfig::default();
@@ -83,7 +88,7 @@ fn end_to_end_cg_pathology_and_recovery() {
 fn all_schemes_produce_valid_tables_across_the_family() {
     for w2 in [16usize, 10, 5, 1] {
         let xgft = Xgft::new(XgftSpec::slimmed_two_level(16, w2).unwrap()).unwrap();
-        let pattern = generators::cg_d(128, 1024).combined();
+        let pattern = generators::cg_d(128, 1024).unwrap().combined();
         let flows: Vec<(usize, usize)> = pattern.network_flows().map(|f| (f.src, f.dst)).collect();
         let algorithms: Vec<Box<dyn RoutingAlgorithm>> = vec![
             Box::new(RandomRouting::new(w2 as u64)),
@@ -109,7 +114,7 @@ fn all_schemes_produce_valid_tables_across_the_family() {
 #[test]
 fn byte_conservation_through_the_full_stack() {
     let xgft = Xgft::new(XgftSpec::slimmed_two_level(8, 3).unwrap()).unwrap();
-    let trace = workloads::cg_d_trace(64, 8 * 1024);
+    let trace = workloads::trace_from_pattern(&generators::cg_d(64, 8 * 1024).unwrap(), 0);
     let config = NetworkConfig::default();
     let result =
         xgft::analysis::slowdown::run_on_xgft(&trace, &xgft, &DModK::new(), &config).unwrap();
@@ -124,7 +129,8 @@ fn byte_conservation_through_the_full_stack() {
 #[test]
 fn full_stack_determinism() {
     let xgft = Xgft::new(XgftSpec::slimmed_two_level(8, 4).unwrap()).unwrap();
-    let trace = workloads::wrf_trace(8, 8, 8 * 1024);
+    let trace =
+        workloads::trace_from_pattern(&generators::wrf_mesh_exchange(8, 8, 8 * 1024).unwrap(), 0);
     let config = NetworkConfig::default();
     let run = |seed| {
         let algo = RandomNcaUp::new(&xgft, seed);
@@ -152,8 +158,8 @@ fn prelude_covers_the_common_api() {
     let _pattern: Pattern = generators::shift(4, 1, 64);
     let _matrix = ConnectivityMatrix::new(4);
     let _label: Option<NodeLabel> = None;
-    let _trace: Trace = wrf_trace(2, 2, 1024);
-    let trace = cg_d_trace(32, 1024);
+    let _trace: Trace = trace_from_pattern(&generators::wrf_mesh_exchange(2, 2, 1024).unwrap(), 0);
+    let trace = trace_from_pattern(&generators::cg_d(32, 1024).unwrap(), 0);
     let _engine = ReplayEngine::new(&trace);
     let _report: Option<SlowdownReport> = None;
     let _route = Route::empty();

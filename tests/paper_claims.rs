@@ -65,7 +65,7 @@ fn fig4_route_distributions_match_the_paper() {
 /// everyone degrades monotonically as w2 shrinks to 1.
 #[test]
 fn reduced_sweep_reproduces_figure_orderings() {
-    let cg = generators::cg_d(128, 16 * 1024);
+    let cg = generators::cg_d(128, 16 * 1024).unwrap();
     let fifth = xgft::patterns::Pattern::single_phase("cg-fifth", cg.phases()[4].clone());
     let config = SweepConfig {
         k: 16,

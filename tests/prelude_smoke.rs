@@ -44,7 +44,7 @@ fn prelude_reaches_every_layer() {
     });
     assert_eq!(pattern.combined().num_flows(), 1);
 
-    let trace = wrf_trace(2, 2, 1024);
+    let trace = trace_from_pattern(&generators::wrf_mesh_exchange(2, 2, 1024).unwrap(), 0);
     assert_eq!(trace.num_ranks(), 4);
     let _: Trace = trace;
 
