@@ -43,6 +43,23 @@ impl DegradedLoads {
     /// Panics if the representation and topology disagree on the machine
     /// size, or the traffic matrix references leaves outside the machine.
     pub fn from_source<R: RouteSource>(xgft: &Xgft, table: &R, traffic: &TrafficMatrix) -> Self {
+        Self::from_source_in(xgft, table, traffic, Vec::new())
+    }
+
+    /// [`DegradedLoads::from_source`], accumulating into `buffer` (cleared
+    /// and sized to the channel count first). A caller that computes many
+    /// loads hands the buffer back out with [`DegradedLoads::into_loads`]
+    /// and reuses it, so the per-channel vector is allocated once, on the
+    /// thread that owns it.
+    ///
+    /// # Panics
+    /// As [`DegradedLoads::from_source`].
+    pub fn from_source_in<R: RouteSource>(
+        xgft: &Xgft,
+        table: &R,
+        traffic: &TrafficMatrix,
+        buffer: Vec<f64>,
+    ) -> Self {
         xgft_obs::span!("flow.loads");
         assert_eq!(
             table.num_leaves(),
@@ -54,7 +71,9 @@ impl DegradedLoads {
             xgft.num_leaves(),
             "traffic matrix and topology disagree on the number of leaves"
         );
-        let mut loads = vec![0.0f64; xgft.channels().len()];
+        let mut loads = buffer;
+        loads.clear();
+        loads.resize(xgft.channels().len(), 0.0);
         let mut routed_demand = 0.0;
         let mut unroutable = Vec::new();
         let mut scratch = Vec::new();
@@ -82,6 +101,12 @@ impl DegradedLoads {
     /// The dense per-channel loads.
     pub fn loads(&self) -> &[f64] {
         &self.loads
+    }
+
+    /// The per-channel loads by value, to reuse as the buffer of the next
+    /// [`DegradedLoads::from_source_in`].
+    pub fn into_loads(self) -> Vec<f64> {
+        self.loads
     }
 
     /// Maximum channel load over all channels.

@@ -66,7 +66,9 @@ impl TrafficMatrix {
 
     /// The union of a pattern's phases as a traffic matrix over `num_leaves`
     /// leaves (ranks map to leaves by identity, as in the replay engine),
-    /// with byte counts as weights.
+    /// with byte counts as weights. A single-phase pattern is read in
+    /// place; only a multi-phase one is merged into a combined matrix
+    /// first.
     ///
     /// # Panics
     /// Panics if the pattern has more tasks than there are leaves.
@@ -76,13 +78,28 @@ impl TrafficMatrix {
             "pattern has {} tasks but the machine only has {num_leaves} leaves",
             pattern.num_nodes()
         );
-        Self::from_flows(
-            num_leaves,
-            pattern
-                .combined()
+        let combined;
+        let matrix = match pattern.phases() {
+            [only] => only,
+            _ => {
+                combined = pattern.combined();
+                &combined
+            }
+        };
+        // Every node of the matrix is a leaf and every weight is a byte
+        // count, so the flows need none of `from_flows`' checks. The
+        // capacity is exact unless the matrix holds self-flows.
+        let mut flows = Vec::with_capacity(matrix.num_flows());
+        flows.extend(
+            matrix
                 .network_flows()
                 .map(|f| (f.src, f.dst, f.bytes as f64)),
-        )
+        );
+        flows.shrink_to_fit();
+        TrafficMatrix {
+            num_leaves,
+            kind: TrafficKind::Flows(flows),
+        }
     }
 
     /// Number of leaves the matrix is defined over.

@@ -24,7 +24,7 @@
 //! paper's formula `d = (s/2)·16 + (s mod 2)` for the ranks of the first
 //! switch and is an involutive permutation over all 128 ranks.
 
-use crate::matrix::ConnectivityMatrix;
+use crate::matrix::{ConnectivityMatrix, Flow};
 use crate::pattern::Pattern;
 use crate::permutation::Permutation;
 use rand::Rng;
@@ -285,30 +285,37 @@ pub fn hot_spot(n: usize, spots: usize, skew: f64, bytes: u64) -> Result<Pattern
     // Hot destinations are spread evenly over the node range so they land
     // under different first-level switches (the interesting case).
     let hot: Vec<usize> = (0..spots).map(|i| i * n / spots).collect();
+    let mut is_hot = vec![false; n];
+    for &h in &hot {
+        is_hot[h] = true;
+    }
     let hot_bytes = ((bytes as f64 * skew / spots as f64).round() as u64).min(bytes);
     let background = bytes.saturating_sub(hot_bytes.saturating_mul(spots as u64));
-    let mut m = ConnectivityMatrix::new(n);
+    let mut flows = Vec::new();
     for s in 0..n {
         if hot_bytes > 0 {
-            for &h in &hot {
-                if h != s {
-                    m.add_flow(s, h, hot_bytes);
-                }
-            }
+            flows.extend(hot.iter().filter(|&&h| h != s).map(|&h| Flow {
+                src: s,
+                dst: h,
+                bytes: hot_bytes,
+            }));
         }
         if background > 0 {
             // Keep background off the hot nodes so `skew` really is the
             // fraction of traffic they receive: walk the ring until a
             // non-hot, non-self destination appears (there may be none
             // when every node is hot).
-            let d = (1..n)
-                .map(|step| (s + step) % n)
-                .find(|d| !hot.contains(d) && *d != s);
+            let d = (1..n).map(|step| (s + step) % n).find(|&d| !is_hot[d]);
             if let Some(d) = d {
-                m.add_flow(s, d, background);
+                flows.push(Flow {
+                    src: s,
+                    dst: d,
+                    bytes: background,
+                });
             }
         }
     }
+    let m = ConnectivityMatrix::from_flows(n, flows);
     Ok(Pattern::single_phase(format!("hot-spot-{spots}x{skew}"), m))
 }
 

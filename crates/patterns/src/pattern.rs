@@ -47,6 +47,11 @@ impl Pattern {
         &self.name
     }
 
+    /// The pattern's name by value, dropping the phases.
+    pub fn into_name(self) -> String {
+        self.name
+    }
+
     /// Number of tasks/nodes the pattern is defined over.
     pub fn num_nodes(&self) -> usize {
         self.num_nodes
@@ -63,16 +68,19 @@ impl Pattern {
     }
 
     /// The union of all phases: the full connectivity matrix of the
-    /// application, which is what oblivious route construction sees.
+    /// application, which is what oblivious route construction sees. A
+    /// single phase is cloned; several merge in one bulk
+    /// [`ConnectivityMatrix::from_flows`] pass. Callers that only read the
+    /// union of a single-phase pattern can borrow [`Pattern::phases`]
+    /// instead.
     pub fn combined(&self) -> ConnectivityMatrix {
-        let Some((first, rest)) = self.phases.split_first() else {
-            return ConnectivityMatrix::new(self.num_nodes);
-        };
-        let mut all = first.clone();
-        for phase in rest {
-            all = all.union(phase);
+        match self.phases.as_slice() {
+            [only] => only.clone(),
+            phases => ConnectivityMatrix::from_flows(
+                self.num_nodes,
+                phases.iter().flat_map(ConnectivityMatrix::flows),
+            ),
         }
-        all
     }
 
     /// Total bytes across every phase.

@@ -552,7 +552,7 @@ impl Plan {
                 }
                 .run(),
             ),
-            Plan::CompactFlow(grid) => ResultPayload::CompactFlow(run_compact_flow(grid, &pattern)),
+            Plan::CompactFlow(grid) => ResultPayload::CompactFlow(run_compact_flow(grid, pattern)),
             Plan::Nca {
                 topologies,
                 schemes,
@@ -723,37 +723,97 @@ impl Grid<Routes> {
 /// `representation = "compact"`. The traffic matrix is sparse and the
 /// compact engine holds near-zero route state, so this path scales to
 /// million-leaf machines the compiled table cannot represent.
+///
+/// The workload is held once: the pattern is dropped as soon as the
+/// traffic matrix exists. The (machine, job) items then run in waves of
+/// one item per worker over the order-preserving rayon map, so the points
+/// are identical at any worker count. Everything sized by the machine —
+/// the per-channel load buffers, reused across waves, and each wave's
+/// route state — is allocated here on the calling thread: memory first
+/// allocated in a shim worker stays in that thread's allocator arena after
+/// the worker exits.
 fn run_compact_flow(
     grid: Grid<fn(&Xgft, u64) -> CompactScheme>,
-    pattern: &Pattern,
+    pattern: Pattern,
 ) -> CompactFlowResult {
-    let mut points = Vec::new();
-    for (topo_spec, xgft) in &grid.machines {
-        let traffic = TrafficMatrix::from_pattern(pattern, xgft.num_leaves());
-        let bound = tree_cut_lower_bound(xgft, &traffic).bound;
-        for &(scheme, seed, closed_form) in &grid.jobs {
-            let routes = CompactRoutes::all_pairs(xgft, closed_form(xgft, seed));
-            let loads = DegradedLoads::from_source(xgft, &routes, &traffic);
-            let mcl = loads.mcl();
-            points.push(CompactFlowPoint {
-                topology: topo_spec.to_string(),
-                num_leaves: xgft.num_leaves(),
-                w_top: topo_spec.w(topo_spec.height()),
-                scheme: scheme.name().to_string(),
-                seed,
-                mcl,
-                network_mcl: loads.network_mcl(xgft),
-                lower_bound: bound,
-                ratio: ratio_to_bound(mcl, bound),
-                routed_demand: loads.routed_demand(),
-                unroutable_demand: loads.unroutable_demand(),
-                route_state_bytes: routes.storage_bytes(),
-            });
-        }
+    // Every machine of a grid has the same leaves (a sweep varies only
+    // `w2`), so one traffic matrix serves them all.
+    let leaves = grid
+        .machines
+        .first()
+        .map_or(0, |(_, xgft)| xgft.num_leaves());
+    let traffic = TrafficMatrix::from_pattern(&pattern, leaves);
+    // Keep the pattern's own name string: a copy made here would sit in
+    // the heap above the traffic matrix and keep the allocator from
+    // trimming it after the run.
+    let workload = pattern.into_name();
+    // The bounds' per-subtree sums reuse the pattern's memory.
+    let machines: Vec<_> = grid
+        .machines
+        .iter()
+        .map(|(topo_spec, xgft)| {
+            let bound = tree_cut_lower_bound(xgft, &traffic).bound;
+            (topo_spec, xgft, bound)
+        })
+        .collect();
+
+    let items: Vec<_> = machines
+        .iter()
+        .flat_map(|machine| grid.jobs.iter().map(move |job| (machine, job)))
+        .collect();
+    let workers = rayon::current_num_threads().clamp(1, items.len().max(1));
+    let channels = grid
+        .machines
+        .iter()
+        .map(|(_, xgft)| xgft.channels().len())
+        .max()
+        .unwrap_or(0);
+    let mut buffers: Vec<Vec<f64>> = (0..workers).map(|_| Vec::with_capacity(channels)).collect();
+    let mut points = Vec::with_capacity(items.len());
+    for wave in items.chunks(workers) {
+        let mut lanes: Vec<_> = buffers
+            .iter_mut()
+            .zip(wave)
+            .map(
+                |(buffer, &(&(topo_spec, xgft, bound), &(scheme, seed, closed_form)))| {
+                    let routes = CompactRoutes::all_pairs(xgft, closed_form(xgft, seed));
+                    (buffer, topo_spec, xgft, bound, scheme, seed, routes)
+                },
+            )
+            .collect();
+        let wave_points: Vec<CompactFlowPoint> = lanes
+            .par_iter_mut()
+            .map(|(buffer, topo_spec, xgft, bound, scheme, seed, routes)| {
+                let loads = DegradedLoads::from_source_in(
+                    xgft,
+                    &*routes,
+                    &traffic,
+                    std::mem::take(*buffer),
+                );
+                let mcl = loads.mcl();
+                let point = CompactFlowPoint {
+                    topology: topo_spec.to_string(),
+                    num_leaves: xgft.num_leaves(),
+                    w_top: topo_spec.w(topo_spec.height()),
+                    scheme: scheme.name().to_string(),
+                    seed: *seed,
+                    mcl,
+                    network_mcl: loads.network_mcl(xgft),
+                    lower_bound: *bound,
+                    ratio: ratio_to_bound(mcl, *bound),
+                    routed_demand: loads.routed_demand(),
+                    unroutable_demand: loads.unroutable_demand(),
+                    route_state_bytes: routes.storage_bytes(),
+                };
+                **buffer = loads.into_loads();
+                point
+            })
+            .collect();
+        points.extend(wave_points);
     }
     CompactFlowResult {
         name: grid.name,
-        workload: pattern.name().to_string(),
+        workload,
         points,
     }
 }

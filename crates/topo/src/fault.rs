@@ -165,6 +165,10 @@ impl FaultSet {
     ///
     /// # Panics
     /// Panics if `node` is a leaf (level 0) or out of range.
+    #[expect(
+        clippy::expect_used,
+        reason = "the asserts make `node` a switch of `xgft`, so it has a label and a child on each of its m(level) down ports"
+    )]
     pub fn fail_switch(&mut self, xgft: &Xgft, node: NodeRef) {
         assert!(
             node.level >= 1 && node.level <= xgft.height(),

@@ -6,7 +6,6 @@
 //! S-mod-k / D-mod-k port formula `⌊x / k^{l-1}⌋ mod k`, which the rest of
 //! the workspace uses to cross-check the general XGFT machinery.
 
-use crate::spec::XgftSpec;
 use crate::topology::Xgft;
 
 /// A k-ary n-tree viewed through its base-`k` arithmetic.
@@ -23,8 +22,11 @@ impl KAryNTree {
     /// # Panics
     /// Panics if `k == 0` or `n == 0`.
     pub fn new(k: usize, n: usize) -> Self {
-        let xgft = Xgft::new(XgftSpec::k_ary_n_tree(k, n)).expect("valid spec");
-        KAryNTree { k, n, xgft }
+        KAryNTree {
+            k,
+            n,
+            xgft: Xgft::k_ary_n_tree(k, n),
+        }
     }
 
     /// The radix `k`.

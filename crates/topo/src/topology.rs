@@ -63,6 +63,13 @@ impl Xgft {
     }
 
     /// Convenience constructor for k-ary n-trees.
+    ///
+    /// # Panics
+    /// Panics if `k == 0` or `n == 0`.
+    #[expect(
+        clippy::expect_used,
+        reason = "`Xgft::new` accepts every `XgftSpec`; the spec constructors do the validation"
+    )]
     pub fn k_ary_n_tree(k: usize, n: usize) -> Self {
         Xgft::new(XgftSpec::k_ary_n_tree(k, n)).expect("k-ary n-tree specs are always valid")
     }

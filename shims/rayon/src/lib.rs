@@ -1,13 +1,18 @@
 //! Offline stand-in for the crates.io `rayon` crate.
 //!
-//! The build container has no network access, so this shim provides the one
-//! parallel-iterator shape the workspace uses — `slice.par_iter().map(f)
-//! .collect()` — implemented with `std::thread::scope` over chunks of the
-//! input. Unlike rayon there is no work-stealing pool: each call spawns up
-//! to `available_parallelism` scoped threads, which is the right trade-off
-//! for the sweep's coarse (topology, algorithm, seed) jobs. Result order is
-//! the input order, and worker panics propagate to the caller, both matching
-//! rayon's semantics.
+//! The build container has no network access, so this shim provides the
+//! parallel-iterator shapes the workspace uses — `slice.par_iter().map(f)
+//! .collect()` and `slice.par_iter_mut().map(f).collect()` — plus
+//! [`current_num_threads`], [`ThreadPoolBuilder`] and
+//! [`ThreadPool::install`]. A collect runs on `std::thread::scope` over
+//! chunks of the input. Unlike rayon there is no work-stealing pool: each
+//! call spawns up to `available_parallelism` fresh scoped threads, which is
+//! the right trade-off for the sweep's coarse (topology, algorithm, seed)
+//! jobs. Because the threads are fresh, memory a worker frees can stay in
+//! its allocator arena; callers allocate large buffers on the calling
+//! thread and lend them through `par_iter_mut`. Result order is the input
+//! order, and worker panics propagate to the caller, both matching rayon's
+//! semantics.
 
 #![warn(missing_docs)]
 
@@ -15,7 +20,7 @@ use std::cell::Cell;
 
 /// The one-stop import surface, mirroring `rayon::prelude`.
 pub mod prelude {
-    pub use crate::IntoParallelRefIterator;
+    pub use crate::{IntoParallelRefIterator, IntoParallelRefMutIterator};
 }
 
 thread_local! {
@@ -42,6 +47,13 @@ fn configured_workers() -> usize {
     std::thread::available_parallelism()
         .map(|p| p.get())
         .unwrap_or(1)
+}
+
+/// The number of workers a parallel iterator started here would use, as
+/// upstream rayon's `current_num_threads`: the width of the installed
+/// [`ThreadPool`], else the default.
+pub fn current_num_threads() -> usize {
+    configured_workers()
 }
 
 /// Builder for a [`ThreadPool`], mirroring `rayon::ThreadPoolBuilder`.
@@ -176,24 +188,108 @@ impl<'a, T: Sync, R: Send, F: Fn(&'a T) -> R + Sync> ParMap<'a, T, F> {
         if workers <= 1 {
             return self.items.iter().map(&self.f).collect();
         }
-        let chunk_len = n.div_ceil(workers);
         let f = &self.f;
-        let chunk_results: Vec<Vec<R>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = self
-                .items
-                .chunks(chunk_len)
-                .map(|chunk| scope.spawn(move || chunk.iter().map(f).collect::<Vec<R>>()))
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| {
-                    h.join()
-                        .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
-                })
-                .collect()
-        });
-        chunk_results.into_iter().flatten().collect()
+        run_chunks(self.items.chunks(n.div_ceil(workers)), |chunk| {
+            chunk.iter().map(f).collect()
+        })
+        .into_iter()
+        .flatten()
+        .collect()
     }
+}
+
+/// Types whose elements can be iterated in parallel by mutable reference.
+pub trait IntoParallelRefMutIterator<'a> {
+    /// The element type.
+    type Item: Send + 'a;
+
+    /// A parallel iterator over `&mut Self::Item`.
+    fn par_iter_mut(&'a mut self) -> ParIterMut<'a, Self::Item>;
+}
+
+impl<'a, T: Send + 'a> IntoParallelRefMutIterator<'a> for [T] {
+    type Item = T;
+    fn par_iter_mut(&'a mut self) -> ParIterMut<'a, T> {
+        ParIterMut { items: self }
+    }
+}
+
+impl<'a, T: Send + 'a> IntoParallelRefMutIterator<'a> for Vec<T> {
+    type Item = T;
+    fn par_iter_mut(&'a mut self) -> ParIterMut<'a, T> {
+        ParIterMut { items: self }
+    }
+}
+
+/// A mutably borrowing parallel iterator (the result of [`par_iter_mut`]).
+///
+/// [`par_iter_mut`]: IntoParallelRefMutIterator::par_iter_mut
+#[derive(Debug)]
+pub struct ParIterMut<'a, T: Send> {
+    items: &'a mut [T],
+}
+
+impl<'a, T: Send> ParIterMut<'a, T> {
+    /// Maps every element through `f`, to be evaluated in parallel at
+    /// `collect` time.
+    pub fn map<R, F>(self, f: F) -> ParMapMut<'a, T, F>
+    where
+        F: Fn(&mut T) -> R + Sync,
+        R: Send,
+    {
+        ParMapMut {
+            items: self.items,
+            f,
+        }
+    }
+}
+
+/// A mapped mutable parallel iterator awaiting collection.
+#[derive(Debug)]
+pub struct ParMapMut<'a, T: Send, F> {
+    items: &'a mut [T],
+    f: F,
+}
+
+impl<T: Send, R: Send, F: Fn(&mut T) -> R + Sync> ParMapMut<'_, T, F> {
+    /// Evaluates the map over all elements — in parallel when the input is
+    /// large enough — and collects the results in input order.
+    pub fn collect<C: FromIterator<R>>(self) -> C {
+        let n = self.items.len();
+        let workers = configured_workers().min(n.max(1));
+        if workers <= 1 {
+            return self.items.iter_mut().map(&self.f).collect();
+        }
+        let f = &self.f;
+        run_chunks(self.items.chunks_mut(n.div_ceil(workers)), |chunk| {
+            chunk.iter_mut().map(f).collect()
+        })
+        .into_iter()
+        .flatten()
+        .collect()
+    }
+}
+
+/// Run `work` on every chunk, one scoped thread per chunk, and return the
+/// per-chunk results in chunk order. A worker's panic resumes on the
+/// caller.
+fn run_chunks<C: Send, R: Send>(
+    chunks: impl Iterator<Item = C>,
+    work: impl Fn(C) -> Vec<R> + Sync,
+) -> Vec<Vec<R>> {
+    let work = &work;
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = chunks
+            .map(|chunk| scope.spawn(move || work(chunk)))
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| {
+                h.join()
+                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+            })
+            .collect()
+    })
 }
 
 #[cfg(test)]
@@ -237,6 +333,40 @@ mod tests {
         // After install returns the default applies again.
         let after: Vec<usize> = items.par_iter().map(|&x| x).collect();
         assert_eq!(after, items);
+    }
+
+    #[test]
+    fn map_mut_collect_preserves_order_and_writes_through() {
+        let mut items: Vec<usize> = (0..1000).collect();
+        for workers in [1, 3] {
+            let pool = crate::ThreadPoolBuilder::new()
+                .num_threads(workers)
+                .build()
+                .unwrap();
+            let before: Vec<usize> = pool.install(|| {
+                items
+                    .par_iter_mut()
+                    .map(|x| {
+                        let old = *x;
+                        *x += 1;
+                        old
+                    })
+                    .collect()
+            });
+            assert_eq!(before.len(), 1000);
+            assert!(before.iter().zip(&items).all(|(b, a)| a - b == 1));
+        }
+        assert_eq!(items, (2..1002).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn current_num_threads_follows_the_installed_pool() {
+        let pool = crate::ThreadPoolBuilder::new()
+            .num_threads(3)
+            .build()
+            .unwrap();
+        assert_eq!(pool.install(crate::current_num_threads), 3);
+        assert!(crate::current_num_threads() >= 1);
     }
 
     #[test]
