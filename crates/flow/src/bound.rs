@@ -78,22 +78,30 @@ pub fn tree_cut_lower_bound(xgft: &Xgft, traffic: &TrafficMatrix) -> CutBound {
     } else {
         // Per-subtree demand accounting: a flow with NCA level L crosses
         // the boundary of its source's (and destination's) level-l subtree
-        // for every l < L.
-        let mut group_size: Vec<usize> = Vec::with_capacity(h);
-        let mut size = 1usize;
-        for l in 0..h {
-            group_size.push(size);
-            size *= spec.m(l + 1);
+        // for every l < L, i.e. wherever the two labels differ in some
+        // digit at position l or above. The level-l subtree of a leaf is
+        // its label read from digit l upwards, `leaf / Π_{j≤l} m_j`; the
+        // scan builds it from the top digit down by multiply-adds, with no
+        // division.
+        let radix = spec.m_vec();
+        let mut out: Vec<Vec<f64>> = Vec::with_capacity(h);
+        let mut subtrees = xgft.num_leaves();
+        for &m in radix {
+            out.push(vec![0.0; subtrees]);
+            subtrees /= m;
         }
-        let mut out: Vec<Vec<f64>> = (0..h)
-            .map(|l| vec![0.0; xgft.num_leaves() / group_size[l]])
-            .collect();
         let mut into = out.clone();
         traffic.for_each_flow(|s, d, w| {
-            let nca = xgft.nca_level(s, d);
-            for l in 0..nca {
-                out[l][s / group_size[l]] += w;
-                into[l][d / group_size[l]] += w;
+            let (sd, dd) = (xgft.leaf_digits(s), xgft.leaf_digits(d));
+            let (mut si, mut di, mut crossed) = (0, 0, false);
+            for l in (0..h).rev() {
+                si = si * radix[l] + sd[l];
+                di = di * radix[l] + dd[l];
+                crossed |= sd[l] != dd[l];
+                if crossed {
+                    out[l][si] += w;
+                    into[l][di] += w;
+                }
             }
         });
         (0..h)
@@ -178,6 +186,7 @@ pub fn ratio_to_bound(mcl: f64, bound: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use xgft_core::{DModK, RandomRouting, SModK};
     use xgft_topo::XgftSpec;
 
@@ -272,6 +281,76 @@ mod tests {
             dmodk.ratio,
             random.ratio
         );
+    }
+
+    /// The per-flow accounting as it read with one division per flow and
+    /// level: the reference the digit scan must match bit for bit.
+    fn division_form(xgft: &Xgft, traffic: &TrafficMatrix) -> Vec<f64> {
+        let spec = xgft.spec();
+        let h = spec.height();
+        let mut group_size = Vec::with_capacity(h);
+        let mut size = 1usize;
+        for l in 0..h {
+            group_size.push(size);
+            size *= spec.m(l + 1);
+        }
+        let mut out: Vec<Vec<f64>> = (0..h)
+            .map(|l| vec![0.0; xgft.num_leaves() / group_size[l]])
+            .collect();
+        let mut into = out.clone();
+        traffic.for_each_flow(|s, d, w| {
+            for l in 0..xgft.nca_level(s, d) {
+                out[l][s / group_size[l]] += w;
+                into[l][d / group_size[l]] += w;
+            }
+        });
+        (0..h)
+            .map(|l| {
+                let worst = out[l].iter().chain(&into[l]).copied().fold(0.0, f64::max);
+                worst / spec.ncas_at_level(l + 1) as f64
+            })
+            .collect()
+    }
+
+    fn random_spec() -> impl Strategy<Value = XgftSpec> {
+        prop::collection::vec((1usize..=5, 1usize..=4), 1..=4).prop_map(|levels| {
+            let m = levels.iter().map(|&(m, _)| m).collect();
+            let w = levels.iter().map(|&(m, w)| w.min(m)).collect();
+            XgftSpec::new(m, w).expect("valid")
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// On random specs and skewed, non-uniform traffic (self-flows,
+        /// repeated pairs, weights that do not add exactly), the digit scan
+        /// gives the division form's `per_level`, `bound` and
+        /// `critical_level` bit for bit.
+        #[test]
+        fn digit_scan_matches_the_division_form(
+            spec in random_spec(),
+            picks in prop::collection::vec((0usize..1 << 16, 0usize..1 << 16, 1u32..1000), 0..200),
+        ) {
+            let xgft = Xgft::new(spec).unwrap();
+            let n = xgft.num_leaves();
+            let flows: Vec<(usize, usize, f64)> = picks
+                .iter()
+                .map(|&(s, d, w)| (s % n, d % n, f64::from(w) / 7.0))
+                .collect();
+            let traffic = TrafficMatrix::from_flows(n, flows);
+            let got = tree_cut_lower_bound(&xgft, &traffic);
+            let want = division_form(&xgft, &traffic);
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            prop_assert_eq!(bits(&got.per_level), bits(&want));
+            let (level, bound) = want
+                .iter()
+                .enumerate()
+                .max_by(|a, b| a.1.total_cmp(b.1))
+                .unwrap();
+            prop_assert_eq!(got.critical_level, level);
+            prop_assert_eq!(got.bound.to_bits(), bound.to_bits());
+        }
     }
 
     #[test]

@@ -42,6 +42,21 @@
 //! next bucket to fill draws from, so the footprint grows with the days
 //! that hold events, not with the ring.
 //!
+//! **Bounded pool.** Every vector the queue lets go — the old agenda, a
+//! bucket emptied by `grow` or `clear`, the vector a full bucket trades in
+//! — passes one `recycle` step, which keeps it only while the pool's total
+//! capacity stays within a budget of one high-water mark (at least
+//! `SPARE_FLOOR_ENTRIES`), and frees it otherwise. Without the budget the
+//! pool would keep every vector it was ever given, each at the largest day
+//! it once held. A bucket whose vector is full trades up to the pool's
+//! largest vector when that one has more room, so a dense day fills
+//! capacity the queue already holds; growing a fresh vector instead, which
+//! the budget later frees, churns the allocator and fragments the heap.
+//! `clear` applies the budget of the run it ends, so a simulator that
+//! resets between epochs starts the next one with room for the last peak,
+//! and the new run's own mark then takes over. Capacity never decides which
+//! entry pops next.
+//!
 //! **Entry width.** A queued `(time, event)` entry is 16 bytes: the time
 //! plus an 8-byte `Event`, whose segments carry only a slab slot, a hop
 //! and a short-last bit and derive the rest from the message slab. Every
@@ -124,6 +139,10 @@ const GROW_LOAD: usize = 16;
 /// Never grow the ring beyond this many buckets.
 const MAX_BUCKETS: usize = 1 << 16;
 
+/// The spare pool's budget never falls below this many entries (16 KiB), so
+/// a small run still recycles its vectors from its first day on.
+const SPARE_FLOOR_ENTRIES: usize = 1024;
+
 /// One ring slot: its entries in push order plus a summary of their times,
 /// kept in one struct so the push hot path touches a single cache line.
 #[derive(Debug)]
@@ -149,12 +168,14 @@ impl Bucket {
     }
 
     /// Append an entry. An empty bucket holds no vector (a drained one
-    /// went to the agenda or the spare pool), so it draws one from `spare`.
-    fn push(&mut self, time_ps: u64, event: Event, spare: &mut Vec<Vec<Entry>>) {
+    /// went to the agenda or was recycled), so it draws one from `spare`;
+    /// a full one first tries to trade up to a larger spare vector.
+    fn push(&mut self, time_ps: u64, event: Event, spare: &mut SparePool, budget: usize) {
         if self.events.is_empty() {
+            debug_assert_eq!(self.events.capacity(), 0, "an empty bucket keeps no vector");
             // A fresh vector starts at 16 to skip the 1 → 2 → 4 … growth
             // staircase.
-            self.events = spare.pop().unwrap_or_else(|| Vec::with_capacity(16));
+            self.events = spare.take().unwrap_or_else(|| Vec::with_capacity(16));
             self.min_ps = time_ps;
             self.max_ps = time_ps;
             self.sorted = true;
@@ -162,8 +183,54 @@ impl Bucket {
             self.sorted &= time_ps >= self.max_ps;
             self.min_ps = self.min_ps.min(time_ps);
             self.max_ps = self.max_ps.max(time_ps);
+            if self.events.len() == self.events.capacity() {
+                spare.trade_up(&mut self.events, budget);
+            }
         }
         self.events.push((time_ps, event));
+    }
+}
+
+/// Empty vectors with room, drawn by the next bucket to fill, and the room
+/// they hold in total.
+#[derive(Debug, Default)]
+struct SparePool {
+    vectors: Vec<Vec<Entry>>,
+    /// The sum of `vectors`' capacities, in entries.
+    capacity: usize,
+}
+
+impl SparePool {
+    fn take(&mut self) -> Option<Vec<Entry>> {
+        let vector = self.vectors.pop()?;
+        self.capacity -= vector.capacity();
+        Some(vector)
+    }
+
+    /// Move `events` into the pool's largest vector if that one has more
+    /// room, and recycle the vector it leaves, so a dense day fills
+    /// capacity the queue already holds (see the module docs).
+    fn trade_up(&mut self, events: &mut Vec<Entry>, budget: usize) {
+        let largest = (0..self.vectors.len()).max_by_key(|&i| self.vectors[i].capacity());
+        let Some(i) = largest.filter(|&i| self.vectors[i].capacity() > events.len()) else {
+            return;
+        };
+        let mut larger = self.vectors.remove(i);
+        self.capacity -= larger.capacity();
+        larger.extend_from_slice(events);
+        let smaller = std::mem::replace(events, larger);
+        self.recycle(smaller, budget);
+    }
+
+    /// Keep `vector`, emptied, if the pool then holds at most `budget`
+    /// entries of capacity; free it otherwise.
+    fn recycle(&mut self, mut vector: Vec<Entry>, budget: usize) {
+        let room = vector.capacity();
+        if room > 0 && self.capacity + room <= budget {
+            vector.clear();
+            self.capacity += room;
+            self.vectors.push(vector);
+        }
     }
 }
 
@@ -182,8 +249,9 @@ pub(crate) struct EventQueue {
     cursor: usize,
     /// Future days, ring-indexed by `day & mask`.
     buckets: Vec<Bucket>,
-    /// Empty vectors with capacity, drawn by the next bucket to fill.
-    spare: Vec<Vec<Entry>>,
+    /// Empty vectors with capacity, drawn by the next bucket to fill and
+    /// bounded by [`EventQueue::spare_budget`].
+    spare: SparePool,
     /// `buckets.len() - 1`; the ring size is a power of two.
     mask: u64,
     /// The day the cursor points at: `time >> WIDTH_SHIFT` of the agenda.
@@ -216,7 +284,7 @@ impl EventQueue {
             agenda: Vec::new(),
             cursor: 0,
             buckets: (0..INITIAL_BUCKETS).map(|_| Bucket::empty()).collect(),
-            spare: Vec::new(),
+            spare: SparePool::default(),
             mask: (INITIAL_BUCKETS - 1) as u64,
             day: 0,
             future_len: 0,
@@ -229,21 +297,23 @@ impl EventQueue {
 
     /// Reset the queue to its freshly-constructed state — cursor, counters
     /// and high-water mark included — while keeping the bucket ring and
-    /// every vector allocation (bucket vectors move to the spare pool). Pop
-    /// order after a `clear` is byte-identical to a new queue's (it is
-    /// independent of ring size, which is the only state that survives), so
-    /// `NetworkSim::reset` can recycle the ring a previous run already grew.
+    /// up to one high-water mark of vector capacity: bucket vectors move to
+    /// the spare pool while it stays within the budget of the run just
+    /// ended (`max(high_water, SPARE_FLOOR_ENTRIES)`), and the rest are
+    /// freed. Until the next run's mark climbs past that budget, the pool
+    /// only gives vectors out. Pop order after a `clear` is byte-identical
+    /// to a new queue's (it is independent of ring size and capacity, the
+    /// only state that survives), so `NetworkSim::reset` can recycle the
+    /// ring a previous run already grew.
     pub fn clear(&mut self) {
+        let budget = self.spare_budget();
         self.now_fifo.clear();
         self.now_ps = 0;
         self.agenda.clear();
         self.cursor = 0;
         for bucket in &mut self.buckets {
-            if bucket.events.capacity() > 0 {
-                let mut events = std::mem::take(&mut bucket.events);
-                events.clear();
-                self.spare.push(events);
-            }
+            self.spare
+                .recycle(std::mem::take(&mut bucket.events), budget);
             bucket.min_ps = u64::MAX;
         }
         self.day = 0;
@@ -252,6 +322,13 @@ impl EventQueue {
         self.high_water = 0;
         self.days = 0;
         self.days_adopted = 0;
+    }
+
+    /// The most capacity, in entries, `recycle` lets the spare pool hold:
+    /// this run's high-water mark, and never less than
+    /// `SPARE_FLOOR_ENTRIES`.
+    fn spare_budget(&self) -> usize {
+        self.high_water.max(SPARE_FLOOR_ENTRIES)
     }
 
     /// Schedule `event` at absolute time `time_ps` (never before the last
@@ -291,7 +368,8 @@ impl EventQueue {
                 self.grow();
             }
             let b = ((time_ps >> WIDTH_SHIFT) & self.mask) as usize;
-            self.buckets[b].push(time_ps, event, &mut self.spare);
+            let budget = self.spare_budget();
+            self.buckets[b].push(time_ps, event, &mut self.spare, budget);
             self.future_len += 1;
         }
     }
@@ -368,8 +446,8 @@ impl EventQueue {
         self.buckets
             .iter()
             .map(|b| b.events.capacity())
-            .chain(self.spare.iter().map(Vec::capacity))
             .sum::<usize>()
+            + self.spare.capacity
             + self.agenda.capacity()
             + self.now_fifo.capacity()
     }
@@ -412,15 +490,14 @@ impl EventQueue {
         });
         self.day = target;
         self.days += 1;
+        let budget = self.spare_budget();
         let mut agenda = std::mem::take(&mut self.agenda);
         agenda.clear();
         self.cursor = 0;
         let bucket = &mut self.buckets[(target & self.mask) as usize];
         if bucket.max_ps >> WIDTH_SHIFT == target {
             // The bucket holds this day alone: it becomes the agenda.
-            if agenda.capacity() > 0 {
-                self.spare.push(agenda);
-            }
+            self.spare.recycle(agenda, budget);
             agenda = std::mem::take(&mut bucket.events);
             bucket.min_ps = u64::MAX;
             if bucket.sorted {
@@ -445,6 +522,9 @@ impl EventQueue {
                     write += 1;
                 }
             }
+            // Some entry is not this day's (else `max_ps` would lie in it
+            // and the bucket would have been taken whole), so the bucket
+            // keeps its vector.
             bucket.events.truncate(write);
             (bucket.min_ps, bucket.max_ps, bucket.sorted) = (min_ps, max_ps, sorted);
             // A stable sort on time alone keeps push order among ties.
@@ -461,14 +541,13 @@ impl EventQueue {
         let new_size = self.buckets.len() * 2;
         let mut buckets: Vec<Bucket> = (0..new_size).map(|_| Bucket::empty()).collect();
         let mask = (new_size - 1) as u64;
+        let budget = self.spare_budget();
         for mut old in std::mem::take(&mut self.buckets) {
             for (time_ps, event) in old.events.drain(..) {
                 let b = ((time_ps >> WIDTH_SHIFT) & mask) as usize;
-                buckets[b].push(time_ps, event, &mut self.spare);
+                buckets[b].push(time_ps, event, &mut self.spare, budget);
             }
-            if old.events.capacity() > 0 {
-                self.spare.push(old.events);
-            }
+            self.spare.recycle(old.events, budget);
         }
         self.buckets = buckets;
         self.mask = mask;
@@ -542,6 +621,93 @@ mod tests {
         }
         q.push(99_000, Event::CreditReturn { channel: 1 });
         assert_eq!(q.high_water(), 10, "high-water never decays");
+    }
+
+    #[test]
+    fn spare_pool_stays_near_the_high_water_mark() {
+        // Waves: each round files a sweep of 123 days, three dense days of
+        // 2,000 events at a position that moves from round to round and 120
+        // days of 4 events, and drains them all. Every sweep lets go of
+        // vectors grown by dense days, so a pool without a budget keeps
+        // more each round (22,304 entries after 40 rounds, against a mark
+        // of 6,480). Bounded, retained capacity stays within one mark of
+        // the peak for the pool plus one for the vectors still in use.
+        let day = 1u64 << WIDTH_SHIFT;
+        let run = |q: &mut EventQueue| {
+            let mut state = 0x2545F4914F6CDD1Du64;
+            let mut base = 0u64;
+            let mut popped = 0usize;
+            for round in 0..40u64 {
+                // The dense days move through the sweep from round to round.
+                let dense = 1 + round * 37 % 120;
+                for d in 1..=123u64 {
+                    let events = if (dense..dense + 3).contains(&d) {
+                        2_000
+                    } else {
+                        4
+                    };
+                    for i in 0..events {
+                        state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
+                        let t = (base + d) * day + (state >> 33) % day;
+                        q.push(t, Event::CreditReturn { channel: i });
+                    }
+                }
+                while let Some((t, _)) = q.pop() {
+                    popped += 1;
+                    base = t >> WIDTH_SHIFT;
+                }
+            }
+            assert_eq!(popped, 40 * (3 * 2_000 + 120 * 4));
+            let (capacity, high_water) = (q.capacity(), q.high_water());
+            assert_eq!(high_water, 3 * 2_000 + 120 * 4);
+            assert!(
+                capacity <= 2 * high_water + SPARE_FLOOR_ENTRIES,
+                "capacity {capacity} against high-water mark {high_water}"
+            );
+        };
+        let mut q = EventQueue::new();
+        run(&mut q);
+        let first_mark = q.high_water();
+        q.clear();
+        assert!(q.capacity() <= 2 * first_mark + SPARE_FLOOR_ENTRIES);
+        run(&mut q);
+    }
+
+    #[test]
+    fn a_full_bucket_trades_up_to_a_larger_spare_vector() {
+        let day = 1u64 << WIDTH_SHIFT;
+        let event = Event::CreditReturn { channel: 0 };
+        let mut q = EventQueue::new();
+        for i in 0..1024 {
+            q.push(day + i, event);
+        }
+        q.push(2 * day, event);
+        q.push(3 * day, event);
+        // Pending on day 4, these keep the budget above the pool's
+        // 1,024 + 16 entries.
+        for i in 0..200 {
+            q.push(4 * day + i, event);
+        }
+        // Drain through day 3: day 1's vector (1,024 entries) and then day
+        // 2's (16) go to the pool, day 2's on top.
+        for _ in 0..1026 {
+            q.pop();
+        }
+        assert_eq!(q.spare.capacity, 1024 + 16);
+        // A new day draws the 16-entry vector; when it fills, the bucket
+        // moves to the 1,024-entry one instead of growing its own.
+        let before = q.capacity();
+        for i in 0..100 {
+            q.push(10 * day + i, event);
+        }
+        assert_eq!(q.capacity(), before);
+        assert_eq!(q.spare.capacity, 16);
+        let times: Vec<u64> = std::iter::from_fn(|| q.pop().map(|(t, _)| t)).collect();
+        let want: Vec<u64> = (0..200)
+            .map(|i| 4 * day + i)
+            .chain((0..100).map(|i| 10 * day + i))
+            .collect();
+        assert_eq!(times, want);
     }
 
     #[test]
@@ -753,6 +919,9 @@ mod pop_order_properties {
             let mut calendar = EventQueue::new();
             let mut reference = ReferenceQueue::default();
             let mut now = 0u64;
+            // The budget of the run the last `clear` ended: what the pool
+            // may carry into the next run.
+            let mut carried = 0;
             for (salt, op) in script.into_iter().enumerate() {
                 match op {
                     Op::Push { dt, kind } => {
@@ -775,6 +944,7 @@ mod pop_order_properties {
                         }
                     }
                     Op::Clear => {
+                        carried = calendar.spare_budget();
                         calendar.clear();
                         reference = ReferenceQueue::default();
                         now = 0;
@@ -782,6 +952,10 @@ mod pop_order_properties {
                 }
                 prop_assert_eq!(calendar.len(), reference.heap.len());
                 prop_assert_eq!(calendar.high_water(), reference.peak);
+                // The pool's running count is exact and within budget.
+                let pooled: usize = calendar.spare.vectors.iter().map(Vec::capacity).sum();
+                prop_assert_eq!(calendar.spare.capacity, pooled);
+                prop_assert!(calendar.spare.capacity <= calendar.spare_budget().max(carried));
             }
             // Drain both: the tails must agree too.
             loop {

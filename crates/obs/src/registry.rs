@@ -3,7 +3,7 @@
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, RwLock};
+use std::sync::{Arc, PoisonError, RwLock};
 
 /// Number of histogram buckets: one for zero plus one per power of two up
 /// to `2^63..=u64::MAX`.
@@ -151,11 +151,14 @@ pub struct MetricsRegistry {
     histograms: RwLock<BTreeMap<String, Arc<Histogram>>>,
 }
 
+/// A poisoned lock is recovered, not propagated: the maps only ever gain
+/// entries, so a panic elsewhere cannot leave one half-updated, and
+/// instrumentation that observes a run must never panic it.
 fn get_or_insert<M: Default>(map: &RwLock<BTreeMap<String, Arc<M>>>, name: &str) -> Arc<M> {
-    if let Some(found) = map.read().expect("registry lock").get(name) {
+    if let Some(found) = map.read().unwrap_or_else(PoisonError::into_inner).get(name) {
         return Arc::clone(found);
     }
-    let mut write = map.write().expect("registry lock");
+    let mut write = map.write().unwrap_or_else(PoisonError::into_inner);
     Arc::clone(write.entry(name.to_string()).or_default())
 }
 
@@ -187,7 +190,7 @@ impl MetricsRegistry {
         let counters = self
             .counters
             .read()
-            .expect("registry lock")
+            .unwrap_or_else(PoisonError::into_inner)
             .iter()
             .map(|(name, c)| CounterSample {
                 name: name.clone(),
@@ -197,7 +200,7 @@ impl MetricsRegistry {
         let gauges = self
             .gauges
             .read()
-            .expect("registry lock")
+            .unwrap_or_else(PoisonError::into_inner)
             .iter()
             .map(|(name, g)| GaugeSample {
                 name: name.clone(),
@@ -207,7 +210,7 @@ impl MetricsRegistry {
         let histograms = self
             .histograms
             .read()
-            .expect("registry lock")
+            .unwrap_or_else(PoisonError::into_inner)
             .iter()
             .map(|(name, h)| {
                 let raw = h.bucket_counts();
@@ -537,6 +540,27 @@ mod tests {
         let quiet = reg.snapshot().delta_since(&reg.snapshot());
         assert!(quiet.counters.is_empty());
         assert!(quiet.histograms.is_empty());
+    }
+
+    #[test]
+    fn a_poisoned_registry_keeps_counting() {
+        let reg = MetricsRegistry::new();
+        reg.counter("kept").add(2);
+        let poisoner = std::thread::scope(|scope| {
+            scope
+                .spawn(|| {
+                    let _held = reg.counters.write();
+                    panic!("a panic while the lock is held poisons it");
+                })
+                .join()
+        });
+        assert!(poisoner.is_err());
+        assert!(reg.counters.is_poisoned());
+        reg.counter("kept").incr();
+        reg.counter("new").incr();
+        let snap = reg.snapshot();
+        assert_eq!(snap.counter("kept"), Some(3));
+        assert_eq!(snap.counter("new"), Some(1));
     }
 
     #[test]

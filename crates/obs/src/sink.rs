@@ -8,7 +8,7 @@
 use serde::Value;
 use std::io::Write;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, Mutex, PoisonError, RwLock};
 use std::time::Instant;
 
 /// A typed field value of a trace event.
@@ -134,7 +134,10 @@ impl TraceSink {
         struct Shared(Arc<Mutex<Vec<u8>>>);
         impl Write for Shared {
             fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-                self.0.lock().expect("trace buffer").extend_from_slice(buf);
+                self.0
+                    .lock()
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .extend_from_slice(buf);
                 Ok(buf.len())
             }
             fn flush(&mut self) -> std::io::Result<()> {
@@ -148,8 +151,9 @@ impl TraceSink {
         )
     }
 
-    /// Write one event line. Errors are swallowed: tracing must never take
-    /// the instrumented computation down.
+    /// Write one event line. Errors are swallowed and a poisoned writer is
+    /// written through: tracing must never take the instrumented
+    /// computation down.
     pub fn event(&self, name: &str, fields: &[(&str, FieldValue)]) {
         let ts = u64::try_from(self.epoch.elapsed().as_nanos()).unwrap_or(u64::MAX);
         let mut entries = Vec::with_capacity(fields.len() + 2);
@@ -158,9 +162,10 @@ impl TraceSink {
         for (key, value) in fields {
             entries.push((key.to_string(), value.to_value()));
         }
-        let line = serde_json::to_string(&RawValue(&Value::Object(entries)))
-            .expect("trace events are serialisable");
-        let mut writer = self.writer.lock().expect("trace writer");
+        let Ok(line) = serde_json::to_string(&RawValue(&Value::Object(entries))) else {
+            return;
+        };
+        let mut writer = self.writer.lock().unwrap_or_else(PoisonError::into_inner);
         let _ = writeln!(writer, "{line}");
         let _ = writer.flush();
     }
@@ -173,7 +178,7 @@ static TRACE_SINK: RwLock<Option<Arc<TraceSink>>> = RwLock::new(None);
 /// one) and return a handle to it.
 pub fn install_trace_sink(sink: TraceSink) -> Arc<TraceSink> {
     let sink = Arc::new(sink);
-    *TRACE_SINK.write().expect("trace sink lock") = Some(Arc::clone(&sink));
+    *TRACE_SINK.write().unwrap_or_else(PoisonError::into_inner) = Some(Arc::clone(&sink));
     TRACE_ON.store(true, Ordering::Release);
     sink
 }
@@ -182,7 +187,7 @@ pub fn install_trace_sink(sink: TraceSink) -> Arc<TraceSink> {
 /// no-ops again.
 pub fn clear_trace_sink() {
     TRACE_ON.store(false, Ordering::Release);
-    *TRACE_SINK.write().expect("trace sink lock") = None;
+    *TRACE_SINK.write().unwrap_or_else(PoisonError::into_inner) = None;
 }
 
 /// True while a trace sink is installed (one relaxed load — the guard hot
@@ -203,7 +208,10 @@ pub fn trace(name: &str, fields: &[(&str, FieldValue)]) {
     if !trace_enabled() {
         return;
     }
-    let sink = TRACE_SINK.read().expect("trace sink lock").clone();
+    let sink = TRACE_SINK
+        .read()
+        .unwrap_or_else(PoisonError::into_inner)
+        .clone();
     if let Some(sink) = sink {
         sink.event(name, fields);
     }

@@ -120,21 +120,46 @@ fn netsim_runs_report_the_event_queue_capacity() {
     .expect("valid scenario");
     assert_eq!(payload_json(&bare), payload_json(&instrumented));
 
-    // The gauge is the queue's allocation in entries, so it can never be
-    // below the most events the queue held at once.
-    let telemetry = instrumented.telemetry.as_ref().expect("telemetry window");
-    let gauge = |name: &str| {
-        telemetry
-            .gauges
-            .iter()
-            .find(|g| g.name == name)
-            .map(|g| g.value)
-    };
-    let capacity = gauge("netsim.queue_capacity").expect("capacity gauge");
-    let hwm = gauge("netsim.event_queue_hwm").expect("high-water gauge");
-    assert!(hwm > 0);
-    assert!(
-        capacity >= hwm,
-        "capacity {capacity} < high-water mark {hwm}"
+    // A chaos timeline resets each shard's simulator every epoch, which is
+    // where an unbounded spare pool piles up: on this one it would keep
+    // 4,544 entries against a high-water mark of 589.
+    let path = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/examples/scenarios/chaos_small.json"
     );
+    let mut chaos = xgft::scenario::cli::load_spec(path).expect("checked-in spec");
+    chaos.topology = TopologySpec::SlimmedTwoLevel { k: 8, w2: 6 };
+    chaos.workload = WorkloadSpec::new("wrf", 64, 16 * 1024);
+    let with_telemetry = RunOptions {
+        telemetry: true,
+        ..RunOptions::default()
+    };
+    let chaos = run_scenario(&chaos, &with_telemetry).expect("valid scenario");
+
+    // The gauge is the queue's allocation in entries, so it can never be
+    // below the most events the queue held at once. The spare pool keeps at
+    // most one high-water mark (or its 1,024-entry floor) beyond the vectors
+    // in use, so it can never be far above it either. Both gauges are
+    // process-wide maxima, and the bound holds for each simulator.
+    for run in [&instrumented, &chaos] {
+        let telemetry = run.telemetry.as_ref().expect("telemetry window");
+        let gauge = |name: &str| {
+            telemetry
+                .gauges
+                .iter()
+                .find(|g| g.name == name)
+                .map(|g| g.value)
+        };
+        let capacity = gauge("netsim.queue_capacity").expect("capacity gauge");
+        let hwm = gauge("netsim.event_queue_hwm").expect("high-water gauge");
+        assert!(hwm > 0);
+        assert!(
+            capacity >= hwm,
+            "capacity {capacity} < high-water mark {hwm}"
+        );
+        assert!(
+            capacity <= 2 * hwm + 1024,
+            "capacity {capacity} > 2 x high-water mark {hwm} + 1024"
+        );
+    }
 }
